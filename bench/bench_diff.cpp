@@ -7,6 +7,7 @@
 //
 //   bench_diff <baseline.json> <fresh.json> [--threshold=0.05]
 //
+// --threshold=0 fails any worsening of a gated metric, however small.
 // Exit 0 when everything is within threshold, 1 on any regression or
 // structural problem, 2 on usage/parse errors.
 #include <cstdio>
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (baseline.empty() || fresh.empty() || threshold <= 0 ||
+  if (baseline.empty() || fresh.empty() || threshold < 0 ||
       threshold >= 1) {
     std::fprintf(stderr,
                  "usage: bench_diff <baseline.json> <fresh.json> "

@@ -3,12 +3,16 @@
 // larger experiments; simulated time is deterministic regardless).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "features/color_histogram.h"
 #include "img/codec.h"
+#include "img/color.h"
 #include "img/synth.h"
+#include "kernels/cc_window.h"
 #include "kernels/ch_kernel.h"
 #include "kernels/messages.h"
 #include "port/message.h"
@@ -22,25 +26,51 @@ namespace {
 
 using namespace cellport;
 
+// The intrinsic benchmarks run with an SPE context installed on the
+// benchmark thread, so every intrinsic takes the pipe-charge path exactly
+// as it does inside a kernel (outside an SPE thread charging is a no-op).
+class SpeScope {
+ public:
+  SpeScope() { sim::set_current_spe(&machine_.spe(0)); }
+  ~SpeScope() { sim::set_current_spe(nullptr); }
+  SpeScope(const SpeScope&) = delete;
+  SpeScope& operator=(const SpeScope&) = delete;
+
+ private:
+  sim::Machine machine_{sim::Machine::Config{1}};
+};
+
 void BM_SpuIntrinsicMadd(benchmark::State& state) {
+  SpeScope spe;
   auto a = spu::spu_splats<spu::vec_float4>(1.5f);
   auto b = spu::spu_splats<spu::vec_float4>(0.5f);
   auto c = spu::spu_splats<spu::vec_float4>(0.25f);
+  // Opaque inputs, so the lane arithmetic cannot be folded away.
+  benchmark::DoNotOptimize(a);
+  benchmark::DoNotOptimize(b);
+  benchmark::DoNotOptimize(c);
   for (auto _ : state) {
     benchmark::DoNotOptimize(spu::spu_madd(a, b, c));
   }
 }
 BENCHMARK(BM_SpuIntrinsicMadd);
 
+// The correlogram window's shuffles: the 2*kCcRadius+1 shift patterns that
+// extract each window offset from a pair of adjacent quadwords.
 void BM_SpuShuffle(benchmark::State& state) {
+  SpeScope spe;
   auto a = spu::spu_splats<spu::vec_uchar16>(3);
   auto b = spu::spu_splats<spu::vec_uchar16>(7);
-  spu::vec_uchar16 p;
-  for (unsigned i = 0; i < 16; ++i) p.v[i] = static_cast<std::uint8_t>(
-      31 - i);
+  benchmark::DoNotOptimize(a);
+  benchmark::DoNotOptimize(b);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spu::spu_shuffle(a, b, p));
+    for (int dx = -kernels::kCcRadius; dx <= kernels::kCcRadius; ++dx) {
+      benchmark::DoNotOptimize(
+          spu::spu_shuffle(a, b, kernels::shift_pattern(dx)));
+    }
   }
+  state.SetItemsProcessed(state.iterations() *
+                          (2 * kernels::kCcRadius + 1));
 }
 BENCHMARK(BM_SpuShuffle);
 
@@ -163,6 +193,48 @@ void BM_FusedTile(benchmark::State& state) {
                  : 0;
 }
 BENCHMARK(BM_FusedTile)->Unit(benchmark::kMillisecond);
+
+// The correlogram window alone, which is most of a fused tile's host
+// time: one output row of a 352-pixel-wide frame per iteration, from a
+// full 2*kCcRadius+1-row window of seeded bins.
+void BM_CcProduceRow(benchmark::State& state) {
+  constexpr int kW = 352;
+  constexpr int kH = 240;
+  SpeScope spe;
+  kernels::CcState st;
+  st.row_bytes = static_cast<int>(cellport::round_up(
+      static_cast<std::size_t>(kernels::kRingOrigin + kW + 24),
+      std::size_t{16}));
+  cellport::AlignedBuffer<std::uint8_t> ring(
+      static_cast<std::size_t>(kernels::kCcRingRows * st.row_bytes));
+  std::memset(ring.data(), kernels::kCcSentinel, ring.size());
+  std::uint32_t bins = 12345;
+  for (int r = 0; r < kernels::kCcRingRows; ++r) {
+    st.ring[r] = ring.data() + static_cast<std::size_t>(r * st.row_bytes);
+    for (int x = 0; x < kW; ++x) {
+      bins = bins * 1103515245u + 12345u;
+      st.ring[r][kernels::kRingOrigin + x] =
+          static_cast<std::uint8_t>((bins >> 16) % img::kHsvBins);
+    }
+  }
+  std::vector<std::uint32_t> same(img::kHsvBins), possible(img::kHsvBins);
+  std::vector<std::uint16_t> cols(kW);
+  for (int x = 0; x < kW; ++x) {
+    cols[static_cast<std::size_t>(x)] = static_cast<std::uint16_t>(
+        std::min(kW - 1, x + kernels::kCcRadius) -
+        std::max(0, x - kernels::kCcRadius) + 1);
+  }
+  st.same = same.data();
+  st.possible = possible.data();
+  st.cols_clamped = cols.data();
+  for (auto _ : state) {
+    kernels::cc_produce_row(st, kH / 2, kW, kH);
+    benchmark::DoNotOptimize(same.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kW);
+}
+BENCHMARK(BM_CcProduceRow)->Unit(benchmark::kMicrosecond);
 
 // The cellshard reduction question in isolation: what does merging n
 // shard partials cost the PPE per image? These drive the planner's

@@ -4,13 +4,6 @@
 
 namespace cellport::sim {
 
-namespace {
-thread_local SpeContext* g_current_spe = nullptr;
-}
-
-SpeContext* current_spe() { return g_current_spe; }
-void set_current_spe(SpeContext* ctx) { g_current_spe = ctx; }
-
 void SpeContext::flush_pipes() {
   if (even_pending_ == 0 && odd_pending_ == 0) return;
   double issued = std::max(even_pending_, odd_pending_);

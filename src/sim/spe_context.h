@@ -206,10 +206,16 @@ class SpeContext {
   bool injection_fired_ = false;
 };
 
+namespace detail {
+// Inline and constant-initialized so that every spu::charge_* compiles to
+// a TLS load, a null test and an add, with no call and no TLS wrapper.
+inline constinit thread_local SpeContext* g_current_spe = nullptr;
+}  // namespace detail
+
 /// Thread-local "current SPE" used by the spu_mfcio / spu intrinsic
 /// facades so SPE kernel code can be written in the flat C style of the
-/// paper's Listing 1.
-SpeContext* current_spe();
-void set_current_spe(SpeContext* ctx);
+/// paper's Listing 1. Null outside an SPE thread.
+inline SpeContext* current_spe() { return detail::g_current_spe; }
+inline void set_current_spe(SpeContext* ctx) { detail::g_current_spe = ctx; }
 
 }  // namespace cellport::sim

@@ -18,12 +18,20 @@
 
 namespace cellport::spu {
 
+namespace detail {
+// Out of line and cold, so that vld/vst stay small enough to inline.
+[[noreturn, gnu::cold, gnu::noinline]] inline void unaligned(
+    const char* what) {
+  throw cellport::Error(what);
+}
+}  // namespace detail
+
 /// Quadword vector load. `p` must be 16-byte aligned (hardware silently
 /// ignores low address bits; we fail loudly instead).
 template <typename V>
 V vld(const void* p) {
   if (!cellport::is_aligned(p, 16)) {
-    throw cellport::Error("SPU vector load from unaligned address");
+    detail::unaligned("SPU vector load from unaligned address");
   }
   charge_odd();
   V r;
@@ -35,7 +43,7 @@ V vld(const void* p) {
 template <typename V>
 void vst(void* p, const V& x) {
   if (!cellport::is_aligned(p, 16)) {
-    throw cellport::Error("SPU vector store to unaligned address");
+    detail::unaligned("SPU vector store to unaligned address");
   }
   charge_odd();
   std::memcpy(p, &x, 16);

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace cellport::spu {
 
@@ -44,11 +44,16 @@ using vec_float4 = Vec<float, 4>;
 using vec_double2 = Vec<double, 2>;
 
 /// Reinterprets the 128 bits of one vector type as another (free on real
-/// hardware: registers are untyped).
+/// hardware: registers are untyped). `From` may also be a native lane
+/// vector of the intrinsics layer. A memcpy rather than std::bit_cast,
+/// which GCC declines to inline into large kernels, leaving a call that
+/// round-trips the vector through memory.
 template <typename To, typename From>
 To vec_cast(const From& x) {
   static_assert(sizeof(To) == 16 && sizeof(From) == 16);
-  return std::bit_cast<To>(x);
+  To r;
+  std::memcpy(r.v.data(), &x, 16);
+  return r;
 }
 
 }  // namespace cellport::spu
