@@ -14,6 +14,7 @@
 #include "img/synth.h"
 #include "kernels/cc_window.h"
 #include "kernels/ch_kernel.h"
+#include "kernels/eh_edge.h"
 #include "kernels/messages.h"
 #include "port/message.h"
 #include "port/spe_interface.h"
@@ -235,6 +236,44 @@ void BM_CcProduceRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kW);
 }
 BENCHMARK(BM_CcProduceRow)->Unit(benchmark::kMicrosecond);
+
+// One 352-wide Sobel row of the edge histogram: border pixels on the
+// scalar path, the interior in 8-pixel groups.
+void BM_EhProduceRow(benchmark::State& state) {
+  constexpr int kW = 352;
+  constexpr int kH = 240;
+  SpeScope spe;
+  kernels::EhState st;
+  st.w = kW;
+  st.h = kH;
+  const auto row_bytes = cellport::round_up(
+      static_cast<std::size_t>(kernels::kRingOrigin + kW + 24),
+      std::size_t{16});
+  cellport::AlignedBuffer<std::uint8_t> ring(
+      static_cast<std::size_t>(kernels::kEhRingRows) * row_bytes);
+  std::memset(ring.data(), 0, ring.size());
+  std::uint32_t gray = 12345;
+  for (int r = 0; r < kernels::kEhRingRows; ++r) {
+    st.ring[r] = ring.data() + static_cast<std::size_t>(r) * row_bytes;
+    for (int x = 0; x < kW; ++x) {
+      gray = gray * 1103515245u + 12345u;
+      st.ring[r][kernels::kRingOrigin + x] =
+          static_cast<std::uint8_t>(gray >> 16);
+    }
+  }
+  benchmark::DoNotOptimize(ring.data());
+  std::vector<std::uint32_t> counts(features::kEdgeAngleBins *
+                                    features::kEdgeMagBins);
+  st.counts = counts.data();
+  const kernels::EhConstants ec = kernels::EhConstants::load();
+  for (auto _ : state) {
+    kernels::eh_produce_row_simd(st, kH / 2, ec);
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kW);
+}
+BENCHMARK(BM_EhProduceRow)->Unit(benchmark::kMicrosecond);
 
 // The cellshard reduction question in isolation: what does merging n
 // shard partials cost the PPE per image? These drive the planner's

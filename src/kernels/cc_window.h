@@ -1,6 +1,6 @@
 // Shared correlogram window machinery (hoisted out of cc_kernel.cpp for
 // cellfuse): the ring-buffer state, the per-offset shuffle patterns, and
-// the SIMD window accumulation that produces one output row. The fused
+// the window accumulation that produces one output row. The fused
 // kernel and the standalone CC kernel run the exact same produce_row, so
 // their same/possible counts are bit-identical by construction.
 #pragma once
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "features/color_correlogram.h"
 #include "kernels/row_convert.h"
@@ -23,33 +24,6 @@ inline constexpr int kCcRingRows = 2 * kCcRadius + 1 + kCcBlockRows;
 /// simply fail to match — no branches in the SIMD loop.
 inline constexpr std::uint8_t kCcSentinel = 0xFF;
 
-/// Widens the low/high byte halves of a byte vector into halfwords and
-/// accumulates (2 shuffles + 2 adds).
-inline void widen_accumulate(const cellport::spu::vec_uchar16& bytes,
-                             cellport::spu::vec_ushort8& lo,
-                             cellport::spu::vec_ushort8& hi) {
-  using namespace cellport::spu;
-  static const vec_uchar16 pat_lo = [] {
-    vec_uchar16 p;
-    for (unsigned k = 0; k < 8; ++k) {
-      p.v[2 * k] = static_cast<std::uint8_t>(k);  // low byte (LE)
-      p.v[2 * k + 1] = 16;                        // zero
-    }
-    return p;
-  }();
-  static const vec_uchar16 pat_hi = [] {
-    vec_uchar16 p;
-    for (unsigned k = 0; k < 8; ++k) {
-      p.v[2 * k] = static_cast<std::uint8_t>(8 + k);
-      p.v[2 * k + 1] = 16;
-    }
-    return p;
-  }();
-  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
-  lo = spu_add(lo, vec_cast<vec_ushort8>(spu_shuffle(bytes, zero, pat_lo)));
-  hi = spu_add(hi, vec_cast<vec_ushort8>(spu_shuffle(bytes, zero, pat_hi)));
-}
-
 struct CcState {
   std::uint8_t* ring[kCcRingRows];
   int row_bytes = 0;
@@ -59,7 +33,8 @@ struct CcState {
 };
 
 /// Shuffle patterns extracting the 16 bytes at offset dx in
-/// [-kCcRadius, kCcRadius] from a pair of adjacent quadwords.
+/// [-kCcRadius, kCcRadius] from a pair of adjacent quadwords: the SPU
+/// code's window offsets, whose cost cc_produce_row charges.
 inline const cellport::spu::vec_uchar16& shift_pattern(int dx) {
   using namespace cellport::spu;
   static const auto patterns = [] {
@@ -76,54 +51,79 @@ inline const cellport::spu::vec_uchar16& shift_pattern(int dx) {
   return patterns[static_cast<std::size_t>(dx + kCcRadius)];
 }
 
-/// Produces one output row y from the ring buffer.
+// SPU cycles of cc_produce_row, charged in closed form. Per 16-pixel
+// block: the centre vld (odd), two accumulator splats (even) and the loop
+// branch (spu_loop: 2 even, 1 odd). Per window row of a block: three vld
+// (odd) and a byte-counter splat (even); per window offset one shuffle
+// (odd) plus a cmpeq and a sub (even); the widening of the byte counts
+// into the halfword accumulators, a zero splat (even), two shuffles (odd)
+// and two adds (even); the loop branch. Per centre lane: an extract (odd),
+// sop(2), four scalar loads (2 odd each) and two scalar stores (1 even,
+// 2 odd each).
+inline constexpr int kCcOffsets = 2 * kCcRadius + 1;
+inline constexpr double kCcBlockEven = 2 + 2;
+inline constexpr double kCcBlockOdd = 1 + 1;
+inline constexpr double kCcWindowRowEven = 1 + 2 * kCcOffsets + 3 + 2;
+inline constexpr double kCcWindowRowOdd = 3 + kCcOffsets + 2 + 1;
+inline constexpr double kCcLaneEven = 2 + 2 * 1;
+inline constexpr double kCcLaneOdd = 1 + 4 * 2 + 2 * 2;
+
+/// Produces one output row y from the ring buffer. The counts are computed
+/// on host vectors; the cycles of the SPU sequence above are charged once
+/// per row. Every charge is a whole number of cycles and nothing flushes
+/// the pipes inside a row, so the pending totals match the per-instruction
+/// charging bit for bit.
 inline void cc_produce_row(const CcState& st, int y, int w, int h) {
-  using namespace cellport::spu;
+  typedef std::uint8_t u8x16 __attribute__((vector_size(16)));
+  typedef std::uint16_t u16x8 __attribute__((vector_size(16)));
+  const auto load = [](const std::uint8_t* p) {
+    u8x16 v;
+    std::memcpy(&v, p, 16);
+    return v;
+  };
+  if (w <= 0) return;
   const int y0 = std::max(0, y - kCcRadius);
   const int y1 = std::min(h - 1, y + kCcRadius);
+  const int rows = y1 - y0 + 1;
   const std::uint8_t* center_row = st.ring[y % kCcRingRows] + kRingOrigin;
+  // The SPU code reads each ring row with aligned quadword loads.
+  cellport::spu::vld_check(center_row);
+  for (int yy = y0; yy <= y1; ++yy) {
+    cellport::spu::vld_check(st.ring[yy % kCcRingRows] + kRingOrigin);
+  }
 
   for (int x0 = 0; x0 < w; x0 += 16) {
-    vec_uchar16 centers =
-        vld<vec_uchar16>(center_row + x0);  // kRingOrigin keeps this aligned
-    vec_ushort8 acc_lo = spu_splats<vec_ushort8>(0);
-    vec_ushort8 acc_hi = spu_splats<vec_ushort8>(0);
+    const u8x16 centers = load(center_row + x0);
+    // Window counts of the even and the odd centre lanes.
+    u16x8 even = {};
+    u16x8 odd = {};
     for (int yy = y0; yy <= y1; ++yy) {
-      const std::uint8_t* nrow = st.ring[yy % kCcRingRows] + kRingOrigin;
-      // Three aligned quadwords cover the whole [x0-kR, x0+15+kR] span;
-      // each window offset is one shuffle instead of an unaligned load.
-      vec_uchar16 qm1 = vld<vec_uchar16>(nrow + x0 - 16);
-      vec_uchar16 q0 = vld<vec_uchar16>(nrow + x0);
-      vec_uchar16 q1 = vld<vec_uchar16>(nrow + x0 + 16);
-      vec_uchar16 row_acc = spu_splats<vec_uchar16>(0);
+      const std::uint8_t* nrow =
+          st.ring[yy % kCcRingRows] + kRingOrigin + x0;
+      // A compare mask is 0xFF (= -1) per matching byte, so subtracting
+      // it counts the match. The sentinel bands match no centre.
+      u8x16 row_acc = {};
       for (int dx = -kCcRadius; dx <= kCcRadius; ++dx) {
-        vec_uchar16 neigh =
-            dx < 0 ? spu_shuffle(qm1, q0, shift_pattern(dx))
-                   : spu_shuffle(q0, q1, shift_pattern(dx));
-        // Compare masks are 0xFF (= -1) per matching byte: subtracting
-        // the mask adds 1 per match — no separate AND needed.
-        row_acc = spu_sub(row_acc, spu_cmpeq(neigh, centers));
+        row_acc -= (u8x16)(load(nrow + dx) == centers);
       }
-      widen_accumulate(row_acc, acc_lo, acc_hi);
-      spu_loop(1);
+      even += (u16x8)row_acc & 0xFF;
+      odd += (u16x8)row_acc >> 8;
     }
-    // Scalar finish per center: histogram scatter.
-    const int rows_clamped = y1 - y0 + 1;
     const int lanes = std::min(16, w - x0);
     for (int lane = 0; lane < lanes; ++lane) {
-      std::uint32_t cnt =
-          lane < 8 ? spu_extract(acc_lo, static_cast<std::size_t>(lane))
-                   : spu_extract(acc_hi, static_cast<std::size_t>(lane - 8));
-      std::uint8_t bin = sload(&center_row[x0 + lane]);
-      std::uint32_t area =
-          static_cast<std::uint32_t>(rows_clamped) *
-          sload(&st.cols_clamped[x0 + lane]);
-      sop(2);
-      sstore(&st.same[bin], sload(&st.same[bin]) + cnt - 1);
-      sstore(&st.possible[bin], sload(&st.possible[bin]) + area - 1);
+      const std::uint32_t cnt = lane % 2 ? odd[lane / 2] : even[lane / 2];
+      const std::uint8_t bin = center_row[x0 + lane];
+      const std::uint32_t area = static_cast<std::uint32_t>(rows) *
+                                 st.cols_clamped[x0 + lane];
+      st.same[bin] += cnt - 1;
+      st.possible[bin] += area - 1;
     }
-    spu_loop(1);
   }
+  const int blocks = (w + 15) / 16;
+  cellport::spu::charge_even(
+      blocks * (kCcBlockEven + kCcWindowRowEven * rows) + kCcLaneEven * w);
+  cellport::spu::charge_odd(
+      blocks * (kCcBlockOdd + kCcWindowRowOdd * rows) + kCcLaneOdd * w);
 }
 
 }  // namespace cellport::kernels

@@ -1,6 +1,6 @@
 // Shared edge-histogram machinery (hoisted out of eh_kernel.cpp for
-// cellfuse): gray ring state, the scalar border path, and the branch-free
-// SIMD Sobel + octant/magnitude binning that produces one gradient row.
+// cellfuse): gray ring state, the scalar border path, and the Sobel +
+// octant/magnitude binning that produces one gradient row.
 // The fused kernel and the standalone EH kernel run the exact same
 // production functions, so their bin counts are bit-identical by
 // construction.
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "features/edge_histogram.h"
 #include "kernels/row_convert.h"
@@ -66,20 +67,9 @@ inline void eh_scalar_pixel(const EhState& st, int x, int y) {
   sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
 }
 
-/// Unpacks bytes [shift, shift+8) of a raw 16-byte load into halfwords.
-inline cellport::spu::vec_short8 bytes_to_short8(
-    const cellport::spu::vec_uchar16& raw, unsigned shift) {
-  using namespace cellport::spu;
-  vec_uchar16 p;
-  for (unsigned lane = 0; lane < 8; ++lane) {
-    p.v[2 * lane] = static_cast<std::uint8_t>(shift + lane);
-    p.v[2 * lane + 1] = 16;
-  }
-  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
-  return vec_cast<vec_short8>(spu_shuffle(raw, zero, p));
-}
-
 /// Constant registers of the edge binning, loaded once per invocation.
+/// load() charges the splats the SPU code pays; the host binning itself
+/// reads only mag_b2.
 struct EhConstants {
   cellport::spu::vec_float4 sign_clear;
   cellport::spu::vec_float4 tan_lo;
@@ -116,52 +106,61 @@ struct EhConstants {
   }
 };
 
-/// Direction bin (octant) of 4 gradients, branch-free, matching the
-/// reference's compass-centered atan2 binning for all integer gradients.
-inline cellport::spu::vec_int4 octant_bin_4(
-    const cellport::spu::vec_int4& gx, const cellport::spu::vec_int4& gy,
-    const EhConstants& c) {
-  using namespace cellport::spu;
-  vec_float4 fx = spu_convtf(gx);
-  vec_float4 fy = spu_convtf(gy);
-  vec_float4 ax = spu_and(fx, c.sign_clear);
-  vec_float4 ay = spu_and(fy, c.sign_clear);
-
-  vec_float4 diag_m = spu_cmpgt(ay, spu_mul(ax, c.tan_lo));
-  // vert: ay >= tanHi*ax  <=>  !(tanHi*ax > ay); selects last, so the
-  // complement select order below implements the >= without an xor.
-  vec_float4 not_vert_m = spu_cmpgt(spu_mul(ax, c.tan_hi), ay);
-  vec_int4 gx_pos = vec_cast<vec_int4>(spu_cmpgt(gx, c.zero_i));
-  vec_int4 gy_pos = vec_cast<vec_int4>(spu_cmpgt(gy, c.zero_i));
-
-  vec_int4 bin_h = spu_sel(c.i4, c.i0, gx_pos);
-  vec_int4 bin_v = spu_sel(c.i6, c.i2, gy_pos);
-  vec_int4 bin_d = spu_sel(spu_sel(c.i5, c.i3, gy_pos),
-                           spu_sel(c.i7, c.i1, gy_pos), gx_pos);
-
-  // diagonal-or-vertical sub-pick first, then the horizontal default.
-  vec_int4 dv = spu_sel(bin_v, bin_d, vec_cast<vec_int4>(not_vert_m));
-  return spu_sel(bin_h, dv, vec_cast<vec_int4>(diag_m));
-}
-
-/// Magnitude bin of 4 squared gradients via 7 compare-accumulates against
-/// precomputed squared boundaries (replaces the reference's sqrt):
-/// bin = 7 - #{k : b2_k > mag2}.
-inline cellport::spu::vec_int4 mag_bin_4(const cellport::spu::vec_int4& mag2,
-                                         const EhConstants& c) {
-  using namespace cellport::spu;
-  vec_float4 mf = spu_convtf(mag2);  // exact: mag2 <= ~2.1M < 2^24
-  vec_int4 gt_count = c.zero_i;
-  for (int k = 1; k < features::kEdgeMagBins; ++k) {
-    gt_count = spu_sub(
-        gt_count, vec_cast<vec_int4>(spu_cmpgt(c.mag_b2[k - 1], mf)));
+/// Bin of one edge pixel: its octant and its magnitude bin, by the same
+/// float compares as the SPU code (octant by tan(22.5)/tan(67.5) against
+/// |gx|, |gy|; magnitude by counting squared boundaries above mag2, which
+/// replaces the reference's sqrt).
+inline std::uint32_t eh_edge_bin(int gx, int gy, int mag2,
+                                 const EhConstants& c) {
+  const float ax = std::abs(static_cast<float>(gx));
+  const float ay = std::abs(static_cast<float>(gy));
+  int octant = gx > 0 ? 0 : 4;
+  if (ay > ax * kEhTanLo) {
+    if (ax * kEhTanHi > ay) {
+      octant = gx > 0 ? (gy > 0 ? 1 : 7) : (gy > 0 ? 3 : 5);
+    } else {
+      octant = gy > 0 ? 2 : 6;
+    }
   }
-  return spu_sub(c.i7, gt_count);
+  const auto mf = static_cast<float>(mag2);  // exact: mag2 < 2^24
+  int mbin = features::kEdgeMagBins - 1;
+  for (int k = 1; k < features::kEdgeMagBins; ++k) {
+    if (c.mag_b2[k - 1].v[0] > mf) --mbin;
+  }
+  return static_cast<std::uint32_t>(octant * features::kEdgeMagBins + mbin);
 }
 
+// SPU cycles of one 8-pixel group of eh_produce_row_simd, charged in
+// closed form. Even pipe: nine byte-to-halfword unpacks (a zero splat
+// each), the Sobel sums (13 add/sub/shift), four mule/mulo widenings of
+// gx/gy, mag2 (four mule/mulo, two adds), two edge compares, two octant
+// binnings (17 each: 2 convtf, 2 and, 2 mul, 4 cmpgt, 7 sel), two
+// magnitude binnings (16 each: a convtf, 7 cmpgt+sub pairs, a sub), two
+// bin shift+add pairs and the loop's 2. Odd pipe: three aligned vld, nine
+// unpack shuffles, the scatter's eight extract+branch pairs and the loop
+// branch. A misaligned row load costs a second vld and a shuffle; each
+// edge pixel costs its bin extract, a scalar load and a scalar store.
+inline constexpr double kEhGroupEven =
+    9 + 13 + 4 + 6 + 2 + 2 * 17 + 2 * 16 + 2 * 2 + 2;
+inline constexpr double kEhGroupOdd = 3 + 9 + 8 * 2 + 1;
+inline constexpr double kEhMisalignedLoadOdd = 2;
+inline constexpr double kEhEdgeEven = 1;
+inline constexpr double kEhEdgeOdd = 1 + 2 + 2;
+
+/// Produces one gradient row y: the scalar border pixels, 8-pixel groups
+/// on host vectors, and the scalar tail. The groups' SPU cycles are
+/// charged once per row; every charge is a whole number of cycles and
+/// nothing flushes the pipes inside a row, so the pending totals match
+/// the per-instruction charging bit for bit.
 inline void eh_produce_row_simd(const EhState& st, int y,
                                 const EhConstants& ec) {
-  using namespace cellport::spu;
+  typedef std::uint8_t u8x8 __attribute__((vector_size(8)));
+  typedef std::int16_t i16x8 __attribute__((vector_size(16)));
+  const auto load8 = [](const std::uint8_t* p) {
+    u8x8 b;
+    std::memcpy(&b, p, 8);
+    return __builtin_convertvector(b, i16x8);
+  };
   const int w = st.w;
   // Border columns via the scalar float path. A one-column image has a
   // single border pixel, not two — without the early return it would be
@@ -173,56 +172,37 @@ inline void eh_produce_row_simd(const EhState& st, int y,
       st.ring[y % kEhRingRows] + kRingOrigin,
       st.ring[(y + 1) % kEhRingRows] + kRingOrigin};
 
+  int groups = 0;
+  int misaligned = 0;
+  int edges = 0;
   int x = 1;
   for (; x + 8 <= w - 1; x += 8) {
-    vec_short8 l[3];
-    vec_short8 c[3];
-    vec_short8 r[3];
+    i16x8 l[3];
+    i16x8 c[3];
+    i16x8 r[3];
     for (int k = 0; k < 3; ++k) {
-      vec_uchar16 raw = vld_unaligned(rows[k] + x - 1);
-      l[k] = bytes_to_short8(raw, 0);
-      c[k] = bytes_to_short8(raw, 1);
-      r[k] = bytes_to_short8(raw, 2);
+      l[k] = load8(rows[k] + x - 1);
+      c[k] = load8(rows[k] + x);
+      r[k] = load8(rows[k] + x + 1);
+      const auto addr = reinterpret_cast<std::uintptr_t>(rows[k] + x - 1);
+      misaligned += addr % 16 != 0;
     }
-    vec_short8 gx = spu_add(
-        spu_add(spu_sub(r[0], l[0]), spu_sub(r[2], l[2])),
-        spu_sl(spu_sub(r[1], l[1]), 1));
-    vec_short8 gy = spu_sub(
-        spu_add(spu_add(l[2], r[2]), spu_sl(c[2], 1)),
-        spu_add(spu_add(l[0], r[0]), spu_sl(c[0], 1)));
-
-    // Widen even/odd halfword lanes into int words (mule/mulo by 1) and
-    // square via mule/mulo.
-    vec_int4 gx_e = spu_mule(gx, ec.one_h);
-    vec_int4 gx_o = spu_mulo(gx, ec.one_h);
-    vec_int4 gy_e = spu_mule(gy, ec.one_h);
-    vec_int4 gy_o = spu_mulo(gy, ec.one_h);
-    vec_int4 mag2_e = spu_add(spu_mule(gx, gx), spu_mule(gy, gy));
-    vec_int4 mag2_o = spu_add(spu_mulo(gx, gx), spu_mulo(gy, gy));
-
-    // Edge mask: mag2 >= 64  <=>  mag >= 8 (exact).
-    vec_int4 edge_e = vec_cast<vec_int4>(spu_cmpgt(mag2_e, ec.thresh63));
-    vec_int4 edge_o = vec_cast<vec_int4>(spu_cmpgt(mag2_o, ec.thresh63));
-
-    vec_int4 bin_e = spu_add(spu_sl(octant_bin_4(gx_e, gy_e, ec), 3),
-                             mag_bin_4(mag2_e, ec));
-    vec_int4 bin_o = spu_add(spu_sl(octant_bin_4(gx_o, gy_o, ec), 3),
-                             mag_bin_4(mag2_o, ec));
-
-    // Histogram scatter (scalar). Even int lanes are centers x+0,2,4,6;
-    // odd lanes x+1,3,5,7.
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      if (spu_branch(spu_extract(edge_e, lane) != 0)) {
-        auto bin = static_cast<std::uint32_t>(spu_extract(bin_e, lane));
-        sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
-      }
-      if (spu_branch(spu_extract(edge_o, lane) != 0)) {
-        auto bin = static_cast<std::uint32_t>(spu_extract(bin_o, lane));
-        sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
-      }
+    const i16x8 gx = (r[0] - l[0]) + (r[2] - l[2]) + 2 * (r[1] - l[1]);
+    const i16x8 gy = (l[2] + r[2] + 2 * c[2]) - (l[0] + r[0] + 2 * c[0]);
+    for (int i = 0; i < 8; ++i) {
+      const int gxi = gx[i];
+      const int gyi = gy[i];
+      const int mag2 = gxi * gxi + gyi * gyi;
+      if (mag2 < 64) continue;  // mag >= 8  <=>  mag2 >= 64 (exact)
+      ++edges;
+      ++st.counts[eh_edge_bin(gxi, gyi, mag2, ec)];
     }
-    spu_loop(1);
+    ++groups;
   }
+  cellport::spu::charge_even(groups * kEhGroupEven + edges * kEhEdgeEven);
+  cellport::spu::charge_odd(groups * kEhGroupOdd +
+                            misaligned * kEhMisalignedLoadOdd +
+                            edges * kEhEdgeOdd);
   for (; x < w - 1; ++x) eh_scalar_pixel(st, x, y);
   eh_scalar_pixel(st, w - 1, y);
 }

@@ -26,13 +26,20 @@ namespace detail {
 }
 }  // namespace detail
 
+/// The alignment rule of vld without the load or its charge, for kernels
+/// that read an aligned local-store row natively and charge its loads in
+/// bulk.
+inline void vld_check(const void* p) {
+  if (!cellport::is_aligned(p, 16)) {
+    detail::unaligned("SPU vector load from unaligned address");
+  }
+}
+
 /// Quadword vector load. `p` must be 16-byte aligned (hardware silently
 /// ignores low address bits; we fail loudly instead).
 template <typename V>
 V vld(const void* p) {
-  if (!cellport::is_aligned(p, 16)) {
-    detail::unaligned("SPU vector load from unaligned address");
-  }
+  vld_check(p);
   charge_odd();
   V r;
   std::memcpy(&r, p, 16);

@@ -328,6 +328,10 @@ TEST_F(Guard, PoolWithHungWorkerShutsDownCleanly) {
   // timestamp and tears the worker down.
   sim::Machine machine;
   {
+    // Declared before the pool: its destructor drains work that still
+    // reads them.
+    cellport::AlignedBuffer<std::uint8_t> host(64);
+    port::WrappedMessage<FaultMsg> msg;
     port::TaskPool pool(machine, 1);
     guard::RetryPolicy policy;
     policy.deadline_ns = 10e6;
@@ -339,8 +343,6 @@ TEST_F(Guard, PoolWithHungWorkerShutsDownCleanly) {
     f.clears_on_restart = false;
     machine.spe(0).inject_fault(f);
 
-    cellport::AlignedBuffer<std::uint8_t> host(64);
-    port::WrappedMessage<FaultMsg> msg;
     msg->ea = reinterpret_cast<std::uint64_t>(host.data());
     pool.submit(sum_module(), 1, msg.ea());
     // No wait_all: the destructor runs it (and survives the failure).

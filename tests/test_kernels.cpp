@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <tuple>
 
 #include "features/color_correlogram.h"
@@ -16,8 +18,10 @@
 #include "features/texture.h"
 #include "img/synth.h"
 #include "kernels/cc_kernel.h"
+#include "kernels/cc_window.h"
 #include "kernels/cd_kernel.h"
 #include "kernels/ch_kernel.h"
+#include "kernels/eh_edge.h"
 #include "kernels/eh_kernel.h"
 #include "kernels/messages.h"
 #include "kernels/tx_kernel.h"
@@ -25,6 +29,7 @@
 #include "port/message.h"
 #include "port/spe_interface.h"
 #include "sim/machine.h"
+#include "support/aligned.h"
 
 namespace cellport::kernels {
 namespace {
@@ -292,6 +297,381 @@ TEST(CdKernel, ScoresMatchReferenceDecisions) {
     EXPECT_NEAR(scores[m], ref[m],
                 1e-5 * std::max(1.0, std::abs(ref[m])))
         << "model " << m;
+  }
+}
+
+// ---- charge-once window rows ----
+//
+// cc_produce_row and eh_produce_row_simd compute on host vectors and
+// charge their SPU cycles in closed form once per row. The intrinsic code
+// they replaced is kept here as the reference: it charges every SPU
+// instruction as it executes, so equal counts and exactly equal pipe
+// statistics pin both the results and every charge.
+namespace ref {
+
+using namespace cellport::spu;
+
+void widen_accumulate(const vec_uchar16& bytes, vec_ushort8& lo,
+                      vec_ushort8& hi) {
+  static const vec_uchar16 pat_lo = [] {
+    vec_uchar16 p;
+    for (unsigned k = 0; k < 8; ++k) {
+      p.v[2 * k] = static_cast<std::uint8_t>(k);  // low byte (LE)
+      p.v[2 * k + 1] = 16;                        // zero
+    }
+    return p;
+  }();
+  static const vec_uchar16 pat_hi = [] {
+    vec_uchar16 p;
+    for (unsigned k = 0; k < 8; ++k) {
+      p.v[2 * k] = static_cast<std::uint8_t>(8 + k);
+      p.v[2 * k + 1] = 16;
+    }
+    return p;
+  }();
+  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
+  lo = spu_add(lo, vec_cast<vec_ushort8>(spu_shuffle(bytes, zero, pat_lo)));
+  hi = spu_add(hi, vec_cast<vec_ushort8>(spu_shuffle(bytes, zero, pat_hi)));
+}
+
+void cc_produce_row(const CcState& st, int y, int w, int h) {
+  const int y0 = std::max(0, y - kCcRadius);
+  const int y1 = std::min(h - 1, y + kCcRadius);
+  const std::uint8_t* center_row = st.ring[y % kCcRingRows] + kRingOrigin;
+
+  for (int x0 = 0; x0 < w; x0 += 16) {
+    vec_uchar16 centers = vld<vec_uchar16>(center_row + x0);
+    vec_ushort8 acc_lo = spu_splats<vec_ushort8>(0);
+    vec_ushort8 acc_hi = spu_splats<vec_ushort8>(0);
+    for (int yy = y0; yy <= y1; ++yy) {
+      const std::uint8_t* nrow = st.ring[yy % kCcRingRows] + kRingOrigin;
+      vec_uchar16 qm1 = vld<vec_uchar16>(nrow + x0 - 16);
+      vec_uchar16 q0 = vld<vec_uchar16>(nrow + x0);
+      vec_uchar16 q1 = vld<vec_uchar16>(nrow + x0 + 16);
+      vec_uchar16 row_acc = spu_splats<vec_uchar16>(0);
+      for (int dx = -kCcRadius; dx <= kCcRadius; ++dx) {
+        vec_uchar16 neigh =
+            dx < 0 ? spu_shuffle(qm1, q0, shift_pattern(dx))
+                   : spu_shuffle(q0, q1, shift_pattern(dx));
+        row_acc = spu_sub(row_acc, spu_cmpeq(neigh, centers));
+      }
+      widen_accumulate(row_acc, acc_lo, acc_hi);
+      spu_loop(1);
+    }
+    const int rows_clamped = y1 - y0 + 1;
+    const int lanes = std::min(16, w - x0);
+    for (int lane = 0; lane < lanes; ++lane) {
+      std::uint32_t cnt =
+          lane < 8 ? spu_extract(acc_lo, static_cast<std::size_t>(lane))
+                   : spu_extract(acc_hi, static_cast<std::size_t>(lane - 8));
+      std::uint8_t bin = sload(&center_row[x0 + lane]);
+      std::uint32_t area =
+          static_cast<std::uint32_t>(rows_clamped) *
+          sload(&st.cols_clamped[x0 + lane]);
+      sop(2);
+      sstore(&st.same[bin], sload(&st.same[bin]) + cnt - 1);
+      sstore(&st.possible[bin], sload(&st.possible[bin]) + area - 1);
+    }
+    spu_loop(1);
+  }
+}
+
+vec_short8 bytes_to_short8(const vec_uchar16& raw, unsigned shift) {
+  vec_uchar16 p;
+  for (unsigned lane = 0; lane < 8; ++lane) {
+    p.v[2 * lane] = static_cast<std::uint8_t>(shift + lane);
+    p.v[2 * lane + 1] = 16;
+  }
+  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
+  return vec_cast<vec_short8>(spu_shuffle(raw, zero, p));
+}
+
+vec_int4 octant_bin_4(const vec_int4& gx, const vec_int4& gy,
+                      const EhConstants& c) {
+  vec_float4 fx = spu_convtf(gx);
+  vec_float4 fy = spu_convtf(gy);
+  vec_float4 ax = spu_and(fx, c.sign_clear);
+  vec_float4 ay = spu_and(fy, c.sign_clear);
+  vec_float4 diag_m = spu_cmpgt(ay, spu_mul(ax, c.tan_lo));
+  vec_float4 not_vert_m = spu_cmpgt(spu_mul(ax, c.tan_hi), ay);
+  vec_int4 gx_pos = vec_cast<vec_int4>(spu_cmpgt(gx, c.zero_i));
+  vec_int4 gy_pos = vec_cast<vec_int4>(spu_cmpgt(gy, c.zero_i));
+  vec_int4 bin_h = spu_sel(c.i4, c.i0, gx_pos);
+  vec_int4 bin_v = spu_sel(c.i6, c.i2, gy_pos);
+  vec_int4 bin_d = spu_sel(spu_sel(c.i5, c.i3, gy_pos),
+                           spu_sel(c.i7, c.i1, gy_pos), gx_pos);
+  vec_int4 dv = spu_sel(bin_v, bin_d, vec_cast<vec_int4>(not_vert_m));
+  return spu_sel(bin_h, dv, vec_cast<vec_int4>(diag_m));
+}
+
+vec_int4 mag_bin_4(const vec_int4& mag2, const EhConstants& c) {
+  vec_float4 mf = spu_convtf(mag2);
+  vec_int4 gt_count = c.zero_i;
+  for (int k = 1; k < features::kEdgeMagBins; ++k) {
+    gt_count = spu_sub(
+        gt_count, vec_cast<vec_int4>(spu_cmpgt(c.mag_b2[k - 1], mf)));
+  }
+  return spu_sub(c.i7, gt_count);
+}
+
+void eh_produce_row_simd(const EhState& st, int y, const EhConstants& ec) {
+  const int w = st.w;
+  eh_scalar_pixel(st, 0, y);
+  if (w == 1) return;
+  const std::uint8_t* rows[3] = {
+      st.ring[(y - 1) % kEhRingRows] + kRingOrigin,
+      st.ring[y % kEhRingRows] + kRingOrigin,
+      st.ring[(y + 1) % kEhRingRows] + kRingOrigin};
+
+  int x = 1;
+  for (; x + 8 <= w - 1; x += 8) {
+    vec_short8 l[3];
+    vec_short8 c[3];
+    vec_short8 r[3];
+    for (int k = 0; k < 3; ++k) {
+      vec_uchar16 raw = vld_unaligned(rows[k] + x - 1);
+      l[k] = bytes_to_short8(raw, 0);
+      c[k] = bytes_to_short8(raw, 1);
+      r[k] = bytes_to_short8(raw, 2);
+    }
+    vec_short8 gx = spu_add(
+        spu_add(spu_sub(r[0], l[0]), spu_sub(r[2], l[2])),
+        spu_sl(spu_sub(r[1], l[1]), 1));
+    vec_short8 gy = spu_sub(
+        spu_add(spu_add(l[2], r[2]), spu_sl(c[2], 1)),
+        spu_add(spu_add(l[0], r[0]), spu_sl(c[0], 1)));
+    vec_int4 gx_e = spu_mule(gx, ec.one_h);
+    vec_int4 gx_o = spu_mulo(gx, ec.one_h);
+    vec_int4 gy_e = spu_mule(gy, ec.one_h);
+    vec_int4 gy_o = spu_mulo(gy, ec.one_h);
+    vec_int4 mag2_e = spu_add(spu_mule(gx, gx), spu_mule(gy, gy));
+    vec_int4 mag2_o = spu_add(spu_mulo(gx, gx), spu_mulo(gy, gy));
+    vec_int4 edge_e = vec_cast<vec_int4>(spu_cmpgt(mag2_e, ec.thresh63));
+    vec_int4 edge_o = vec_cast<vec_int4>(spu_cmpgt(mag2_o, ec.thresh63));
+    vec_int4 bin_e = spu_add(spu_sl(octant_bin_4(gx_e, gy_e, ec), 3),
+                             mag_bin_4(mag2_e, ec));
+    vec_int4 bin_o = spu_add(spu_sl(octant_bin_4(gx_o, gy_o, ec), 3),
+                             mag_bin_4(mag2_o, ec));
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      if (spu_branch(spu_extract(edge_e, lane) != 0)) {
+        auto bin = static_cast<std::uint32_t>(spu_extract(bin_e, lane));
+        sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
+      }
+      if (spu_branch(spu_extract(edge_o, lane) != 0)) {
+        auto bin = static_cast<std::uint32_t>(spu_extract(bin_o, lane));
+        sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
+      }
+    }
+    spu_loop(1);
+  }
+  for (; x < w - 1; ++x) eh_scalar_pixel(st, x, y);
+  eh_scalar_pixel(st, w - 1, y);
+}
+
+}  // namespace ref
+
+// Runs `rows` inside a fresh SPE context and returns its pipe statistics
+// after the final flush. The context starts with fractional cycles
+// pending, as a kernel's rows do after its earlier work.
+template <typename Rows>
+sim::SpeContext::PipeStats charged_run(Rows&& rows) {
+  sim::Machine machine(sim::Machine::Config{1});
+  sim::SpeContext& spe = machine.spe(0);
+  sim::set_current_spe(&spe);
+  spu::charge_even(0.25);
+  spu::charge_odd(3.5);
+  rows();
+  spe.flush_pipes();
+  sim::set_current_spe(nullptr);
+  return spe.pipe_stats();
+}
+
+void expect_same_pipes(const sim::SpeContext::PipeStats& got,
+                       const sim::SpeContext::PipeStats& want) {
+  EXPECT_EQ(got.even_cycles, want.even_cycles);
+  EXPECT_EQ(got.odd_cycles, want.odd_cycles);
+  EXPECT_EQ(got.slack_cycles, want.slack_cycles);
+}
+
+constexpr int kWindowWidths[] = {1, 2, 15, 16, 17, 31, 33, 352};
+
+enum class CcFill { kRandom, kFewBins, kAllEqual, kSentinelRows };
+
+// A correlogram ring holding every row of a w x h image (h <= the ring's
+// rows), laid out as the CC kernel lays it out: sentinel bands around
+// each row's bins.
+struct CcRing {
+  CcRing(int w, int h, CcFill fill, std::uint32_t seed)
+      : row_bytes(static_cast<int>(cellport::round_up(
+            static_cast<std::size_t>(kRingOrigin + w + 24), 16))),
+        buf(static_cast<std::size_t>(kCcRingRows * row_bytes)),
+        cols(static_cast<std::size_t>(w)) {
+    std::memset(buf.data(), kCcSentinel, buf.size());
+    std::mt19937 rng(seed);
+    for (int y = 0; y < h; ++y) {
+      std::uint8_t* row = buf.data() +
+                          static_cast<std::size_t>(y * row_bytes) +
+                          kRingOrigin;
+      for (int x = 0; x < w; ++x) {
+        switch (fill) {
+          case CcFill::kRandom:
+            row[x] = static_cast<std::uint8_t>(rng() % img::kHsvBins);
+            break;
+          case CcFill::kFewBins:
+            row[x] = static_cast<std::uint8_t>(rng() % 3);
+            break;
+          case CcFill::kAllEqual:
+            row[x] = 7;
+            break;
+          case CcFill::kSentinelRows:
+            row[x] = y % 2 == 0 ? static_cast<std::uint8_t>(rng() % 3)
+                                : kCcSentinel;
+            break;
+        }
+      }
+    }
+    for (int x = 0; x < w; ++x) {
+      cols[static_cast<std::size_t>(x)] = static_cast<std::uint16_t>(
+          std::min(w - 1, x + kCcRadius) - std::max(0, x - kCcRadius) + 1);
+    }
+  }
+
+  /// State counting into same/possible (256 bins: a sentinel centre
+  /// counts into bin 0xFF).
+  CcState state(std::vector<std::uint32_t>& same,
+                std::vector<std::uint32_t>& possible) {
+    CcState st;
+    st.row_bytes = row_bytes;
+    for (int r = 0; r < kCcRingRows; ++r) {
+      st.ring[r] = buf.data() + static_cast<std::size_t>(r * row_bytes);
+    }
+    same.assign(256, 0);
+    possible.assign(256, 0);
+    st.same = same.data();
+    st.possible = possible.data();
+    st.cols_clamped = cols.data();
+    return st;
+  }
+
+  int row_bytes;
+  cellport::AlignedBuffer<std::uint8_t> buf;
+  std::vector<std::uint16_t> cols;
+};
+
+TEST(ChargeOnceRows, CorrelogramRowMatchesIntrinsicReference) {
+  // Heights below the 17-row window, at it, and above it, so rows near
+  // both borders and (for h = 24) full-window interior rows all run.
+  for (int w : kWindowWidths) {
+    for (int h : {1, 5, 16, 17, 24}) {
+      for (CcFill fill : {CcFill::kRandom, CcFill::kFewBins,
+                          CcFill::kAllEqual, CcFill::kSentinelRows}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "w=" << w << " h=" << h
+                     << " fill=" << static_cast<int>(fill));
+        CcRing ring(w, h, fill, static_cast<std::uint32_t>(w * 31 + h));
+        std::vector<std::uint32_t> same, possible, ref_same, ref_possible;
+        const CcState st = ring.state(same, possible);
+        const CcState ref_st = ring.state(ref_same, ref_possible);
+        const auto got = charged_run([&] {
+          for (int y = 0; y < h; ++y) cc_produce_row(st, y, w, h);
+        });
+        const auto want = charged_run([&] {
+          for (int y = 0; y < h; ++y) ref::cc_produce_row(ref_st, y, w, h);
+        });
+        EXPECT_EQ(std::memcmp(same.data(), ref_same.data(), 256 * 4), 0);
+        EXPECT_EQ(std::memcmp(possible.data(), ref_possible.data(), 256 * 4),
+                  0);
+        expect_same_pipes(got, want);
+      }
+    }
+  }
+}
+
+TEST(ChargeOnceRows, CorrelogramRowRejectsUnalignedRingRow) {
+  CcRing ring(33, 5, CcFill::kRandom, 1);
+  std::vector<std::uint32_t> same, possible;
+  CcState st = ring.state(same, possible);
+  st.ring[3] += 1;  // a neighbour row of output row 2
+  EXPECT_THROW(cc_produce_row(st, 2, 33, 5), cellport::Error);
+}
+
+enum class EhFill { kRandom, kFlat, kRamp, kStripes };
+
+// A gray ring holding every row of a w x h image (h <= the ring's rows).
+// `skew` offsets every row pointer from quadword alignment.
+struct EhRing {
+  EhRing(int w, int h, EhFill fill, int skew, std::uint32_t seed)
+      : row_bytes(static_cast<int>(cellport::round_up(
+            static_cast<std::size_t>(kRingOrigin + w + 24), 16))),
+        buf(static_cast<std::size_t>(kEhRingRows * row_bytes + 16)),
+        counts(features::kEdgeAngleBins * features::kEdgeMagBins) {
+    std::memset(buf.data(), 0, buf.size());
+    std::mt19937 rng(seed);
+    st.w = w;
+    st.h = h;
+    st.counts = counts.data();
+    for (int r = 0; r < kEhRingRows; ++r) {
+      st.ring[r] = buf.data() + static_cast<std::size_t>(r * row_bytes) +
+                   static_cast<std::size_t>(skew);
+    }
+    for (int y = 0; y < h; ++y) {
+      std::uint8_t* row = st.ring[y] + kRingOrigin;
+      for (int x = 0; x < w; ++x) {
+        switch (fill) {
+          case EhFill::kRandom:
+            row[x] = static_cast<std::uint8_t>(rng() % 256);
+            break;
+          case EhFill::kFlat:
+            row[x] = 100;
+            break;
+          case EhFill::kRamp:  // |gx| = 8: exactly the edge threshold
+            row[x] = static_cast<std::uint8_t>(x + (y % 3 == 0 ? 1 : 0));
+            break;
+          case EhFill::kStripes:
+            row[x] = (x + y) % 2 == 0 ? 0 : 255;
+            break;
+        }
+      }
+    }
+  }
+
+  int row_bytes;
+  cellport::AlignedBuffer<std::uint8_t> buf;
+  std::vector<std::uint32_t> counts;
+  EhState st;
+};
+
+TEST(ChargeOnceRows, EdgeRowMatchesIntrinsicReference) {
+  const EhConstants ec = EhConstants::load();
+  for (int w : kWindowWidths) {
+    for (int h : {3, 5, 17}) {
+      for (EhFill fill :
+           {EhFill::kRandom, EhFill::kFlat, EhFill::kRamp, EhFill::kStripes}) {
+        for (int skew : {0, 5}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "w=" << w << " h=" << h
+                       << " fill=" << static_cast<int>(fill)
+                       << " skew=" << skew);
+          const auto seed = static_cast<std::uint32_t>(w * 7 + h);
+          EhRing ring(w, h, fill, skew, seed);
+          EhRing ref_ring(w, h, fill, skew, seed);
+          const auto got = charged_run([&] {
+            for (int y = 1; y < h - 1; ++y) {
+              eh_produce_row_simd(ring.st, y, ec);
+            }
+          });
+          const auto want = charged_run([&] {
+            for (int y = 1; y < h - 1; ++y) {
+              ref::eh_produce_row_simd(ref_ring.st, y, ec);
+            }
+          });
+          EXPECT_EQ(std::memcmp(ring.counts.data(), ref_ring.counts.data(),
+                                ring.counts.size() * 4),
+                    0);
+          expect_same_pipes(got, want);
+        }
+      }
+    }
   }
 }
 

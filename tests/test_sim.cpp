@@ -161,8 +161,10 @@ TEST_P(DmaRules, ValidatesLikeHardware) {
   SpeContext& spe = m.spe(0);
   spe.ls().load_code(1024);
   set_current_spe(&spe);
-  auto* ls_base = static_cast<std::uint8_t*>(spe.ls().alloc(4096, 128));
-  AlignedBuffer<std::uint8_t> host(4096);
+  // Both ends hold the largest legal transfer.
+  constexpr std::size_t kSpan = 16 * 1024;
+  auto* ls_base = static_cast<std::uint8_t*>(spe.ls().alloc(kSpan, 128));
+  AlignedBuffer<std::uint8_t> host(kSpan);
   auto run = [&] {
     spe.mfc().get(ls_base + c.ls_off,
                   reinterpret_cast<std::uint64_t>(host.data()) + c.ea_off,

@@ -169,10 +169,12 @@ TEST(Ring, MultipleBatchesInFlightRetireInFifoOrder) {
 TEST(Ring, DrainOnCloseRetiresInFlightBatches) {
   sim::Machine machine;
   {
-    port::SPEInterface iface(ring_sum_module(), 0);
-    iface.set_ring_capacity(8);
+    // Declared before the interface: its destructor drains batches that
+    // still read them.
     cellport::AlignedBuffer<std::uint8_t> host(64);
     port::WrappedMessage<FaultMsg> msg;
+    port::SPEInterface iface(ring_sum_module(), 0);
+    iface.set_ring_capacity(8);
     msg->ea = reinterpret_cast<std::uint64_t>(host.data());
     iface.Enqueue(1, msg.ea());
     iface.Enqueue(1, msg.ea());
