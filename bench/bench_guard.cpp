@@ -2,7 +2,8 @@
 //
 // The guard's design goal is a free fault-free path: a guarded engine
 // run must be bit-identical to an unguarded one and cost no extra
-// simulated time (the acceptance bound is <= 2%). This bench measures
+// simulated time (the shape check demands a ratio of exactly 1.0:
+// guarded and plain lanes share every call site). This bench measures
 // that across all three scheduling scenarios, then quantifies what
 // recovery actually costs when an SPE genuinely breaks:
 //
@@ -110,8 +111,8 @@ int main(int argc, char** argv) {
         same, std::string("fault-free guarded results bit-identical (") +
                   scenario_label(s) + ")");
     all_ok &= artifact.shape(
-        ratio <= 1.02 && guarded.degraded == 0,
-        std::string("fault-free guard overhead <= 2% (") +
+        ratio == 1.0 && guarded.degraded == 0,
+        std::string("fault-free guard overhead is zero (") +
             scenario_label(s) + ")");
     artifact.add_row(std::string("fault_free_") + scenario_label(s),
                      {{"unguarded_ns", plain.analyze_ns},

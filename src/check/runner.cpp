@@ -445,9 +445,7 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
                         std::to_string(degraded_total) + " stage(s)");
       }
       // Transparency: a fault-free guarded run must produce the exact
-      // results of an unguarded run, within 2% on simulated time (by
-      // construction the deadline read charges identically, so this
-      // normally holds with equality).
+      // results and simulated time of an unguarded run.
       sim::Machine m2(sim::Machine::Config{spec.num_spes});
       marvel::CellEngine plain(
           m2, cfg.library_path, scen,
@@ -463,8 +461,8 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
       double u0 = m2.ppe().now_ns();
       if (spec.stream_batch > 0) {
         // Guarded streams retire windows sequentially; force the same
-        // schedule on the unguarded engine so the 2% bound compares the
-        // guard's overhead, not the pipelining it forgoes.
+        // schedule on the unguarded engine so the exact comparison sees
+        // the guard's overhead, not the pipelining it forgoes.
         cell2 = plain.analyze_stream(
             in.encoded, {spec.stream_batch, /*sequential=*/true}, nullptr);
       } else if (spec.pipelined_batch && scen != marvel::Scenario::kSingleSPE) {
@@ -483,11 +481,13 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
                           std::to_string(i) + ")");
         }
       }
-      if (!(elapsed_ns <= unguarded_ns * 1.02)) {
+      // Guarded and plain lanes share every call site, so a fault-free
+      // guarded run charges exactly the unguarded time.
+      if (elapsed_ns != unguarded_ns) {
         return fail("guard.overhead",
                     "guarded run took " + std::to_string(elapsed_ns) +
                         " ns vs unguarded " +
-                        std::to_string(unguarded_ns) + " ns (> 2%)");
+                        std::to_string(unguarded_ns) + " ns (not equal)");
       }
       sim::InvariantChannel::instance().drain();  // probe machine's dust
     }

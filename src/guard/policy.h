@@ -27,8 +27,9 @@ struct RetryPolicy {
   int quarantine_after = 2;
 };
 
-/// CellEngine-level switch. Disabled (the default) leaves the engine's
-/// legacy paths byte-for-byte untouched.
+/// CellEngine-level switch: picks the kind of lane the engine builds —
+/// guarded lanes when enabled, plain lanes (a kernel fault throws) by
+/// default. The schedules are the same either way.
 struct GuardPolicy {
   bool enabled = false;
   RetryPolicy retry;

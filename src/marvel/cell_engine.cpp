@@ -76,8 +76,8 @@ CellEngine::CellEngine(sim::Machine& machine,
        &features::extract_edge_histogram},
   };
 
-  // cellshard: choose the shard plan for this machine shape up front so
-  // guarded and unguarded engines pin the same placement.
+  // cellshard: choose the shard plan for this machine shape up front;
+  // the lane placement below follows it.
   if (scenario_ == Scenario::kSharded) {
     plan_ = shard::plan_shards(machine_.num_spes());
     auto& metrics = machine_.metrics();
@@ -95,73 +95,45 @@ CellEngine::CellEngine(sim::Machine& machine,
     metrics.gauge("shard.plan.fused_cd").set(fused_plan_.detect_spes);
   }
 
-  // Static schedule: one resident kernel per SPE (Section 3.3). A guarded
-  // engine wraps the same placement in GuardedInterfaces; any SPE beyond
-  // the pinned set becomes a shared spare retries may migrate to.
+  // Static schedule: one resident kernel per SPE (Section 3.3), one Lane
+  // per role — the slots' extraction SPEs (or shards) first, then the
+  // detection SPEs. A guarded engine builds guarded lanes on the same
+  // placement; any SPE beyond the pinned set becomes a shared spare
+  // retries may migrate to.
+  const bool sharded = scenario_ == Scenario::kSharded;
+  const int detect_n = sharded                            ? plan_.detect_spes
+                       : scenario_ == Scenario::kMultiSPE2 ? 4
+                                                           : 1;
+  const int pinned = sharded ? plan_.spes_used() : 4 + detect_n;
+  std::vector<int> spares;
+  for (int s = pinned; s < machine_.num_spes(); ++s) spares.push_back(s);
   if (guard_.enabled) {
     health_ = std::make_unique<guard::SpeHealth>(machine_, guard_.retry);
     fallback_counter_ = &machine_.metrics().counter("guard.ppe_fallbacks");
-    int pinned = scenario_ == Scenario::kMultiSPE2 ? 8
-                 : scenario_ == Scenario::kSharded ? plan_.spes_used()
-                                                   : 5;
-    std::vector<int> spares;
-    for (int s = pinned; s < machine_.num_spes(); ++s) spares.push_back(s);
-    if (scenario_ == Scenario::kSharded) {
-      int spe = 0;
-      for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < plan_.extract_shards[i]; ++j) {
-          slots_[i].g_shards.push_back(
-              std::make_unique<guard::GuardedInterface>(
-                  *health_, config[i].module(), spe++, spares));
-        }
-      }
-      for (int b = 0; b < plan_.detect_spes; ++b) {
-        g_cd_shards_.push_back(std::make_unique<guard::GuardedInterface>(
-            *health_, kernels::cd_module(), spe++, spares));
-      }
-    } else {
-      for (int i = 0; i < 4; ++i) {
-        slots_[i].g_extract = std::make_unique<guard::GuardedInterface>(
-            *health_, config[i].module(), i, spares);
-      }
-      if (scenario_ == Scenario::kMultiSPE2) {
-        for (int i = 0; i < 4; ++i) {
-          slots_[i].g_detect = std::make_unique<guard::GuardedInterface>(
-              *health_, kernels::cd_module(), 4 + i, spares);
-        }
-      } else {
-        g_cd_ = std::make_unique<guard::GuardedInterface>(
-            *health_, kernels::cd_module(), 4, spares);
-      }
+  }
+  int spe = 0;
+  for (int i = 0; i < 4; ++i) {
+    const int n = sharded ? plan_.extract_shards[i] : 1;
+    for (int j = 0; j < n; ++j) {
+      slots_[i].lanes.emplace_back(config[i].module(), spe++, health_.get(),
+                                   spares);
     }
-  } else if (scenario_ == Scenario::kSharded) {
-    int spe = 0;
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < plan_.extract_shards[i]; ++j) {
-        slots_[i].shard_ifs.push_back(std::make_unique<port::SPEInterface>(
-            config[i].module(), spe++));
-      }
+  }
+  for (int b = 0; b < detect_n; ++b) {
+    detect_lanes_.emplace_back(kernels::cd_module(), spe++, health_.get(),
+                               spares);
+  }
+  // cellfuse lanes ride the extraction SPEs slot-major; past the cap the
+  // marginal lane costs more in per-lane overhead than it saves in span
+  // (shard::plan_fused).
+  const std::size_t fused_cap =
+      sharded ? static_cast<std::size_t>(fused_plan_.lanes)
+      : scenario_ == Scenario::kSingleSPE ? 1
+                                          : 4;
+  for (auto& slot : slots_) {
+    for (Lane& lane : slot.lanes) {
+      if (fused_lanes_.size() < fused_cap) fused_lanes_.push_back(&lane);
     }
-    for (int b = 0; b < plan_.detect_spes; ++b) {
-      cd_shard_ifs_.push_back(
-          std::make_unique<port::SPEInterface>(kernels::cd_module(), spe++));
-    }
-  } else {
-    ch_if_ = std::make_unique<port::SPEInterface>(kernels::ch_module(), 0);
-    cc_if_ = std::make_unique<port::SPEInterface>(kernels::cc_module(), 1);
-    tx_if_ = std::make_unique<port::SPEInterface>(kernels::tx_module(), 2);
-    eh_if_ = std::make_unique<port::SPEInterface>(kernels::eh_module(), 3);
-    cd_if_ = std::make_unique<port::SPEInterface>(kernels::cd_module(), 4);
-    if (scenario_ == Scenario::kMultiSPE2) {
-      for (int i = 0; i < 3; ++i) {
-        cd_extra_[i] = std::make_unique<port::SPEInterface>(
-            kernels::cd_module(), 5 + i);
-      }
-    }
-    slots_[0].extract_if = ch_if_.get();
-    slots_[1].extract_if = cc_if_.get();
-    slots_[2].extract_if = tx_if_.get();
-    slots_[3].extract_if = eh_if_.get();
   }
 
   for (int i = 0; i < 4; ++i) {
@@ -172,9 +144,6 @@ CellEngine::CellEngine(sim::Machine& machine,
     slot.ref_extract = config[i].ref;
     slot.out = cellport::AlignedBuffer<float>(padded_dim(config[i].dim));
     setup_detection(slot, *config[i].set);
-    if (scenario_ == Scenario::kMultiSPE2 && !guard_.enabled) {
-      slot.detect_if = i == 0 ? cd_if_.get() : cd_extra_[i - 1].get();
-    }
   }
   if (scenario_ == Scenario::kSharded) setup_sharding();
 }
@@ -289,14 +258,8 @@ void CellEngine::fill_image_msg(FeatureSlot& slot,
   msg.out_count = slot.dim;
 }
 
-void CellEngine::run_detection(FeatureSlot& slot,
-                               port::SPEInterface& iface) {
-  iface.SendAndWait(static_cast<int>(kernels::SPU_Run),
-                    slot.detect_msg.ea());
-}
-
 void CellEngine::collect(FeatureSlot& slot, features::FeatureVector& fv,
-                         DetectionScores& scores, const char* name) {
+                         DetectionScores& scores) {
   // Copy results from the output buffers back into the class data
   // (Section 3.3, last step). Charged as the loads/stores it is.
   machine_.ppe().charge(sim::OpClass::kLoad,
@@ -305,10 +268,23 @@ void CellEngine::collect(FeatureSlot& slot, features::FeatureVector& fv,
   machine_.ppe().charge(sim::OpClass::kStore,
                         static_cast<std::uint64_t>(slot.dim) +
                             slot.scores.size());
-  fv.name = name;
+  fv.name = slot.name;
   fv.values.assign(slot.out.data(), slot.out.data() + slot.dim);
   scores.values.assign(slot.scores.data(),
                        slot.scores.data() + slot.set->models.size());
+}
+
+AnalysisResult CellEngine::collect_result() {
+  AnalysisResult result;
+  probe::ProbeSpan span(prt(), probe::Phase::kOutput, machine_.ppe(),
+                        "collect");
+  collect(slots_[0], result.color_histogram, result.ch_detect);
+  collect(slots_[1], result.color_correlogram, result.cc_detect);
+  collect(slots_[2], result.texture, result.tx_detect);
+  collect(slots_[3], result.edge_histogram, result.eh_detect);
+  result.degraded = std::move(degraded_current_);
+  degraded_current_.clear();
+  return result;
 }
 
 // ---- cellfeed: SPE-resident ingest of PPM carriers ----
@@ -321,30 +297,6 @@ void CellEngine::collect(FeatureSlot& slot, features::FeatureVector& fv,
 // across the scenario's detect-side SPEs — which are idle during every
 // schedule's decode phase, including the decode-ahead overlap of the
 // pipelined batch and streaming modes.
-
-std::vector<CellEngine::FeedLane> CellEngine::feed_lanes() {
-  std::vector<FeedLane> lanes;
-  if (scenario_ == Scenario::kSharded) {
-    if (guard_.enabled) {
-      for (auto& g : g_cd_shards_) lanes.push_back({nullptr, g.get()});
-    } else {
-      for (auto& f : cd_shard_ifs_) lanes.push_back({f.get(), nullptr});
-    }
-  } else if (scenario_ == Scenario::kMultiSPE2) {
-    for (auto& slot : slots_) {
-      if (guard_.enabled) {
-        lanes.push_back({nullptr, slot.g_detect.get()});
-      } else {
-        lanes.push_back({slot.detect_if, nullptr});
-      }
-    }
-  } else if (guard_.enabled) {
-    lanes.push_back({nullptr, g_cd_.get()});
-  } else {
-    lanes.push_back({cd_if_.get(), nullptr});
-  }
-  return lanes;
-}
 
 img::RgbImage CellEngine::ingest(const img::SicEncoded& image) {
   sim::ScalarContext& ppe = machine_.ppe();
@@ -395,18 +347,16 @@ void CellEngine::feed_image(const img::SicEncoded& image,
                             const img::PpmHeader& hdr, img::RgbImage& dst) {
   sim::ScalarContext& ppe = machine_.ppe();
   probe::ProbeSpan span(prt(), probe::Phase::kFeedDma, ppe, "feed_dma");
-  std::vector<FeedLane> lanes = feed_lanes();
-  if (feed_msgs_.size() < lanes.size()) {
-    feed_msgs_ =
-        std::vector<port::WrappedMessage<kernels::FeedMsg>>(lanes.size());
+  const std::size_t n = detect_lanes_.size();
+  if (feed_msgs_.size() < n) {
+    feed_msgs_ = std::vector<port::WrappedMessage<kernels::FeedMsg>>(n);
   }
   const std::vector<shard::Range> rows =
-      shard::split_rows(hdr.height, static_cast<int>(lanes.size()));
+      shard::split_rows(hdr.height, static_cast<int>(n));
   const auto src_ea = reinterpret_cast<std::uint64_t>(image.bytes.data() +
                                                       hdr.pixel_offset);
-  const auto feed_op = static_cast<int>(kernels::SPU_Run_Feed);
   const sim::SimTime sent = ppe.now_ns();
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     if (rows[j].empty()) continue;
     ppe.charge(sim::OpClass::kStore, 10);
     kernels::FeedMsg& m = *feed_msgs_[j];
@@ -419,37 +369,24 @@ void CellEngine::feed_image(const img::SicEncoded& image,
     m.row_begin = rows[j].begin;
     m.row_end = rows[j].end;
     m.rows_per_tile = 0;
-    if (lanes[j].gi != nullptr) {
-      lanes[j].gi->Send(feed_op, feed_msgs_[j].ea());
-    } else {
-      lanes[j].iface->Send(feed_op, feed_msgs_[j].ea());
-    }
+    detect_lanes_[j].send(static_cast<int>(kernels::SPU_Run_Feed),
+                          feed_msgs_[j].ea());
   }
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     if (rows[j].empty()) continue;
+    const std::string tag = "feed[" + std::to_string(j) + "]";
     bool ok = true;
-    if (lanes[j].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[j].gi->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       "feed[" + std::to_string(j) + "]", finish_t0,
-                       ppe.now_ns());
-      }
-      ok = r.ok;
-    } else {
-      try {
-        lanes[j].iface->Wait();
-      } catch (const cellport::Error&) {
-        ok = false;  // kernel fault: this lane's rows fall to the PPE
-      }
+    try {
+      ok = settle(detect_lanes_[j], tag, [] {}).ok;
+    } catch (const cellport::Error&) {
+      ok = false;  // plain lane fault: this lane's rows fall to the PPE
     }
-    rt_.add_spe_span(probe::Phase::kFeedDma,
-                     "feed[" + std::to_string(j) + "]", sent, ppe.now_ns());
+    rt_.add_spe_span(probe::Phase::kFeedDma, tag, sent, ppe.now_ns());
     if (ok) {
       feed_rows_counter_->add(static_cast<std::uint64_t>(rows[j].count()));
     } else {
-      feed_fallback_rows(image, hdr, rows[j], dst);
+      feed_fallback_rows(image, hdr, rows[j], dst,
+                         detect_lanes_[j].guarded());
     }
   }
   feed_images_counter_->add(1);
@@ -458,7 +395,7 @@ void CellEngine::feed_image(const img::SicEncoded& image,
 void CellEngine::feed_fallback_rows(const img::SicEncoded& image,
                                     const img::PpmHeader& hdr,
                                     const shard::Range& rows,
-                                    img::RgbImage& dst) {
+                                    img::RgbImage& dst, bool degrade) {
   sim::ScalarContext& ppe = machine_.ppe();
   probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe, "feed:ingest");
   const std::size_t row_bytes = static_cast<std::size_t>(hdr.width) * 3;
@@ -477,7 +414,7 @@ void CellEngine::feed_fallback_rows(const img::SicEncoded& image,
   ppe.charge(sim::OpClass::kIntAlu,
              static_cast<std::uint64_t>(rows.count()) * 2);
   feed_fallback_counter_->add(1);
-  if (guard_.enabled) {
+  if (degrade) {
     feed_pending_degraded_.push_back("feed:ingest");
     fallback_counter_->add(1);
     if (ppe.trace_on()) {
@@ -508,140 +445,46 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
     port::Profiler::Scope probe(profiler_, kPhasePreprocess);
     return ingest(image);
   }();
+  QuiesceOnUnwind quiesce_on_unwind(*this);
+  prepare_image(pixels);
 
-  {
-    probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe,
-                          "fill_msgs");
-    for (auto& slot : slots_) fill_image_msg(slot, pixels);
-    if (balanced_) {
-      prepare_balanced(pixels);
-    } else if (fused_) {
-      prepare_fused(pixels);
-    } else if (scenario_ == Scenario::kSharded) {
-      prepare_shards(pixels);
+  const bool per_feature = !fused_ && !balanced_;
+  if (per_feature && scenario_ == Scenario::kSingleSPE) {
+    // Scenario 1 (Figure 4b): each kernel runs alone, send-and-wait.
+    for (auto& slot : slots_) {
+      port::Profiler::Scope probe(profiler_, slot.phase);
+      probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe, slot.name);
+      const sim::SimTime sent = ppe.now_ns();
+      slot.lanes[0].send(extract_opcode(slot), slot.msg.ea());
+      settle(slot.lanes[0], slot.name,
+             [&] { fallback_extract(slot, pixels); });
+      rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
+                       ppe.now_ns());
     }
-  }
-
-  if (guard_.enabled) {
-    // Feed fallbacks for this image were staged during ingest().
-    degraded_current_ = std::move(feed_pending_degraded_);
-    feed_pending_degraded_.clear();
-  }
-  if (balanced_) {
-    analyze_balanced(pixels);
-  } else if (fused_) {
-    analyze_fused(pixels);
-  } else if (guard_.enabled) {
-    analyze_guarded_schedule(pixels);
+    port::Profiler::Scope probe(profiler_, kPhaseCd);
+    detect();
   } else {
-    switch (scenario_) {
-      case Scenario::kSingleSPE: {
-        for (auto& slot : slots_) {
-          port::Profiler::Scope probe(profiler_, slot.phase);
-          probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                                slot.name);
-          const sim::SimTime sent = ppe.now_ns();
-          slot.extract_if->SendAndWait(guarded_opcode(slot),
-                                       slot.msg.ea());
-          rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
-                           ppe.now_ns());
-        }
-        port::Profiler::Scope probe(profiler_, kPhaseCd);
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (auto& slot : slots_) {
-          const sim::SimTime sent = ppe.now_ns();
-          run_detection(slot, *cd_if_);
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slot.name, sent,
-                           ppe.now_ns());
-        }
-        break;
-      }
-      case Scenario::kMultiSPE: {
-        {
-          port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-          sim::SimTime sent[4] = {0, 0, 0, 0};
-          {
-            probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                               "send_extract");
-            for (int i = 0; i < 4; ++i) {
-              sent[i] = ppe.now_ns();
-              slots_[i].extract_if->Send(guarded_opcode(slots_[i]),
-                                         slots_[i].msg.ea());
-            }
-          }
-          probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-          for (int i = 0; i < 4; ++i) {
-            slots_[i].extract_if->Wait();
-            rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                             sent[i], ppe.now_ns());
-          }
-        }
-        port::Profiler::Scope probe(profiler_, kPhaseDetect);
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (auto& slot : slots_) {
-          const sim::SimTime sent = ppe.now_ns();
-          run_detection(slot, *cd_if_);
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slot.name, sent,
-                           ppe.now_ns());
-        }
-        break;
-      }
-      case Scenario::kMultiSPE2: {
-        port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-        sim::SimTime sent[4] = {0, 0, 0, 0};
-        sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-        {
-          probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                             "send_extract");
-          for (int i = 0; i < 4; ++i) {
-            sent[i] = ppe.now_ns();
-            slots_[i].extract_if->Send(guarded_opcode(slots_[i]),
-                                       slots_[i].msg.ea());
-          }
-        }
-        // Each extraction is immediately followed by its own detection on
-        // a dedicated detection SPE.
-        {
-          probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-          for (int i = 0; i < 4; ++i) {
-            slots_[i].extract_if->Wait();
-            rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                             sent[i], ppe.now_ns());
-            detect_sent[i] = ppe.now_ns();
-            slots_[i].detect_if->Send(static_cast<int>(kernels::SPU_Run),
-                                      slots_[i].detect_msg.ea());
-          }
-        }
-        probe::ProbeSpan w(prt(), probe::Phase::kDetect, ppe);
-        for (int i = 0; i < 4; ++i) {
-          slots_[i].detect_if->Wait();
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slots_[i].name,
-                           detect_sent[i], ppe.now_ns());
-        }
-        break;
-      }
-      case Scenario::kSharded: {
-        analyze_sharded(pixels);
-        break;
-      }
+    // Per-feature kMultiSPE2 detects each slot as soon as its extraction
+    // completes, inside the extraction phase.
+    const bool detect_overlaps =
+        per_feature && scenario_ == Scenario::kMultiSPE2;
+    {
+      port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
+      send_extract(/*honor_naive=*/true);
+      complete_extract(pixels);
+      if (detect_overlaps) detect();
+    }
+    if (!per_feature || scenario_ == Scenario::kSharded) {
+      port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
+      reduce_partials();
+    }
+    if (!detect_overlaps) {
+      port::Profiler::Scope probe(profiler_, kPhaseDetect);
+      detect();
     }
   }
 
-  AnalysisResult result;
-  {
-    probe::ProbeSpan span(prt(), probe::Phase::kOutput, ppe, "collect");
-    collect(slots_[0], result.color_histogram, result.ch_detect,
-            "color_histogram");
-    collect(slots_[1], result.color_correlogram, result.cc_detect,
-            "color_correlogram");
-    collect(slots_[2], result.texture, result.tx_detect, "texture");
-    collect(slots_[3], result.edge_histogram, result.eh_detect,
-            "edge_histogram");
-  }
-  if (guard_.enabled) result.degraded = std::move(degraded_current_);
+  AnalysisResult result = collect_result();
   if (cache_fill && result.degraded.empty()) {
     cache_store(cache_key, result);
   }
@@ -650,103 +493,192 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
   return result;
 }
 
+void CellEngine::quiesce() noexcept {
+  for (auto& slot : slots_) {
+    for (Lane& lane : slot.lanes) lane.quiesce();
+  }
+  for (Lane& lane : detect_lanes_) lane.quiesce();
+}
+
 void CellEngine::finish_request() {
   if (probe_ == nullptr || !rt_.active()) return;
   rt_.finish(machine_.ppe().now_ns());
   probe_->on_request(rt_);
 }
 
-int CellEngine::guarded_opcode(const FeatureSlot& slot) const {
+int CellEngine::extract_opcode(const FeatureSlot& slot) const {
   bool has_naive = slot.phase != kPhaseTx;
   return static_cast<int>(use_naive_ && has_naive ? kernels::SPU_Run_Naive
                                                   : kernels::SPU_Run);
 }
 
-void CellEngine::analyze_guarded_schedule(const img::RgbImage& pixels) {
-  // Mirrors the unguarded scenario switch call-for-call so a fault-free
-  // guarded run charges identical simulated time; only the completion
-  // side differs (Finish() runs the retry loop, and exhausted retries
-  // drop to the PPE reference path instead of throwing).
+// ---- the per-image schedule ----
+//
+// Every extraction strategy is three steps over the engine's lanes —
+// dispatch, completion (with a PPE fallback for a guarded lane that gives
+// up), and the scenario's detection — with a partial merge in between for
+// the sharded, fused and balanced strategies. analyze() wraps them in its
+// per-phase profiler scopes; the pipelined batch loop decodes the next
+// image between dispatch and completion.
+
+void CellEngine::prepare_image(const img::RgbImage& pixels) {
+  {
+    probe::ProbeSpan span(prt(), probe::Phase::kPrepare, machine_.ppe(),
+                          "fill_msgs");
+    for (auto& slot : slots_) fill_image_msg(slot, pixels);
+    if (fused_ || balanced_) {
+      prepare_fused(pixels);
+    } else if (scenario_ == Scenario::kSharded) {
+      prepare_shards(pixels);
+    }
+  }
+  // Feed fallbacks for this image were staged during its ingest() (in
+  // the pipelined loop, one iteration ago).
+  degraded_current_ = std::move(feed_pending_degraded_);
+  feed_pending_degraded_.clear();
+}
+
+void CellEngine::send_extract(bool honor_naive) {
   sim::ScalarContext& ppe = machine_.ppe();
-  switch (scenario_) {
-    case Scenario::kSingleSPE: {
-      for (auto& slot : slots_) {
-        port::Profiler::Scope probe(profiler_, slot.phase);
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                              slot.name);
-        const sim::SimTime sent = ppe.now_ns();
-        slot.g_extract->Send(guarded_opcode(slot), slot.msg.ea());
-        finish_extract(slot, pixels);
-        rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
+  const bool sharded = scenario_ == Scenario::kSharded;
+  probe::ProbeSpan span(prt(), probe::Phase::kDispatch, ppe,
+                        balanced_ ? "arm_lanes"
+                        : fused_  ? "send_fused"
+                        : sharded ? "send_shards"
+                                  : "send_extract");
+  extract_sent_ns_ = ppe.now_ns();
+  if (balanced_) {
+    // The doorbell wave: every lane is armed with its first task.
+    bal_q_ = std::make_unique<balance::TaskQueue>(fused_rows_.size(),
+                                                  fused_lanes_.size());
+    bal_sent_.assign(fused_rows_.size(), 0);
+    for (std::size_t k = 0; k < fused_lanes_.size(); ++k) balanced_issue(k);
+  } else if (fused_) {
+    for (std::size_t j = 0; j < fused_rows_.size(); ++j) {
+      if (fused_rows_[j].empty()) continue;
+      fused_lanes_[j]->send(static_cast<int>(kernels::SPU_Run_Fused),
+                            fused_msgs_[j].ea());
+    }
+  } else if (sharded) {
+    for (auto& slot : slots_) {
+      for (std::size_t j = 0; j < slot.lanes.size(); ++j) {
+        if (slot.shard_rows[j].empty()) continue;
+        slot.lanes[j].send(static_cast<int>(kernels::SPU_Run),
+                           slot.shard_msgs[j].ea());
+      }
+    }
+  } else {
+    for (int i = 0; i < 4; ++i) {
+      sent_[i] = ppe.now_ns();
+      slots_[i].lanes[0].send(
+          honor_naive ? extract_opcode(slots_[i])
+                      : static_cast<int>(kernels::SPU_Run),
+          slots_[i].msg.ea());
+    }
+  }
+}
+
+void CellEngine::complete_extract(const img::RgbImage& pixels) {
+  sim::ScalarContext& ppe = machine_.ppe();
+  if (balanced_) {
+    drain_balanced(pixels);
+  } else if (fused_) {
+    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "fused_lanes");
+    for (std::size_t j = 0; j < fused_rows_.size(); ++j) {
+      if (fused_rows_[j].empty()) continue;
+      const std::string tag = "fused[" + std::to_string(j) + "]";
+      settle(*fused_lanes_[j], tag, [&] { fallback_fused(j, pixels); });
+      rt_.add_spe_span(probe::Phase::kExtract, tag, extract_sent_ns_,
+                       ppe.now_ns());
+    }
+  } else if (scenario_ == Scenario::kSharded) {
+    // A shard whose guard gives up is recomputed on the PPE via the
+    // shard mirrors; the surviving shards' SPE work is kept.
+    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "shards");
+    for (int i = 0; i < 4; ++i) {
+      FeatureSlot& slot = slots_[i];
+      for (std::size_t j = 0; j < slot.lanes.size(); ++j) {
+        if (slot.shard_rows[j].empty()) continue;
+        const std::string tag =
+            std::string(slot.name) + "[" + std::to_string(j) + "]";
+        settle(slot.lanes[j], tag, [&] {
+          probe::ProbeSpan f(prt(), probe::Phase::kFallback, ppe,
+                             std::string("shard:") + slot.name);
+          shard::ppe_partial(i, pixels, slot.shard_rows[j],
+                             slot.shard_parts[j].data(), &ppe);
+          note_degraded("shard", slot);
+        });
+        rt_.add_spe_span(probe::Phase::kExtract, tag, extract_sent_ns_,
                          ppe.now_ns());
       }
-      port::Profiler::Scope probe(profiler_, kPhaseCd);
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (auto& slot : slots_) guarded_detect(slot, *g_cd_);
-      break;
     }
-    case Scenario::kMultiSPE: {
-      {
-        port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-        sim::SimTime sent[4] = {0, 0, 0, 0};
-        {
-          probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                             "send_extract");
-          for (int i = 0; i < 4; ++i) {
-            sent[i] = ppe.now_ns();
-            slots_[i].g_extract->Send(guarded_opcode(slots_[i]),
-                                      slots_[i].msg.ea());
-          }
-        }
-        probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-        for (int i = 0; i < 4; ++i) {
-          finish_extract(slots_[i], pixels);
-          rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                           sent[i], ppe.now_ns());
-        }
+  } else {
+    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
+    for (int i = 0; i < 4; ++i) {
+      FeatureSlot& slot = slots_[i];
+      settle(slot.lanes[0], slot.name,
+             [&] { fallback_extract(slot, pixels); });
+      rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent_[i],
+                       ppe.now_ns());
+      if (scenario_ == Scenario::kMultiSPE2) {
+        detect_sent_[i] = ppe.now_ns();
+        detect_lanes_[i].send(static_cast<int>(kernels::SPU_Run),
+                              slot.detect_msg.ea());
       }
-      port::Profiler::Scope probe(profiler_, kPhaseDetect);
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (auto& slot : slots_) guarded_detect(slot, *g_cd_);
-      break;
     }
-    case Scenario::kMultiSPE2: {
-      port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-      sim::SimTime sent[4] = {0, 0, 0, 0};
-      sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-      {
-        probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                           "send_extract");
-        for (int i = 0; i < 4; ++i) {
-          sent[i] = ppe.now_ns();
-          slots_[i].g_extract->Send(guarded_opcode(slots_[i]),
-                                    slots_[i].msg.ea());
-        }
-      }
-      {
-        probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-        for (int i = 0; i < 4; ++i) {
-          finish_extract(slots_[i], pixels);
-          rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                           sent[i], ppe.now_ns());
-          detect_sent[i] = ppe.now_ns();
-          slots_[i].g_detect->Send(static_cast<int>(kernels::SPU_Run),
-                                   slots_[i].detect_msg.ea());
-        }
-      }
-      probe::ProbeSpan w(prt(), probe::Phase::kDetect, ppe);
-      for (int i = 0; i < 4; ++i) {
-        finish_detect(slots_[i], *slots_[i].g_detect);
-        rt_.add_spe_span(probe::Phase::kDetect,
-                         std::string("cd:") + slots_[i].name,
-                         detect_sent[i], ppe.now_ns());
-      }
-      break;
+  }
+}
+
+void CellEngine::reduce_partials() {
+  sim::ScalarContext* ppe = &machine_.ppe();
+  const int w = slots_[0].msg->width;
+  const int h = slots_[0].msg->height;
+  if (fused_ || balanced_) {
+    probe::ProbeSpan span(prt(), probe::Phase::kReduce, *ppe,
+                          "fuse_reduce");
+    for (int i = 0; i < 4; ++i) {
+      shard::reduce_fused(i, fused_rows_, fused_parts_, w, h,
+                          slots_[i].out.data(), ppe);
     }
-    case Scenario::kSharded: {
-      analyze_sharded(pixels);
-      break;
+    fuse_images_counter_->add(1);
+  } else if (scenario_ == Scenario::kSharded) {
+    probe::ProbeSpan span(prt(), probe::Phase::kReduce, *ppe,
+                          "shard_reduce");
+    for (int i = 0; i < 4; ++i) {
+      shard::reduce_shards(i, slots_[i].shard_rows, slots_[i].shard_parts,
+                           w, h, slots_[i].out.data(), ppe);
     }
+    shard_reduce_counter_->add(1);
+  }
+}
+
+void CellEngine::detect() {
+  sim::ScalarContext& ppe = machine_.ppe();
+  if (scenario_ == Scenario::kSharded) {
+    probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
+    for (auto& slot : slots_) sharded_detect(slot);
+    return;
+  }
+  probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
+  const auto spu_run = static_cast<int>(kernels::SPU_Run);
+  const bool multi2 = scenario_ == Scenario::kMultiSPE2;
+  if (multi2 && (fused_ || balanced_)) {
+    // Per-feature kMultiSPE2 already sent these in complete_extract().
+    for (int i = 0; i < 4; ++i) {
+      detect_sent_[i] = ppe.now_ns();
+      detect_lanes_[i].send(spu_run, slots_[i].detect_msg.ea());
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    FeatureSlot& slot = slots_[i];
+    if (!multi2) {
+      detect_sent_[i] = ppe.now_ns();
+      detect_lane(i).send(spu_run, slot.detect_msg.ea());
+    }
+    const std::string tag = std::string("cd:") + slot.name;
+    settle(detect_lane(i), tag, [&] { fallback_detect(slot); });
+    rt_.add_spe_span(probe::Phase::kDetect, tag, detect_sent_[i],
+                     ppe.now_ns());
   }
 }
 
@@ -755,215 +687,47 @@ void CellEngine::analyze_guarded_schedule(const img::RgbImage& pixels) {
 // All shards of all four kernels launch in parallel (the plan sizes the
 // counts so they finish together); the PPE then merges raw partials into
 // the exact unsharded outputs and fans each slot's detection out over
-// the detection interfaces as contiguous model blocks. The guarded
-// variant mirrors the unguarded one call-for-call; a shard whose retries
-// are exhausted is recomputed on the PPE via the shard mirrors — the
-// surviving shards' SPE work is kept.
-void CellEngine::analyze_sharded(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-    {
-      probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                         "send_shards");
-      send_shards();
-    }
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "shards");
-    wait_shards(pixels);
-  }
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                          "shard_reduce");
-    for (int i = 0; i < 4; ++i) reduce_slot(i);
-    shard_reduce_counter_->add(1);
-  }
-  port::Profiler::Scope probe(profiler_, kPhaseDetect);
-  probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
-  for (auto& slot : slots_) sharded_detect(slot);
-}
-
-void CellEngine::send_shards() {
-  shard_send_ns_ = machine_.ppe().now_ns();
-  for (auto& slot : slots_) {
-    for (std::size_t j = 0; j < slot.shard_msgs.size(); ++j) {
-      if (slot.shard_rows[j].empty()) continue;
-      if (guard_.enabled) {
-        slot.g_shards[j]->Send(static_cast<int>(kernels::SPU_Run),
-                               slot.shard_msgs[j].ea());
-      } else {
-        slot.shard_ifs[j]->Send(static_cast<int>(kernels::SPU_Run),
-                                slot.shard_msgs[j].ea());
-      }
-    }
-  }
-}
-
-void CellEngine::wait_shards(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  for (int i = 0; i < 4; ++i) {
-    FeatureSlot& slot = slots_[i];
-    for (std::size_t j = 0; j < slot.shard_msgs.size(); ++j) {
-      if (slot.shard_rows[j].empty()) continue;
-      if (guard_.enabled) {
-        finish_shard(i, static_cast<int>(j), pixels);
-      } else {
-        slot.shard_ifs[j]->Wait();
-      }
-      rt_.add_spe_span(probe::Phase::kExtract,
-                       std::string(slot.name) + "[" + std::to_string(j) +
-                           "]",
-                       shard_send_ns_, ppe.now_ns());
-    }
-  }
-}
-
-void CellEngine::finish_shard(int i, int j, const img::RgbImage& pixels) {
-  FeatureSlot& slot = slots_[i];
-  const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r =
-      slot.g_shards[static_cast<std::size_t>(j)]->Finish();
-  if (r.attempts > 1) {
-    rt_.add_closed(probe::Phase::kGuardRetry,
-                   std::string(slot.name) + "[" + std::to_string(j) + "]",
-                   finish_t0, machine_.ppe().now_ns());
-  }
-  if (r.ok) return;
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        std::string("shard:") + slot.name);
-  // Recompute just this shard's raw partial on the PPE; the reduction
-  // then proceeds as if the SPE had delivered it.
-  const shard::Range& range = slot.shard_rows[static_cast<std::size_t>(j)];
-  void* part = slot.shard_parts[static_cast<std::size_t>(j)].data();
-  switch (i) {
-    case shard::kSlotCh:
-      shard::ppe_partial_ch(pixels, range,
-                            static_cast<std::uint32_t*>(part),
-                            &machine_.ppe());
-      break;
-    case shard::kSlotCc:
-      shard::ppe_partial_cc(pixels, range,
-                            static_cast<std::uint32_t*>(part),
-                            &machine_.ppe());
-      break;
-    case shard::kSlotTx:
-      shard::ppe_partial_tx(pixels, range, static_cast<double*>(part),
-                            &machine_.ppe());
-      break;
-    default:
-      shard::ppe_partial_eh(pixels, range,
-                            static_cast<std::uint32_t*>(part),
-                            &machine_.ppe());
-      break;
-  }
-  note_degraded("shard", slot);
-}
-
-void CellEngine::reduce_slot(int i) {
-  FeatureSlot& slot = slots_[i];
-  const int w = slot.msg->width;
-  const int h = slot.msg->height;
-  // Empty shards (image smaller than the shard count) contribute nothing
-  // and were never dispatched; reduce over the rest.
-  std::vector<const std::uint32_t*> counts;
-  std::vector<const double*> tiles;
-  std::vector<int> tile_doubles;
-  for (std::size_t j = 0; j < slot.shard_parts.size(); ++j) {
-    if (slot.shard_rows[j].empty()) continue;
-    if (i == shard::kSlotTx) {
-      tiles.push_back(
-          reinterpret_cast<const double*>(slot.shard_parts[j].data()));
-      tile_doubles.push_back(shard::tx_partial_doubles(slot.shard_rows[j]));
-    } else {
-      counts.push_back(reinterpret_cast<const std::uint32_t*>(
-          slot.shard_parts[j].data()));
-    }
-  }
-  sim::ScalarContext* ppe = &machine_.ppe();
-  switch (i) {
-    case shard::kSlotCh:
-      shard::reduce_ch(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
-      break;
-    case shard::kSlotCc:
-      shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                       slot.out.data(), ppe);
-      break;
-    case shard::kSlotTx:
-      shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                       static_cast<int>(tiles.size()), w, h,
-                       slot.out.data(), ppe);
-      break;
-    default:
-      shard::reduce_eh(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
-      break;
-  }
-}
+// the detection lanes as contiguous model blocks. A block whose guard
+// gives up is scored on the PPE via the shard mirrors.
 
 void CellEngine::sharded_detect(FeatureSlot& slot) {
+  sim::ScalarContext& ppe = machine_.ppe();
   const auto num_models = static_cast<int>(slot.set->models.size());
   const int d = plan_.detect_spes;
   std::vector<shard::Range> blocks = shard::split_rows(num_models, d);
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        6 * static_cast<std::uint64_t>(d));
-  const sim::SimTime blocks_sent = machine_.ppe().now_ns();
-  for (int b = 0; b < d; ++b) {
-    if (blocks[static_cast<std::size_t>(b)].empty()) continue;
-    kernels::DetectMsg& m = *cd_block_msgs_[static_cast<std::size_t>(b)];
+  ppe.charge(sim::OpClass::kStore, 6 * static_cast<std::uint64_t>(d));
+  const sim::SimTime blocks_sent = ppe.now_ns();
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    if (blocks[b].empty()) continue;
+    kernels::DetectMsg& m = *cd_block_msgs_[b];
     m = *slot.detect_msg;
-    m.model_begin = blocks[static_cast<std::size_t>(b)].begin;
-    m.num_models = blocks[static_cast<std::size_t>(b)].count();
-    m.scores_ea = reinterpret_cast<std::uint64_t>(
-        cd_block_scores_[static_cast<std::size_t>(b)].data());
-    if (guard_.enabled) {
-      g_cd_shards_[static_cast<std::size_t>(b)]->Send(
-          static_cast<int>(kernels::SPU_Run),
-          cd_block_msgs_[static_cast<std::size_t>(b)].ea());
-    } else {
-      cd_shard_ifs_[static_cast<std::size_t>(b)]->Send(
-          static_cast<int>(kernels::SPU_Run),
-          cd_block_msgs_[static_cast<std::size_t>(b)].ea());
-    }
+    m.model_begin = blocks[b].begin;
+    m.num_models = blocks[b].count();
+    m.scores_ea = reinterpret_cast<std::uint64_t>(cd_block_scores_[b].data());
+    detect_lanes_[b].send(static_cast<int>(kernels::SPU_Run),
+                          cd_block_msgs_[b].ea());
   }
   std::vector<const double*> parts;
   std::vector<int> counts;
-  for (int b = 0; b < d; ++b) {
-    const shard::Range& block = blocks[static_cast<std::size_t>(b)];
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const shard::Range& block = blocks[b];
     if (block.empty()) continue;
-    if (guard_.enabled) {
-      const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-      guard::GuardedInterface::Result r =
-          g_cd_shards_[static_cast<std::size_t>(b)]->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       std::string("cd[") + std::to_string(b) + "]:" +
-                           slot.name,
-                       finish_t0, machine_.ppe().now_ns());
-      }
-      if (!r.ok) {
-        probe::ProbeSpan span(prt(), probe::Phase::kFallback,
-                              machine_.ppe(),
-                              std::string("detect:") + slot.name);
-        shard::ppe_detect_block(
-            slot.out.data(), slot.dim, *slot.set, block,
-            cd_block_scores_[static_cast<std::size_t>(b)].data(),
-            &machine_.ppe());
-        note_degraded("detect", slot);
-      }
-    } else {
-      cd_shard_ifs_[static_cast<std::size_t>(b)]->Wait();
-    }
-    rt_.add_spe_span(probe::Phase::kDetect,
-                     std::string("cd[") + std::to_string(b) + "]:" +
-                         slot.name,
-                     blocks_sent, machine_.ppe().now_ns());
-    parts.push_back(cd_block_scores_[static_cast<std::size_t>(b)].data());
+    const std::string tag =
+        "cd[" + std::to_string(b) + "]:" + std::string(slot.name);
+    settle(detect_lanes_[b], tag, [&] {
+      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                            std::string("detect:") + slot.name);
+      shard::ppe_detect_block(slot.out.data(), slot.dim, *slot.set, block,
+                              cd_block_scores_[b].data(), &ppe);
+      note_degraded("detect", slot);
+    });
+    rt_.add_spe_span(probe::Phase::kDetect, tag, blocks_sent, ppe.now_ns());
+    parts.push_back(cd_block_scores_[b].data());
     counts.push_back(block.count());
   }
   shard::concat_scores(parts.data(), counts.data(),
                        static_cast<int>(parts.size()), slot.scores.data(),
-                       &machine_.ppe());
+                       &ppe);
 }
 
 // ---- cellfuse: the fused per-image schedule ----
@@ -976,40 +740,6 @@ void CellEngine::sharded_detect(FeatureSlot& slot) {
 // scenario uses, so fused results are bit-exact with the per-feature
 // kernels; detection then runs the scenario's normal schedule.
 
-std::vector<CellEngine::FusedLane> CellEngine::fused_lanes() {
-  std::vector<FusedLane> lanes;
-  if (scenario_ == Scenario::kSharded) {
-    // Slot-major over the extract-shard SPEs (every extract module
-    // carries the fused body), capped at the planned lane count — past
-    // that, the marginal lane costs more in per-lane overhead than it
-    // saves in span (shard::plan_fused).
-    for (auto& slot : slots_) {
-      if (guard_.enabled) {
-        for (auto& g : slot.g_shards) lanes.push_back({nullptr, g.get()});
-      } else {
-        for (auto& f : slot.shard_ifs) lanes.push_back({f.get(), nullptr});
-      }
-    }
-    const auto cap = static_cast<std::size_t>(fused_plan_.lanes);
-    if (lanes.size() > cap) lanes.resize(cap);
-  } else if (scenario_ == Scenario::kSingleSPE) {
-    if (guard_.enabled) {
-      lanes.push_back({nullptr, slots_[0].g_extract.get()});
-    } else {
-      lanes.push_back({slots_[0].extract_if, nullptr});
-    }
-  } else {
-    for (auto& slot : slots_) {
-      if (guard_.enabled) {
-        lanes.push_back({nullptr, slot.g_extract.get()});
-      } else {
-        lanes.push_back({slot.extract_if, nullptr});
-      }
-    }
-  }
-  return lanes;
-}
-
 void CellEngine::prepare_fused(const img::RgbImage& pixels) {
   const int h = pixels.height();
   // Same precondition as the TX kernel: every wavelet level must split
@@ -1020,13 +750,14 @@ void CellEngine::prepare_fused(const img::RgbImage& pixels) {
     throw cellport::ConfigError(
         "image too small for the 4-level wavelet texture");
   }
-  const auto n = fused_lanes().size();
+  const auto lanes = static_cast<int>(fused_lanes_.size());
+  fused_rows_ = balanced_ ? balance::split_tasks(h, lanes)
+                          : shard::split_fused(h, lanes);
+  const std::size_t n = fused_rows_.size();
   if (fused_msgs_.size() < n) {
-    fused_msgs_ =
-        std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
+    fused_msgs_ = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
   }
   if (fused_parts_.size() < n) fused_parts_.resize(n);
-  fused_rows_ = shard::split_fused(h, static_cast<int>(n));
   std::uint64_t stores = 0;
   for (std::size_t j = 0; j < n; ++j) {
     const shard::Range& r = fused_rows_[j];
@@ -1046,189 +777,12 @@ void CellEngine::prepare_fused(const img::RgbImage& pixels) {
   machine_.ppe().charge(sim::OpClass::kStore, stores);
 }
 
-void CellEngine::analyze_fused(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-    {
-      probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                         "send_fused");
-      send_fused();
-    }
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "fused_lanes");
-    wait_fused(pixels);
-  }
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                          "fuse_reduce");
-    for (int i = 0; i < 4; ++i) reduce_fused_slot(i);
-    fuse_images_counter_->add(1);
-  }
-  port::Profiler::Scope probe(profiler_, kPhaseDetect);
-  fused_detect();
-}
-
-void CellEngine::send_fused() {
-  fused_send_ns_ = machine_.ppe().now_ns();
-  std::vector<FusedLane> lanes = fused_lanes();
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
-    if (fused_rows_[j].empty()) continue;
-    if (lanes[j].gi != nullptr) {
-      lanes[j].gi->Send(op, fused_msgs_[j].ea());
-    } else {
-      lanes[j].iface->Send(op, fused_msgs_[j].ea());
-    }
-  }
-}
-
-void CellEngine::wait_fused(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  std::vector<FusedLane> lanes = fused_lanes();
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
-    if (fused_rows_[j].empty()) continue;
-    if (lanes[j].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[j].gi->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       "fused[" + std::to_string(j) + "]", finish_t0,
-                       ppe.now_ns());
-      }
-      if (!r.ok) fused_fallback_lane(j, pixels);
-    } else {
-      lanes[j].iface->Wait();
-    }
-    rt_.add_spe_span(probe::Phase::kExtract,
-                     "fused[" + std::to_string(j) + "]", fused_send_ns_,
-                     ppe.now_ns());
-  }
-}
-
-void CellEngine::fused_fallback_lane(std::size_t j,
-                                     const img::RgbImage& pixels) {
+void CellEngine::fallback_fused(std::size_t j, const img::RgbImage& pixels) {
   probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
                         "fuse[" + std::to_string(j) + "]");
-  // Per-feature PPE partials for just this lane's range, written into
-  // the lane blob's four sections — the reduction can't tell them from
-  // SPE-delivered bytes (the mirrors are bit-exact and zero their
-  // sections first).
-  const shard::Range& range = fused_rows_[j];
-  auto* words = reinterpret_cast<std::uint32_t*>(fused_parts_[j].data());
-  sim::ScalarContext* ppe = &machine_.ppe();
-  shard::ppe_partial_ch(pixels, range, words, ppe);
-  shard::ppe_partial_cc(pixels, range, words + kernels::kFusedCcOffset,
-                        ppe);
-  shard::ppe_partial_eh(pixels, range, words + kernels::kFusedEhOffset,
-                        ppe);
-  const int heff = 2 * (pixels.height() / 2);
-  const shard::Range tx_rows{range.begin, std::min(range.end, heff)};
-  if (!tx_rows.empty()) {
-    shard::ppe_partial_tx(
-        pixels, tx_rows,
-        reinterpret_cast<double*>(fused_parts_[j].data() +
-                                  kernels::kFusedCountBytes),
-        ppe);
-  }
+  shard::ppe_partial_fused(pixels, fused_rows_[j], fused_parts_[j].data(),
+                           &machine_.ppe());
   for (auto& slot : slots_) note_degraded("fuse", slot);
-}
-
-void CellEngine::reduce_fused_slot(int i) {
-  FeatureSlot& slot = slots_[i];
-  const int w = slots_[0].msg->width;
-  const int h = slots_[0].msg->height;
-  std::vector<const std::uint32_t*> counts;
-  std::vector<const double*> tiles;
-  std::vector<int> tile_doubles;
-  for (std::size_t j = 0; j < fused_rows_.size(); ++j) {
-    const shard::Range& r = fused_rows_[j];
-    if (r.empty()) continue;
-    const auto* words =
-        reinterpret_cast<const std::uint32_t*>(fused_parts_[j].data());
-    switch (i) {
-      case shard::kSlotCh:
-        counts.push_back(words);
-        break;
-      case shard::kSlotCc:
-        counts.push_back(words + kernels::kFusedCcOffset);
-        break;
-      case shard::kSlotTx:
-        tiles.push_back(reinterpret_cast<const double*>(
-            fused_parts_[j].data() + kernels::kFusedCountBytes));
-        tile_doubles.push_back(
-            kernels::fused_tx_doubles(w, h, r.begin, r.end));
-        break;
-      default:
-        counts.push_back(words + kernels::kFusedEhOffset);
-        break;
-    }
-  }
-  sim::ScalarContext* ppe = &machine_.ppe();
-  switch (i) {
-    case shard::kSlotCh:
-      shard::reduce_ch(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
-      break;
-    case shard::kSlotCc:
-      shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                       slot.out.data(), ppe);
-      break;
-    case shard::kSlotTx:
-      shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                       static_cast<int>(tiles.size()), w, h,
-                       slot.out.data(), ppe);
-      break;
-    default:
-      shard::reduce_eh(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
-      break;
-  }
-}
-
-void CellEngine::fused_detect() {
-  sim::ScalarContext& ppe = machine_.ppe();
-  if (scenario_ == Scenario::kSharded) {
-    probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
-    for (auto& slot : slots_) sharded_detect(slot);
-    return;
-  }
-  probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-  if (scenario_ == Scenario::kMultiSPE2) {
-    sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-      detect_sent[i] = ppe.now_ns();
-      if (guard_.enabled) {
-        slots_[i].g_detect->Send(static_cast<int>(kernels::SPU_Run),
-                                 slots_[i].detect_msg.ea());
-      } else {
-        slots_[i].detect_if->Send(static_cast<int>(kernels::SPU_Run),
-                                  slots_[i].detect_msg.ea());
-      }
-    }
-    for (int i = 0; i < 4; ++i) {
-      if (guard_.enabled) {
-        finish_detect(slots_[i], *slots_[i].g_detect);
-      } else {
-        slots_[i].detect_if->Wait();
-      }
-      rt_.add_spe_span(probe::Phase::kDetect,
-                       std::string("cd:") + slots_[i].name,
-                       detect_sent[i], ppe.now_ns());
-    }
-    return;
-  }
-  for (auto& slot : slots_) {
-    if (guard_.enabled) {
-      guarded_detect(slot, *g_cd_);
-    } else {
-      const sim::SimTime sent = ppe.now_ns();
-      run_detection(slot, *cd_if_);
-      rt_.add_spe_span(probe::Phase::kDetect,
-                       std::string("cd:") + slot.name, sent,
-                       ppe.now_ns());
-    }
-  }
 }
 
 // ---- cellbalance: steal-driven fused dispatch + the content cache ----
@@ -1249,90 +803,19 @@ void CellEngine::set_balanced(bool on) {
   }
 }
 
-void CellEngine::prepare_balanced(const img::RgbImage& pixels) {
-  const int h = pixels.height();
-  // Same precondition as prepare_fused: every wavelet level must split.
-  if (pixels.width() < (1 << features::kTextureLevels) ||
-      h < (1 << features::kTextureLevels)) {
-    throw cellport::ConfigError(
-        "image too small for the 4-level wavelet texture");
-  }
-  const auto lanes = static_cast<int>(fused_lanes().size());
-  fused_rows_ = balance::split_tasks(h, lanes);
-  const std::size_t n = fused_rows_.size();
-  if (fused_msgs_.size() < n) {
-    fused_msgs_ = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-  }
-  if (fused_parts_.size() < n) fused_parts_.resize(n);
-  sim::ScalarContext& ppe = machine_.ppe();
-  std::uint64_t stores = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const shard::Range& r = fused_rows_[t];
-    const std::size_t bytes =
-        kernels::fused_partial_bytes(pixels.width(), h, r.begin, r.end);
-    if (fused_parts_[t].bytes() < bytes) {
-      fused_parts_[t] = cellport::AlignedBuffer<std::uint8_t>(bytes);
-    }
-    kernels::ImageMsg& m = *fused_msgs_[t];
-    m = *slots_[0].msg;
-    m.row_begin = r.begin;
-    m.row_end = r.end;
-    m.out_ea = reinterpret_cast<std::uint64_t>(fused_parts_[t].data());
-    stores += 4;
-  }
-  ppe.charge(sim::OpClass::kStore, stores);
-}
-
-void CellEngine::analyze_balanced(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-    {
-      probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                         "arm_lanes");
-      arm_balanced();
-    }
-    drain_balanced(pixels);
-  }
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                          "fuse_reduce");
-    for (int i = 0; i < 4; ++i) reduce_fused_slot(i);
-    fuse_images_counter_->add(1);
-  }
-  port::Profiler::Scope probe(profiler_, kPhaseDetect);
-  fused_detect();
-}
-
-void CellEngine::balanced_issue(const std::vector<FusedLane>& lanes,
-                                std::size_t k) {
+void CellEngine::balanced_issue(std::size_t k) {
   const std::size_t t = bal_q_->issue(k);
   if (t == balance::TaskQueue::kNone) return;
   bal_sent_[t] = machine_.ppe().now_ns();
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  if (lanes[k].gi != nullptr) {
-    lanes[k].gi->Send(op, fused_msgs_[t].ea());
-  } else {
-    lanes[k].iface->Send(op, fused_msgs_[t].ea());
-  }
-}
-
-void CellEngine::arm_balanced() {
-  std::vector<FusedLane> lanes = fused_lanes();
-  bal_q_ = std::make_unique<balance::TaskQueue>(fused_rows_.size(),
-                                                lanes.size());
-  bal_sent_.assign(fused_rows_.size(), 0);
-  fused_send_ns_ = machine_.ppe().now_ns();
-  for (std::size_t k = 0; k < lanes.size(); ++k) balanced_issue(lanes, k);
+  fused_lanes_[k]->send(static_cast<int>(kernels::SPU_Run_Fused),
+                        fused_msgs_[t].ea());
 }
 
 void CellEngine::drain_balanced(const img::RgbImage& pixels) {
   sim::ScalarContext& ppe = machine_.ppe();
-  std::vector<FusedLane> lanes = fused_lanes();
   balance::TaskQueue& q = *bal_q_;
   probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "steal_lanes");
-  std::vector<sim::SimTime> peeks(lanes.size(), sim::kNeverNs);
+  std::vector<sim::SimTime> peeks(fused_lanes_.size(), sim::kNeverNs);
   while (!q.done()) {
     {
       // Peek every in-flight completion timestamp without consuming it
@@ -1341,33 +824,18 @@ void CellEngine::drain_balanced(const img::RgbImage& pixels) {
       // sim::kNeverNs and never wins while live lanes are in flight, so
       // the remaining descriptors flow around it.
       probe::ProbeSpan p(prt(), probe::Phase::kSteal, ppe, "pick");
-      for (std::size_t k = 0; k < lanes.size(); ++k) {
-        peeks[k] = q.busy(k)
-                       ? (lanes[k].gi != nullptr
-                              ? lanes[k].gi->peek_ns()
-                              : lanes[k].iface->peek_completion_ns())
-                       : sim::kNeverNs;
+      for (std::size_t k = 0; k < fused_lanes_.size(); ++k) {
+        peeks[k] = q.busy(k) ? fused_lanes_[k]->peek_ns() : sim::kNeverNs;
       }
     }
     const std::size_t k = balance::pick_earliest(peeks, q);
     const std::size_t t = q.task_of(k);
-    if (lanes[k].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[k].gi->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       "task[" + std::to_string(t) + "]", finish_t0,
-                       ppe.now_ns());
-      }
-      if (!r.ok) fused_fallback_lane(t, pixels);
-    } else {
-      lanes[k].iface->Wait();
-    }
-    rt_.add_spe_span(probe::Phase::kExtract,
-                     "task[" + std::to_string(t) + "]", bal_sent_[t],
+    const std::string tag = "task[" + std::to_string(t) + "]";
+    settle(*fused_lanes_[k], tag, [&] { fallback_fused(t, pixels); });
+    rt_.add_spe_span(probe::Phase::kExtract, tag, bal_sent_[t],
                      ppe.now_ns());
     q.complete(k);
-    balanced_issue(lanes, k);
+    balanced_issue(k);
   }
   steal_tasks_counter_->add(q.tasks());
   steal_arms_counter_->add(q.arms());
@@ -1465,17 +933,6 @@ void CellEngine::cache_store(std::uint64_t key,
   m.gauge("cache.entries").set(static_cast<double>(cache_->entries()));
 }
 
-void CellEngine::finish_extract(FeatureSlot& slot,
-                                const img::RgbImage& pixels) {
-  const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = slot.g_extract->Finish();
-  if (r.attempts > 1) {
-    rt_.add_closed(probe::Phase::kGuardRetry, slot.name, finish_t0,
-                   machine_.ppe().now_ns());
-  }
-  if (!r.ok) fallback_extract(slot, pixels);
-}
-
 void CellEngine::fallback_extract(FeatureSlot& slot,
                                   const img::RgbImage& pixels) {
   // Recompute on the PPE scalar path and land the values in the slot's
@@ -1489,28 +946,6 @@ void CellEngine::fallback_extract(FeatureSlot& slot,
   std::memcpy(slot.out.data(), fv.values.data(),
               static_cast<std::size_t>(slot.dim) * sizeof(float));
   note_degraded("extract", slot);
-}
-
-void CellEngine::guarded_detect(FeatureSlot& slot,
-                                guard::GuardedInterface& gi) {
-  const sim::SimTime sent = machine_.ppe().now_ns();
-  gi.Send(static_cast<int>(kernels::SPU_Run), slot.detect_msg.ea());
-  finish_detect(slot, gi);
-  rt_.add_spe_span(probe::Phase::kDetect,
-                   std::string("cd:") + slot.name, sent,
-                   machine_.ppe().now_ns());
-}
-
-void CellEngine::finish_detect(FeatureSlot& slot,
-                               guard::GuardedInterface& gi) {
-  const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = gi.Finish();
-  if (r.attempts > 1) {
-    rt_.add_closed(probe::Phase::kGuardRetry,
-                   std::string("cd:") + slot.name, finish_t0,
-                   machine_.ppe().now_ns());
-  }
-  if (!r.ok) fallback_detect(slot);
 }
 
 void CellEngine::fallback_detect(FeatureSlot& slot) {
@@ -1606,184 +1041,29 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
 
   port::Profiler::Scope probe(profiler_, kPhasePipelined);
   sim::ScalarContext& ppe = machine_.ppe();
-  auto decode = [&](const img::SicEncoded& image) { return ingest(image); };
 
   // Two pixel buffers alternate: the SPEs read `current` while the PPE
   // decodes into the other slot. Probing treats each loop iteration as
   // one request; the overlapped decode of image i+1 lands in request
   // i's kDecode phase — that is where the PPE's time really went.
   if (probe_ != nullptr) rt_.start("pipelined", ppe.now_ns());
-  img::RgbImage current = decode(*images[0]);
+  img::RgbImage current = ingest(*images[0]);
+  QuiesceOnUnwind quiesce_on_unwind(*this);
   for (std::size_t i = 0; i < images.size(); ++i) {
     if (probe_ != nullptr && !rt_.active()) {
       rt_.start("pipelined", ppe.now_ns());
     }
-    {
-      probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe,
-                            "fill_msgs");
-      for (auto& slot : slots_) fill_image_msg(slot, current);
-      if (balanced_) {
-        prepare_balanced(current);
-      } else if (fused_) {
-        prepare_fused(current);
-      } else if (scenario_ == Scenario::kSharded) {
-        prepare_shards(current);
-      }
-    }
-    if (guard_.enabled) {
-      // Feed fallbacks for `current` were staged when it was decoded
-      // (one iteration ago, overlapping the previous image's kernels).
-      degraded_current_ = std::move(feed_pending_degraded_);
-      feed_pending_degraded_.clear();
-    }
-    sim::SimTime sent[4] = {0, 0, 0, 0};
-    {
-      probe::ProbeSpan span(prt(), probe::Phase::kDispatch, ppe,
-                            "send_extract");
-      if (balanced_) {
-        arm_balanced();
-      } else if (fused_) {
-        send_fused();
-      } else if (scenario_ == Scenario::kSharded) {
-        send_shards();
-      } else {
-        for (int s = 0; s < 4; ++s) {
-          FeatureSlot& slot = slots_[s];
-          sent[s] = ppe.now_ns();
-          if (guard_.enabled) {
-            slot.g_extract->Send(static_cast<int>(kernels::SPU_Run),
-                                 slot.msg.ea());
-          } else {
-            slot.extract_if->Send(static_cast<int>(kernels::SPU_Run),
-                                  slot.msg.ea());
-          }
-        }
-      }
-    }
+    prepare_image(current);
+    send_extract(/*honor_naive=*/false);
     // PPE work overlaps the SPE kernels: decode the next image now.
     img::RgbImage next;
-    if (i + 1 < images.size()) next = decode(*images[i + 1]);
-
-    if (balanced_) {
-      drain_balanced(current);
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                              "fuse_reduce");
-        for (int si = 0; si < 4; ++si) reduce_fused_slot(si);
-        fuse_images_counter_->add(1);
-      }
-      fused_detect();
-    } else if (fused_) {
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                              "fused_lanes");
-        wait_fused(current);
-      }
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                              "fuse_reduce");
-        for (int si = 0; si < 4; ++si) reduce_fused_slot(si);
-        fuse_images_counter_->add(1);
-      }
-      fused_detect();
-    } else if (scenario_ == Scenario::kSharded) {
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                              "shards");
-        wait_shards(current);
-      }
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                              "shard_reduce");
-        for (int si = 0; si < 4; ++si) reduce_slot(si);
-        shard_reduce_counter_->add(1);
-      }
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
-      for (auto& slot : slots_) sharded_detect(slot);
-    } else if (guard_.enabled) {
-      if (scenario_ == Scenario::kMultiSPE2) {
-        sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-        {
-          probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-          for (int s = 0; s < 4; ++s) {
-            FeatureSlot& slot = slots_[s];
-            finish_extract(slot, current);
-            detect_sent[s] = ppe.now_ns();
-            slot.g_detect->Send(static_cast<int>(kernels::SPU_Run),
-                                slot.detect_msg.ea());
-          }
-        }
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (int s = 0; s < 4; ++s) {
-          FeatureSlot& slot = slots_[s];
-          finish_detect(slot, *slot.g_detect);
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slot.name,
-                           detect_sent[s], ppe.now_ns());
-        }
-      } else {
-        {
-          probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-          for (auto& slot : slots_) finish_extract(slot, current);
-        }
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (auto& slot : slots_) guarded_detect(slot, *g_cd_);
-      }
-    } else if (scenario_ == Scenario::kMultiSPE2) {
-      sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-        for (int s = 0; s < 4; ++s) {
-          FeatureSlot& slot = slots_[s];
-          slot.extract_if->Wait();
-          rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent[s],
-                           ppe.now_ns());
-          detect_sent[s] = ppe.now_ns();
-          slot.detect_if->Send(static_cast<int>(kernels::SPU_Run),
-                               slot.detect_msg.ea());
-        }
-      }
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (int s = 0; s < 4; ++s) {
-        slots_[s].detect_if->Wait();
-        rt_.add_spe_span(probe::Phase::kDetect,
-                         std::string("cd:") + slots_[s].name,
-                         detect_sent[s], ppe.now_ns());
-      }
-    } else {
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-        for (int s = 0; s < 4; ++s) {
-          slots_[s].extract_if->Wait();
-          rt_.add_spe_span(probe::Phase::kExtract, slots_[s].name,
-                           sent[s], ppe.now_ns());
-        }
-      }
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (auto& slot : slots_) {
-        const sim::SimTime d_sent = ppe.now_ns();
-        run_detection(slot, *cd_if_);
-        rt_.add_spe_span(probe::Phase::kDetect,
-                         std::string("cd:") + slot.name, d_sent,
-                         ppe.now_ns());
-      }
-    }
-
-    AnalysisResult result;
-    {
-      probe::ProbeSpan span(prt(), probe::Phase::kOutput, ppe, "collect");
-      collect(slots_[0], result.color_histogram, result.ch_detect,
-              "color_histogram");
-      collect(slots_[1], result.color_correlogram, result.cc_detect,
-              "color_correlogram");
-      collect(slots_[2], result.texture, result.tx_detect, "texture");
-      collect(slots_[3], result.edge_histogram, result.eh_detect,
-              "edge_histogram");
-    }
-    if (guard_.enabled) result.degraded = std::move(degraded_current_);
+    if (i + 1 < images.size()) next = ingest(*images[i + 1]);
+    complete_extract(current);
+    reduce_partials();
+    detect();
+    results.push_back(collect_result());
     note_image_done();
     finish_request();
-    results.push_back(std::move(result));
     if (i + 1 < images.size()) current = std::move(next);
   }
   return results;

@@ -19,6 +19,7 @@
 //                 per-image latency where kMultiSPE optimizes occupancy.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "kernels/messages.h"
 #include "port/message.h"
 #include "learn/model_store.h"
+#include "marvel/lane.h"
 #include "marvel/reference_engine.h"
 #include "marvel/result.h"
 #include "port/profiler.h"
@@ -93,14 +95,16 @@ inline constexpr const char* kPhaseStream = "Stream(ring)";
 class CellEngine {
  public:
   /// Loads the model library on the PPE (one-time overhead) and opens
-  /// the kernel interfaces. `use_naive` selects the pre-optimization
-  /// kernel versions where they exist (CH/CC/EH; Section 5.3).
-  /// With `guard.enabled`, every SPE call runs behind a cellguard
-  /// GuardedInterface (deadline/retry/quarantine) and a kernel whose
-  /// retries are exhausted falls back to the PPE scalar path, recorded
-  /// in AnalysisResult::degraded; a fault-free guarded run charges
-  /// exactly what an unguarded one does. Disabled (the default) leaves
-  /// the legacy paths untouched.
+  /// one Lane per scheduled SPE role. `use_naive` selects the
+  /// pre-optimization kernel versions where they exist (CH/CC/EH;
+  /// Section 5.3). `guard.enabled` picks the kind of lane: guarded lanes
+  /// run every SPE call behind a cellguard GuardedInterface
+  /// (deadline/retry/quarantine), and a call whose retries are exhausted
+  /// falls back to the PPE scalar path, recorded in
+  /// AnalysisResult::degraded; plain lanes (the default) throw the
+  /// kernel's fault. Every schedule runs the same call sites over either
+  /// kind, so a fault-free guarded run charges exactly what a plain one
+  /// does.
   CellEngine(sim::Machine& machine, const std::string& library_path,
              Scenario scenario,
              kernels::BufferingDepth buffering = kernels::kDoubleBuffer,
@@ -134,7 +138,7 @@ class CellEngine {
   sim::SimTime startup_ns() const { return startup_ns_; }
   Scenario scenario() const { return scenario_; }
   const learn::MarvelModels& models() const { return models_; }
-  bool guarded() const { return guard_.enabled; }
+  bool guarded() const { return health_ != nullptr; }
   /// The health board behind a guarded engine; null when unguarded.
   /// The mutable overload lets an operator (or a test) mark SPEs out
   /// of service directly — cellserve reads the quarantine count to
@@ -160,10 +164,10 @@ class CellEngine {
   /// (the ones idle during every schedule's decode phase, including the
   /// pipelined/streaming decode-ahead overlap). SIC2 carriers, carriers
   /// without the encoder's alignment slack, and rows too wide for one
-  /// list element keep the legacy PPE decode. A guarded engine turns a
-  /// failed feed lane into a PPE row-range fallback recorded as degraded
-  /// "feed:ingest". Off (the default) leaves every legacy path — and its
-  /// simulated time — untouched.
+  /// list element keep the legacy PPE decode. A failed feed lane's rows
+  /// are unpacked on the PPE instead; a guarded lane also records it as
+  /// degraded "feed:ingest". Off (the default) decodes every carrier on
+  /// the PPE.
   void set_feed(bool on) { feed_ = on; }
   bool feed() const { return feed_; }
 
@@ -176,10 +180,10 @@ class CellEngine {
   /// ride the SPEs the scenario already scheduled for extraction
   /// (kSingleSPE: one lane; kMultiSPE/kMultiSPE2: the four extract SPEs;
   /// kSharded: the extract-shard SPEs, capped at shard::plan_fused's lane
-  /// count). A guarded engine recomputes a failed lane's range on the PPE
-  /// via the shard mirrors — per-feature partials for just that slice —
-  /// recorded as degraded "fuse:<feature>". Off (the default) leaves
-  /// every legacy path and its simulated time untouched.
+  /// count). A guarded lane that gives up has its range recomputed on
+  /// the PPE via the shard mirrors — per-feature partials for just that
+  /// slice — recorded as degraded "fuse:<feature>". Off (the default)
+  /// runs the per-feature kernels.
   void set_fused(bool on) { fused_ = on; }
   bool fused() const { return fused_; }
   /// The fused lane/detect split a kSharded engine consults (defaulted
@@ -223,8 +227,8 @@ class CellEngine {
   friend class StreamEngine;
 
   struct FeatureSlot {
-    port::SPEInterface* extract_if = nullptr;
     const char* phase = nullptr;
+    const char* name = nullptr;
     cellport::port::WrappedMessage<kernels::ImageMsg> msg;
     cellport::AlignedBuffer<float> out;
     int dim = 0;
@@ -233,18 +237,14 @@ class CellEngine {
     cellport::port::WrappedMessage<kernels::DetectMsg> detect_msg;
     cellport::AlignedBuffer<kernels::DetectModelDesc> descs;
     cellport::AlignedBuffer<double> scores;
-    port::SPEInterface* detect_if = nullptr;  // kMultiSPE2 only
-    // cellguard (populated only for a guarded engine)
-    const char* name = nullptr;
+    // PPE reference extractor (a guarded lane's fallback).
     features::FeatureVector (*ref_extract)(const img::RgbImage&,
                                            sim::ScalarContext*) = nullptr;
-    std::unique_ptr<guard::GuardedInterface> g_extract;
-    std::unique_ptr<guard::GuardedInterface> g_detect;  // kMultiSPE2 only
-    // cellshard (kSharded only): one interface + message + raw-partial
-    // buffer per shard of this kernel; `shard_rows` holds the current
-    // image's ranges (recomputed per image — shapes may vary).
-    std::vector<std::unique_ptr<port::SPEInterface>> shard_ifs;
-    std::vector<std::unique_ptr<guard::GuardedInterface>> g_shards;
+    /// The slot's extraction lanes: its one SPE, or (kSharded) one per
+    /// shard, each with a message and raw-partial buffer; `shard_rows`
+    /// holds the current image's ranges (recomputed per image — shapes
+    /// may vary).
+    std::vector<Lane> lanes;
     std::vector<cellport::port::WrappedMessage<kernels::ImageMsg>>
         shard_msgs;
     std::vector<cellport::AlignedBuffer<std::uint8_t>> shard_parts;
@@ -253,52 +253,98 @@ class CellEngine {
 
   void setup_detection(FeatureSlot& slot, const learn::ConceptModelSet& set);
   void fill_image_msg(FeatureSlot& slot, const img::RgbImage& pixels);
-  void run_detection(FeatureSlot& slot, port::SPEInterface& iface);
   void collect(FeatureSlot& slot, features::FeatureVector& fv,
-               DetectionScores& scores, const char* name);
+               DetectionScores& scores);
   /// Bumps the images-analyzed counter and drops a timeline marker.
   void note_image_done();
+  /// The opcode of slot `slot`'s per-feature kernel (naive when asked
+  /// for and available).
+  int extract_opcode(const FeatureSlot& slot) const;
+  /// Slot `s`'s detection lane outside kSharded: its own SPE under
+  /// kMultiSPE2, the shared CD SPE otherwise.
+  Lane& detect_lane(int s) {
+    return detect_lanes_[scenario_ == Scenario::kMultiSPE2 ? s : 0];
+  }
+
+  /// Guards a schedule's buffers: when an exception (a plain lane's
+  /// fault) unwinds through its scope, every lane's in-flight work is
+  /// waited out before the buffers declared ahead of it are freed.
+  class QuiesceOnUnwind {
+   public:
+    explicit QuiesceOnUnwind(CellEngine& engine)
+        : engine_(engine), unwinding_(std::uncaught_exceptions()) {}
+    ~QuiesceOnUnwind() {
+      if (std::uncaught_exceptions() > unwinding_) engine_.quiesce();
+    }
+    QuiesceOnUnwind(const QuiesceOnUnwind&) = delete;
+    QuiesceOnUnwind& operator=(const QuiesceOnUnwind&) = delete;
+
+   private:
+    CellEngine& engine_;
+    int unwinding_;
+  };
+  void quiesce() noexcept;
+
+  /// Completes `lane`'s pending call. A guard retry is recorded as a
+  /// kGuardRetry span named `tag`, and a failed verdict runs `fallback`
+  /// (the PPE path for the lane's work). A plain lane's fault throws.
+  template <class Fallback>
+  Lane::Result settle(Lane& lane, const std::string& tag,
+                      Fallback&& fallback) {
+    const sim::SimTime t0 = machine_.ppe().now_ns();
+    Lane::Result r = lane.finish();
+    if (r.attempts > 1) {
+      rt_.add_closed(probe::Phase::kGuardRetry, tag, t0,
+                     machine_.ppe().now_ns());
+    }
+    if (!r.ok) fallback();
+    return r;
+  }
+
+  // ---- the per-image schedule, shared by analyze() and the pipelined
+  // batch loop (profiler scopes stay in the callers) ----
+  /// Fills every message for `pixels` (per-feature, shard or fused
+  /// ranges) and adopts the feed degradation staged by its ingest().
+  void prepare_image(const img::RgbImage& pixels);
+  /// Dispatches the image's extraction on the strategy's lanes.
+  /// `honor_naive` false runs the optimized per-feature kernels even on a
+  /// use_naive engine (the pipelined loop's schedule).
+  void send_extract(bool honor_naive);
+  /// Completion side of send_extract(); a guarded lane that gives up is
+  /// recomputed from `pixels` on the PPE. Under per-feature kMultiSPE2
+  /// each slot's detection is sent as soon as its extraction completes.
+  void complete_extract(const img::RgbImage& pixels);
+  /// Merges the lanes' raw partials into the slots' output buffers
+  /// (sharded, fused and balanced strategies; a no-op otherwise).
+  void reduce_partials();
+  /// The scenario's detection schedule.
+  void detect();
+  /// Gathers the slots into a result carrying the image's degradation.
+  AnalysisResult collect_result();
 
   // ---- cellfeed paths (no-ops unless set_feed(true)) ----
-  /// One ingest lane: the detect-side interface feed rows ride, guarded
-  /// or plain depending on the engine.
-  struct FeedLane {
-    port::SPEInterface* iface = nullptr;
-    guard::GuardedInterface* gi = nullptr;
-  };
-  /// The scenario's detect-side lanes (kSharded: the detection block
-  /// interfaces; kMultiSPE2: the four detection SPEs; otherwise the
-  /// single CD interface).
-  std::vector<FeedLane> feed_lanes();
   /// Decode-or-feed front end shared by analyze(), the pipelined batch
   /// loop, and StreamEngine::prepare_window. With feed off (or an
   /// ineligible carrier) it charges exactly what the legacy decode path
   /// charged.
   img::RgbImage ingest(const img::SicEncoded& image);
-  /// The SPE half of ingest(): splits `hdr`'s rows across feed_lanes(),
-  /// sends SPU_Run_Feed, and waits under the FeedDMA probe phase.
+  /// The SPE half of ingest(): splits `hdr`'s rows across the detection
+  /// lanes, sends SPU_Run_Feed, and waits under the FeedDMA probe phase.
   void feed_image(const img::SicEncoded& image, const img::PpmHeader& hdr,
                   img::RgbImage& dst);
-  /// PPE mirror for one lane's row range (guard gave up or the kernel
-  /// faulted): bit-identical bytes to the SPE unpack.
+  /// PPE mirror for one lane's row range (the lane faulted or its guard
+  /// gave up): bit-identical bytes to the SPE unpack. `degrade` records
+  /// it (guarded lanes).
   void feed_fallback_rows(const img::SicEncoded& image,
                           const img::PpmHeader& hdr,
-                          const shard::Range& rows, img::RgbImage& dst);
+                          const shard::Range& rows, img::RgbImage& dst,
+                          bool degrade);
 
-  // ---- cellguard paths (no-ops unless guard_.enabled) ----
-  /// The per-image kernel schedule behind guarded interfaces; fills the
-  /// same slot buffers the unguarded switch fills.
-  void analyze_guarded_schedule(const img::RgbImage& pixels);
-  /// Finish() for a slot's extract call, falling back to the PPE
-  /// reference extractor when the guard gives up.
-  void finish_extract(FeatureSlot& slot, const img::RgbImage& pixels);
+  // ---- PPE fallbacks of guarded lanes ----
   void fallback_extract(FeatureSlot& slot, const img::RgbImage& pixels);
-  /// Guarded detection via `gi`, with PPE reference scoring on failure.
-  void guarded_detect(FeatureSlot& slot, guard::GuardedInterface& gi);
-  void finish_detect(FeatureSlot& slot, guard::GuardedInterface& gi);
   void fallback_detect(FeatureSlot& slot);
+  void fallback_fused(std::size_t j, const img::RgbImage& pixels);
   void note_degraded(const char* stage, const FeatureSlot& slot);
-  int guarded_opcode(const FeatureSlot& slot) const;
 
   // ---- cellshard paths (kSharded only) ----
   /// Allocates per-shard messages/partial buffers and the detection
@@ -307,73 +353,20 @@ class CellEngine {
   /// Computes the current image's shard ranges and fills every shard
   /// message (after fill_image_msg).
   void prepare_shards(const img::RgbImage& pixels);
-  /// The sharded per-image schedule: parallel shard extraction, PPE
-  /// reduction, block-parallel detection. Guarded variant retries a
-  /// faulted shard and falls back to the PPE mirror for just that slice.
-  void analyze_sharded(const img::RgbImage& pixels);
-  /// Dispatches every non-empty shard of every slot (guarded or not).
-  void send_shards();
-  /// Completion side of send_shards(); guarded shards that exhaust their
-  /// retries are recomputed from `pixels` via the PPE mirrors.
-  void wait_shards(const img::RgbImage& pixels);
-  /// Merges slot `i`'s raw partials into its normalized output buffer.
-  void reduce_slot(int i);
-  /// Finish() for one guarded shard; PPE mirror partial on failure.
-  void finish_shard(int i, int j, const img::RgbImage& pixels);
-  /// Block-split detection for one slot over the detection interfaces.
+  /// Block-split detection for one slot over the detection lanes.
   void sharded_detect(FeatureSlot& slot);
 
-  // ---- cellfuse paths (no-ops unless set_fused(true)) ----
-  /// One fused extraction lane: an SPE already scheduled for extraction,
-  /// guarded or plain depending on the engine.
-  struct FusedLane {
-    port::SPEInterface* iface = nullptr;
-    guard::GuardedInterface* gi = nullptr;
-  };
-  /// The scenario's fused lanes (kSingleSPE: slot 0's interface;
-  /// kMultiSPE/kMultiSPE2: the four extract interfaces; kSharded: the
-  /// extract-shard interfaces slot-major, capped at fused_plan_.lanes).
-  std::vector<FusedLane> fused_lanes();
-  /// Computes the current image's lane ranges, (re)sizes the per-lane
-  /// partial blobs and fills the lane messages (after fill_image_msg).
-  /// Throws ConfigError for images below 16x16, exactly like the TX
-  /// kernel (a fused lane always computes the wavelet texture).
+  // ---- cellfuse / cellbalance paths ----
+  /// Computes the current image's lane ranges (fused) or task ranges
+  /// (balanced: balance::split_tasks, finer than the lane count),
+  /// (re)sizes the per-range partial blobs and fills their messages
+  /// (after fill_image_msg). Throws ConfigError for images below 16x16,
+  /// exactly like the TX kernel (a fused lane always computes the
+  /// wavelet texture).
   void prepare_fused(const img::RgbImage& pixels);
-  /// The fused per-image schedule: parallel single-pass lanes, PPE
-  /// reduction of all four features, then the scenario's normal
-  /// detection schedule.
-  void analyze_fused(const img::RgbImage& pixels);
-  /// Dispatches every non-empty lane (guarded or not).
-  void send_fused();
-  /// Completion side of send_fused(); a guarded lane that exhausts its
-  /// retries is recomputed from `pixels` via the PPE shard mirrors.
-  void wait_fused(const img::RgbImage& pixels);
-  /// PPE mirror for one lane's row range: per-feature partials written
-  /// into the lane blob's four sections, bit-exact with the kernel.
-  void fused_fallback_lane(std::size_t j, const img::RgbImage& pixels);
-  /// Merges every lane's blob section for slot `i` into its normalized
-  /// output buffer (the cellshard reducers, fed section pointers).
-  void reduce_fused_slot(int i);
-  /// The scenario's detection schedule, shared by analyze_fused and the
-  /// pipelined loop (identical to the per-feature paths' detection).
-  void fused_detect();
-
-  // ---- cellbalance paths (no-ops unless set_balanced(true)) ----
-  /// Computes the balanced task partition (balance::split_tasks) and
-  /// (re)sizes the per-TASK messages/blobs — the same fused_* members
-  /// the fused path uses, at task granularity, so reduce_fused_slot and
-  /// fused_fallback_lane work verbatim on task indices.
-  void prepare_balanced(const img::RgbImage& pixels);
-  /// The balanced per-image schedule: steal-driven fused lanes, PPE
-  /// reduction of all four features, the scenario's normal detection.
-  void analyze_balanced(const img::RgbImage& pixels);
   /// Hands lane `k` the next unissued task descriptor (Send); no-op when
   /// the queue is exhausted.
-  void balanced_issue(const std::vector<FusedLane>& lanes, std::size_t k);
-  /// Arms every lane with its first task (the doorbell wave). Split from
-  /// drain_balanced so the pipelined loop can decode the next image
-  /// between the arm and the steal loop, like send_fused/wait_fused.
-  void arm_balanced();
+  void balanced_issue(std::size_t k);
   /// The steal loop: peeks every in-flight completion timestamp,
   /// finishes the earliest lane, hands it the next task, until the
   /// queue drains. Guarded lanes that exhaust their retries drop to the
@@ -418,17 +411,22 @@ class CellEngine {
   // Cached at construction so the per-image path does no registry lookup.
   trace::Counter* images_counter_ = nullptr;
 
-  std::unique_ptr<port::SPEInterface> ch_if_;
-  std::unique_ptr<port::SPEInterface> cc_if_;
-  std::unique_ptr<port::SPEInterface> tx_if_;
-  std::unique_ptr<port::SPEInterface> eh_if_;
-  std::unique_ptr<port::SPEInterface> cd_if_;
-  std::unique_ptr<port::SPEInterface> cd_extra_[3];  // kMultiSPE2
+  /// Detection lanes: the shared CD SPE (kSingleSPE/kMultiSPE), one per
+  /// slot (kMultiSPE2), or the model blocks (kSharded). Feed rows ride
+  /// them too.
+  std::vector<Lane> detect_lanes_;
+  /// Fused lanes: the slots' extraction lanes slot-major, capped at one
+  /// (kSingleSPE) or fused_plan_.lanes (kSharded).
+  std::vector<Lane*> fused_lanes_;
+  /// Send timestamps of the current image's per-feature extraction and
+  /// kMultiSPE2 detection calls, and of its shard/fused dispatch.
+  sim::SimTime sent_[4] = {0, 0, 0, 0};
+  sim::SimTime detect_sent_[4] = {0, 0, 0, 0};
+  sim::SimTime extract_sent_ns_ = 0;
 
-  // cellguard state (null / empty when the policy is disabled).
+  // cellguard state (null when the policy is disabled).
   guard::GuardPolicy guard_;
   std::unique_ptr<guard::SpeHealth> health_;
-  std::unique_ptr<guard::GuardedInterface> g_cd_;  // single/multi detection
   trace::Counter* fallback_counter_ = nullptr;
   std::vector<std::string> degraded_current_;
 
@@ -444,8 +442,9 @@ class CellEngine {
   /// of the image it belongs to.
   std::vector<std::string> feed_pending_degraded_;
 
-  // cellbalance state. `bal_q_` lives only between arm_balanced and the
-  // end of drain_balanced (one image's steal-driven dispatch).
+  // cellbalance state. `bal_q_` lives only between the arm wave in
+  // send_extract() and the end of drain_balanced (one image's
+  // steal-driven dispatch).
   bool balanced_ = false;
   std::unique_ptr<balance::TaskQueue> bal_q_;
   std::vector<sim::SimTime> bal_sent_;
@@ -465,24 +464,18 @@ class CellEngine {
   std::vector<cellport::AlignedBuffer<std::uint8_t>> fused_parts_;
   std::vector<shard::Range> fused_rows_;
   trace::Counter* fuse_images_counter_ = nullptr;
-  sim::SimTime fused_send_ns_ = 0;
 
   // cellshard state (kSharded only).
   shard::ShardPlan plan_;
-  std::vector<std::unique_ptr<port::SPEInterface>> cd_shard_ifs_;
-  std::vector<std::unique_ptr<guard::GuardedInterface>> g_cd_shards_;
   std::vector<cellport::port::WrappedMessage<kernels::DetectMsg>>
       cd_block_msgs_;
   std::vector<cellport::AlignedBuffer<double>> cd_block_scores_;
   trace::Counter* shard_reduce_counter_ = nullptr;
 
   // cellprobe state: the sink (null = probing off) and the request
-  // trace reused across requests. `shard_send_ns_` remembers when the
-  // current image's shard dispatch began so wait_shards can record
-  // per-shard SPE child spans.
+  // trace reused across requests.
   probe::ProbeSink* probe_ = nullptr;
   probe::RequestTrace rt_;
-  sim::SimTime shard_send_ns_ = 0;
 
   FeatureSlot slots_[4];
 };

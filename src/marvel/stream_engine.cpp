@@ -107,32 +107,6 @@ StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
   }
 }
 
-port::SPEInterface* StreamEngine::extract_iface(int s) {
-  if (engine_.guard_.enabled) return engine_.slots_[s].g_extract->iface();
-  return engine_.slots_[s].extract_if;
-}
-
-port::SPEInterface* StreamEngine::detect_iface(int s) {
-  if (engine_.scenario_ == Scenario::kMultiSPE2) {
-    if (engine_.guard_.enabled) return engine_.slots_[s].g_detect->iface();
-    return engine_.slots_[s].detect_if;
-  }
-  if (engine_.guard_.enabled) return engine_.g_cd_->iface();
-  return engine_.cd_if_.get();
-}
-
-guard::GuardedInterface* StreamEngine::extract_guard(int s) {
-  return engine_.guard_.enabled ? engine_.slots_[s].g_extract.get()
-                                : nullptr;
-}
-
-guard::GuardedInterface* StreamEngine::detect_guard(int s) {
-  if (!engine_.guard_.enabled) return nullptr;
-  return engine_.scenario_ == Scenario::kMultiSPE2
-             ? engine_.slots_[s].g_detect.get()
-             : engine_.g_cd_.get();
-}
-
 port::SPEInterface* StreamEngine::ensure_ring(port::SPEInterface* iface,
                                               std::uint32_t cap) {
   if (iface == nullptr) return nullptr;
@@ -144,6 +118,46 @@ port::SPEInterface* StreamEngine::ensure_ring(port::SPEInterface* iface,
         "stream ring smaller than the window needs");
   }
   return iface;
+}
+
+template <class Fallback>
+void StreamEngine::rerun(Lane& lane, int opcode, std::uint64_t ea,
+                         const std::string& tag, Fallback&& fallback) {
+  ++stats_.request_retries;
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
+  const sim::SimTime retry_t0 = ppe.now_ns();
+  Lane::Result r = lane.call(opcode, ea);
+  engine_.rt_.add_closed(probe::Phase::kGuardRetry, tag, retry_t0,
+                         ppe.now_ns());
+  if (!r.ok) fallback();
+}
+
+template <class Rerun>
+void StreamEngine::wait_ring(Lane& lane, std::size_t n, const char* stage,
+                             Rerun&& rerun_one) {
+  port::SPEInterface* iface = lane.iface();
+  if (iface == nullptr) {
+    // Guarded lane with every candidate SPE quarantined: the guard's
+    // per-call loop still yields verdicts, which drop to the PPE.
+    for (std::size_t i = 0; i < n; ++i) rerun_one(i);
+    return;
+  }
+  std::vector<int> res;
+  const sim::SimTime timeout =
+      guard_deadline_ns_ > 0
+          ? guard_deadline_ns_ * static_cast<sim::SimTime>(n)
+          : -1;
+  if (!iface->WaitBatch(&res, timeout)) {
+    ++stats_.batch_timeouts;
+    iface->reclaim();
+    for (std::size_t i = 0; i < n; ++i) rerun_one(i);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (res[i] != port::SPEInterface::kRingFault) continue;
+    if (!lane.guarded()) throw_ring_fault(stage, iface);
+    rerun_one(i);
+  }
 }
 
 std::size_t StreamEngine::window_begin(std::size_t w) const {
@@ -199,7 +213,7 @@ void StreamEngine::prepare_window(
         throw cellport::ConfigError(
             "image too small for the 4-level wavelet texture");
       }
-      const auto lanes_n = static_cast<int>(engine_.fused_lanes().size());
+      const auto lanes_n = static_cast<int>(engine_.fused_lanes_.size());
       pi.fused_rows = engine_.balanced_
                           ? balance::split_tasks(ih, lanes_n)
                           : shard::split_fused(ih, lanes_n);
@@ -267,29 +281,21 @@ int StreamEngine::flush_ring(port::SPEInterface* iface) {
   return n;
 }
 
-port::SPEInterface* StreamEngine::shard_iface(int s, int k) {
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  if (engine_.guard_.enabled) {
-    return slot.g_shards[static_cast<std::size_t>(k)]->iface();
-  }
-  return slot.shard_ifs[static_cast<std::size_t>(k)].get();
-}
-
 void StreamEngine::flush_shard_slot(std::size_t w, std::size_t total,
                                     int s) {
   const std::size_t count = window_count(w, total);
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   const auto spu_run = static_cast<int>(kernels::SPU_Run);
-  for (int k = 0; k < engine_.plan_.extract_shards[s]; ++k) {
-    port::SPEInterface* iface = ensure_ring(shard_iface(s, k), cap);
+  std::vector<Lane>& lanes = engine_.slots_[s].lanes;
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    port::SPEInterface* iface = ensure_ring(lanes[k].iface(), cap);
     if (iface == nullptr) continue;  // guarded + closed: wait resolves it
     int enqueued = 0;
     for (std::size_t j = 0; j < count; ++j) {
       SlotBuf& sb = buf(w, j).sb[s];
-      if (sb.shard_rows[static_cast<std::size_t>(k)].empty()) continue;
-      iface->Enqueue(spu_run,
-                     sb.shard_msgs[static_cast<std::size_t>(k)].ea());
+      if (sb.shard_rows[k].empty()) continue;
+      iface->Enqueue(spu_run, sb.shard_msgs[k].ea());
       ++enqueued;
     }
     if (enqueued > 0) flush_ring(iface);
@@ -299,92 +305,54 @@ void StreamEngine::flush_shard_slot(std::size_t w, std::size_t total,
 void StreamEngine::wait_shard_slot(std::size_t w, std::size_t total,
                                    int s) {
   const std::size_t count = window_count(w, total);
-  for (int k = 0; k < engine_.plan_.extract_shards[s]; ++k) {
+  CellEngine::FeatureSlot& slot = engine_.slots_[s];
+  for (std::size_t k = 0; k < slot.lanes.size(); ++k) {
     // The requests this shard's ring actually carries for this window
     // (empty ranges were never enqueued).
     std::vector<std::size_t> live;
     for (std::size_t j = 0; j < count; ++j) {
-      if (!buf(w, j).sb[s].shard_rows[static_cast<std::size_t>(k)].empty()) {
-        live.push_back(j);
-      }
+      if (!buf(w, j).sb[s].shard_rows[k].empty()) live.push_back(j);
     }
     if (live.empty()) continue;
-    port::SPEInterface* iface = shard_iface(s, k);
-    guard::GuardedInterface* gi =
-        engine_.guard_.enabled
-            ? engine_.slots_[s].g_shards[static_cast<std::size_t>(k)].get()
-            : nullptr;
-    if (iface == nullptr) {
-      for (std::size_t j : live) rerun_shard(s, k, buf(w, j));
-      continue;
-    }
-    std::vector<int> res;
-    const sim::SimTime timeout =
-        guard_deadline_ns_ > 0
-            ? guard_deadline_ns_ * static_cast<sim::SimTime>(live.size())
-            : -1;
-    if (!iface->WaitBatch(&res, timeout)) {
-      ++stats_.batch_timeouts;
-      iface->reclaim();
-      for (std::size_t j : live) rerun_shard(s, k, buf(w, j));
-      continue;
-    }
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (res[i] != port::SPEInterface::kRingFault) continue;
-      if (gi != nullptr) {
-        rerun_shard(s, k, buf(w, live[i]));
-      } else {
-        throw_ring_fault("shard extract", iface);
-      }
-    }
+    wait_ring(slot.lanes[k], live.size(), "shard extract",
+              [&](std::size_t i) {
+      PerImage& pi = buf(w, live[i]);
+      SlotBuf& sb = pi.sb[s];
+      rerun(slot.lanes[k], static_cast<int>(kernels::SPU_Run),
+            sb.shard_msgs[k].ea(),
+            std::string(slot.name) + "[" + std::to_string(k) + "]", [&] {
+        probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
+                              engine_.machine_.ppe(),
+                              std::string("shard:") + slot.name);
+        shard::ppe_partial(s, pi.pixels, sb.shard_rows[k],
+                           sb.shard_parts[k].data(),
+                           &engine_.machine_.ppe());
+        note_degraded("shard", s, pi);
+      });
+    });
   }
 }
 
 void StreamEngine::reduce_window(std::size_t w, std::size_t total) {
   const std::size_t count = window_count(w, total);
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
+  const bool fused = engine_.fused_ || engine_.balanced_;
   for (std::size_t j = 0; j < count; ++j) {
     PerImage& pi = buf(w, j);
     const int iw = pi.pixels.width();
     const int ih = pi.pixels.height();
     for (int s = 0; s < 4; ++s) {
       SlotBuf& sb = pi.sb[s];
-      std::vector<const std::uint32_t*> counts;
-      std::vector<const double*> tiles;
-      std::vector<int> tile_doubles;
-      for (std::size_t k = 0; k < sb.shard_parts.size(); ++k) {
-        if (sb.shard_rows[k].empty()) continue;
-        if (s == shard::kSlotTx) {
-          tiles.push_back(
-              reinterpret_cast<const double*>(sb.shard_parts[k].data()));
-          tile_doubles.push_back(
-              shard::tx_partial_doubles(sb.shard_rows[k]));
-        } else {
-          counts.push_back(reinterpret_cast<const std::uint32_t*>(
-              sb.shard_parts[k].data()));
-        }
-      }
-      switch (s) {
-        case shard::kSlotCh:
-          shard::reduce_ch(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
-        case shard::kSlotCc:
-          shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                           sb.out.data(), ppe);
-          break;
-        case shard::kSlotTx:
-          shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                           static_cast<int>(tiles.size()), iw, ih,
-                           sb.out.data(), ppe);
-          break;
-        default:
-          shard::reduce_eh(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
+      if (fused) {
+        shard::reduce_fused(s, pi.fused_rows, pi.fused_parts, iw, ih,
+                            sb.out.data(), ppe);
+      } else {
+        shard::reduce_shards(s, sb.shard_rows, sb.shard_parts, iw, ih,
+                             sb.out.data(), ppe);
       }
     }
-    engine_.shard_reduce_counter_->add(1);
+    (fused ? engine_.fuse_images_counter_ : engine_.shard_reduce_counter_)
+        ->add(1);
   }
 }
 
@@ -392,56 +360,39 @@ void StreamEngine::run_detect_sharded(std::size_t w, std::size_t total) {
   const std::size_t count = window_count(w, total);
   const auto spu_run = static_cast<int>(kernels::SPU_Run);
   const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
-  // Detection interface b carries block b of EVERY slot's model set —
+  // Detection lane b carries block b of EVERY slot's model set —
   // 4 * count requests behind one doorbell.
-  for (int b = 0; b < engine_.plan_.detect_spes; ++b) {
+  for (std::size_t b = 0; b < engine_.detect_lanes_.size(); ++b) {
     std::vector<std::pair<std::size_t, int>> live;  // (image, slot)
     for (std::size_t j = 0; j < count; ++j) {
       for (int s = 0; s < 4; ++s) {
-        if (!cd_blocks_[s][static_cast<std::size_t>(b)].empty()) {
-          live.emplace_back(j, s);
-        }
+        if (!cd_blocks_[s][b].empty()) live.emplace_back(j, s);
       }
     }
     if (live.empty()) continue;
-    guard::GuardedInterface* gi =
-        engine_.guard_.enabled
-            ? engine_.g_cd_shards_[static_cast<std::size_t>(b)].get()
-            : nullptr;
-    port::SPEInterface* iface =
-        gi != nullptr
-            ? gi->iface()
-            : engine_.cd_shard_ifs_[static_cast<std::size_t>(b)].get();
-    if (iface == nullptr) {
-      for (const auto& [j, s] : live) rerun_detect_block(s, b, buf(w, j));
-      continue;
-    }
-    ensure_ring(iface, cap);
-    for (const auto& [j, s] : live) {
-      iface->Enqueue(
-          spu_run,
-          buf(w, j).sb[s].block_msgs[static_cast<std::size_t>(b)].ea());
-    }
-    flush_ring(iface);
-    std::vector<int> res;
-    const sim::SimTime timeout =
-        guard_deadline_ns_ > 0
-            ? guard_deadline_ns_ * static_cast<sim::SimTime>(live.size())
-            : -1;
-    if (!iface->WaitBatch(&res, timeout)) {
-      ++stats_.batch_timeouts;
-      iface->reclaim();
-      for (const auto& [j, s] : live) rerun_detect_block(s, b, buf(w, j));
-      continue;
-    }
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (res[i] != port::SPEInterface::kRingFault) continue;
-      if (gi != nullptr) {
-        rerun_detect_block(live[i].second, b, buf(w, live[i].first));
-      } else {
-        throw_ring_fault("shard detect", iface);
+    Lane& lane = engine_.detect_lanes_[b];
+    if (port::SPEInterface* iface = ensure_ring(lane.iface(), cap)) {
+      for (const auto& [j, s] : live) {
+        iface->Enqueue(spu_run, buf(w, j).sb[s].block_msgs[b].ea());
       }
+      flush_ring(iface);
     }
+    wait_ring(lane, live.size(), "shard detect", [&](std::size_t i) {
+      const int s = live[i].second;
+      PerImage& pi = buf(w, live[i].first);
+      SlotBuf& sb = pi.sb[s];
+      CellEngine::FeatureSlot& slot = engine_.slots_[s];
+      rerun(lane, spu_run, sb.block_msgs[b].ea(),
+            "cd[" + std::to_string(b) + "]:" + std::string(slot.name), [&] {
+        probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
+                              engine_.machine_.ppe(),
+                              std::string("detect:") + slot.name);
+        shard::ppe_detect_block(sb.out.data(), slot.dim, *slot.set,
+                                cd_blocks_[s][b], sb.block_scores[b].data(),
+                                &engine_.machine_.ppe());
+        note_degraded("detect", s, pi);
+      });
+    });
   }
   // Concatenate the staged blocks into each image's score arrays.
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
@@ -462,70 +413,6 @@ void StreamEngine::run_detect_sharded(std::size_t w, std::size_t total) {
   }
 }
 
-void StreamEngine::rerun_shard(int s, int k, PerImage& pi) {
-  ++stats_.request_retries;
-  SlotBuf& sb = pi.sb[s];
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r =
-      engine_.slots_[s].g_shards[static_cast<std::size_t>(k)]->Call(
-          static_cast<int>(kernels::SPU_Run),
-          sb.shard_msgs[static_cast<std::size_t>(k)].ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         std::string(engine_.slots_[s].name) + "[" +
-                             std::to_string(k) + "]",
-                         retry_t0, engine_.machine_.ppe().now_ns());
-  if (r.ok) return;
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("shard:") + engine_.slots_[s].name);
-  const shard::Range& range = sb.shard_rows[static_cast<std::size_t>(k)];
-  void* part = sb.shard_parts[static_cast<std::size_t>(k)].data();
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  switch (s) {
-    case shard::kSlotCh:
-      shard::ppe_partial_ch(pi.pixels, range,
-                            static_cast<std::uint32_t*>(part), ppe);
-      break;
-    case shard::kSlotCc:
-      shard::ppe_partial_cc(pi.pixels, range,
-                            static_cast<std::uint32_t*>(part), ppe);
-      break;
-    case shard::kSlotTx:
-      shard::ppe_partial_tx(pi.pixels, range, static_cast<double*>(part),
-                            ppe);
-      break;
-    default:
-      shard::ppe_partial_eh(pi.pixels, range,
-                            static_cast<std::uint32_t*>(part), ppe);
-      break;
-  }
-  note_degraded("shard", s, pi);
-}
-
-void StreamEngine::rerun_detect_block(int s, int b, PerImage& pi) {
-  ++stats_.request_retries;
-  SlotBuf& sb = pi.sb[s];
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r =
-      engine_.g_cd_shards_[static_cast<std::size_t>(b)]->Call(
-          static_cast<int>(kernels::SPU_Run),
-          sb.block_msgs[static_cast<std::size_t>(b)].ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         std::string("cd[") + std::to_string(b) + "]:" +
-                             engine_.slots_[s].name,
-                         retry_t0, engine_.machine_.ppe().now_ns());
-  if (r.ok) return;
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("detect:") + engine_.slots_[s].name);
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  shard::ppe_detect_block(sb.out.data(), slot.dim, *slot.set,
-                          cd_blocks_[s][static_cast<std::size_t>(b)],
-                          sb.block_scores[static_cast<std::size_t>(b)].data(),
-                          &engine_.machine_.ppe());
-  note_degraded("detect", s, pi);
-}
-
 // ---- cellfuse flows ----
 //
 // The call sites still iterate the four feature slots; with the fused
@@ -537,11 +424,9 @@ void StreamEngine::flush_fused_window(std::size_t w, std::size_t total) {
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
+  const std::vector<Lane*>& lanes = engine_.fused_lanes_;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
-    port::SPEInterface* raw =
-        lanes[k].gi != nullptr ? lanes[k].gi->iface() : lanes[k].iface;
-    port::SPEInterface* iface = ensure_ring(raw, cap);
+    port::SPEInterface* iface = ensure_ring(lanes[k]->iface(), cap);
     if (iface == nullptr) continue;  // guarded + closed: wait resolves it
     int enqueued = 0;
     for (std::size_t j = 0; j < count; ++j) {
@@ -556,133 +441,29 @@ void StreamEngine::flush_fused_window(std::size_t w, std::size_t total) {
 
 void StreamEngine::wait_fused_window(std::size_t w, std::size_t total) {
   const std::size_t count = window_count(w, total);
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
+  const std::vector<Lane*>& lanes = engine_.fused_lanes_;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     std::vector<std::size_t> live;
     for (std::size_t j = 0; j < count; ++j) {
       if (!buf(w, j).fused_rows[k].empty()) live.push_back(j);
     }
     if (live.empty()) continue;
-    port::SPEInterface* iface =
-        lanes[k].gi != nullptr ? lanes[k].gi->iface() : lanes[k].iface;
-    if (iface == nullptr) {
-      for (std::size_t j : live) rerun_fused_lane(k, buf(w, j));
-      continue;
-    }
-    std::vector<int> res;
-    const sim::SimTime timeout =
-        guard_deadline_ns_ > 0
-            ? guard_deadline_ns_ * static_cast<sim::SimTime>(live.size())
-            : -1;
-    if (!iface->WaitBatch(&res, timeout)) {
-      ++stats_.batch_timeouts;
-      iface->reclaim();
-      for (std::size_t j : live) rerun_fused_lane(k, buf(w, j));
-      continue;
-    }
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (res[i] != port::SPEInterface::kRingFault) continue;
-      if (lanes[k].gi != nullptr) {
-        rerun_fused_lane(k, buf(w, live[i]));
-      } else {
-        throw_ring_fault("fused extract", iface);
-      }
-    }
+    wait_ring(*lanes[k], live.size(), "fused extract", [&](std::size_t i) {
+      PerImage& pi = buf(w, live[i]);
+      rerun(*lanes[k], static_cast<int>(kernels::SPU_Run_Fused),
+            pi.fused_msgs[k].ea(), "fused[" + std::to_string(k) + "]",
+            [&] { fallback_fused(pi, k, "fuse[" + std::to_string(k) + "]"); });
+    });
   }
 }
 
-void StreamEngine::rerun_fused_lane(std::size_t k, PerImage& pi) {
-  ++stats_.request_retries;
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = lanes[k].gi->Call(
-      static_cast<int>(kernels::SPU_Run_Fused), pi.fused_msgs[k].ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         "fused[" + std::to_string(k) + "]", retry_t0,
-                         engine_.machine_.ppe().now_ns());
-  if (r.ok) return;
+void StreamEngine::fallback_fused(PerImage& pi, std::size_t t,
+                                  const std::string& label) {
   probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        "fuse[" + std::to_string(k) + "]");
-  // Per-feature PPE partials for just this lane's range, into the lane
-  // blob's four sections (see CellEngine::fused_fallback_lane).
-  const shard::Range& range = pi.fused_rows[k];
-  auto* words = reinterpret_cast<std::uint32_t*>(pi.fused_parts[k].data());
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  shard::ppe_partial_ch(pi.pixels, range, words, ppe);
-  shard::ppe_partial_cc(pi.pixels, range,
-                        words + kernels::kFusedCcOffset, ppe);
-  shard::ppe_partial_eh(pi.pixels, range,
-                        words + kernels::kFusedEhOffset, ppe);
-  const int heff = 2 * (pi.pixels.height() / 2);
-  const shard::Range tx_rows{range.begin, std::min(range.end, heff)};
-  if (!tx_rows.empty()) {
-    shard::ppe_partial_tx(
-        pi.pixels, tx_rows,
-        reinterpret_cast<double*>(pi.fused_parts[k].data() +
-                                  kernels::kFusedCountBytes),
-        ppe);
-  }
+                        engine_.machine_.ppe(), label);
+  shard::ppe_partial_fused(pi.pixels, pi.fused_rows[t],
+                           pi.fused_parts[t].data(), &engine_.machine_.ppe());
   for (int s = 0; s < 4; ++s) note_degraded("fuse", s, pi);
-}
-
-void StreamEngine::reduce_fused_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
-    const int iw = pi.pixels.width();
-    const int ih = pi.pixels.height();
-    for (int s = 0; s < 4; ++s) {
-      std::vector<const std::uint32_t*> counts;
-      std::vector<const double*> tiles;
-      std::vector<int> tile_doubles;
-      for (std::size_t k = 0; k < pi.fused_rows.size(); ++k) {
-        const shard::Range& r = pi.fused_rows[k];
-        if (r.empty()) continue;
-        const auto* words = reinterpret_cast<const std::uint32_t*>(
-            pi.fused_parts[k].data());
-        switch (s) {
-          case shard::kSlotCh:
-            counts.push_back(words);
-            break;
-          case shard::kSlotCc:
-            counts.push_back(words + kernels::kFusedCcOffset);
-            break;
-          case shard::kSlotTx:
-            tiles.push_back(reinterpret_cast<const double*>(
-                pi.fused_parts[k].data() + kernels::kFusedCountBytes));
-            tile_doubles.push_back(
-                kernels::fused_tx_doubles(iw, ih, r.begin, r.end));
-            break;
-          default:
-            counts.push_back(words + kernels::kFusedEhOffset);
-            break;
-        }
-      }
-      SlotBuf& sb = pi.sb[s];
-      switch (s) {
-        case shard::kSlotCh:
-          shard::reduce_ch(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
-        case shard::kSlotCc:
-          shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                           sb.out.data(), ppe);
-          break;
-        case shard::kSlotTx:
-          shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                           static_cast<int>(tiles.size()), iw, ih,
-                           sb.out.data(), ppe);
-          break;
-        default:
-          shard::reduce_eh(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
-      }
-    }
-    engine_.fuse_images_counter_->add(1);
-  }
 }
 
 // ---- cellbalance flows ----
@@ -693,14 +474,14 @@ void StreamEngine::reduce_fused_window(std::size_t w, std::size_t total) {
 // and the wait phase hands whichever lane finishes first the next one —
 // so a lane that drew a small image steals into its neighbours' work
 // instead of idling, and a quarantined lane never gates the window.
-// Reduction (reduce_fused_window) still walks every image's descriptors
-// in ascending row order, so results are bit-identical to the static
-// fused split.
+// Reduction (reduce_window) still walks every image's descriptors in
+// ascending row order, so results are bit-identical to the static fused
+// split.
 
 void StreamEngine::flush_balanced_window(std::size_t w,
                                          std::size_t total) {
   const std::size_t count = window_count(w, total);
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
+  const std::size_t lanes = engine_.fused_lanes_.size();
   bal_pool_.clear();
   for (std::size_t j = 0; j < count; ++j) {
     PerImage& pi = buf(w, j);
@@ -708,35 +489,23 @@ void StreamEngine::flush_balanced_window(std::size_t w,
       if (!pi.fused_rows[t].empty()) bal_pool_.emplace_back(j, t);
     }
   }
-  bal_q_ = std::make_unique<balance::TaskQueue>(bal_pool_.size(),
-                                                lanes.size());
+  bal_q_ = std::make_unique<balance::TaskQueue>(bal_pool_.size(), lanes);
   bal_sent_.assign(bal_pool_.size(), 0);
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    balanced_issue(w, lanes, k);
-  }
+  for (std::size_t k = 0; k < lanes; ++k) balanced_issue(w, k);
 }
 
-void StreamEngine::balanced_issue(
-    std::size_t w, const std::vector<CellEngine::FusedLane>& lanes,
-    std::size_t k) {
+void StreamEngine::balanced_issue(std::size_t w, std::size_t k) {
   const std::size_t i = bal_q_->issue(k);
   if (i == balance::TaskQueue::kNone) return;
   bal_sent_[i] = engine_.machine_.ppe().now_ns();
   PerImage& pi = buf(w, bal_pool_[i].first);
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  const std::uint64_t ea = pi.fused_msgs[bal_pool_[i].second].ea();
-  if (lanes[k].gi != nullptr) {
-    lanes[k].gi->Send(op, ea);
-  } else {
-    lanes[k].iface->Send(op, ea);
-  }
+  engine_.fused_lanes_[k]->send(static_cast<int>(kernels::SPU_Run_Fused),
+                                pi.fused_msgs[bal_pool_[i].second].ea());
 }
 
-void StreamEngine::wait_balanced_window(std::size_t w,
-                                        std::size_t total) {
-  (void)total;
+void StreamEngine::wait_balanced_window(std::size_t w) {
   sim::ScalarContext& ppe = engine_.machine_.ppe();
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
+  const std::vector<Lane*>& lanes = engine_.fused_lanes_;
   balance::TaskQueue& q = *bal_q_;
   std::vector<sim::SimTime> peeks(lanes.size(), sim::kNeverNs);
   while (!q.done()) {
@@ -747,10 +516,7 @@ void StreamEngine::wait_balanced_window(std::size_t w,
       probe::ProbeSpan p(engine_.prt(), probe::Phase::kSteal, ppe,
                          "pick");
       for (std::size_t k = 0; k < lanes.size(); ++k) {
-        peeks[k] = !q.busy(k) ? sim::kNeverNs
-                   : lanes[k].gi != nullptr
-                       ? lanes[k].gi->peek_ns()
-                       : lanes[k].iface->peek_completion_ns();
+        peeks[k] = q.busy(k) ? lanes[k]->peek_ns() : sim::kNeverNs;
       }
     }
     const std::size_t k = balance::pick_earliest(peeks, q);
@@ -760,55 +526,23 @@ void StreamEngine::wait_balanced_window(std::size_t w,
     PerImage& pi = buf(w, j);
     const std::string tag =
         "task[" + std::to_string(j) + "." + std::to_string(t) + "]";
-    if (lanes[k].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[k].gi->Finish();
-      if (r.attempts > 1) {
-        stats_.request_retries +=
-            static_cast<std::size_t>(r.attempts - 1);
-        engine_.rt_.add_closed(probe::Phase::kGuardRetry, tag, finish_t0,
-                               ppe.now_ns());
-      }
-      if (!r.ok) fallback_balanced_task(pi, t);
-    } else {
-      lanes[k].iface->Wait();
+    // Finish() already ran the guard's retry loop; a lane that gave up
+    // has just this task's range recomputed on the PPE.
+    const Lane::Result r = engine_.settle(*lanes[k], tag, [&] {
+      fallback_fused(pi, t, "fuse[task" + std::to_string(t) + "]");
+    });
+    if (r.attempts > 1) {
+      stats_.request_retries += static_cast<std::size_t>(r.attempts - 1);
     }
     engine_.rt_.add_spe_span(probe::Phase::kExtract, tag, bal_sent_[i],
                              ppe.now_ns());
     q.complete(k);
-    balanced_issue(w, lanes, k);
+    balanced_issue(w, k);
   }
   engine_.steal_tasks_counter_->add(q.tasks());
   engine_.steal_arms_counter_->add(q.arms());
   engine_.steal_steals_counter_->add(q.steals());
   bal_q_.reset();
-}
-
-void StreamEngine::fallback_balanced_task(PerImage& pi, std::size_t t) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        "fuse[task" + std::to_string(t) + "]");
-  // Per-feature PPE partials for just this task's range, into the task
-  // blob's four sections (the per-task analogue of rerun_fused_lane's
-  // fallback half — Finish() already ran the guard's retry loop).
-  const shard::Range& range = pi.fused_rows[t];
-  auto* words = reinterpret_cast<std::uint32_t*>(pi.fused_parts[t].data());
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  shard::ppe_partial_ch(pi.pixels, range, words, ppe);
-  shard::ppe_partial_cc(pi.pixels, range,
-                        words + kernels::kFusedCcOffset, ppe);
-  shard::ppe_partial_eh(pi.pixels, range,
-                        words + kernels::kFusedEhOffset, ppe);
-  const int heff = 2 * (pi.pixels.height() / 2);
-  const shard::Range tx_rows{range.begin, std::min(range.end, heff)};
-  if (!tx_rows.empty()) {
-    shard::ppe_partial_tx(
-        pi.pixels, tx_rows,
-        reinterpret_cast<double*>(pi.fused_parts[t].data() +
-                                  kernels::kFusedCountBytes),
-        ppe);
-  }
-  for (int s = 0; s < 4; ++s) note_degraded("fuse", s, pi);
 }
 
 void StreamEngine::flush_extract_slot(std::size_t w, std::size_t total,
@@ -828,9 +562,10 @@ void StreamEngine::flush_extract_slot(std::size_t w, std::size_t total,
   const std::size_t count = window_count(w, total);
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
-  port::SPEInterface* iface = ensure_ring(extract_iface(s), cap);
+  port::SPEInterface* iface =
+      ensure_ring(engine_.slots_[s].lanes[0].iface(), cap);
   if (iface == nullptr) return;  // guarded + closed: resolved in the wait
-  const int opcode = engine_.guarded_opcode(engine_.slots_[s]);
+  const int opcode = engine_.extract_opcode(engine_.slots_[s]);
   for (std::size_t j = 0; j < count; ++j) {
     iface->Enqueue(opcode, buf(w, j).sb[s].msg.ea());
   }
@@ -840,7 +575,7 @@ void StreamEngine::flush_extract_slot(std::size_t w, std::size_t total,
 void StreamEngine::wait_extract_slot(std::size_t w, std::size_t total,
                                      int s) {
   if (engine_.balanced_) {
-    if (s == 0) wait_balanced_window(w, total);
+    if (s == 0) wait_balanced_window(w);
     return;
   }
   if (engine_.fused_) {
@@ -851,53 +586,26 @@ void StreamEngine::wait_extract_slot(std::size_t w, std::size_t total,
     wait_shard_slot(w, total, s);
     return;
   }
-  const std::size_t count = window_count(w, total);
-  port::SPEInterface* iface = extract_iface(s);
-  guard::GuardedInterface* gi = extract_guard(s);
-  if (iface == nullptr) {
-    // Guarded engine with the interface closed (every candidate SPE
-    // quarantined): the guard's per-call loop still yields verdicts,
-    // which drop to the PPE reference path.
-    for (std::size_t j = 0; j < count; ++j) rerun_extract(s, buf(w, j));
-    return;
-  }
-  std::vector<int> res;
-  const sim::SimTime timeout =
-      guard_deadline_ns_ > 0
-          ? guard_deadline_ns_ * static_cast<sim::SimTime>(count)
-          : -1;
-  if (!iface->WaitBatch(&res, timeout)) {
-    ++stats_.batch_timeouts;
-    iface->reclaim();
-    for (std::size_t j = 0; j < count; ++j) rerun_extract(s, buf(w, j));
-    return;
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    if (res[j] != port::SPEInterface::kRingFault) continue;
-    if (gi != nullptr) {
-      rerun_extract(s, buf(w, j));
-    } else {
-      throw_ring_fault("extract", iface);
-    }
-  }
+  CellEngine::FeatureSlot& slot = engine_.slots_[s];
+  wait_ring(slot.lanes[0], window_count(w, total), "extract",
+            [&](std::size_t j) {
+    PerImage& pi = buf(w, j);
+    rerun(slot.lanes[0], engine_.extract_opcode(slot), pi.sb[s].msg.ea(),
+          slot.name, [&] { fallback_extract(s, pi); });
+  });
 }
 
 void StreamEngine::run_detect(std::size_t w, std::size_t total) {
   sim::ScalarContext& ppe = engine_.machine_.ppe();
-  if (engine_.fused_ || engine_.balanced_) {
-    // Lane (or task) blobs must merge before detection can read the
-    // feature vectors, whatever the scenario.
+  const bool fused = engine_.fused_ || engine_.balanced_;
+  if (fused || engine_.scenario_ == Scenario::kSharded) {
+    // Lane/task blobs or shard partials must merge before detection can
+    // read the feature vectors.
     probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
-                          "fuse_reduce");
-    reduce_fused_window(w, total);
+                          fused ? "fuse_reduce" : "reduce_window");
+    reduce_window(w, total);
   }
   if (engine_.scenario_ == Scenario::kSharded) {
-    // Partials must merge before detection can read the feature vectors.
-    if (!engine_.fused_ && !engine_.balanced_) {
-      probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
-                            "reduce_window");
-      reduce_window(w, total);
-    }
     probe::ProbeSpan span(engine_.prt(), probe::Phase::kDetect, ppe,
                           "detect_blocks");
     run_detect_sharded(w, total);
@@ -912,35 +620,15 @@ void StreamEngine::run_detect(std::size_t w, std::size_t total) {
     // Each slot's detection rides its own ring (one doorbell per slot).
     const auto cap = static_cast<std::uint32_t>(opts_.batch);
     for (int s = 0; s < 4; ++s) {
-      port::SPEInterface* iface = ensure_ring(detect_iface(s), cap);
-      guard::GuardedInterface* gi = detect_guard(s);
-      if (iface == nullptr) {
-        for (std::size_t j = 0; j < count; ++j) rerun_detect(s, buf(w, j));
-        continue;
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
-      }
-      flush_ring(iface);
-      std::vector<int> res;
-      const sim::SimTime timeout =
-          guard_deadline_ns_ > 0
-              ? guard_deadline_ns_ * static_cast<sim::SimTime>(count)
-              : -1;
-      if (!iface->WaitBatch(&res, timeout)) {
-        ++stats_.batch_timeouts;
-        iface->reclaim();
-        for (std::size_t j = 0; j < count; ++j) rerun_detect(s, buf(w, j));
-        continue;
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        if (res[j] != port::SPEInterface::kRingFault) continue;
-        if (gi != nullptr) {
-          rerun_detect(s, buf(w, j));
-        } else {
-          throw_ring_fault("detect", iface);
+      Lane& lane = engine_.detect_lane(s);
+      if (port::SPEInterface* iface = ensure_ring(lane.iface(), cap)) {
+        for (std::size_t j = 0; j < count; ++j) {
+          iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
         }
+        flush_ring(iface);
       }
+      wait_ring(lane, count, "detect",
+                [&](std::size_t j) { rerun_detect(s, buf(w, j)); });
     }
     return;
   }
@@ -948,46 +636,18 @@ void StreamEngine::run_detect(std::size_t w, std::size_t total) {
   // Shared concept-detection SPE: all 4*count requests ride one ring
   // behind one doorbell.
   const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
-  port::SPEInterface* iface = ensure_ring(detect_iface(0), cap);
-  guard::GuardedInterface* gi = detect_guard(0);
-  if (iface == nullptr) {
+  Lane& lane = engine_.detect_lane(0);
+  if (port::SPEInterface* iface = ensure_ring(lane.iface(), cap)) {
     for (std::size_t j = 0; j < count; ++j) {
-      for (int s = 0; s < 4; ++s) rerun_detect(s, buf(w, j));
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    for (int s = 0; s < 4; ++s) {
-      iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
-    }
-  }
-  flush_ring(iface);
-  std::vector<int> res;
-  const sim::SimTime timeout =
-      guard_deadline_ns_ > 0
-          ? guard_deadline_ns_ * static_cast<sim::SimTime>(4 * count)
-          : -1;
-  if (!iface->WaitBatch(&res, timeout)) {
-    ++stats_.batch_timeouts;
-    iface->reclaim();
-    for (std::size_t j = 0; j < count; ++j) {
-      for (int s = 0; s < 4; ++s) rerun_detect(s, buf(w, j));
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    for (int s = 0; s < 4; ++s) {
-      if (res[j * 4 + static_cast<std::size_t>(s)] !=
-          port::SPEInterface::kRingFault) {
-        continue;
-      }
-      if (gi != nullptr) {
-        rerun_detect(s, buf(w, j));
-      } else {
-        throw_ring_fault("detect", iface);
+      for (int s = 0; s < 4; ++s) {
+        iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
       }
     }
+    flush_ring(iface);
   }
+  wait_ring(lane, 4 * count, "detect", [&](std::size_t i) {
+    rerun_detect(static_cast<int>(i % 4), buf(w, i / 4));
+  });
 }
 
 void StreamEngine::collect_window(std::size_t w, std::size_t total,
@@ -1014,33 +674,18 @@ void StreamEngine::collect_window(std::size_t w, std::size_t total,
       ds[s]->values.assign(sb.scores.data(),
                            sb.scores.data() + scored_models_[s]);
     }
-    if (engine_.guard_.enabled) result.degraded = std::move(pi.degraded);
+    result.degraded = std::move(pi.degraded);
     engine_.note_image_done();
     completions_.push_back(ppe.now_ns());
     out->push_back(std::move(result));
   }
 }
 
-void StreamEngine::rerun_extract(int s, PerImage& pi) {
-  ++stats_.request_retries;
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = extract_guard(s)->Call(
-      engine_.guarded_opcode(engine_.slots_[s]), pi.sb[s].msg.ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         engine_.slots_[s].name, retry_t0,
-                         engine_.machine_.ppe().now_ns());
-  if (!r.ok) fallback_extract(s, pi);
-}
-
 void StreamEngine::rerun_detect(int s, PerImage& pi) {
-  ++stats_.request_retries;
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = detect_guard(s)->Call(
-      static_cast<int>(kernels::SPU_Run), pi.sb[s].detect_msg.ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         std::string("cd:") + engine_.slots_[s].name,
-                         retry_t0, engine_.machine_.ppe().now_ns());
-  if (!r.ok) fallback_detect(s, pi);
+  rerun(engine_.detect_lane(s), static_cast<int>(kernels::SPU_Run),
+        pi.sb[s].detect_msg.ea(),
+        std::string("cd:") + engine_.slots_[s].name,
+        [&] { fallback_detect(s, pi); });
 }
 
 void StreamEngine::fallback_extract(int s, PerImage& pi) {
@@ -1163,6 +808,7 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
   const sim::SimTime t0 = ppe.now_ns();
   const std::size_t total_in = images.size();
   port::Profiler::Scope probe(engine_.profiler_, kPhaseStream);
+  CellEngine::QuiesceOnUnwind quiesce_on_unwind(engine_);
   // One trace covers the whole streamed batch: windows overlap, so a
   // per-image tree would mis-assign the shared PPE work.
   if (engine_.probe_ != nullptr) engine_.rt_.start("stream", t0);
@@ -1246,9 +892,9 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
       retire_window(W - 1);
     } else {
       // Guarded engines retire each window before the next doorbell so a
-      // per-request retry can reuse the legacy call path; scenario 1
-      // stays sequential at window granularity (each kernel's batch
-      // retires before the next kernel starts).
+      // per-request retry can run alone through the lane's guard;
+      // scenario 1 stays sequential at window granularity (each kernel's
+      // batch retires before the next kernel starts).
       for (std::size_t w = 0; w < W; ++w) {
         {
           probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,

@@ -96,14 +96,25 @@ class StreamEngine {
     std::vector<shard::Range> fused_rows;
   };
 
-  port::SPEInterface* extract_iface(int s);
-  port::SPEInterface* detect_iface(int s);
-  guard::GuardedInterface* extract_guard(int s);
-  guard::GuardedInterface* detect_guard(int s);
-  /// Arms (or re-arms after a guard migration) a ring of >= `cap` slots;
-  /// null when the guarded interface is currently closed.
+  /// Arms (or re-arms after a guard migration) a ring of >= `cap` slots
+  /// on a lane's stub; null when a guarded lane is currently closed.
   port::SPEInterface* ensure_ring(port::SPEInterface* iface,
                                   std::uint32_t cap);
+
+  /// Re-runs one request alone on guarded `lane` through the guard's
+  /// retry loop (recorded as a kGuardRetry span named `tag`), running
+  /// `fallback` — the PPE path for the request — when it gives up.
+  template <class Fallback>
+  void rerun(Lane& lane, int opcode, std::uint64_t ea,
+             const std::string& tag, Fallback&& fallback);
+  /// Collects `lane`'s oldest ring batch of `n` requests under n times
+  /// the per-call guard deadline. A closed lane or a missed deadline
+  /// (the batch is reclaimed) re-runs all n; a faulted request re-runs
+  /// alone on a guarded lane and throws on a plain one. `rerun_one(i)`
+  /// re-runs request i of the batch.
+  template <class Rerun>
+  void wait_ring(Lane& lane, std::size_t n, const char* stage,
+                 Rerun&& rerun_one);
 
   std::size_t window_begin(std::size_t w) const;
   std::size_t window_count(std::size_t w, std::size_t total) const;
@@ -127,7 +138,6 @@ class StreamEngine {
   void run_detect(std::size_t w, std::size_t total);
 
   // ---- cellshard flows (kSharded only) ----
-  port::SPEInterface* shard_iface(int s, int k);
   /// Enqueues + doorbells window `w`'s requests on every shard ring of
   /// slot `s` (one doorbell per shard).
   void flush_shard_slot(std::size_t w, std::size_t total, int s);
@@ -135,13 +145,12 @@ class StreamEngine {
   /// re-run alone, dropping to the PPE mirror partial when the guard
   /// gives up.
   void wait_shard_slot(std::size_t w, std::size_t total, int s);
-  /// Merges every image's raw partials into its feature buffers (between
-  /// the extract wait and detection).
+  /// Merges every image's raw partials (shards, or fused lane/task
+  /// blobs) into its feature buffers (between the extract wait and
+  /// detection).
   void reduce_window(std::size_t w, std::size_t total);
   /// Block-parallel detection over the shard detection rings.
   void run_detect_sharded(std::size_t w, std::size_t total);
-  void rerun_shard(int s, int k, PerImage& pi);
-  void rerun_detect_block(int s, int b, PerImage& pi);
 
   // ---- cellfuse flows (engine_.fused() only) ----
   /// Enqueues + doorbells window `w`'s requests on every fused lane ring
@@ -152,10 +161,10 @@ class StreamEngine {
   /// alone, dropping to the PPE mirror partials (all four sections of
   /// that lane's blob) when the guard gives up.
   void wait_fused_window(std::size_t w, std::size_t total);
-  /// Merges every image's lane-blob sections into its four feature
-  /// buffers (between the extract wait and detection).
-  void reduce_fused_window(std::size_t w, std::size_t total);
-  void rerun_fused_lane(std::size_t j, PerImage& pi);
+  /// PPE mirror for one lane's or task's range (`t`) after the guard
+  /// gave up: all four sections of its blob, under a `label` span.
+  void fallback_fused(PerImage& pi, std::size_t t,
+                      const std::string& label);
   void collect_window(std::size_t w, std::size_t total,
                       std::vector<AnalysisResult>* out);
 
@@ -167,21 +176,12 @@ class StreamEngine {
   void flush_balanced_window(std::size_t w, std::size_t total);
   /// The steal loop over the window pool: peek every in-flight
   /// completion, finish the earliest lane, hand it the next descriptor.
-  void wait_balanced_window(std::size_t w, std::size_t total);
+  void wait_balanced_window(std::size_t w);
   /// Sends the next unissued pool descriptor to lane `k` (no-op when the
   /// pool is exhausted).
-  void balanced_issue(std::size_t w,
-                      const std::vector<CellEngine::FusedLane>& lanes,
-                      std::size_t k);
-  /// PPE mirror for one task's row range after the guard gave up (the
-  /// per-task analogue of rerun_fused_lane's fallback half; Finish()
-  /// already ran the retry loop).
-  void fallback_balanced_task(PerImage& pi, std::size_t t);
+  void balanced_issue(std::size_t w, std::size_t k);
 
-  // Per-request recovery (guarded engine): re-run just the affected
-  // request through the guard's retry loop, dropping to the PPE
-  // reference path when it gives up.
-  void rerun_extract(int s, PerImage& pi);
+  // PPE reference paths of guarded lanes (per request).
   void rerun_detect(int s, PerImage& pi);
   void fallback_extract(int s, PerImage& pi);
   void fallback_detect(int s, PerImage& pi);

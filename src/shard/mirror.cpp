@@ -293,6 +293,41 @@ void ppe_partial_tx(const img::RgbImage& image, const Range& in_rows,
   }
 }
 
+void ppe_partial(int slot, const img::RgbImage& image, const Range& range,
+                 void* part, sim::ScalarContext* ctx) {
+  switch (slot) {
+    case kSlotCh:
+      ppe_partial_ch(image, range, static_cast<std::uint32_t*>(part), ctx);
+      break;
+    case kSlotCc:
+      ppe_partial_cc(image, range, static_cast<std::uint32_t*>(part), ctx);
+      break;
+    case kSlotTx:
+      ppe_partial_tx(image, range, static_cast<double*>(part), ctx);
+      break;
+    default:
+      ppe_partial_eh(image, range, static_cast<std::uint32_t*>(part), ctx);
+      break;
+  }
+}
+
+void ppe_partial_fused(const img::RgbImage& image, const Range& range,
+                       std::uint8_t* blob, sim::ScalarContext* ctx) {
+  // The mirrors are bit-exact and zero their sections first, so the
+  // reduction cannot tell these bytes from SPE-delivered ones.
+  auto* words = reinterpret_cast<std::uint32_t*>(blob);
+  ppe_partial_ch(image, range, words, ctx);
+  ppe_partial_cc(image, range, words + kernels::kFusedCcOffset, ctx);
+  ppe_partial_eh(image, range, words + kernels::kFusedEhOffset, ctx);
+  const int heff = 2 * (image.height() / 2);
+  const Range tx_rows{range.begin, std::min(range.end, heff)};
+  if (!tx_rows.empty()) {
+    ppe_partial_tx(image, tx_rows,
+                   reinterpret_cast<double*>(blob + kernels::kFusedCountBytes),
+                   ctx);
+  }
+}
+
 void ppe_detect_block(const float* x, int dim,
                       const learn::ConceptModelSet& set,
                       const Range& models, double* scores,

@@ -24,6 +24,7 @@
 #include "img/image.h"
 #include "learn/model_store.h"
 #include "shard/partials.h"
+#include "shard/plan.h"
 #include "sim/scalar_context.h"
 
 namespace cellport::shard {
@@ -45,6 +46,17 @@ void ppe_partial_eh(const img::RgbImage& image, const Range& rows,
 /// in_rows.end): kTxTileDoubles doubles per tile, bit-exact with tx_run.
 void ppe_partial_tx(const img::RgbImage& image, const Range& in_rows,
                     double* partials, sim::ScalarContext* ctx);
+
+/// The raw partial of extraction slot `slot` (kSlotCh..kSlotEh) for
+/// `range` into `part`: the PPE fallback for one faulted shard.
+void ppe_partial(int slot, const img::RgbImage& image, const Range& range,
+                 void* part, sim::ScalarContext* ctx);
+
+/// All four raw partials of the fused-kernel row range `range`, written
+/// into the blob's sections (kernels/messages.h kFused* layout): the PPE
+/// fallback for one faulted fused lane or balanced task.
+void ppe_partial_fused(const img::RgbImage& image, const Range& range,
+                       std::uint8_t* blob, sim::ScalarContext* ctx);
 
 /// Detection scores for the model block [models.begin, models.end) of
 /// `set`, written to scores[0..count): bit-exact with cd_run.

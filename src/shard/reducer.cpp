@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "kernels/messages.h"
+#include "shard/plan.h"
 
 namespace cellport::shard {
 
@@ -134,6 +135,77 @@ void concat_scores(const double* const* parts, const int* counts, int n,
     ctx->charge(OpClass::kLoad, total);
     ctx->charge(OpClass::kStore, total);
   }
+}
+
+namespace {
+
+/// The slot's reducer over gathered partial pointers (TX reads `tiles`
+/// and `tile_doubles`, the counting kernels read `counts`).
+void reduce_slot(int slot, const std::vector<const std::uint32_t*>& counts,
+                 const std::vector<const double*>& tiles,
+                 const std::vector<int>& tile_doubles, int w, int h,
+                 float* out, sim::ScalarContext* ctx) {
+  const auto n = static_cast<int>(counts.size());
+  switch (slot) {
+    case kSlotCh:
+      reduce_ch(counts.data(), n, w, h, out, ctx);
+      break;
+    case kSlotCc:
+      reduce_cc(counts.data(), n, out, ctx);
+      break;
+    case kSlotTx:
+      reduce_tx(tiles.data(), tile_doubles.data(),
+                static_cast<int>(tiles.size()), w, h, out, ctx);
+      break;
+    default:
+      reduce_eh(counts.data(), n, w, h, out, ctx);
+      break;
+  }
+}
+
+}  // namespace
+
+void reduce_shards(int slot, const std::vector<Range>& rows,
+                   const std::vector<AlignedBuffer<std::uint8_t>>& parts,
+                   int w, int h, float* out, sim::ScalarContext* ctx) {
+  std::vector<const std::uint32_t*> counts;
+  std::vector<const double*> tiles;
+  std::vector<int> tile_doubles;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k].empty()) continue;
+    if (slot == kSlotTx) {
+      tiles.push_back(reinterpret_cast<const double*>(parts[k].data()));
+      tile_doubles.push_back(tx_partial_doubles(rows[k]));
+    } else {
+      counts.push_back(
+          reinterpret_cast<const std::uint32_t*>(parts[k].data()));
+    }
+  }
+  reduce_slot(slot, counts, tiles, tile_doubles, w, h, out, ctx);
+}
+
+void reduce_fused(int slot, const std::vector<Range>& rows,
+                  const std::vector<AlignedBuffer<std::uint8_t>>& blobs,
+                  int w, int h, float* out, sim::ScalarContext* ctx) {
+  static constexpr int kSection[kNumExtract] = {
+      0, kernels::kFusedCcOffset, 0, kernels::kFusedEhOffset};
+  std::vector<const std::uint32_t*> counts;
+  std::vector<const double*> tiles;
+  std::vector<int> tile_doubles;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const Range& r = rows[k];
+    if (r.empty()) continue;
+    if (slot == kSlotTx) {
+      tiles.push_back(reinterpret_cast<const double*>(
+          blobs[k].data() + kernels::kFusedCountBytes));
+      tile_doubles.push_back(kernels::fused_tx_doubles(w, h, r.begin, r.end));
+    } else {
+      counts.push_back(
+          reinterpret_cast<const std::uint32_t*>(blobs[k].data()) +
+          kSection[slot]);
+    }
+  }
+  reduce_slot(slot, counts, tiles, tile_doubles, w, h, out, ctx);
 }
 
 }  // namespace cellport::shard

@@ -10,8 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "shard/partials.h"
 #include "sim/scalar_context.h"
+#include "support/aligned.h"
 
 namespace cellport::shard {
 
@@ -38,6 +41,19 @@ void reduce_eh(const std::uint32_t* const* parts, int n, int w, int h,
 /// floats.
 void reduce_tx(const double* const* parts, const int* doubles, int n,
                int w, int h, float* out, sim::ScalarContext* ctx);
+
+/// Merges extraction slot `slot`'s shard partials — parts[k] covers
+/// rows[k]; empty ranges were never dispatched and are skipped — into
+/// the slot's normalized output `out` for a `w` x `h` image.
+void reduce_shards(int slot, const std::vector<Range>& rows,
+                   const std::vector<AlignedBuffer<std::uint8_t>>& parts,
+                   int w, int h, float* out, sim::ScalarContext* ctx);
+
+/// Same for fused-kernel blobs: merges slot `slot`'s section of each
+/// blob (kernels/messages.h kFused* layout), blobs[k] covering rows[k].
+void reduce_fused(int slot, const std::vector<Range>& rows,
+                  const std::vector<AlignedBuffer<std::uint8_t>>& blobs,
+                  int w, int h, float* out, sim::ScalarContext* ctx);
 
 /// CD: concatenates per-block staging scores (each block padded to an
 /// even count by the kernel) into the slot's score array. `counts[i]`
