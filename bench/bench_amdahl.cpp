@@ -1,26 +1,34 @@
 // Reproduces Section 4.2's performance-model analysis: the worked
 // Amdahl example (Kfr = 10%, speed-up 10 vs 100), plus the equation
 // (1)/(2)/(3) evaluations for the paper's Table 1 kernel set.
+#include <cmath>
 #include <cstdio>
 
+#include "harness.h"
 #include "port/amdahl.h"
 #include "port/effort.h"
 #include "port/schedule.h"
 #include "support/table.h"
 
 using namespace cellport;
+using namespace cellport::bench;
 
 int main() {
   std::printf("== Section 4.2: the performance model ==\n\n");
 
   // The worked example.
+  const double s10 = port::estimate_single({"k", 0.10, 10.0});
+  const double s100 = port::estimate_single({"k", 0.10, 100.0});
   Table ex("Worked example (paper: Kfr=10%, 10x -> 1.0989, 100x -> 1.1098)");
   ex.header({"Kspeedup", "Sapp (measured)", "Sapp (paper)"});
-  ex.row({"10", Table::num(port::estimate_single({"k", 0.10, 10.0}), 4),
-          "1.0989"});
-  ex.row({"100", Table::num(port::estimate_single({"k", 0.10, 100.0}), 4),
-          "1.1098"});
+  ex.row({"10", Table::num(s10, 4), "1.0989"});
+  ex.row({"100", Table::num(s100, 4), "1.1098"});
   std::printf("%s\n", ex.str().c_str());
+  // Eq. 1 gives 1.09890 and 1.10988; the paper prints the latter
+  // truncated to 1.1098, so both checks allow one unit in the 4th digit.
+  shape_check(std::abs(s10 - 1.0989) < 1e-4, "Sapp at 10x is 1.0989");
+  shape_check(std::abs(s100 - 1.1098) < 1e-4,
+              "Sapp at 100x is the paper's 1.1098 (1.1099 rounded)");
   std::printf(
       "Conclusion reproduced: optimizing the kernel 10x->100x gains only "
       "%.4f overall — \"not worth it\".\n\n",
@@ -67,5 +75,5 @@ int main() {
   std::printf("%s\n", rk.str().c_str());
   std::printf("The correlogram (54%% coverage) dominates the ranking, as "
               "the paper's roadmap implies.\n");
-  return 0;
+  return shape_exit_code();
 }

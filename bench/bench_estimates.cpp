@@ -137,5 +137,5 @@ int main() {
               "sharded Eq. 3 generalization within 5% of measurement");
   shape_check(ms_sharded > ms_multi,
               "intra-kernel sharding beats one-SPE-per-kernel");
-  return 0;
+  return shape_exit_code();
 }

@@ -64,5 +64,5 @@ int main() {
       std::printf(" %.3f ms\n", sim::ns_to_ms(b.ns));
     }
   }
-  return 0;
+  return shape_exit_code();
 }

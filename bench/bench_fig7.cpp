@@ -102,5 +102,5 @@ int main(int argc, char** argv) {
   if (obs.session() != nullptr) obs.session()->set_enabled(true);
   obs.finish();
   if (metrics_machine != nullptr) obs.write_metrics(*metrics_machine);
-  return 0;
+  return shape_exit_code();
 }

@@ -59,5 +59,5 @@ int main() {
       "each kernel's computation structure: the correlogram's branchy\n"
       "inner compare flushes the hint-less SPU pipeline on every match, "
       "while the histogram's arithmetic survives a scalar port.\n");
-  return 0;
+  return shape_exit_code();
 }

@@ -115,5 +115,5 @@ int main() {
   std::printf("%s\n", ot.str().c_str());
   shape_check(one_time_share(*desk) > one_time_share(*ppe1),
               "one-time I/O looms larger on the faster machine");
-  return 0;
+  return shape_exit_code();
 }

@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
   artifact.write();
   obs.finish();
   obs.write_metrics(*cell.machine);
-  return 0;
+  return shape_exit_code();
 }

@@ -94,11 +94,21 @@ inline CellRun run_cell(const marvel::Dataset& data,
   return run;
 }
 
+/// Number of SHAPE-FAIL lines this process has printed.
+inline int& shape_failures() {
+  static int failures = 0;
+  return failures;
+}
+
 /// Prints a shape-check line: PASS/FAIL with the tested relation.
 inline bool shape_check(bool ok, const std::string& what) {
   std::printf("  [%s] %s\n", ok ? "SHAPE-OK" : "SHAPE-FAIL", what.c_str());
+  if (!ok) ++shape_failures();
   return ok;
 }
+
+/// A bench's exit status: 1 when any shape check failed, else 0.
+inline int shape_exit_code() { return shape_failures() == 0 ? 0 : 1; }
 
 // ---------------------------------------------------------------------------
 // cellscope integration: command-line flags, the trace-session guard, and

@@ -130,7 +130,6 @@ std::string describe(const ScenarioSpec& spec) {
   if (spec.cache_kb > 0) s += " cache=" + std::to_string(spec.cache_kb) + "k";
   if (spec.replay_twice) s += " replay2";
   if (spec.scaling_probe) s += " scaling";
-  if (spec.pipelined_batch) s += " pipelined";
   if (spec.stream_batch > 0) {
     s += " stream=" + std::to_string(spec.stream_batch);
   }

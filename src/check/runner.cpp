@@ -322,8 +322,6 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
   if (spec.stream_batch > 0) {
     cell = engine.analyze_stream(in.encoded, {spec.stream_batch},
                                  &stream_stats);
-  } else if (spec.pipelined_batch && scen != marvel::Scenario::kSingleSPE) {
-    cell = engine.analyze_batch_pipelined(in.encoded);
   } else {
     for (const auto& enc : in.encoded) cell.push_back(engine.analyze(enc));
   }
@@ -465,8 +463,6 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
         // the guard's overhead, not the pipelining it forgoes.
         cell2 = plain.analyze_stream(
             in.encoded, {spec.stream_batch, /*sequential=*/true}, nullptr);
-      } else if (spec.pipelined_batch && scen != marvel::Scenario::kSingleSPE) {
-        cell2 = plain.analyze_batch_pipelined(in.encoded);
       } else {
         for (const auto& enc : in.encoded) {
           cell2.push_back(plain.analyze(enc));

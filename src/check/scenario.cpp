@@ -195,9 +195,6 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
   bool engine_mode = spec.mode == Mode::kEngineSingle ||
                      spec.mode == Mode::kEngineMulti ||
                      spec.mode == Mode::kEngineMulti2;
-  if (spec.mode == Mode::kEngineMulti || spec.mode == Mode::kEngineMulti2) {
-    spec.pipelined_batch = rng.next_below(100) < 40;
-  }
   if (engine_mode && spec.fault_kind < 0 && rng.next_below(5) == 0) {
     spec.scaling_probe = true;
     spec.images[0].width = 176;
@@ -295,9 +292,6 @@ ScenarioSpec generate_guard_scenario(std::uint64_t seed) {
   int num_images = 1 + static_cast<int>(rng.next_below(2));
   for (int i = 0; i < num_images; ++i) {
     spec.images.push_back(pick_image(rng, /*allow_degenerate=*/false));
-  }
-  if (spec.mode != Mode::kEngineSingle) {
-    spec.pipelined_batch = rng.next_below(100) < 40;
   }
   spec.guarded = true;
   if (rng.next_below(100) < 85) {
@@ -446,9 +440,6 @@ ScenarioSpec generate_balance_scenario(std::uint64_t seed) {
     constexpr int kBudgetsKb[] = {2, 16, 64};
     spec.cache_kb = kBudgetsKb[rng.next_below(3)];
   }
-  if (spec.mode != Mode::kEngineSingle) {
-    spec.pipelined_batch = rng.next_below(100) < 40;
-  }
   // cellguard rider: half the matrix steals around faults — the
   // quarantined-lane property is what this matrix exists for.
   if (rng.next_below(100) < 50) {
@@ -496,7 +487,6 @@ std::string spec_to_json(const ScenarioSpec& spec) {
   w.key("buffering").value(spec.buffering);
   w.key("block_rows").value(spec.block_rows);
   w.key("use_naive").value(spec.use_naive);
-  w.key("pipelined_batch").value(spec.pipelined_batch);
   w.key("stream_batch").value(spec.stream_batch);
   w.key("kernel").value(spec.kernel);
   w.key("fault_kind").value(spec.fault_kind);
@@ -606,7 +596,6 @@ ScenarioSpec spec_from_json(const std::string& text) {
   spec.buffering = static_cast<int>(require_number(doc, "buffering"));
   spec.block_rows = static_cast<int>(require_number(doc, "block_rows"));
   spec.use_naive = require_bool(doc, "use_naive");
-  spec.pipelined_batch = require_bool(doc, "pipelined_batch");
   spec.kernel = static_cast<int>(require_number(doc, "kernel"));
   spec.fault_kind = static_cast<int>(require_number(doc, "fault_kind"));
   spec.replay_twice = require_bool(doc, "replay_twice");

@@ -67,7 +67,6 @@ struct ScenarioSpec {
   int buffering = 2;       // DMA buffering depth 1..3
   int block_rows = 0;      // rows per DMA block (0 = kernel default)
   bool use_naive = false;  // pre-optimization kernel variants
-  bool pipelined_batch = false;  // engine multi modes: Figure 4c batch
   int kernel = -1;         // kKernelDirect: kKernelCh..kKernelTx
   int fault_kind = -1;     // -1 none, else check::kFault* on a spare SPE
   /// Engine modes: run behind the cellguard runtime (GuardedInterface +

@@ -42,11 +42,6 @@ std::vector<ScenarioSpec> candidates(const ScenarioSpec& spec) {
     next.replay_twice = false;
     push(next);
   }
-  if (spec.pipelined_batch) {
-    ScenarioSpec next = spec;
-    next.pipelined_batch = false;
-    push(next);
-  }
   if (spec.stream_batch > 0) {
     // Dropping the stream rider entirely is the bigger simplification;
     // failing that, a one-image window still exercises the ring protocol
@@ -221,7 +216,6 @@ std::vector<ScenarioSpec> candidates(const ScenarioSpec& spec) {
   } else if (spec.mode == Mode::kEngineMulti) {
     ScenarioSpec next = spec;
     next.mode = Mode::kEngineSingle;
-    next.pipelined_batch = false;
     push(next);
   }
   return out;

@@ -20,16 +20,6 @@
 
 namespace cellport::marvel {
 
-namespace {
-
-/// Feature output buffers are padded to 8 floats so every kernel's
-/// (16-byte-granular) result DMA fits.
-std::size_t padded_dim(int dim) {
-  return cellport::round_up(static_cast<std::size_t>(dim), 8);
-}
-
-}  // namespace
-
 CellEngine::CellEngine(sim::Machine& machine,
                        const std::string& library_path, Scenario scenario,
                        kernels::BufferingDepth buffering, bool use_naive,
@@ -78,14 +68,16 @@ CellEngine::CellEngine(sim::Machine& machine,
 
   // cellshard: choose the shard plan for this machine shape up front;
   // the lane placement below follows it.
-  if (scenario_ == Scenario::kSharded) {
-    plan_ = shard::plan_shards(machine_.num_spes());
+  const bool sharded = scenario_ == Scenario::kSharded;
+  if (sharded) {
+    shard_plan_ = shard::plan_shards(machine_.num_spes());
     auto& metrics = machine_.metrics();
-    metrics.gauge("shard.plan.ch").set(plan_.extract_shards[shard::kSlotCh]);
-    metrics.gauge("shard.plan.cc").set(plan_.extract_shards[shard::kSlotCc]);
-    metrics.gauge("shard.plan.tx").set(plan_.extract_shards[shard::kSlotTx]);
-    metrics.gauge("shard.plan.eh").set(plan_.extract_shards[shard::kSlotEh]);
-    metrics.gauge("shard.plan.cd").set(plan_.detect_spes);
+    const int* shards = shard_plan_.extract_shards;
+    metrics.gauge("shard.plan.ch").set(shards[shard::kSlotCh]);
+    metrics.gauge("shard.plan.cc").set(shards[shard::kSlotCc]);
+    metrics.gauge("shard.plan.tx").set(shards[shard::kSlotTx]);
+    metrics.gauge("shard.plan.eh").set(shards[shard::kSlotEh]);
+    metrics.gauge("shard.plan.cd").set(shard_plan_.detect_spes);
     shard_reduce_counter_ = &metrics.counter("shard.reduces");
     // cellfuse: the fused lane/detect split for the same machine shape
     // (consulted only when set_fused(true); lanes ride the extract-shard
@@ -100,28 +92,30 @@ CellEngine::CellEngine(sim::Machine& machine,
   // detection SPEs. A guarded engine builds guarded lanes on the same
   // placement; any SPE beyond the pinned set becomes a shared spare
   // retries may migrate to.
-  const bool sharded = scenario_ == Scenario::kSharded;
-  const int detect_n = sharded                            ? plan_.detect_spes
+  const int detect_n = sharded ? shard_plan_.detect_spes
                        : scenario_ == Scenario::kMultiSPE2 ? 4
                                                            : 1;
-  const int pinned = sharded ? plan_.spes_used() : 4 + detect_n;
+  const int pinned = sharded ? shard_plan_.spes_used() : 4 + detect_n;
   std::vector<int> spares;
   for (int s = pinned; s < machine_.num_spes(); ++s) spares.push_back(s);
   if (guard_.enabled) {
     health_ = std::make_unique<guard::SpeHealth>(machine_, guard_.retry);
     fallback_counter_ = &machine_.metrics().counter("guard.ppe_fallbacks");
   }
-  int spe = 0;
+  lanes_.reserve(static_cast<std::size_t>(pinned));
   for (int i = 0; i < 4; ++i) {
-    const int n = sharded ? plan_.extract_shards[i] : 1;
-    for (int j = 0; j < n; ++j) {
-      slots_[i].lanes.emplace_back(config[i].module(), spe++, health_.get(),
-                                   spares);
+    FeatureSlot& slot = slots_[i];
+    slot.first_lane = static_cast<int>(lanes_.size());
+    slot.lanes = sharded ? shard_plan_.extract_shards[i] : 1;
+    for (int j = 0; j < slot.lanes; ++j) {
+      lanes_.emplace_back(config[i].module(), slot.first_lane + j,
+                          health_.get(), spares);
     }
   }
+  detect_begin_ = static_cast<int>(lanes_.size());
   for (int b = 0; b < detect_n; ++b) {
-    detect_lanes_.emplace_back(kernels::cd_module(), spe++, health_.get(),
-                               spares);
+    lanes_.emplace_back(kernels::cd_module(), detect_begin_ + b,
+                        health_.get(), spares);
   }
   // cellfuse lanes ride the extraction SPEs slot-major; past the cap the
   // marginal lane costs more in per-lane overhead than it saves in span
@@ -130,11 +124,8 @@ CellEngine::CellEngine(sim::Machine& machine,
       sharded ? static_cast<std::size_t>(fused_plan_.lanes)
       : scenario_ == Scenario::kSingleSPE ? 1
                                           : 4;
-  for (auto& slot : slots_) {
-    for (Lane& lane : slot.lanes) {
-      if (fused_lanes_.size() < fused_cap) fused_lanes_.push_back(&lane);
-    }
-  }
+  fused_lanes_ =
+      std::min(fused_cap, static_cast<std::size_t>(detect_begin_));
 
   for (int i = 0; i < 4; ++i) {
     FeatureSlot& slot = slots_[i];
@@ -142,82 +133,13 @@ CellEngine::CellEngine(sim::Machine& machine,
     slot.dim = config[i].dim;
     slot.name = config[i].name;
     slot.ref_extract = config[i].ref;
-    slot.out = cellport::AlignedBuffer<float>(padded_dim(config[i].dim));
-    setup_detection(slot, *config[i].set);
+    setup_descriptors(slot, *config[i].set);
   }
-  if (scenario_ == Scenario::kSharded) setup_sharding();
+  init_plan(plan_, 0);
 }
 
-void CellEngine::setup_sharding() {
-  // Raw-partial bytes per shard: fixed for the counting kernels; TX is
-  // tile-count dependent and (re)sized per image in prepare_shards.
-  const std::size_t part_bytes[4] = {
-      kernels::kShardChWords * sizeof(std::uint32_t),
-      kernels::kShardCcWords * sizeof(std::uint32_t),
-      0,
-      kernels::kShardEhWords * sizeof(std::uint32_t),
-  };
-  for (int i = 0; i < 4; ++i) {
-    FeatureSlot& slot = slots_[i];
-    const auto n = static_cast<std::size_t>(plan_.extract_shards[i]);
-    slot.shard_msgs = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-    slot.shard_parts.resize(n);
-    if (part_bytes[i] > 0) {
-      for (auto& p : slot.shard_parts) {
-        p = cellport::AlignedBuffer<std::uint8_t>(part_bytes[i]);
-      }
-    }
-  }
-  // Detection staging: each block's kernel pads its score DMA to an even
-  // count, so blocks land in per-block buffers and the PPE concatenates
-  // the exact counts (writing into slot.scores directly would overlap at
-  // odd block boundaries).
-  std::size_t max_models = 0;
-  for (const auto& slot : slots_) {
-    max_models = std::max(max_models, slot.set->models.size());
-  }
-  const auto d = static_cast<std::size_t>(plan_.detect_spes);
-  cd_block_msgs_ = std::vector<port::WrappedMessage<kernels::DetectMsg>>(d);
-  cd_block_scores_.resize(d);
-  for (auto& s : cd_block_scores_) {
-    s = cellport::AlignedBuffer<double>(cellport::round_up(max_models, 2));
-  }
-}
-
-void CellEngine::prepare_shards(const img::RgbImage& pixels) {
-  const int h = pixels.height();
-  std::uint64_t stores = 0;
-  for (int i = 0; i < 4; ++i) {
-    FeatureSlot& slot = slots_[i];
-    const int n = plan_.extract_shards[i];
-    slot.shard_rows = i == shard::kSlotTx ? shard::split_tiles(h, n)
-                                          : shard::split_rows(h, n);
-    for (int j = 0; j < n; ++j) {
-      const shard::Range& r = slot.shard_rows[static_cast<std::size_t>(j)];
-      if (r.empty()) continue;
-      if (i == shard::kSlotTx) {
-        const auto bytes = static_cast<std::size_t>(
-                               shard::tx_partial_doubles(r)) *
-                           sizeof(double);
-        auto& part = slot.shard_parts[static_cast<std::size_t>(j)];
-        if (part.bytes() < bytes) {
-          part = cellport::AlignedBuffer<std::uint8_t>(bytes);
-        }
-      }
-      kernels::ImageMsg& m = *slot.shard_msgs[static_cast<std::size_t>(j)];
-      m = *slot.msg;
-      m.row_begin = r.begin;
-      m.row_end = r.end;
-      m.out_ea = reinterpret_cast<std::uint64_t>(
-          slot.shard_parts[static_cast<std::size_t>(j)].data());
-      stores += 4;
-    }
-  }
-  machine_.ppe().charge(sim::OpClass::kStore, stores);
-}
-
-void CellEngine::setup_detection(FeatureSlot& slot,
-                                 const learn::ConceptModelSet& set) {
+void CellEngine::setup_descriptors(FeatureSlot& slot,
+                                   const learn::ConceptModelSet& set) {
   slot.set = &set;
   slot.descs = cellport::AlignedBuffer<kernels::DetectModelDesc>(
       set.models.size());
@@ -232,58 +154,31 @@ void CellEngine::setup_detection(FeatureSlot& slot,
     d.rho = model.rho();
     d.kernel_type = static_cast<std::int32_t>(model.kernel());
   }
-  slot.scores = cellport::AlignedBuffer<double>(
-      cellport::round_up(set.models.size(), 2));
-  kernels::DetectMsg& msg = *slot.detect_msg;
-  msg.feature_ea = reinterpret_cast<std::uint64_t>(slot.out.data());
-  msg.dim = slot.dim;
-  msg.num_models = static_cast<std::int32_t>(set.models.size());
-  msg.models_ea = reinterpret_cast<std::uint64_t>(slot.descs.data());
-  msg.scores_ea = reinterpret_cast<std::uint64_t>(slot.scores.data());
-  msg.buffering = buffering_;
 }
 
-void CellEngine::fill_image_msg(FeatureSlot& slot,
-                                const img::RgbImage& pixels) {
-  // Listing 4's FILL_MSG_FROM_COLORIMAGE: wrap the class members into the
-  // aligned message structure.
-  machine_.ppe().charge(sim::OpClass::kStore, 12);
-  kernels::ImageMsg& msg = *slot.msg;
-  msg.pixels_ea = reinterpret_cast<std::uint64_t>(pixels.data());
-  msg.width = pixels.width();
-  msg.height = pixels.height();
-  msg.stride = pixels.stride();
-  msg.buffering = buffering_;
-  msg.out_ea = reinterpret_cast<std::uint64_t>(slot.out.data());
-  msg.out_count = slot.dim;
-}
-
-void CellEngine::collect(FeatureSlot& slot, features::FeatureVector& fv,
-                         DetectionScores& scores) {
+AnalysisResult CellEngine::collect(ImagePlan& p) {
   // Copy results from the output buffers back into the class data
   // (Section 3.3, last step). Charged as the loads/stores it is.
-  machine_.ppe().charge(sim::OpClass::kLoad,
-                        static_cast<std::uint64_t>(slot.dim) +
-                            slot.scores.size());
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        static_cast<std::uint64_t>(slot.dim) +
-                            slot.scores.size());
-  fv.name = slot.name;
-  fv.values.assign(slot.out.data(), slot.out.data() + slot.dim);
-  scores.values.assign(slot.scores.data(),
-                       slot.scores.data() + slot.set->models.size());
-}
-
-AnalysisResult CellEngine::collect_result() {
   AnalysisResult result;
-  probe::ProbeSpan span(prt(), probe::Phase::kOutput, machine_.ppe(),
-                        "collect");
-  collect(slots_[0], result.color_histogram, result.ch_detect);
-  collect(slots_[1], result.color_correlogram, result.cc_detect);
-  collect(slots_[2], result.texture, result.tx_detect);
-  collect(slots_[3], result.edge_histogram, result.eh_detect);
-  result.degraded = std::move(degraded_current_);
-  degraded_current_.clear();
+  features::FeatureVector* fvs[4] = {
+      &result.color_histogram, &result.color_correlogram, &result.texture,
+      &result.edge_histogram};
+  DetectionScores* ds[4] = {&result.ch_detect, &result.cc_detect,
+                            &result.tx_detect, &result.eh_detect};
+  sim::ScalarContext& ppe = machine_.ppe();
+  for (int s = 0; s < 4; ++s) {
+    const FeatureSlot& slot = slots_[s];
+    const ImagePlan::Slot& ps = p.slots[s];
+    const std::uint64_t n =
+        static_cast<std::uint64_t>(slot.dim) + ps.scores.size();
+    ppe.charge(sim::OpClass::kLoad, n);
+    ppe.charge(sim::OpClass::kStore, n);
+    fvs[s]->name = slot.name;
+    fvs[s]->values.assign(ps.out.data(), ps.out.data() + slot.dim);
+    ds[s]->values.assign(ps.scores.data(), ps.scores.data() + ps.scored);
+  }
+  result.degraded = std::move(p.degraded);
+  p.degraded.clear();
   return result;
 }
 
@@ -295,11 +190,12 @@ AnalysisResult CellEngine::collect_result() {
 // are gathered by DMA lists, shifted/unpacked, and scattered as whole
 // destination rows by the feed kernel, with the image's rows split
 // across the scenario's detect-side SPEs — which are idle during every
-// schedule's decode phase, including the decode-ahead overlap of the
-// pipelined batch and streaming modes.
+// schedule's decode phase, including the stream's decode-ahead overlap.
 
-img::RgbImage CellEngine::ingest(const img::SicEncoded& image) {
+void CellEngine::ingest(const img::SicEncoded& image, ImagePlan& p) {
   sim::ScalarContext& ppe = machine_.ppe();
+  p.degraded.clear();
+  p.pixels = img::RgbImage();  // the last image dies before the next decodes
   if (feed_ && img::is_ppm(image)) {
     // The strict shared parser: a malformed header throws the exact
     // IoError the PPE decode path throws (accept/reject is identical).
@@ -333,21 +229,22 @@ img::RgbImage CellEngine::ingest(const img::SicEncoded& image) {
         ppe.charge_io(hdr.pixel_offset, /*open_file=*/false);
         ppe.charge(sim::OpClass::kIntAlu, 32);  // token scan
       }
-      img::RgbImage dst(hdr.width, hdr.height);
-      feed_image(image, hdr, dst);
-      return dst;
+      p.pixels = img::RgbImage(hdr.width, hdr.height);
+      feed_image(image, hdr, p);
+      return;
     }
   }
   probe::ProbeSpan span(prt(), probe::Phase::kDecode, ppe, "sic_decode");
   ppe.charge_io(image.bytes.size(), /*open_file=*/true);
-  return img::sic_decode(image, &ppe);
+  p.pixels = img::sic_decode(image, &ppe);
 }
 
 void CellEngine::feed_image(const img::SicEncoded& image,
-                            const img::PpmHeader& hdr, img::RgbImage& dst) {
+                            const img::PpmHeader& hdr, ImagePlan& p) {
   sim::ScalarContext& ppe = machine_.ppe();
   probe::ProbeSpan span(prt(), probe::Phase::kFeedDma, ppe, "feed_dma");
-  const std::size_t n = detect_lanes_.size();
+  img::RgbImage& dst = p.pixels;
+  const std::size_t n = detect_lanes();
   if (feed_msgs_.size() < n) {
     feed_msgs_ = std::vector<port::WrappedMessage<kernels::FeedMsg>>(n);
   }
@@ -369,15 +266,15 @@ void CellEngine::feed_image(const img::SicEncoded& image,
     m.row_begin = rows[j].begin;
     m.row_end = rows[j].end;
     m.rows_per_tile = 0;
-    detect_lanes_[j].send(static_cast<int>(kernels::SPU_Run_Feed),
-                          feed_msgs_[j].ea());
+    detect_lane(j).send(static_cast<int>(kernels::SPU_Run_Feed),
+                        feed_msgs_[j].ea());
   }
   for (std::size_t j = 0; j < n; ++j) {
     if (rows[j].empty()) continue;
     const std::string tag = "feed[" + std::to_string(j) + "]";
     bool ok = true;
     try {
-      ok = settle(detect_lanes_[j], tag, [] {}).ok;
+      ok = settle(detect_lane(j), tag, [] {}).ok;
     } catch (const cellport::Error&) {
       ok = false;  // plain lane fault: this lane's rows fall to the PPE
     }
@@ -385,8 +282,7 @@ void CellEngine::feed_image(const img::SicEncoded& image,
     if (ok) {
       feed_rows_counter_->add(static_cast<std::uint64_t>(rows[j].count()));
     } else {
-      feed_fallback_rows(image, hdr, rows[j], dst,
-                         detect_lanes_[j].guarded());
+      feed_fallback_rows(image, hdr, rows[j], p, detect_lane(j).guarded());
     }
   }
   feed_images_counter_->add(1);
@@ -394,9 +290,10 @@ void CellEngine::feed_image(const img::SicEncoded& image,
 
 void CellEngine::feed_fallback_rows(const img::SicEncoded& image,
                                     const img::PpmHeader& hdr,
-                                    const shard::Range& rows,
-                                    img::RgbImage& dst, bool degrade) {
+                                    const shard::Range& rows, ImagePlan& p,
+                                    bool degrade) {
   sim::ScalarContext& ppe = machine_.ppe();
+  img::RgbImage& dst = p.pixels;
   probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe, "feed:ingest");
   const std::size_t row_bytes = static_cast<std::size_t>(hdr.width) * 3;
   const std::uint8_t* src = image.bytes.data() + hdr.pixel_offset;
@@ -415,7 +312,7 @@ void CellEngine::feed_fallback_rows(const img::SicEncoded& image,
              static_cast<std::uint64_t>(rows.count()) * 2);
   feed_fallback_counter_->add(1);
   if (degrade) {
-    feed_pending_degraded_.push_back("feed:ingest");
+    p.degraded.push_back("feed:ingest");
     fallback_counter_->add(1);
     if (ppe.trace_on()) {
       ppe.trace_track()->instant(trace::Category::kRuntime,
@@ -441,28 +338,31 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
     }
     cache_fill = true;
   }
-  img::RgbImage pixels = [&] {
+  {
     port::Profiler::Scope probe(profiler_, kPhasePreprocess);
-    return ingest(image);
-  }();
+    ingest(image, plan_);
+  }
   QuiesceOnUnwind quiesce_on_unwind(*this);
-  prepare_image(pixels);
+  {
+    probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe, "fill_msgs");
+    build_plan(plan_);
+    if (plan_.msgs_filled > 0) {
+      ppe.charge(sim::OpClass::kStore, 4 * plan_.msgs_filled);
+    }
+  }
 
-  const bool per_feature = !fused_ && !balanced_;
+  const bool per_feature = plan_.partials == TaskKind::kFeature;
   if (per_feature && scenario_ == Scenario::kSingleSPE) {
     // Scenario 1 (Figure 4b): each kernel runs alone, send-and-wait.
-    for (auto& slot : slots_) {
+    for (Task& t : plan_.extract.tasks) {
+      const FeatureSlot& slot = slots_[t.slot];
       port::Profiler::Scope probe(profiler_, slot.phase);
       probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe, slot.name);
-      const sim::SimTime sent = ppe.now_ns();
-      slot.lanes[0].send(extract_opcode(slot), slot.msg.ea());
-      settle(slot.lanes[0], slot.name,
-             [&] { fallback_extract(slot, pixels); });
-      rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
-                       ppe.now_ns());
+      send(t, 0);
+      finish(plan_, t, lanes_[t.lane], -1);
     }
     port::Profiler::Scope probe(profiler_, kPhaseCd);
-    detect();
+    detect(plan_, false);
   } else {
     // Per-feature kMultiSPE2 detects each slot as soon as its extraction
     // completes, inside the extraction phase.
@@ -470,21 +370,27 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
         per_feature && scenario_ == Scenario::kMultiSPE2;
     {
       port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-      send_extract(/*honor_naive=*/true);
-      complete_extract(pixels);
-      if (detect_overlaps) detect();
+      extract(plan_, detect_overlaps);
+      if (detect_overlaps) detect(plan_, true);
     }
-    if (!per_feature || scenario_ == Scenario::kSharded) {
+    if (!per_feature) {
       port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-      reduce_partials();
+      probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
+                            plan_.partials == TaskKind::kFused
+                                ? "fuse_reduce"
+                                : "shard_reduce");
+      reduce(plan_);
     }
     if (!detect_overlaps) {
       port::Profiler::Scope probe(profiler_, kPhaseDetect);
-      detect();
+      detect(plan_, false);
     }
   }
 
-  AnalysisResult result = collect_result();
+  AnalysisResult result = [&] {
+    probe::ProbeSpan span(prt(), probe::Phase::kOutput, ppe, "collect");
+    return collect(plan_);
+  }();
   if (cache_fill && result.degraded.empty()) {
     cache_store(cache_key, result);
   }
@@ -494,10 +400,7 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
 }
 
 void CellEngine::quiesce() noexcept {
-  for (auto& slot : slots_) {
-    for (Lane& lane : slot.lanes) lane.quiesce();
-  }
-  for (Lane& lane : detect_lanes_) lane.quiesce();
+  for (Lane& lane : lanes_) lane.quiesce();
 }
 
 void CellEngine::finish_request() {
@@ -512,286 +415,242 @@ int CellEngine::extract_opcode(const FeatureSlot& slot) const {
                                                   : kernels::SPU_Run);
 }
 
-// ---- the per-image schedule ----
+// ---- the per-call executor ----
 //
-// Every extraction strategy is three steps over the engine's lanes —
-// dispatch, completion (with a PPE fallback for a guarded lane that gives
-// up), and the scenario's detection — with a partial merge in between for
-// the sharded, fused and balanced strategies. analyze() wraps them in its
-// per-phase profiler scopes; the pipelined batch loop decodes the next
-// image between dispatch and completion.
+// analyze() runs its plan call by call: send every statically bound
+// task, settle each one (a guarded lane that gives up runs the task's
+// PPE fallback), merge the partials, then detect. A balanced plan's tasks
+// go through the steal loop instead, which StreamEngine shares.
 
-void CellEngine::prepare_image(const img::RgbImage& pixels) {
-  {
-    probe::ProbeSpan span(prt(), probe::Phase::kPrepare, machine_.ppe(),
-                          "fill_msgs");
-    for (auto& slot : slots_) fill_image_msg(slot, pixels);
-    if (fused_ || balanced_) {
-      prepare_fused(pixels);
-    } else if (scenario_ == Scenario::kSharded) {
-      prepare_shards(pixels);
-    }
-  }
-  // Feed fallbacks for this image were staged during its ingest() (in
-  // the pipelined loop, one iteration ago).
-  degraded_current_ = std::move(feed_pending_degraded_);
-  feed_pending_degraded_.clear();
+void CellEngine::send(Task& t, sim::SimTime wave_ns) {
+  const bool own = t.kind == TaskKind::kFeature || t.kind == TaskKind::kDetect;
+  t.sent_ns = own ? machine_.ppe().now_ns() : wave_ns;
+  lanes_[static_cast<std::size_t>(t.lane)].send(t.opcode, t.msg_ea);
 }
 
-void CellEngine::send_extract(bool honor_naive) {
+Lane::Result CellEngine::finish(ImagePlan& p, Task& t, Lane& lane,
+                                int image) {
+  const std::string tag = task_tag(t, image);
+  const Lane::Result r = settle(lane, tag, [&] { fallback(p, t, image); });
+  rt_.add_spe_span(t.kind < TaskKind::kDetect ? probe::Phase::kExtract
+                                              : probe::Phase::kDetect,
+                   tag, t.sent_ns, machine_.ppe().now_ns());
+  return r;
+}
+
+void CellEngine::extract(ImagePlan& p, bool overlap_detect) {
   sim::ScalarContext& ppe = machine_.ppe();
-  const bool sharded = scenario_ == Scenario::kSharded;
-  probe::ProbeSpan span(prt(), probe::Phase::kDispatch, ppe,
-                        balanced_ ? "arm_lanes"
-                        : fused_  ? "send_fused"
-                        : sharded ? "send_shards"
-                                  : "send_extract");
-  extract_sent_ns_ = ppe.now_ns();
-  if (balanced_) {
-    // The doorbell wave: every lane is armed with its first task.
-    bal_q_ = std::make_unique<balance::TaskQueue>(fused_rows_.size(),
-                                                  fused_lanes_.size());
-    bal_sent_.assign(fused_rows_.size(), 0);
-    for (std::size_t k = 0; k < fused_lanes_.size(); ++k) balanced_issue(k);
-  } else if (fused_) {
-    for (std::size_t j = 0; j < fused_rows_.size(); ++j) {
-      if (fused_rows_[j].empty()) continue;
-      fused_lanes_[j]->send(static_cast<int>(kernels::SPU_Run_Fused),
-                            fused_msgs_[j].ea());
+  if (p.stolen) {
+    StealPool pool;
+    {
+      probe::ProbeSpan span(prt(), probe::Phase::kDispatch, ppe,
+                            "arm_lanes");
+      for (Task& t : p.extract.tasks) pool.entries.push_back({&p, &t, -1});
+      steal_arm(pool);
     }
-  } else if (sharded) {
-    for (auto& slot : slots_) {
-      for (std::size_t j = 0; j < slot.lanes.size(); ++j) {
-        if (slot.shard_rows[j].empty()) continue;
-        slot.lanes[j].send(static_cast<int>(kernels::SPU_Run),
-                           slot.shard_msgs[j].ea());
-      }
-    }
-  } else {
-    for (int i = 0; i < 4; ++i) {
-      sent_[i] = ppe.now_ns();
-      slots_[i].lanes[0].send(
-          honor_naive ? extract_opcode(slots_[i])
-                      : static_cast<int>(kernels::SPU_Run),
-          slots_[i].msg.ea());
-    }
-  }
-}
-
-void CellEngine::complete_extract(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  if (balanced_) {
-    drain_balanced(pixels);
-  } else if (fused_) {
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "fused_lanes");
-    for (std::size_t j = 0; j < fused_rows_.size(); ++j) {
-      if (fused_rows_[j].empty()) continue;
-      const std::string tag = "fused[" + std::to_string(j) + "]";
-      settle(*fused_lanes_[j], tag, [&] { fallback_fused(j, pixels); });
-      rt_.add_spe_span(probe::Phase::kExtract, tag, extract_sent_ns_,
-                       ppe.now_ns());
-    }
-  } else if (scenario_ == Scenario::kSharded) {
-    // A shard whose guard gives up is recomputed on the PPE via the
-    // shard mirrors; the surviving shards' SPE work is kept.
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "shards");
-    for (int i = 0; i < 4; ++i) {
-      FeatureSlot& slot = slots_[i];
-      for (std::size_t j = 0; j < slot.lanes.size(); ++j) {
-        if (slot.shard_rows[j].empty()) continue;
-        const std::string tag =
-            std::string(slot.name) + "[" + std::to_string(j) + "]";
-        settle(slot.lanes[j], tag, [&] {
-          probe::ProbeSpan f(prt(), probe::Phase::kFallback, ppe,
-                             std::string("shard:") + slot.name);
-          shard::ppe_partial(i, pixels, slot.shard_rows[j],
-                             slot.shard_parts[j].data(), &ppe);
-          note_degraded("shard", slot);
-        });
-        rt_.add_spe_span(probe::Phase::kExtract, tag, extract_sent_ns_,
-                         ppe.now_ns());
-      }
-    }
-  } else {
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-    for (int i = 0; i < 4; ++i) {
-      FeatureSlot& slot = slots_[i];
-      settle(slot.lanes[0], slot.name,
-             [&] { fallback_extract(slot, pixels); });
-      rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent_[i],
-                       ppe.now_ns());
-      if (scenario_ == Scenario::kMultiSPE2) {
-        detect_sent_[i] = ppe.now_ns();
-        detect_lanes_[i].send(static_cast<int>(kernels::SPU_Run),
-                              slot.detect_msg.ea());
-      }
-    }
-  }
-}
-
-void CellEngine::reduce_partials() {
-  sim::ScalarContext* ppe = &machine_.ppe();
-  const int w = slots_[0].msg->width;
-  const int h = slots_[0].msg->height;
-  if (fused_ || balanced_) {
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, *ppe,
-                          "fuse_reduce");
-    for (int i = 0; i < 4; ++i) {
-      shard::reduce_fused(i, fused_rows_, fused_parts_, w, h,
-                          slots_[i].out.data(), ppe);
-    }
-    fuse_images_counter_->add(1);
-  } else if (scenario_ == Scenario::kSharded) {
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, *ppe,
-                          "shard_reduce");
-    for (int i = 0; i < 4; ++i) {
-      shard::reduce_shards(i, slots_[i].shard_rows, slots_[i].shard_parts,
-                           w, h, slots_[i].out.data(), ppe);
-    }
-    shard_reduce_counter_->add(1);
-  }
-}
-
-void CellEngine::detect() {
-  sim::ScalarContext& ppe = machine_.ppe();
-  if (scenario_ == Scenario::kSharded) {
-    probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
-    for (auto& slot : slots_) sharded_detect(slot);
+    probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe, "steal_lanes");
+    steal_drain(pool);
     return;
   }
-  probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-  const auto spu_run = static_cast<int>(kernels::SPU_Run);
-  const bool multi2 = scenario_ == Scenario::kMultiSPE2;
-  if (multi2 && (fused_ || balanced_)) {
-    // Per-feature kMultiSPE2 already sent these in complete_extract().
-    for (int i = 0; i < 4; ++i) {
-      detect_sent_[i] = ppe.now_ns();
-      detect_lanes_[i].send(spu_run, slots_[i].detect_msg.ea());
-    }
+  // Span labels by partials kind: kFeature, kShard, kFused.
+  static constexpr const char* kSend[] = {"send_extract", "send_shards",
+                                          "send_fused"};
+  static constexpr const char* kWait[] = {"", "shards", "fused_lanes"};
+  const auto kind = static_cast<std::size_t>(p.partials);
+  {
+    probe::ProbeSpan span(prt(), probe::Phase::kDispatch, ppe, kSend[kind]);
+    const sim::SimTime wave = ppe.now_ns();
+    for (Task& t : p.extract.tasks) send(t, wave);
   }
-  for (int i = 0; i < 4; ++i) {
-    FeatureSlot& slot = slots_[i];
-    if (!multi2) {
-      detect_sent_[i] = ppe.now_ns();
-      detect_lane(i).send(spu_run, slot.detect_msg.ea());
-    }
-    const std::string tag = std::string("cd:") + slot.name;
-    settle(detect_lane(i), tag, [&] { fallback_detect(slot); });
-    rt_.add_spe_span(probe::Phase::kDetect, tag, detect_sent_[i],
-                     ppe.now_ns());
+  probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe, kWait[kind]);
+  for (std::size_t i = 0; i < p.extract.tasks.size(); ++i) {
+    Task& t = p.extract.tasks[i];
+    finish(p, t, lanes_[static_cast<std::size_t>(t.lane)], -1);
+    if (overlap_detect) send(p.detect.tasks[i], 0);
   }
 }
 
-// ---- cellshard: the kSharded per-image schedule ----
-//
-// All shards of all four kernels launch in parallel (the plan sizes the
-// counts so they finish together); the PPE then merges raw partials into
-// the exact unsharded outputs and fans each slot's detection out over
-// the detection lanes as contiguous model blocks. A block whose guard
-// gives up is scored on the PPE via the shard mirrors.
-
-void CellEngine::sharded_detect(FeatureSlot& slot) {
+void CellEngine::detect(ImagePlan& p, bool sent) {
   sim::ScalarContext& ppe = machine_.ppe();
-  const auto num_models = static_cast<int>(slot.set->models.size());
-  const int d = plan_.detect_spes;
-  std::vector<shard::Range> blocks = shard::split_rows(num_models, d);
-  ppe.charge(sim::OpClass::kStore, 6 * static_cast<std::uint64_t>(d));
-  const sim::SimTime blocks_sent = ppe.now_ns();
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].empty()) continue;
-    kernels::DetectMsg& m = *cd_block_msgs_[b];
-    m = *slot.detect_msg;
-    m.model_begin = blocks[b].begin;
-    m.num_models = blocks[b].count();
-    m.scores_ea = reinterpret_cast<std::uint64_t>(cd_block_scores_[b].data());
-    detect_lanes_[b].send(static_cast<int>(kernels::SPU_Run),
-                          cd_block_msgs_[b].ea());
+  std::vector<Task>& tasks = p.detect.tasks;
+  const bool blocks = tasks.front().kind == TaskKind::kBlock;
+  probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe,
+                        blocks ? "blocks" : "");
+  // Waves of calls on distinct lanes: the shared CD SPE takes one call
+  // at a time, kMultiSPE2's four detectors one wave, and each slot's
+  // model blocks one wave (their messages cost 6 stores per block lane).
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < tasks.size(); i = end) {
+    end = i + 1;
+    while (end < tasks.size() &&
+           std::none_of(tasks.begin() + static_cast<std::ptrdiff_t>(i),
+                        tasks.begin() + static_cast<std::ptrdiff_t>(end),
+                        [&](const Task& t) {
+                          return t.lane == tasks[end].lane;
+                        })) {
+      ++end;
+    }
+    if (!sent) {
+      if (blocks) {
+        ppe.charge(sim::OpClass::kStore,
+                   6 * static_cast<std::uint64_t>(detect_lanes()));
+      }
+      const sim::SimTime wave = ppe.now_ns();
+      for (std::size_t k = i; k < end; ++k) send(tasks[k], wave);
+    }
+    for (std::size_t k = i; k < end; ++k) {
+      finish(p, tasks[k], lanes_[static_cast<std::size_t>(tasks[k].lane)],
+             -1);
+    }
+    if (blocks) concat_blocks(p, tasks[i].slot);
   }
+}
+
+void CellEngine::reduce(ImagePlan& p) {
+  // The cellshard fixed-order reducers, so a sharded, fused or balanced
+  // image is bit-exact with the per-feature kernels.
+  sim::ScalarContext* ppe = &machine_.ppe();
+  const int w = p.pixels.width();
+  const int h = p.pixels.height();
+  const bool fused = p.partials == TaskKind::kFused;
+  for (int s = 0; s < 4; ++s) {
+    float* out = p.slots[s].out.data();
+    if (fused) {
+      shard::reduce_fused(s, p.slots[0].rows, p.slots[0].parts, w, h, out,
+                          ppe);
+    } else {
+      shard::reduce_shards(s, p.slots[s].rows, p.slots[s].parts, w, h, out,
+                           ppe);
+    }
+  }
+  (fused ? fuse_images_counter_ : shard_reduce_counter_)->add(1);
+}
+
+void CellEngine::concat_blocks(ImagePlan& p, int s) {
+  ImagePlan::Slot& ps = p.slots[s];
   std::vector<const double*> parts;
   std::vector<int> counts;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const shard::Range& block = blocks[b];
-    if (block.empty()) continue;
-    const std::string tag =
-        "cd[" + std::to_string(b) + "]:" + std::string(slot.name);
-    settle(detect_lanes_[b], tag, [&] {
-      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
-                            std::string("detect:") + slot.name);
-      shard::ppe_detect_block(slot.out.data(), slot.dim, *slot.set, block,
-                              cd_block_scores_[b].data(), &ppe);
-      note_degraded("detect", slot);
-    });
-    rt_.add_spe_span(probe::Phase::kDetect, tag, blocks_sent, ppe.now_ns());
-    parts.push_back(cd_block_scores_[b].data());
-    counts.push_back(block.count());
+  for (std::size_t b = 0; b < ps.blocks.size(); ++b) {
+    if (ps.blocks[b].empty()) continue;
+    parts.push_back(ps.block_scores[b].data());
+    counts.push_back(ps.blocks[b].count());
   }
   shard::concat_scores(parts.data(), counts.data(),
-                       static_cast<int>(parts.size()), slot.scores.data(),
-                       &ppe);
+                       static_cast<int>(parts.size()), ps.scores.data(),
+                       &machine_.ppe());
 }
 
-// ---- cellfuse: the fused per-image schedule ----
-//
-// One single-pass kernel invocation per lane replaces the four
-// per-feature invocations: each lane streams its tile-aligned row range
-// once — one HSV quantization, one gray conversion — and emits all four
-// raw-partial layouts in one blob (kernels/messages.h). The PPE merges
-// the blobs' sections with the same cellshard reducers the sharded
-// scenario uses, so fused results are bit-exact with the per-feature
-// kernels; detection then runs the scenario's normal schedule.
+std::string CellEngine::task_tag(const Task& t, int image) const {
+  const std::string name = slots_[t.slot].name;
+  const std::string j = std::to_string(t.index);
+  switch (t.kind) {
+    case TaskKind::kFeature:
+      return name;
+    case TaskKind::kShard:
+      return name + "[" + j + "]";
+    case TaskKind::kFused:
+      if (t.lane >= 0) return "fused[" + j + "]";
+      return image < 0 ? "task[" + j + "]"
+                       : "task[" + std::to_string(image) + "." + j + "]";
+    case TaskKind::kDetect:
+      return "cd:" + name;
+    case TaskKind::kBlock:
+      return "cd[" + j + "]:" + name;
+  }
+  return name;
+}
 
-void CellEngine::prepare_fused(const img::RgbImage& pixels) {
-  const int h = pixels.height();
-  // Same precondition as the TX kernel: every wavelet level must split
-  // (a fused lane always computes the texture alongside the row-granular
-  // features).
-  if (pixels.width() < (1 << features::kTextureLevels) ||
-      h < (1 << features::kTextureLevels)) {
-    throw cellport::ConfigError(
-        "image too small for the 4-level wavelet texture");
-  }
-  const auto lanes = static_cast<int>(fused_lanes_.size());
-  fused_rows_ = balanced_ ? balance::split_tasks(h, lanes)
-                          : shard::split_fused(h, lanes);
-  const std::size_t n = fused_rows_.size();
-  if (fused_msgs_.size() < n) {
-    fused_msgs_ = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-  }
-  if (fused_parts_.size() < n) fused_parts_.resize(n);
-  std::uint64_t stores = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const shard::Range& r = fused_rows_[j];
-    if (r.empty()) continue;
-    const std::size_t bytes =
-        kernels::fused_partial_bytes(pixels.width(), h, r.begin, r.end);
-    if (fused_parts_[j].bytes() < bytes) {
-      fused_parts_[j] = cellport::AlignedBuffer<std::uint8_t>(bytes);
+void CellEngine::fallback(ImagePlan& p, const Task& t, int image) {
+  sim::ScalarContext& ppe = machine_.ppe();
+  const FeatureSlot& slot = slots_[t.slot];
+  ImagePlan::Slot& ps = p.slots[t.slot];
+  const std::string name = slot.name;
+  switch (t.kind) {
+    case TaskKind::kFeature: {
+      // Recompute on the PPE scalar path and land the values in the
+      // slot's output buffer, where the (possibly still SPE-hosted)
+      // detection and collect() expect them.
+      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                            "extract:" + name);
+      features::FeatureVector fv = slot.ref_extract(p.pixels, &ppe);
+      ppe.charge(sim::OpClass::kStore, static_cast<std::uint64_t>(slot.dim));
+      std::memcpy(ps.out.data(), fv.values.data(),
+                  static_cast<std::size_t>(slot.dim) * sizeof(float));
+      note_degraded("extract", t.slot, p);
+      return;
     }
-    kernels::ImageMsg& m = *fused_msgs_[j];
-    m = *slots_[0].msg;
-    m.row_begin = r.begin;
-    m.row_end = r.end;
-    m.out_ea = reinterpret_cast<std::uint64_t>(fused_parts_[j].data());
-    stores += 4;
+    case TaskKind::kShard: {
+      // The surviving shards' SPE work is kept; only this range reruns.
+      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                            "shard:" + name);
+      shard::ppe_partial(t.slot, p.pixels, t.range, t.out, &ppe);
+      note_degraded("shard", t.slot, p);
+      return;
+    }
+    case TaskKind::kFused: {
+      // All four sections of this range's blob; a stream window names a
+      // stolen task after its image.
+      const std::string j = std::to_string(t.index);
+      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                            t.lane < 0 && image >= 0 ? "fuse[task" + j + "]"
+                                                     : "fuse[" + j + "]");
+      shard::ppe_partial_fused(p.pixels, t.range,
+                               static_cast<std::uint8_t*>(t.out), &ppe);
+      for (int s = 0; s < 4; ++s) note_degraded("fuse", s, p);
+      return;
+    }
+    case TaskKind::kDetect: {
+      // Score against the models on the PPE, reading whatever feature
+      // values are in the slot buffer (SPE-extracted or themselves a
+      // fallback).
+      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                            "detect:" + name);
+      features::FeatureVector fv;
+      fv.name = slot.name;
+      fv.values.assign(ps.out.data(), ps.out.data() + slot.dim);
+      DetectionScores scores = reference_detect(fv, *slot.set, &ppe);
+      ppe.charge(sim::OpClass::kStore,
+                 static_cast<std::uint64_t>(scores.values.size()));
+      // Under a serve concept clamp only the scored prefix lands in the
+      // buffer; the reference charge stays the full set (the PPE
+      // fallback has no short-batch kernel to lean on).
+      const auto copy = std::min(scores.values.size(),
+                                 static_cast<std::size_t>(ps.scored));
+      std::memcpy(ps.scores.data(), scores.values.data(),
+                  copy * sizeof(double));
+      note_degraded("detect", t.slot, p);
+      return;
+    }
+    case TaskKind::kBlock: {
+      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                            "detect:" + name);
+      shard::ppe_detect_block(ps.out.data(), slot.dim, *slot.set, t.range,
+                              static_cast<double*>(t.out), &ppe);
+      note_degraded("detect", t.slot, p);
+      return;
+    }
   }
-  machine_.ppe().charge(sim::OpClass::kStore, stores);
 }
 
-void CellEngine::fallback_fused(std::size_t j, const img::RgbImage& pixels) {
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        "fuse[" + std::to_string(j) + "]");
-  shard::ppe_partial_fused(pixels, fused_rows_[j], fused_parts_[j].data(),
-                           &machine_.ppe());
-  for (auto& slot : slots_) note_degraded("fuse", slot);
+void CellEngine::note_degraded(const char* stage, int s, ImagePlan& p) {
+  p.degraded.push_back(std::string(stage) + ":" + slots_[s].name);
+  fallback_counter_->add(1);
+  sim::ScalarContext& ppe = machine_.ppe();
+  if (ppe.trace_on()) {
+    ppe.trace_track()->instant(trace::Category::kRuntime,
+                               "ppe_fallback:" + p.degraded.back(),
+                               ppe.now_ns(), "count",
+                               fallback_counter_->value());
+  }
 }
 
 // ---- cellbalance: steal-driven fused dispatch + the content cache ----
 //
-// The balanced schedule is the fused schedule with MORE, smaller tasks
-// than lanes: the fused_* members hold one entry per TASK instead of one
-// per lane, so the reducers and the PPE mirror work verbatim — reduction
-// still walks fused_rows_ in ascending row order, which is exactly the
-// order a static plan reduces, keeping stolen-work results bit-identical.
+// A balanced plan is a fused plan with MORE, smaller tasks than lanes,
+// left unbound: every lane is armed with one, and each lane that finishes
+// steals the next. Reduction still walks the plan's ranges in ascending
+// row order, which is exactly the order a static plan reduces, keeping
+// stolen-work results bit-identical.
 
 void CellEngine::set_balanced(bool on) {
   balanced_ = on;
@@ -803,44 +662,49 @@ void CellEngine::set_balanced(bool on) {
   }
 }
 
-void CellEngine::balanced_issue(std::size_t k) {
-  const std::size_t t = bal_q_->issue(k);
-  if (t == balance::TaskQueue::kNone) return;
-  bal_sent_[t] = machine_.ppe().now_ns();
-  fused_lanes_[k]->send(static_cast<int>(kernels::SPU_Run_Fused),
-                        fused_msgs_[t].ea());
+void CellEngine::steal_issue(StealPool& pool, std::size_t k) {
+  const std::size_t i = pool.queue->issue(k);
+  if (i == balance::TaskQueue::kNone) return;
+  Task& t = *pool.entries[i].task;
+  t.sent_ns = machine_.ppe().now_ns();
+  lanes_[k].send(t.opcode, t.msg_ea);
 }
 
-void CellEngine::drain_balanced(const img::RgbImage& pixels) {
+void CellEngine::steal_arm(StealPool& pool) {
+  pool.queue.emplace(pool.entries.size(), fused_lanes_);
+  for (std::size_t k = 0; k < fused_lanes_; ++k) steal_issue(pool, k);
+}
+
+std::size_t CellEngine::steal_drain(StealPool& pool) {
   sim::ScalarContext& ppe = machine_.ppe();
-  balance::TaskQueue& q = *bal_q_;
-  probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "steal_lanes");
-  std::vector<sim::SimTime> peeks(fused_lanes_.size(), sim::kNeverNs);
+  balance::TaskQueue& q = *pool.queue;
+  std::vector<sim::SimTime> peeks(fused_lanes_, sim::kNeverNs);
+  std::size_t retries = 0;
   while (!q.done()) {
     {
       // Peek every in-flight completion timestamp without consuming it
       // (one MMIO charge per busy lane, in lane order — deterministic)
       // and pick the earliest finisher. A hung or quarantined lane peeks
       // sim::kNeverNs and never wins while live lanes are in flight, so
-      // the remaining descriptors flow around it.
-      probe::ProbeSpan p(prt(), probe::Phase::kSteal, ppe, "pick");
-      for (std::size_t k = 0; k < fused_lanes_.size(); ++k) {
-        peeks[k] = q.busy(k) ? fused_lanes_[k]->peek_ns() : sim::kNeverNs;
+      // the remaining tasks flow around it.
+      probe::ProbeSpan span(prt(), probe::Phase::kSteal, ppe, "pick");
+      for (std::size_t k = 0; k < fused_lanes_; ++k) {
+        peeks[k] = q.busy(k) ? lanes_[k].peek_ns() : sim::kNeverNs;
       }
     }
     const std::size_t k = balance::pick_earliest(peeks, q);
-    const std::size_t t = q.task_of(k);
-    const std::string tag = "task[" + std::to_string(t) + "]";
-    settle(*fused_lanes_[k], tag, [&] { fallback_fused(t, pixels); });
-    rt_.add_spe_span(probe::Phase::kExtract, tag, bal_sent_[t],
-                     ppe.now_ns());
+    // The guard's retry loop already ran in finish(); a lane that gave
+    // up has just this task's range recomputed on the PPE.
+    StealPool::Entry& e = pool.entries[q.task_of(k)];
+    const Lane::Result r = finish(*e.plan, *e.task, lanes_[k], e.image);
+    if (r.attempts > 1) retries += static_cast<std::size_t>(r.attempts - 1);
     q.complete(k);
-    balanced_issue(k);
+    steal_issue(pool, k);
   }
   steal_tasks_counter_->add(q.tasks());
   steal_arms_counter_->add(q.arms());
   steal_steals_counter_->add(q.steals());
-  bal_q_.reset();
+  return retries;
 }
 
 namespace {
@@ -933,50 +797,6 @@ void CellEngine::cache_store(std::uint64_t key,
   m.gauge("cache.entries").set(static_cast<double>(cache_->entries()));
 }
 
-void CellEngine::fallback_extract(FeatureSlot& slot,
-                                  const img::RgbImage& pixels) {
-  // Recompute on the PPE scalar path and land the values in the slot's
-  // output buffer, where the (possibly still SPE-hosted) detection and
-  // collect() expect them.
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        std::string("extract:") + slot.name);
-  features::FeatureVector fv = slot.ref_extract(pixels, &machine_.ppe());
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        static_cast<std::uint64_t>(slot.dim));
-  std::memcpy(slot.out.data(), fv.values.data(),
-              static_cast<std::size_t>(slot.dim) * sizeof(float));
-  note_degraded("extract", slot);
-}
-
-void CellEngine::fallback_detect(FeatureSlot& slot) {
-  // Score against the models on the PPE, reading whatever feature values
-  // are in the slot buffer (SPE-extracted or themselves a fallback).
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        std::string("detect:") + slot.name);
-  features::FeatureVector fv;
-  fv.name = slot.name;
-  fv.values.assign(slot.out.data(), slot.out.data() + slot.dim);
-  DetectionScores scores =
-      reference_detect(fv, *slot.set, &machine_.ppe());
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        static_cast<std::uint64_t>(scores.values.size()));
-  std::memcpy(slot.scores.data(), scores.values.data(),
-              scores.values.size() * sizeof(double));
-  note_degraded("detect", slot);
-}
-
-void CellEngine::note_degraded(const char* stage, const FeatureSlot& slot) {
-  degraded_current_.push_back(std::string(stage) + ":" + slot.name);
-  fallback_counter_->add(1);
-  sim::ScalarContext& ppe = machine_.ppe();
-  if (ppe.trace_on()) {
-    ppe.trace_track()->instant(trace::Category::kRuntime,
-                               "ppe_fallback:" + degraded_current_.back(),
-                               ppe.now_ns(), "count",
-                               fallback_counter_->value());
-  }
-}
-
 void CellEngine::note_image_done() {
   images_counter_->add(1);
   sim::ScalarContext& ppe = machine_.ppe();
@@ -985,88 +805,6 @@ void CellEngine::note_image_done() {
                                ppe.now_ns(), "count",
                                images_counter_->value());
   }
-}
-
-std::vector<AnalysisResult> CellEngine::analyze_batch_pipelined(
-    const std::vector<img::SicEncoded>& images) {
-  if (scenario_ == Scenario::kSingleSPE) {
-    throw cellport::ConfigError(
-        "pipelined batches need a parallel scenario (kMultiSPE, "
-        "kMultiSPE2, or kSharded)");
-  }
-  if (!cache_on()) {
-    std::vector<const img::SicEncoded*> ptrs;
-    ptrs.reserve(images.size());
-    for (const auto& image : images) ptrs.push_back(&image);
-    return pipelined_cold(ptrs);
-  }
-  // cellbalance: serve cache hits up front (each one its own request),
-  // run the pipelined loop over the misses only, then reassemble the
-  // results in input order — values bit-identical to an uncached batch.
-  sim::ScalarContext& ppe = machine_.ppe();
-  std::vector<AnalysisResult> merged(images.size());
-  std::vector<const img::SicEncoded*> cold;
-  std::vector<std::size_t> cold_idx;
-  std::vector<std::uint64_t> cold_keys;
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    if (probe_ != nullptr) rt_.start("pipelined", ppe.now_ns());
-    std::uint64_t key = 0;
-    if (cache_try_serve(images[i], &merged[i], &key)) {
-      note_image_done();
-      finish_request();
-      continue;
-    }
-    // The miss's lookup time belongs to its request, which the cold
-    // loop below serves; roll this trace into that one.
-    if (probe_ != nullptr && rt_.active()) rt_.finish(ppe.now_ns());
-    cold.push_back(&images[i]);
-    cold_idx.push_back(i);
-    cold_keys.push_back(key);
-  }
-  std::vector<AnalysisResult> cold_results = pipelined_cold(cold);
-  for (std::size_t c = 0; c < cold_results.size(); ++c) {
-    if (cold_results[c].degraded.empty()) {
-      cache_store(cold_keys[c], cold_results[c]);
-    }
-    merged[cold_idx[c]] = std::move(cold_results[c]);
-  }
-  return merged;
-}
-
-std::vector<AnalysisResult> CellEngine::pipelined_cold(
-    const std::vector<const img::SicEncoded*>& images) {
-  std::vector<AnalysisResult> results;
-  if (images.empty()) return results;
-  results.reserve(images.size());
-
-  port::Profiler::Scope probe(profiler_, kPhasePipelined);
-  sim::ScalarContext& ppe = machine_.ppe();
-
-  // Two pixel buffers alternate: the SPEs read `current` while the PPE
-  // decodes into the other slot. Probing treats each loop iteration as
-  // one request; the overlapped decode of image i+1 lands in request
-  // i's kDecode phase — that is where the PPE's time really went.
-  if (probe_ != nullptr) rt_.start("pipelined", ppe.now_ns());
-  img::RgbImage current = ingest(*images[0]);
-  QuiesceOnUnwind quiesce_on_unwind(*this);
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    if (probe_ != nullptr && !rt_.active()) {
-      rt_.start("pipelined", ppe.now_ns());
-    }
-    prepare_image(current);
-    send_extract(/*honor_naive=*/false);
-    // PPE work overlaps the SPE kernels: decode the next image now.
-    img::RgbImage next;
-    if (i + 1 < images.size()) next = ingest(*images[i + 1]);
-    complete_extract(current);
-    reduce_partials();
-    detect();
-    results.push_back(collect_result());
-    note_image_done();
-    finish_request();
-    if (i + 1 < images.size()) current = std::move(next);
-  }
-  return results;
 }
 
 }  // namespace cellport::marvel

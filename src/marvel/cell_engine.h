@@ -34,6 +34,7 @@
 #include "port/message.h"
 #include "learn/model_store.h"
 #include "marvel/lane.h"
+#include "marvel/plan.h"
 #include "marvel/reference_engine.h"
 #include "marvel/result.h"
 #include "port/profiler.h"
@@ -89,7 +90,6 @@ inline constexpr const char* kPhaseDetect = "Detect";
 /// cellshard: the PPE-side partial merge of a kSharded image (shows as
 /// its own span on the timeline).
 inline constexpr const char* kPhaseShardReduce = "ShardReduce";
-inline constexpr const char* kPhasePipelined = "Pipelined(batch)";
 inline constexpr const char* kPhaseStream = "Stream(ring)";
 
 class CellEngine {
@@ -112,20 +112,13 @@ class CellEngine {
 
   AnalysisResult analyze(const img::SicEncoded& image);
 
-  /// Batch mode with PPE/SPE overlap (Figure 4c's full form): while the
-  /// SPEs extract image i, the PPE decodes image i+1, hiding most of the
-  /// preprocessing behind kernel time. Requires kMultiSPE or kMultiSPE2
-  /// (the per-image kernel schedule is unchanged); results are identical
-  /// to per-image analyze() calls.
-  std::vector<AnalysisResult> analyze_batch_pipelined(
-      const std::vector<img::SicEncoded>& images);
-
   /// cellstream: streaming throughput mode. Admits the whole queue of
   /// encoded images and drives every scheduled SPE through its command
   /// ring in windows of `opts.batch` requests — one doorbell per window
   /// per ring instead of one mailbox write per call, with the PPE
-  /// decoding ahead while the SPEs extract (parallel scenarios). Results
-  /// are bit-exact with per-call analyze(). Guard deadlines apply
+  /// decoding window w+1 while the SPEs extract window w (parallel
+  /// scenarios; Figure 4c's PPE/SPE overlap, per image at batch 1).
+  /// Results are bit-exact with per-call analyze(). Guard deadlines apply
   /// per-request (a faulted request is re-run alone; the window's
   /// deadline is count * per-call deadline). `stats`, when non-null,
   /// receives the measured simulated images/sec.
@@ -147,7 +140,9 @@ class CellEngine {
   guard::SpeHealth* health() { return health_.get(); }
   /// cellshard: the shard plan a kSharded engine executes (defaulted
   /// {1,1,1,1}+1 otherwise).
-  const shard::ShardPlan& shard_plan() const { return plan_; }
+  const shard::ShardPlan& shard_plan() const { return shard_plan_; }
+  /// cellexec: the plan of the last analyze() call.
+  const ImagePlan& plan() const { return plan_; }
 
   /// cellprobe: installs a per-request attribution sink. Every
   /// analyze() call (and every analyze_stream() run as one request)
@@ -162,7 +157,7 @@ class CellEngine {
   /// header, and the packed pixel rows stream main memory -> LS -> image
   /// planes through DMA lists riding the scenario's detect-side SPEs
   /// (the ones idle during every schedule's decode phase, including the
-  /// pipelined/streaming decode-ahead overlap). SIC2 carriers, carriers
+  /// streaming decode-ahead overlap). SIC2 carriers, carriers
   /// without the encoder's alignment slack, and rows too wide for one
   /// list element keep the legacy PPE decode. A failed feed lane's rows
   /// are unpacked on the PPE instead; a guarded lane also records it as
@@ -208,9 +203,9 @@ class CellEngine {
   /// cellbalance: content-addressed feature cache. A non-zero byte
   /// budget caches each undegraded AnalysisResult under the FNV-1a
   /// digest of the ENCODED image bytes; repeated/duplicated uploads in
-  /// analyze(), the pipelined batch loop, analyze_stream() and the
-  /// cellserve broker are served from the cache (digest + copy-out
-  /// only), bit-identical to the cold path. Eviction is strict LRU
+  /// analyze(), analyze_stream() and the cellserve broker are served
+  /// from the cache (digest + copy-out only), bit-identical to the cold
+  /// path. Eviction is strict LRU
   /// under the budget (cache.{hits,misses,evictions,bytes,entries}
   /// metrics). Degraded results are never cached (guard accounting
   /// stays exact) and concept-clamped serve levels bypass the cache
@@ -226,45 +221,30 @@ class CellEngine {
  private:
   friend class StreamEngine;
 
+  /// Engine-wide state of one feature: its kernel phase, the model set
+  /// and its descriptors (shared read-only by every plan), and the PPE
+  /// reference extractor a fallback runs.
   struct FeatureSlot {
     const char* phase = nullptr;
     const char* name = nullptr;
-    cellport::port::WrappedMessage<kernels::ImageMsg> msg;
-    cellport::AlignedBuffer<float> out;
     int dim = 0;
-    // Detection side.
     const learn::ConceptModelSet* set = nullptr;
-    cellport::port::WrappedMessage<kernels::DetectMsg> detect_msg;
     cellport::AlignedBuffer<kernels::DetectModelDesc> descs;
-    cellport::AlignedBuffer<double> scores;
-    // PPE reference extractor (a guarded lane's fallback).
     features::FeatureVector (*ref_extract)(const img::RgbImage&,
                                            sim::ScalarContext*) = nullptr;
-    /// The slot's extraction lanes: its one SPE, or (kSharded) one per
-    /// shard, each with a message and raw-partial buffer; `shard_rows`
-    /// holds the current image's ranges (recomputed per image — shapes
-    /// may vary).
-    std::vector<Lane> lanes;
-    std::vector<cellport::port::WrappedMessage<kernels::ImageMsg>>
-        shard_msgs;
-    std::vector<cellport::AlignedBuffer<std::uint8_t>> shard_parts;
-    std::vector<shard::Range> shard_rows;
+    /// The slot's extraction lanes in lanes_: [first_lane, +lanes) — its
+    /// one SPE, or (kSharded) one per shard.
+    int first_lane = 0;
+    int lanes = 0;
   };
 
-  void setup_detection(FeatureSlot& slot, const learn::ConceptModelSet& set);
-  void fill_image_msg(FeatureSlot& slot, const img::RgbImage& pixels);
-  void collect(FeatureSlot& slot, features::FeatureVector& fv,
-               DetectionScores& scores);
+  void setup_descriptors(FeatureSlot& slot,
+                         const learn::ConceptModelSet& set);
   /// Bumps the images-analyzed counter and drops a timeline marker.
   void note_image_done();
   /// The opcode of slot `slot`'s per-feature kernel (naive when asked
   /// for and available).
   int extract_opcode(const FeatureSlot& slot) const;
-  /// Slot `s`'s detection lane outside kSharded: its own SPE under
-  /// kMultiSPE2, the shared CD SPE otherwise.
-  Lane& detect_lane(int s) {
-    return detect_lanes_[scenario_ == Scenario::kMultiSPE2 ? s : 0];
-  }
 
   /// Guards a schedule's buffers: when an exception (a plain lane's
   /// fault) unwinds through its scope, every lane's in-flight work is
@@ -301,77 +281,72 @@ class CellEngine {
     return r;
   }
 
-  // ---- the per-image schedule, shared by analyze() and the pipelined
-  // batch loop (profiler scopes stay in the callers) ----
-  /// Fills every message for `pixels` (per-feature, shard or fused
-  /// ranges) and adopts the feed degradation staged by its ingest().
-  void prepare_image(const img::RgbImage& pixels);
-  /// Dispatches the image's extraction on the strategy's lanes.
-  /// `honor_naive` false runs the optimized per-feature kernels even on a
-  /// use_naive engine (the pipelined loop's schedule).
-  void send_extract(bool honor_naive);
-  /// Completion side of send_extract(); a guarded lane that gives up is
-  /// recomputed from `pixels` on the PPE. Under per-feature kMultiSPE2
-  /// each slot's detection is sent as soon as its extraction completes.
-  void complete_extract(const img::RgbImage& pixels);
-  /// Merges the lanes' raw partials into the slots' output buffers
-  /// (sharded, fused and balanced strategies; a no-op otherwise).
-  void reduce_partials();
-  /// The scenario's detection schedule.
-  void detect();
+  // ---- cellexec: the plan builder (plan.cpp) ----
+  /// Sizes a plan's per-slot buffers and messages and builds its
+  /// detection stage (fixed per engine: it depends only on the model
+  /// sets, clamped to `max_models` when non-zero, and the scenario).
+  void init_plan(ImagePlan& p, int max_models);
+  /// Fills the slot messages for `p.pixels` and builds the extraction
+  /// stage of the engine's strategy. Throws ConfigError for a fused or
+  /// balanced image below 16x16, exactly like the TX kernel (a fused
+  /// lane always computes the wavelet texture).
+  void build_plan(ImagePlan& p);
+  /// Adds slot `s`'s range tasks over `rows` (empty ranges skipped),
+  /// bound to lanes first_lane.. (or unbound when `stolen`).
+  void plan_ranges(ImagePlan& p, int s, std::vector<shard::Range> rows,
+                   TaskKind kind, int first_lane, bool stolen);
+
+  // ---- cellexec: the per-call executor and the steps both share ----
+  /// Sends `t` on its lane; range calls time their span from `wave_ns`.
+  void send(Task& t, sim::SimTime wave_ns);
+  /// Settles `t`'s call on `lane` (its fallback on a failed verdict) and
+  /// records its SPE span. `image` is its stream window position (-1 per
+  /// call); it only names stolen tasks.
+  Lane::Result finish(ImagePlan& p, Task& t, Lane& lane, int image);
+  /// Per-call extraction: send every task, settle each (kMultiSPE2
+  /// per-feature sends slot s's detection as soon as its extraction
+  /// settles, when `overlap_detect`), or the steal loop.
+  void extract(ImagePlan& p, bool overlap_detect);
+  /// Per-call detection in waves of distinct lanes; `sent` when
+  /// extract() already sent the tasks.
+  void detect(ImagePlan& p, bool sent);
+  /// Merges the extraction partials into the slots' feature vectors.
+  void reduce(ImagePlan& p);
+  /// Concatenates slot `s`'s model-block scores into its score array.
+  void concat_blocks(ImagePlan& p, int s);
   /// Gathers the slots into a result carrying the image's degradation.
-  AnalysisResult collect_result();
+  AnalysisResult collect(ImagePlan& p);
+  /// The task's span and retry tag.
+  std::string task_tag(const Task& t, int image) const;
+  /// The PPE path for a task whose guarded lane gave up, recorded as
+  /// degraded.
+  void fallback(ImagePlan& p, const Task& t, int image);
+  void note_degraded(const char* stage, int s, ImagePlan& p);
+  /// cellbalance: arms every fused lane with one pool task, then steals:
+  /// peeks every in-flight completion, settles the earliest lane and
+  /// hands it the next task until the pool drains. Returns the guard
+  /// retries it absorbed.
+  void steal_arm(StealPool& pool);
+  std::size_t steal_drain(StealPool& pool);
+  void steal_issue(StealPool& pool, std::size_t k);
 
   // ---- cellfeed paths (no-ops unless set_feed(true)) ----
-  /// Decode-or-feed front end shared by analyze(), the pipelined batch
-  /// loop, and StreamEngine::prepare_window. With feed off (or an
-  /// ineligible carrier) it charges exactly what the legacy decode path
-  /// charged.
-  img::RgbImage ingest(const img::SicEncoded& image);
+  /// Decode-or-feed front end shared by analyze() and
+  /// StreamEngine::prepare_window: decodes `image` into `p.pixels` and
+  /// restarts `p.degraded`. With feed off (or an ineligible carrier) it
+  /// charges exactly what the legacy decode path charged.
+  void ingest(const img::SicEncoded& image, ImagePlan& p);
   /// The SPE half of ingest(): splits `hdr`'s rows across the detection
   /// lanes, sends SPU_Run_Feed, and waits under the FeedDMA probe phase.
   void feed_image(const img::SicEncoded& image, const img::PpmHeader& hdr,
-                  img::RgbImage& dst);
+                  ImagePlan& p);
   /// PPE mirror for one lane's row range (the lane faulted or its guard
   /// gave up): bit-identical bytes to the SPE unpack. `degrade` records
   /// it (guarded lanes).
   void feed_fallback_rows(const img::SicEncoded& image,
                           const img::PpmHeader& hdr,
-                          const shard::Range& rows, img::RgbImage& dst,
+                          const shard::Range& rows, ImagePlan& p,
                           bool degrade);
-
-  // ---- PPE fallbacks of guarded lanes ----
-  void fallback_extract(FeatureSlot& slot, const img::RgbImage& pixels);
-  void fallback_detect(FeatureSlot& slot);
-  void fallback_fused(std::size_t j, const img::RgbImage& pixels);
-  void note_degraded(const char* stage, const FeatureSlot& slot);
-
-  // ---- cellshard paths (kSharded only) ----
-  /// Allocates per-shard messages/partial buffers and the detection
-  /// block staging (construction time).
-  void setup_sharding();
-  /// Computes the current image's shard ranges and fills every shard
-  /// message (after fill_image_msg).
-  void prepare_shards(const img::RgbImage& pixels);
-  /// Block-split detection for one slot over the detection lanes.
-  void sharded_detect(FeatureSlot& slot);
-
-  // ---- cellfuse / cellbalance paths ----
-  /// Computes the current image's lane ranges (fused) or task ranges
-  /// (balanced: balance::split_tasks, finer than the lane count),
-  /// (re)sizes the per-range partial blobs and fills their messages
-  /// (after fill_image_msg). Throws ConfigError for images below 16x16,
-  /// exactly like the TX kernel (a fused lane always computes the
-  /// wavelet texture).
-  void prepare_fused(const img::RgbImage& pixels);
-  /// Hands lane `k` the next unissued task descriptor (Send); no-op when
-  /// the queue is exhausted.
-  void balanced_issue(std::size_t k);
-  /// The steal loop: peeks every in-flight completion timestamp,
-  /// finishes the earliest lane, hands it the next task, until the
-  /// queue drains. Guarded lanes that exhaust their retries drop to the
-  /// PPE mirror for just that task's range.
-  void drain_balanced(const img::RgbImage& pixels);
 
   // ---- cellbalance cache (no-ops unless set_cache(>0)) ----
   bool cache_on() const { return cache_ != nullptr && cache_->enabled(); }
@@ -387,10 +362,6 @@ class CellEngine {
   /// Inserts an undegraded cold result under its digest, charging the
   /// write-back and refreshing the cache gauges/eviction counter.
   void cache_store(std::uint64_t key, const AnalysisResult& result);
-  /// The pipelined batch loop proper, over the cache misses only (the
-  /// public wrapper serves hits and reassembles input order).
-  std::vector<AnalysisResult> pipelined_cold(
-      const std::vector<const img::SicEncoded*>& images);
 
   // ---- cellprobe ----
   /// The live request trace, or null when no sink is installed (every
@@ -411,24 +382,20 @@ class CellEngine {
   // Cached at construction so the per-image path does no registry lookup.
   trace::Counter* images_counter_ = nullptr;
 
-  /// Detection lanes: the shared CD SPE (kSingleSPE/kMultiSPE), one per
-  /// slot (kMultiSPE2), or the model blocks (kSharded). Feed rows ride
-  /// them too.
-  std::vector<Lane> detect_lanes_;
-  /// Fused lanes: the slots' extraction lanes slot-major, capped at one
-  /// (kSingleSPE) or fused_plan_.lanes (kSharded).
-  std::vector<Lane*> fused_lanes_;
-  /// Send timestamps of the current image's per-feature extraction and
-  /// kMultiSPE2 detection calls, and of its shard/fused dispatch.
-  sim::SimTime sent_[4] = {0, 0, 0, 0};
-  sim::SimTime detect_sent_[4] = {0, 0, 0, 0};
-  sim::SimTime extract_sent_ns_ = 0;
+  /// One Lane per scheduled SPE role: the slots' extraction lanes
+  /// slot-major, then the detection lanes (the shared CD SPE, one per
+  /// slot under kMultiSPE2, or the kSharded model blocks; feed rows ride
+  /// them too). The fused lanes are the first fused_lanes_ of them.
+  std::vector<Lane> lanes_;
+  int detect_begin_ = 0;
+  std::size_t fused_lanes_ = 0;
+  Lane& detect_lane(std::size_t j) { return lanes_[detect_begin_ + j]; }
+  std::size_t detect_lanes() const { return lanes_.size() - detect_begin_; }
 
   // cellguard state (null when the policy is disabled).
   guard::GuardPolicy guard_;
   std::unique_ptr<guard::SpeHealth> health_;
   trace::Counter* fallback_counter_ = nullptr;
-  std::vector<std::string> degraded_current_;
 
   // cellfeed state.
   bool feed_ = false;
@@ -436,18 +403,9 @@ class CellEngine {
   trace::Counter* feed_images_counter_ = nullptr;
   trace::Counter* feed_rows_counter_ = nullptr;
   trace::Counter* feed_fallback_counter_ = nullptr;
-  /// Degraded records from guarded feed fallbacks. The pipelined loop
-  /// decodes image i+1 while image i is still the current request, so
-  /// feed degradation is staged here and spliced into the degraded list
-  /// of the image it belongs to.
-  std::vector<std::string> feed_pending_degraded_;
 
-  // cellbalance state. `bal_q_` lives only between the arm wave in
-  // send_extract() and the end of drain_balanced (one image's
-  // steal-driven dispatch).
+  // cellbalance state.
   bool balanced_ = false;
-  std::unique_ptr<balance::TaskQueue> bal_q_;
-  std::vector<sim::SimTime> bal_sent_;
   std::unique_ptr<balance::ContentCache<AnalysisResult>> cache_;
   trace::Counter* steal_tasks_counter_ = nullptr;
   trace::Counter* steal_arms_counter_ = nullptr;
@@ -460,16 +418,10 @@ class CellEngine {
   // cellfuse state.
   bool fused_ = false;
   shard::FusedPlan fused_plan_;
-  std::vector<port::WrappedMessage<kernels::ImageMsg>> fused_msgs_;
-  std::vector<cellport::AlignedBuffer<std::uint8_t>> fused_parts_;
-  std::vector<shard::Range> fused_rows_;
   trace::Counter* fuse_images_counter_ = nullptr;
 
   // cellshard state (kSharded only).
-  shard::ShardPlan plan_;
-  std::vector<cellport::port::WrappedMessage<kernels::DetectMsg>>
-      cd_block_msgs_;
-  std::vector<cellport::AlignedBuffer<double>> cd_block_scores_;
+  shard::ShardPlan shard_plan_;
   trace::Counter* shard_reduce_counter_ = nullptr;
 
   // cellprobe state: the sink (null = probing off) and the request
@@ -478,6 +430,8 @@ class CellEngine {
   probe::RequestTrace rt_;
 
   FeatureSlot slots_[4];
+  /// The per-call plan, reused across analyze() calls.
+  ImagePlan plan_;
 };
 
 }  // namespace cellport::marvel

@@ -1,22 +1,10 @@
 #include "marvel/stream_engine.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "features/texture.h"
-#include "shard/mirror.h"
-#include "shard/reducer.h"
 #include "support/error.h"
 
 namespace cellport::marvel {
-
-namespace {
-
-std::size_t padded_dim(int dim) {
-  return cellport::round_up(static_cast<std::size_t>(dim), 8);
-}
-
-}  // namespace
 
 StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
     : engine_(engine), opts_(opts) {
@@ -32,77 +20,14 @@ StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
   if (engine_.guard_.enabled) {
     guard_deadline_ns_ = engine_.guard_.retry.deadline_ns;
   }
-  const bool sharded = engine_.scenario_ == Scenario::kSharded;
-  for (int s = 0; s < 4; ++s) {
-    // cellserve degrade ladder: score only a prefix of each slot's model
-    // set. The clamp lands once, here, and every path below (detect
-    // messages, shard blocks, fallbacks, collect) reads scored_models_.
-    const auto full =
-        static_cast<int>(engine_.slots_[s].set->models.size());
-    scored_models_[s] =
-        opts_.max_models > 0 ? std::min(full, opts_.max_models) : full;
-    if (sharded) {
-      cd_blocks_[s] =
-          shard::split_rows(scored_models_[s], engine_.plan_.detect_spes);
-    }
-  }
-  // Raw-partial bytes per shard (TX is tile-count dependent and (re)sized
-  // in prepare_window; see CellEngine::setup_sharding).
-  const std::size_t part_bytes[4] = {
-      kernels::kShardChWords * sizeof(std::uint32_t),
-      kernels::kShardCcWords * sizeof(std::uint32_t),
-      0,
-      kernels::kShardEhWords * sizeof(std::uint32_t),
-  };
-  const auto B = static_cast<std::size_t>(opts_.batch);
-  for (auto& parity : bufs_) {
-    parity.reserve(B);
-    for (std::size_t j = 0; j < B; ++j) {
-      auto pi = std::make_unique<PerImage>();
-      for (int s = 0; s < 4; ++s) {
-        CellEngine::FeatureSlot& slot = engine_.slots_[s];
-        SlotBuf& sb = pi->sb[s];
-        sb.out = cellport::AlignedBuffer<float>(padded_dim(slot.dim));
-        sb.scores = cellport::AlignedBuffer<double>(slot.scores.size());
-        // The detection message is static per buffer: it reads this
-        // buffer's feature vector and writes this buffer's scores. The
-        // model descriptors stay shared, read-only, with the engine.
-        kernels::DetectMsg& dm = *sb.detect_msg;
-        dm = *slot.detect_msg;
-        dm.num_models = scored_models_[s];
-        dm.feature_ea = reinterpret_cast<std::uint64_t>(sb.out.data());
-        dm.scores_ea = reinterpret_cast<std::uint64_t>(sb.scores.data());
-        if (!sharded) continue;
-        const auto n =
-            static_cast<std::size_t>(engine_.plan_.extract_shards[s]);
-        sb.shard_msgs =
-            std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-        sb.shard_parts.resize(n);
-        if (part_bytes[s] > 0) {
-          for (auto& p : sb.shard_parts) {
-            p = cellport::AlignedBuffer<std::uint8_t>(part_bytes[s]);
-          }
-        }
-        // Detection block staging is static per buffer like detect_msg:
-        // the block split depends only on the model count.
-        const auto d = static_cast<std::size_t>(engine_.plan_.detect_spes);
-        sb.block_msgs =
-            std::vector<port::WrappedMessage<kernels::DetectMsg>>(d);
-        sb.block_scores.resize(d);
-        for (std::size_t b = 0; b < d; ++b) {
-          const shard::Range& block = cd_blocks_[s][b];
-          sb.block_scores[b] =
-              cellport::AlignedBuffer<double>(sb.scores.size());
-          if (block.empty()) continue;
-          kernels::DetectMsg& bm = *sb.block_msgs[b];
-          bm = dm;
-          bm.model_begin = block.begin;
-          bm.num_models = block.count();
-          bm.scores_ea =
-              reinterpret_cast<std::uint64_t>(sb.block_scores[b].data());
-        }
-      }
-      parity.push_back(std::move(pi));
+  // Kernels of different in-flight images must not share buffers, so
+  // every window slot has its own plan. The serve degrade ladder's
+  // concept clamp (opts_.max_models) lands once, in each plan's
+  // detection stage.
+  for (auto& parity : plans_) {
+    for (int j = 0; j < opts_.batch; ++j) {
+      parity.push_back(std::make_unique<ImagePlan>());
+      engine_.init_plan(*parity.back(), opts_.max_models);
     }
   }
 }
@@ -170,8 +95,8 @@ std::size_t StreamEngine::window_count(std::size_t w,
                   total - window_begin(w));
 }
 
-StreamEngine::PerImage& StreamEngine::buf(std::size_t w, std::size_t j) {
-  return *bufs_[w % 2][j];
+ImagePlan& StreamEngine::at(std::size_t w, std::size_t j) {
+  return *plans_[w % 2][j];
 }
 
 void StreamEngine::prepare_window(
@@ -180,97 +105,11 @@ void StreamEngine::prepare_window(
   const std::size_t count = window_count(w, images.size());
   sim::ScalarContext& ppe = engine_.machine_.ppe();
   for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
-    const img::SicEncoded& image = *images[base + j];
-    pi.pixels = engine_.ingest(image);
-    // cellfeed fallbacks staged during ingest() belong to this image.
-    pi.degraded = std::move(engine_.feed_pending_degraded_);
-    engine_.feed_pending_degraded_.clear();
-    stats_.fallbacks += pi.degraded.size();
-    for (int s = 0; s < 4; ++s) {
-      // Listing 4's FILL_MSG_FROM_COLORIMAGE, against this window slot's
-      // private message.
-      ppe.charge(sim::OpClass::kStore, 12);
-      kernels::ImageMsg& m = *pi.sb[s].msg;
-      m.pixels_ea = reinterpret_cast<std::uint64_t>(pi.pixels.data());
-      m.width = pi.pixels.width();
-      m.height = pi.pixels.height();
-      m.stride = pi.pixels.stride();
-      m.buffering = engine_.buffering_;
-      m.out_ea = reinterpret_cast<std::uint64_t>(pi.sb[s].out.data());
-      m.out_count = engine_.slots_[s].dim;
-    }
-    if (engine_.fused_ || engine_.balanced_) {
-      // cellfuse: extraction rides fused lanes instead of the feature
-      // slots. Same small-image precondition as CellEngine::prepare_fused
-      // (a fused lane always computes the wavelet texture). cellbalance
-      // reuses the lane machinery at TASK granularity: the descriptor
-      // split is tile-aligned and finer than the lane count, so lanes
-      // can steal across it (and across images) in the wait phase.
-      const int ih = pi.pixels.height();
-      if (pi.pixels.width() < (1 << features::kTextureLevels) ||
-          ih < (1 << features::kTextureLevels)) {
-        throw cellport::ConfigError(
-            "image too small for the 4-level wavelet texture");
-      }
-      const auto lanes_n = static_cast<int>(engine_.fused_lanes_.size());
-      pi.fused_rows = engine_.balanced_
-                          ? balance::split_tasks(ih, lanes_n)
-                          : shard::split_fused(ih, lanes_n);
-      const std::size_t n = pi.fused_rows.size();
-      if (pi.fused_msgs.size() < n) {
-        pi.fused_msgs =
-            std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-      }
-      if (pi.fused_parts.size() < n) pi.fused_parts.resize(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        const shard::Range& r = pi.fused_rows[k];
-        if (r.empty()) continue;
-        const std::size_t bytes = kernels::fused_partial_bytes(
-            pi.pixels.width(), ih, r.begin, r.end);
-        if (pi.fused_parts[k].bytes() < bytes) {
-          pi.fused_parts[k] =
-              cellport::AlignedBuffer<std::uint8_t>(bytes);
-        }
-        ppe.charge(sim::OpClass::kStore, 4);
-        kernels::ImageMsg& m = *pi.fused_msgs[k];
-        m = *pi.sb[0].msg;
-        m.row_begin = r.begin;
-        m.row_end = r.end;
-        m.out_ea = reinterpret_cast<std::uint64_t>(pi.fused_parts[k].data());
-      }
-      continue;
-    }
-    if (engine_.scenario_ != Scenario::kSharded) continue;
-    // cellshard: the shard plan is fixed, the ranges follow this image's
-    // shape. Each shard message is the slot message plus its row range,
-    // writing the raw partial instead of the feature vector.
-    for (int s = 0; s < 4; ++s) {
-      SlotBuf& sb = pi.sb[s];
-      const int n = engine_.plan_.extract_shards[s];
-      sb.shard_rows = s == shard::kSlotTx
-                          ? shard::split_tiles(pi.pixels.height(), n)
-                          : shard::split_rows(pi.pixels.height(), n);
-      for (int k = 0; k < n; ++k) {
-        const shard::Range& r = sb.shard_rows[static_cast<std::size_t>(k)];
-        if (r.empty()) continue;
-        if (s == shard::kSlotTx) {
-          const auto bytes = static_cast<std::size_t>(
-                                 shard::tx_partial_doubles(r)) *
-                             sizeof(double);
-          auto& part = sb.shard_parts[static_cast<std::size_t>(k)];
-          if (part.bytes() < bytes) {
-            part = cellport::AlignedBuffer<std::uint8_t>(bytes);
-          }
-        }
-        ppe.charge(sim::OpClass::kStore, 4);
-        kernels::ImageMsg& m = *sb.shard_msgs[static_cast<std::size_t>(k)];
-        m = *sb.msg;
-        m.row_begin = r.begin;
-        m.row_end = r.end;
-        m.out_ea = reinterpret_cast<std::uint64_t>(
-            sb.shard_parts[static_cast<std::size_t>(k)].data());
-      }
+    ImagePlan& p = at(w, j);
+    engine_.ingest(*images[base + j], p);
+    engine_.build_plan(p);
+    for (std::uint64_t m = 0; m < p.msgs_filled; ++m) {
+      ppe.charge(sim::OpClass::kStore, 4);
     }
   }
 }
@@ -281,460 +120,125 @@ int StreamEngine::flush_ring(port::SPEInterface* iface) {
   return n;
 }
 
-void StreamEngine::flush_shard_slot(std::size_t w, std::size_t total,
-                                    int s) {
-  const std::size_t count = window_count(w, total);
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) *
-                   (pipelined_ ? 2u : 1u);
-  const auto spu_run = static_cast<int>(kernels::SPU_Run);
-  std::vector<Lane>& lanes = engine_.slots_[s].lanes;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    port::SPEInterface* iface = ensure_ring(lanes[k].iface(), cap);
-    if (iface == nullptr) continue;  // guarded + closed: wait resolves it
-    int enqueued = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      SlotBuf& sb = buf(w, j).sb[s];
-      if (sb.shard_rows[k].empty()) continue;
-      iface->Enqueue(spu_run, sb.shard_msgs[k].ea());
-      ++enqueued;
-    }
-    if (enqueued > 0) flush_ring(iface);
-  }
-}
-
-void StreamEngine::wait_shard_slot(std::size_t w, std::size_t total,
-                                   int s) {
-  const std::size_t count = window_count(w, total);
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  for (std::size_t k = 0; k < slot.lanes.size(); ++k) {
-    // The requests this shard's ring actually carries for this window
-    // (empty ranges were never enqueued).
-    std::vector<std::size_t> live;
-    for (std::size_t j = 0; j < count; ++j) {
-      if (!buf(w, j).sb[s].shard_rows[k].empty()) live.push_back(j);
-    }
-    if (live.empty()) continue;
-    wait_ring(slot.lanes[k], live.size(), "shard extract",
-              [&](std::size_t i) {
-      PerImage& pi = buf(w, live[i]);
-      SlotBuf& sb = pi.sb[s];
-      rerun(slot.lanes[k], static_cast<int>(kernels::SPU_Run),
-            sb.shard_msgs[k].ea(),
-            std::string(slot.name) + "[" + std::to_string(k) + "]", [&] {
-        probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                              engine_.machine_.ppe(),
-                              std::string("shard:") + slot.name);
-        shard::ppe_partial(s, pi.pixels, sb.shard_rows[k],
-                           sb.shard_parts[k].data(),
-                           &engine_.machine_.ppe());
-        note_degraded("shard", s, pi);
-      });
-    });
-  }
-}
-
-void StreamEngine::reduce_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  const bool fused = engine_.fused_ || engine_.balanced_;
-  for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
-    const int iw = pi.pixels.width();
-    const int ih = pi.pixels.height();
-    for (int s = 0; s < 4; ++s) {
-      SlotBuf& sb = pi.sb[s];
-      if (fused) {
-        shard::reduce_fused(s, pi.fused_rows, pi.fused_parts, iw, ih,
-                            sb.out.data(), ppe);
-      } else {
-        shard::reduce_shards(s, sb.shard_rows, sb.shard_parts, iw, ih,
-                             sb.out.data(), ppe);
-      }
-    }
-    (fused ? engine_.fuse_images_counter_ : engine_.shard_reduce_counter_)
-        ->add(1);
-  }
-}
-
-void StreamEngine::run_detect_sharded(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
-  const auto spu_run = static_cast<int>(kernels::SPU_Run);
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
-  // Detection lane b carries block b of EVERY slot's model set —
-  // 4 * count requests behind one doorbell.
-  for (std::size_t b = 0; b < engine_.detect_lanes_.size(); ++b) {
-    std::vector<std::pair<std::size_t, int>> live;  // (image, slot)
-    for (std::size_t j = 0; j < count; ++j) {
-      for (int s = 0; s < 4; ++s) {
-        if (!cd_blocks_[s][b].empty()) live.emplace_back(j, s);
-      }
-    }
-    if (live.empty()) continue;
-    Lane& lane = engine_.detect_lanes_[b];
-    if (port::SPEInterface* iface = ensure_ring(lane.iface(), cap)) {
-      for (const auto& [j, s] : live) {
-        iface->Enqueue(spu_run, buf(w, j).sb[s].block_msgs[b].ea());
-      }
-      flush_ring(iface);
-    }
-    wait_ring(lane, live.size(), "shard detect", [&](std::size_t i) {
-      const int s = live[i].second;
-      PerImage& pi = buf(w, live[i].first);
-      SlotBuf& sb = pi.sb[s];
-      CellEngine::FeatureSlot& slot = engine_.slots_[s];
-      rerun(lane, spu_run, sb.block_msgs[b].ea(),
-            "cd[" + std::to_string(b) + "]:" + std::string(slot.name), [&] {
-        probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                              engine_.machine_.ppe(),
-                              std::string("detect:") + slot.name);
-        shard::ppe_detect_block(sb.out.data(), slot.dim, *slot.set,
-                                cd_blocks_[s][b], sb.block_scores[b].data(),
-                                &engine_.machine_.ppe());
-        note_degraded("detect", s, pi);
-      });
-    });
-  }
-  // Concatenate the staged blocks into each image's score arrays.
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    for (int s = 0; s < 4; ++s) {
-      SlotBuf& sb = buf(w, j).sb[s];
-      std::vector<const double*> parts;
-      std::vector<int> counts;
-      for (std::size_t b = 0; b < sb.block_scores.size(); ++b) {
-        if (cd_blocks_[s][b].empty()) continue;
-        parts.push_back(sb.block_scores[b].data());
-        counts.push_back(cd_blocks_[s][b].count());
-      }
-      shard::concat_scores(parts.data(), counts.data(),
-                           static_cast<int>(parts.size()),
-                           sb.scores.data(), ppe);
-    }
-  }
-}
-
-// ---- cellfuse flows ----
+// ---- the stream executor ----
 //
-// The call sites still iterate the four feature slots; with the fused
-// knob on, slot 0 carries the whole window over the lane rings and the
-// other slots are no-ops (their extraction happened in the fused pass).
+// Each stage runs lane by lane: a lane's ring carries the window's tasks
+// for it, image-major, behind one doorbell. The extraction stage arms
+// every lane of its strategy (an idle lane's ring too) and is flushed for
+// the whole window before any wait; the detection stage flushes and
+// waits one lane at a time. A balanced window pools every image's tasks
+// for the steal loop instead.
 
-void StreamEngine::flush_fused_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) *
-                   (pipelined_ ? 2u : 1u);
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  const std::vector<Lane*>& lanes = engine_.fused_lanes_;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    port::SPEInterface* iface = ensure_ring(lanes[k]->iface(), cap);
-    if (iface == nullptr) continue;  // guarded + closed: wait resolves it
-    int enqueued = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      PerImage& pi = buf(w, j);
-      if (pi.fused_rows[k].empty()) continue;
-      iface->Enqueue(op, pi.fused_msgs[k].ea());
-      ++enqueued;
-    }
-    if (enqueued > 0) flush_ring(iface);
-  }
-}
-
-void StreamEngine::wait_fused_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
-  const std::vector<Lane*>& lanes = engine_.fused_lanes_;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    std::vector<std::size_t> live;
-    for (std::size_t j = 0; j < count; ++j) {
-      if (!buf(w, j).fused_rows[k].empty()) live.push_back(j);
-    }
-    if (live.empty()) continue;
-    wait_ring(*lanes[k], live.size(), "fused extract", [&](std::size_t i) {
-      PerImage& pi = buf(w, live[i]);
-      rerun(*lanes[k], static_cast<int>(kernels::SPU_Run_Fused),
-            pi.fused_msgs[k].ea(), "fused[" + std::to_string(k) + "]",
-            [&] { fallback_fused(pi, k, "fuse[" + std::to_string(k) + "]"); });
-    });
-  }
-}
-
-void StreamEngine::fallback_fused(PerImage& pi, std::size_t t,
-                                  const std::string& label) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(), label);
-  shard::ppe_partial_fused(pi.pixels, pi.fused_rows[t],
-                           pi.fused_parts[t].data(), &engine_.machine_.ppe());
-  for (int s = 0; s < 4; ++s) note_degraded("fuse", s, pi);
-}
-
-// ---- cellbalance flows ----
-//
-// With the balanced knob on, extraction rides the fused lanes at TASK
-// granularity: the whole window contributes one pool of tile-aligned
-// descriptors (image-major), each lane is armed with one descriptor,
-// and the wait phase hands whichever lane finishes first the next one —
-// so a lane that drew a small image steals into its neighbours' work
-// instead of idling, and a quarantined lane never gates the window.
-// Reduction (reduce_window) still walks every image's descriptors in
-// ascending row order, so results are bit-identical to the static fused
-// split.
-
-void StreamEngine::flush_balanced_window(std::size_t w,
-                                         std::size_t total) {
-  const std::size_t count = window_count(w, total);
-  const std::size_t lanes = engine_.fused_lanes_.size();
-  bal_pool_.clear();
+std::vector<StreamEngine::Queued> StreamEngine::queued(
+    std::size_t w, std::size_t count, Stage ImagePlan::*stage, int lane) {
+  std::vector<Queued> out;
   for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
-    for (std::size_t t = 0; t < pi.fused_rows.size(); ++t) {
-      if (!pi.fused_rows[t].empty()) bal_pool_.emplace_back(j, t);
+    ImagePlan& p = at(w, j);
+    for (Task& t : (p.*stage).tasks) {
+      if (t.lane == lane) out.push_back({&p, &t, static_cast<int>(j)});
     }
   }
-  bal_q_ = std::make_unique<balance::TaskQueue>(bal_pool_.size(), lanes);
-  bal_sent_.assign(bal_pool_.size(), 0);
-  for (std::size_t k = 0; k < lanes; ++k) balanced_issue(w, k);
+  return out;
 }
 
-void StreamEngine::balanced_issue(std::size_t w, std::size_t k) {
-  const std::size_t i = bal_q_->issue(k);
-  if (i == balance::TaskQueue::kNone) return;
-  bal_sent_[i] = engine_.machine_.ppe().now_ns();
-  PerImage& pi = buf(w, bal_pool_[i].first);
-  engine_.fused_lanes_[k]->send(static_cast<int>(kernels::SPU_Run_Fused),
-                                pi.fused_msgs[bal_pool_[i].second].ea());
-}
-
-void StreamEngine::wait_balanced_window(std::size_t w) {
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  const std::vector<Lane*>& lanes = engine_.fused_lanes_;
-  balance::TaskQueue& q = *bal_q_;
-  std::vector<sim::SimTime> peeks(lanes.size(), sim::kNeverNs);
-  while (!q.done()) {
-    {
-      // Non-destructive completion peeks (fixed lane order, so the MMIO
-      // charges are deterministic); a hung or quarantined lane reports
-      // kNeverNs and never wins while a live lane is busy.
-      probe::ProbeSpan p(engine_.prt(), probe::Phase::kSteal, ppe,
-                         "pick");
-      for (std::size_t k = 0; k < lanes.size(); ++k) {
-        peeks[k] = q.busy(k) ? lanes[k]->peek_ns() : sim::kNeverNs;
-      }
-    }
-    const std::size_t k = balance::pick_earliest(peeks, q);
-    const std::size_t i = q.task_of(k);
-    const std::size_t j = bal_pool_[i].first;
-    const std::size_t t = bal_pool_[i].second;
-    PerImage& pi = buf(w, j);
-    const std::string tag =
-        "task[" + std::to_string(j) + "." + std::to_string(t) + "]";
-    // Finish() already ran the guard's retry loop; a lane that gave up
-    // has just this task's range recomputed on the PPE.
-    const Lane::Result r = engine_.settle(*lanes[k], tag, [&] {
-      fallback_fused(pi, t, "fuse[task" + std::to_string(t) + "]");
-    });
-    if (r.attempts > 1) {
-      stats_.request_retries += static_cast<std::size_t>(r.attempts - 1);
-    }
-    engine_.rt_.add_spe_span(probe::Phase::kExtract, tag, bal_sent_[i],
-                             ppe.now_ns());
-    q.complete(k);
-    balanced_issue(w, k);
-  }
-  engine_.steal_tasks_counter_->add(q.tasks());
-  engine_.steal_arms_counter_->add(q.arms());
-  engine_.steal_steals_counter_->add(q.steals());
-  bal_q_.reset();
-}
-
-void StreamEngine::flush_extract_slot(std::size_t w, std::size_t total,
-                                      int s) {
-  if (engine_.balanced_) {
-    if (s == 0) flush_balanced_window(w, total);
-    return;
-  }
-  if (engine_.fused_) {
-    if (s == 0) flush_fused_window(w, total);
-    return;
-  }
-  if (engine_.scenario_ == Scenario::kSharded) {
-    flush_shard_slot(w, total, s);
-    return;
-  }
-  const std::size_t count = window_count(w, total);
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) *
-                   (pipelined_ ? 2u : 1u);
+void StreamEngine::flush_lane(std::size_t w, std::size_t count,
+                              Stage ImagePlan::*stage, int lane) {
+  const std::vector<Queued> tasks = queued(w, count, stage, lane);
+  const std::vector<Task>& per_image = (at(w, 0).*stage).tasks;
+  const auto on_lane = std::count_if(
+      per_image.begin(), per_image.end(),
+      [lane](const Task& t) { return t.lane == lane; });
+  const auto cap = static_cast<std::uint32_t>(
+      opts_.batch * std::max<std::ptrdiff_t>(on_lane, 1) *
+      (pipelined_ && stage == &ImagePlan::extract ? 2 : 1));
   port::SPEInterface* iface =
-      ensure_ring(engine_.slots_[s].lanes[0].iface(), cap);
-  if (iface == nullptr) return;  // guarded + closed: resolved in the wait
-  const int opcode = engine_.extract_opcode(engine_.slots_[s]);
-  for (std::size_t j = 0; j < count; ++j) {
-    iface->Enqueue(opcode, buf(w, j).sb[s].msg.ea());
-  }
-  flush_ring(iface);
+      ensure_ring(engine_.lanes_[static_cast<std::size_t>(lane)].iface(), cap);
+  if (iface == nullptr) return;  // guarded + closed: the wait resolves it
+  for (const Queued& q : tasks) iface->Enqueue(q.task->opcode, q.task->msg_ea);
+  if (!tasks.empty()) flush_ring(iface);
 }
 
-void StreamEngine::wait_extract_slot(std::size_t w, std::size_t total,
-                                     int s) {
-  if (engine_.balanced_) {
-    if (s == 0) wait_balanced_window(w);
-    return;
-  }
-  if (engine_.fused_) {
-    if (s == 0) wait_fused_window(w, total);
-    return;
-  }
-  if (engine_.scenario_ == Scenario::kSharded) {
-    wait_shard_slot(w, total, s);
-    return;
-  }
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  wait_ring(slot.lanes[0], window_count(w, total), "extract",
-            [&](std::size_t j) {
-    PerImage& pi = buf(w, j);
-    rerun(slot.lanes[0], engine_.extract_opcode(slot), pi.sb[s].msg.ea(),
-          slot.name, [&] { fallback_extract(s, pi); });
+void StreamEngine::wait_lane(std::size_t w, std::size_t count,
+                             Stage ImagePlan::*stage, int lane) {
+  // Stage names of the ring-fault message, by task kind.
+  static constexpr const char* kStage[] = {
+      "extract", "shard extract", "fused extract", "detect", "shard detect"};
+  const std::vector<Queued> tasks = queued(w, count, stage, lane);
+  if (tasks.empty()) return;
+  Lane& l = engine_.lanes_[static_cast<std::size_t>(lane)];
+  wait_ring(l, tasks.size(),
+            kStage[static_cast<std::size_t>(tasks[0].task->kind)],
+            [&](std::size_t i) {
+    const Queued& q = tasks[i];
+    rerun(l, q.task->opcode, q.task->msg_ea,
+          engine_.task_tag(*q.task, q.image),
+          [&] { engine_.fallback(*q.plan, *q.task, q.image); });
   });
 }
 
-void StreamEngine::run_detect(std::size_t w, std::size_t total) {
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  const bool fused = engine_.fused_ || engine_.balanced_;
-  if (fused || engine_.scenario_ == Scenario::kSharded) {
-    // Lane/task blobs or shard partials must merge before detection can
-    // read the feature vectors.
-    probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
-                          fused ? "fuse_reduce" : "reduce_window");
-    reduce_window(w, total);
-  }
-  if (engine_.scenario_ == Scenario::kSharded) {
-    probe::ProbeSpan span(engine_.prt(), probe::Phase::kDetect, ppe,
-                          "detect_blocks");
-    run_detect_sharded(w, total);
-    return;
-  }
-  probe::ProbeSpan detect_span(engine_.prt(), probe::Phase::kDetect, ppe,
-                               "detect");
-  const std::size_t count = window_count(w, total);
-  const auto spu_run = static_cast<int>(kernels::SPU_Run);
-
-  if (engine_.scenario_ == Scenario::kMultiSPE2) {
-    // Each slot's detection rides its own ring (one doorbell per slot).
-    const auto cap = static_cast<std::uint32_t>(opts_.batch);
-    for (int s = 0; s < 4; ++s) {
-      Lane& lane = engine_.detect_lane(s);
-      if (port::SPEInterface* iface = ensure_ring(lane.iface(), cap)) {
-        for (std::size_t j = 0; j < count; ++j) {
-          iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
-        }
-        flush_ring(iface);
-      }
-      wait_ring(lane, count, "detect",
-                [&](std::size_t j) { rerun_detect(s, buf(w, j)); });
-    }
-    return;
-  }
-
-  // Shared concept-detection SPE: all 4*count requests ride one ring
-  // behind one doorbell.
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
-  Lane& lane = engine_.detect_lane(0);
-  if (port::SPEInterface* iface = ensure_ring(lane.iface(), cap)) {
+void StreamEngine::flush_extract(std::size_t w, std::size_t count, int s) {
+  if (at(w, 0).stolen) {
+    // The window-wide pool: lanes finishing a small image's tasks steal
+    // into the next image's, so one queue balances mixed-size traffic.
+    if (s != 0) return;
+    pool_.entries.clear();
     for (std::size_t j = 0; j < count; ++j) {
-      for (int s = 0; s < 4; ++s) {
-        iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
+      for (Task& t : at(w, j).extract.tasks) {
+        pool_.entries.push_back({&at(w, j), &t, static_cast<int>(j)});
       }
     }
-    flush_ring(iface);
+    engine_.steal_arm(pool_);
+    return;
   }
-  wait_ring(lane, 4 * count, "detect", [&](std::size_t i) {
-    rerun_detect(static_cast<int>(i % 4), buf(w, i / 4));
-  });
+  for (const Stage::LaneRef& l : at(w, 0).extract.lanes) {
+    if (l.group == s) flush_lane(w, count, &ImagePlan::extract, l.lane);
+  }
 }
 
-void StreamEngine::collect_window(std::size_t w, std::size_t total,
+void StreamEngine::wait_extract(std::size_t w, std::size_t count, int s) {
+  if (at(w, 0).stolen) {
+    if (s == 0) stats_.request_retries += engine_.steal_drain(pool_);
+    return;
+  }
+  for (const Stage::LaneRef& l : at(w, 0).extract.lanes) {
+    if (l.group == s) wait_lane(w, count, &ImagePlan::extract, l.lane);
+  }
+}
+
+void StreamEngine::run_detect(std::size_t w, std::size_t count) {
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
+  const ImagePlan& p0 = at(w, 0);
+  if (p0.partials != TaskKind::kFeature) {
+    // Range partials must merge before detection can read the feature
+    // vectors.
+    probe::ProbeSpan span(
+        engine_.prt(), probe::Phase::kReduce, ppe,
+        p0.partials == TaskKind::kFused ? "fuse_reduce" : "reduce_window");
+    for (std::size_t j = 0; j < count; ++j) engine_.reduce(at(w, j));
+  }
+  const bool blocks = p0.detect.tasks.front().kind == TaskKind::kBlock;
+  probe::ProbeSpan span(engine_.prt(), probe::Phase::kDetect, ppe,
+                        blocks ? "detect_blocks" : "detect");
+  for (const Stage::LaneRef& l : p0.detect.lanes) {
+    flush_lane(w, count, &ImagePlan::detect, l.lane);
+    wait_lane(w, count, &ImagePlan::detect, l.lane);
+  }
+  if (!blocks) return;
+  // Concatenate the staged blocks into each image's score arrays.
+  for (std::size_t j = 0; j < count; ++j) {
+    for (int s = 0; s < 4; ++s) engine_.concat_blocks(at(w, j), s);
+  }
+}
+
+void StreamEngine::collect_window(std::size_t w, std::size_t count,
                                   std::vector<AnalysisResult>* out) {
-  const std::size_t count = window_count(w, total);
   sim::ScalarContext& ppe = engine_.machine_.ppe();
   for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
-    AnalysisResult result;
-    features::FeatureVector* fvs[4] = {
-        &result.color_histogram, &result.color_correlogram,
-        &result.texture, &result.edge_histogram};
-    DetectionScores* ds[4] = {&result.ch_detect, &result.cc_detect,
-                              &result.tx_detect, &result.eh_detect};
-    for (int s = 0; s < 4; ++s) {
-      CellEngine::FeatureSlot& slot = engine_.slots_[s];
-      SlotBuf& sb = pi.sb[s];
-      ppe.charge(sim::OpClass::kLoad,
-                 static_cast<std::uint64_t>(slot.dim) + sb.scores.size());
-      ppe.charge(sim::OpClass::kStore,
-                 static_cast<std::uint64_t>(slot.dim) + sb.scores.size());
-      fvs[s]->name = slot.name;
-      fvs[s]->values.assign(sb.out.data(), sb.out.data() + slot.dim);
-      ds[s]->values.assign(sb.scores.data(),
-                           sb.scores.data() + scored_models_[s]);
-    }
-    result.degraded = std::move(pi.degraded);
+    AnalysisResult result = engine_.collect(at(w, j));
+    stats_.fallbacks += result.degraded.size();
     engine_.note_image_done();
     completions_.push_back(ppe.now_ns());
     out->push_back(std::move(result));
-  }
-}
-
-void StreamEngine::rerun_detect(int s, PerImage& pi) {
-  rerun(engine_.detect_lane(s), static_cast<int>(kernels::SPU_Run),
-        pi.sb[s].detect_msg.ea(),
-        std::string("cd:") + engine_.slots_[s].name,
-        [&] { fallback_detect(s, pi); });
-}
-
-void StreamEngine::fallback_extract(int s, PerImage& pi) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("extract:") + engine_.slots_[s].name);
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  features::FeatureVector fv =
-      slot.ref_extract(pi.pixels, &engine_.machine_.ppe());
-  engine_.machine_.ppe().charge(sim::OpClass::kStore,
-                                static_cast<std::uint64_t>(slot.dim));
-  std::memcpy(pi.sb[s].out.data(), fv.values.data(),
-              static_cast<std::size_t>(slot.dim) * sizeof(float));
-  note_degraded("extract", s, pi);
-}
-
-void StreamEngine::fallback_detect(int s, PerImage& pi) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("detect:") + engine_.slots_[s].name);
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  features::FeatureVector fv;
-  fv.name = slot.name;
-  fv.values.assign(pi.sb[s].out.data(), pi.sb[s].out.data() + slot.dim);
-  DetectionScores scores =
-      reference_detect(fv, *slot.set, &engine_.machine_.ppe());
-  engine_.machine_.ppe().charge(sim::OpClass::kStore,
-                                scores.values.size());
-  // Under a serve concept clamp only the scored prefix lands in the
-  // buffer; the reference charge stays the full set (the PPE fallback
-  // has no short-batch kernel to lean on).
-  const auto copy = std::min(scores.values.size(),
-                             static_cast<std::size_t>(scored_models_[s]));
-  std::memcpy(pi.sb[s].scores.data(), scores.values.data(),
-              copy * sizeof(double));
-  note_degraded("detect", s, pi);
-}
-
-void StreamEngine::note_degraded(const char* stage, int s, PerImage& pi) {
-  ++stats_.fallbacks;
-  pi.degraded.push_back(std::string(stage) + ":" +
-                        engine_.slots_[s].name);
-  engine_.fallback_counter_->add(1);
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  if (ppe.trace_on()) {
-    ppe.trace_track()->instant(trace::Category::kRuntime,
-                               "ppe_fallback:" + pi.degraded.back(),
-                               ppe.now_ns(), "count",
-                               engine_.fallback_counter_->value());
   }
 }
 
@@ -854,7 +358,7 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
       probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe,
                             "wait_extract");
       for (int s = 0; s < 4; ++s) {
-        wait_extract_slot(w, total, s);
+        wait_extract(w, window_count(w, total), s);
         engine_.rt_.add_spe_span(probe::Phase::kExtract,
                                  std::string(engine_.slots_[s].name) +
                                      "[w" + std::to_string(w) + "]",
@@ -862,10 +366,10 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
       }
     };
     auto retire_window = [&](std::size_t w) {
-      run_detect(w, total);
+      run_detect(w, window_count(w, total));
       probe::ProbeSpan span(rt, probe::Phase::kOutput, ppe,
                             "collect_window");
-      collect_window(w, total, &results);
+      collect_window(w, window_count(w, total), &results);
     };
 
     if (pipelined_) {
@@ -881,7 +385,9 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
           probe::ProbeSpan span(rt, probe::Phase::kDispatch, ppe,
                                 "flush_extract");
           win_sent[w] = ppe.now_ns();
-          for (int s = 0; s < 4; ++s) flush_extract_slot(w, total, s);
+          for (int s = 0; s < 4; ++s) {
+            flush_extract(w, window_count(w, total), s);
+          }
         }
         if (w > 0) {
           wait_window(w - 1);
@@ -906,8 +412,8 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
                                 "extract_seq");
           win_sent[w] = ppe.now_ns();
           for (int s = 0; s < 4; ++s) {
-            flush_extract_slot(w, total, s);
-            wait_extract_slot(w, total, s);
+            flush_extract(w, window_count(w, total), s);
+            wait_extract(w, window_count(w, total), s);
             engine_.rt_.add_spe_span(probe::Phase::kExtract,
                                      std::string(engine_.slots_[s].name) +
                                          "[w" + std::to_string(w) + "]",
@@ -918,7 +424,9 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
             probe::ProbeSpan span(rt, probe::Phase::kDispatch, ppe,
                                   "flush_extract");
             win_sent[w] = ppe.now_ns();
-            for (int s = 0; s < 4; ++s) flush_extract_slot(w, total, s);
+            for (int s = 0; s < 4; ++s) {
+              flush_extract(w, window_count(w, total), s);
+            }
           }
           wait_window(w);
         }

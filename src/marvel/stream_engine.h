@@ -63,37 +63,19 @@ class StreamEngine {
   const std::vector<sim::SimTime>& completion_ns() const {
     return completions_;
   }
+  /// cellexec: the plan of image `j` of window `w` (valid until the
+  /// window two later reuses it).
+  const ImagePlan& plan(std::size_t w, std::size_t j) const {
+    return *plans_[w % 2][j];
+  }
 
  private:
-  /// Per-image working set: the kernels of different in-flight images
-  /// must not share output buffers, so each window slot carries its own
-  /// messages and result areas (the model descriptors stay shared,
-  /// read-only, with the engine).
-  struct SlotBuf {
-    port::WrappedMessage<kernels::ImageMsg> msg;
-    cellport::AlignedBuffer<float> out;
-    port::WrappedMessage<kernels::DetectMsg> detect_msg;
-    cellport::AlignedBuffer<double> scores;
-    // cellshard (kSharded only): per-shard messages and raw-partial
-    // buffers, plus per-model-block detection staging — each in-flight
-    // image reduces its own partials, so nothing is shared between
-    // windows. `shard_rows` is recomputed per image in prepare_window.
-    std::vector<port::WrappedMessage<kernels::ImageMsg>> shard_msgs;
-    std::vector<cellport::AlignedBuffer<std::uint8_t>> shard_parts;
-    std::vector<shard::Range> shard_rows;
-    std::vector<port::WrappedMessage<kernels::DetectMsg>> block_msgs;
-    std::vector<cellport::AlignedBuffer<double>> block_scores;
-  };
-  struct PerImage {
-    img::RgbImage pixels;
-    std::vector<std::string> degraded;
-    SlotBuf sb[4];
-    // cellfuse (engine_.fused()): per-lane single-pass messages, partial
-    // blobs, and row ranges — each in-flight image reduces its own lane
-    // blobs, like the shard partials above.
-    std::vector<port::WrappedMessage<kernels::ImageMsg>> fused_msgs;
-    std::vector<cellport::AlignedBuffer<std::uint8_t>> fused_parts;
-    std::vector<shard::Range> fused_rows;
+  /// One of a window's tasks on a lane: its plan, the task and the
+  /// image's position in the window.
+  struct Queued {
+    ImagePlan* plan;
+    Task* task;
+    int image;
   };
 
   /// Arms (or re-arms after a guard migration) a ring of >= `cap` slots
@@ -118,74 +100,41 @@ class StreamEngine {
 
   std::size_t window_begin(std::size_t w) const;
   std::size_t window_count(std::size_t w, std::size_t total) const;
-  PerImage& buf(std::size_t w, std::size_t j);
+  /// Image `j`'s plan in window `w`.
+  ImagePlan& at(std::size_t w, std::size_t j);
 
   /// The shared streaming loop behind run() and drain().
   std::vector<AnalysisResult> run_queue(
       const std::vector<const img::SicEncoded*>& images);
-  /// Decodes window `w`'s images and fills their messages (the PPE-side
+  /// Decodes window `w`'s images and builds their plans (the PPE-side
   /// work that overlaps in-flight extraction in the pipelined flow).
   void prepare_window(std::size_t w,
                       const std::vector<const img::SicEncoded*>& images);
   int flush_ring(port::SPEInterface* iface);
-  /// Enqueues + doorbells window `w`'s requests for slot `s`'s extract
-  /// ring (one doorbell).
-  void flush_extract_slot(std::size_t w, std::size_t total, int s);
-  /// Waits slot `s`'s extract batch for window `w` and resolves
-  /// per-request faults.
-  void wait_extract_slot(std::size_t w, std::size_t total, int s);
-  /// Runs window `w`'s detection batch(es) and resolves faults.
-  void run_detect(std::size_t w, std::size_t total);
 
-  // ---- cellshard flows (kSharded only) ----
-  /// Enqueues + doorbells window `w`'s requests on every shard ring of
-  /// slot `s` (one doorbell per shard).
-  void flush_shard_slot(std::size_t w, std::size_t total, int s);
-  /// Waits slot `s`'s shard rings for window `w`; a faulted request is
-  /// re-run alone, dropping to the PPE mirror partial when the guard
-  /// gives up.
-  void wait_shard_slot(std::size_t w, std::size_t total, int s);
-  /// Merges every image's raw partials (shards, or fused lane/task
-  /// blobs) into its feature buffers (between the extract wait and
-  /// detection).
-  void reduce_window(std::size_t w, std::size_t total);
-  /// Block-parallel detection over the shard detection rings.
-  void run_detect_sharded(std::size_t w, std::size_t total);
-
-  // ---- cellfuse flows (engine_.fused() only) ----
-  /// Enqueues + doorbells window `w`'s requests on every fused lane ring
-  /// (one doorbell per lane); extraction rides the lanes instead of the
-  /// per-feature slots.
-  void flush_fused_window(std::size_t w, std::size_t total);
-  /// Waits every lane ring for window `w`; a faulted request is re-run
-  /// alone, dropping to the PPE mirror partials (all four sections of
-  /// that lane's blob) when the guard gives up.
-  void wait_fused_window(std::size_t w, std::size_t total);
-  /// PPE mirror for one lane's or task's range (`t`) after the guard
-  /// gave up: all four sections of its blob, under a `label` span.
-  void fallback_fused(PerImage& pi, std::size_t t,
-                      const std::string& label);
-  void collect_window(std::size_t w, std::size_t total,
+  // ---- the stream executor: a window of plans over the lane rings ----
+  /// Window `w`'s tasks of `stage` on `lane`, image-major.
+  std::vector<Queued> queued(std::size_t w, std::size_t count,
+                             Stage ImagePlan::*stage, int lane);
+  /// Arms `lane`'s ring (sized for the window: batch x its tasks per
+  /// image, x2 for a pipelined extraction stage), enqueues the window's
+  /// tasks on it and rings the doorbell if there were any.
+  void flush_lane(std::size_t w, std::size_t count, Stage ImagePlan::*stage,
+                  int lane);
+  /// Waits `lane`'s ring batch for window `w`; a faulted request re-runs
+  /// alone, dropping to its task's PPE fallback when the guard gives up.
+  void wait_lane(std::size_t w, std::size_t count, Stage ImagePlan::*stage,
+                 int lane);
+  /// Dispatches (flush) or completes (wait) window `w`'s extraction on
+  /// the lanes reported under slot `s`. Balanced plans arm and drain the
+  /// window-wide steal pool in slot 0 instead.
+  void flush_extract(std::size_t w, std::size_t count, int s);
+  void wait_extract(std::size_t w, std::size_t count, int s);
+  /// Merges window `w`'s partials, then runs its detection stage lane
+  /// by lane.
+  void run_detect(std::size_t w, std::size_t count);
+  void collect_window(std::size_t w, std::size_t count,
                       std::vector<AnalysisResult>* out);
-
-  // ---- cellbalance flows (engine_.balanced() only) ----
-  /// Builds the window-wide task pool — every image's tile-aligned task
-  /// descriptors, image-major — and arms each lane with one descriptor.
-  /// Lanes finishing a small image's tasks steal into the next image's,
-  /// so one window-wide queue balances mixed-size traffic.
-  void flush_balanced_window(std::size_t w, std::size_t total);
-  /// The steal loop over the window pool: peek every in-flight
-  /// completion, finish the earliest lane, hand it the next descriptor.
-  void wait_balanced_window(std::size_t w);
-  /// Sends the next unissued pool descriptor to lane `k` (no-op when the
-  /// pool is exhausted).
-  void balanced_issue(std::size_t w, std::size_t k);
-
-  // PPE reference paths of guarded lanes (per request).
-  void rerun_detect(int s, PerImage& pi);
-  void fallback_extract(int s, PerImage& pi);
-  void fallback_detect(int s, PerImage& pi);
-  void note_degraded(const char* stage, int s, PerImage& pi);
   [[noreturn]] void throw_ring_fault(const char* stage,
                                      port::SPEInterface* iface);
 
@@ -197,19 +146,11 @@ class StreamEngine {
   /// window before the next doorbell.
   bool pipelined_ = false;
   sim::SimTime guard_deadline_ns_ = 0;
-  std::vector<std::unique_ptr<PerImage>> bufs_[2];
-  /// kSharded: slot s's detection model blocks (fixed per engine — they
-  /// depend only on the model count and the plan's detect_spes).
-  std::vector<shard::Range> cd_blocks_[4];
-  /// Models actually scored per slot (opts_.max_models clamp; the full
-  /// set when the knob is 0).
-  int scored_models_[4] = {0, 0, 0, 0};
-  /// cellbalance: the current window's task pool — (image slot, task)
-  /// pairs image-major — and its steal bookkeeping. Live only between
-  /// flush_balanced_window and the end of wait_balanced_window.
-  std::vector<std::pair<std::size_t, std::size_t>> bal_pool_;
-  std::unique_ptr<balance::TaskQueue> bal_q_;
-  std::vector<sim::SimTime> bal_sent_;
+  /// Two windows of plans (even and odd windows), `batch` each.
+  std::vector<std::unique_ptr<ImagePlan>> plans_[2];
+  /// cellbalance: the current window's steal pool (image-major), live
+  /// between the extraction flush and wait.
+  StealPool pool_;
   /// Incremental-admission state (submit/drain/close).
   std::vector<const img::SicEncoded*> pending_;
   std::vector<RequestEnd> ends_;

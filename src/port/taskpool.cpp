@@ -172,6 +172,7 @@ TaskPool::TaskPool(sim::Machine& machine, int num_workers)
     worker_outstanding_.push_back(0);
     envs_.push_back(env);
   }
+  events_.resize(static_cast<std::size_t>(num_workers));
   stats_.worker_busy_ns.assign(static_cast<std::size_t>(num_workers), 0);
   consecutive_faults_.assign(static_cast<std::size_t>(num_workers), 0);
   worker_restarted_.assign(static_cast<std::size_t>(num_workers), false);
@@ -365,15 +366,53 @@ void TaskPool::pump_ready_tasks() {
 
 void TaskPool::post_completion(const CompletionEvent& ev) {
   std::lock_guard lock(ev_mu_);
-  events_.push_back(ev);
+  events_[static_cast<std::size_t>(ev.worker)].push_back(ev);
   ev_cv_.notify_one();
 }
 
+sim::SimTime TaskPool::observe_ts(const CompletionEvent& ev,
+                                  bool* timed_out) {
+  // Deadline classification is purely simulated-time: a hung worker's
+  // event carries a kNeverNs timestamp, a slow one simply arrives past
+  // the policy deadline.
+  const TaskRecord& rec = tasks_[ev.task];
+  const bool hung = ev.ts >= sim::kNeverNs / 2;
+  const sim::SimTime deadline_ns = policy_set_ ? policy_.deadline_ns : 0;
+  *timed_out =
+      hung || (deadline_ns > 0 && ev.ts - rec.dispatch_ns > deadline_ns);
+  // The PPE observes a timed-out task at its deadline (or, for a hang
+  // with no configured deadline, right now) — never at the kNeverNs
+  // delivery timestamp, which would catapult the simulated clock.
+  if (!*timed_out) return ev.ts;
+  return deadline_ns > 0 ? rec.dispatch_ns + deadline_ns
+                         : machine_.ppe().now_ns();
+}
+
 TaskPool::CompletionEvent TaskPool::wait_event() {
+  // The conservative discrete-event rule: a worker that has not posted
+  // yet may still deliver the earliest event, so wait for all of them.
   std::unique_lock lock(ev_mu_);
-  ev_cv_.wait(lock, [&] { return !events_.empty(); });
-  CompletionEvent ev = events_.front();
-  events_.pop_front();
+  ev_cv_.wait(lock, [&] {
+    bool any = false;
+    for (std::size_t w = 0; w < events_.size(); ++w) {
+      if (worker_outstanding_[w] > 0 && events_[w].empty()) return false;
+      any = any || !events_[w].empty();
+    }
+    return any;
+  });
+  std::size_t pick = events_.size();
+  sim::SimTime pick_ts = 0;
+  for (std::size_t w = 0; w < events_.size(); ++w) {
+    if (events_[w].empty()) continue;
+    bool timed_out = false;
+    const sim::SimTime ts = observe_ts(events_[w].front(), &timed_out);
+    if (pick == events_.size() || ts < pick_ts) {
+      pick = w;
+      pick_ts = ts;
+    }
+  }
+  CompletionEvent ev = std::move(events_[pick].front());
+  events_[pick].pop_front();
   return ev;
 }
 
@@ -400,24 +439,11 @@ void TaskPool::wait_all() {
     }
     CompletionEvent ev = wait_event();
     TaskRecord& rec = tasks_[ev.task];
-
-    // Deadline classification is purely simulated-time: a hung worker's
-    // event carries a kNeverNs timestamp, a slow one simply arrives past
-    // the policy deadline.
-    const bool hung = ev.ts >= sim::kNeverNs / 2;
+    bool timed_out = false;
+    const sim::SimTime observed = observe_ts(ev, &timed_out);
     const sim::SimTime deadline_ns = policy_set_ ? policy_.deadline_ns : 0;
-    const bool timed_out =
-        hung || (deadline_ns > 0 && ev.ts - rec.dispatch_ns > deadline_ns);
-    // The PPE observes a timed-out task at its deadline (or, for a hang
-    // with no configured deadline, right now) — never at the kNeverNs
-    // delivery timestamp, which would catapult the simulated clock.
-    sim::SimTime observe_ts = ev.ts;
-    if (timed_out) {
-      observe_ts = deadline_ns > 0 ? rec.dispatch_ns + deadline_ns
-                                   : machine_.ppe().now_ns();
-    }
     // The PPE's event loop: interrupt delivery + MMIO acknowledgment.
-    machine_.ppe().sync_to(observe_ts + sim::calib::kInterruptLatencyNs);
+    machine_.ppe().sync_to(observed + sim::calib::kInterruptLatencyNs);
     machine_.ppe().advance_ns(sim::calib::kPpeMmioCostNs);
 
     --outstanding_;

@@ -137,6 +137,14 @@ class TaskPool {
   static int worker_main(std::uint64_t spe_id, std::uint64_t argv);
   // Called from worker threads (the event-queue write).
   void post_completion(const CompletionEvent& ev);
+  /// The simulated time the PPE observes `ev` at: its delivery timestamp,
+  /// or the deadline (now, with no deadline set) for a task that missed
+  /// it. `timed_out` receives the classification.
+  sim::SimTime observe_ts(const CompletionEvent& ev, bool* timed_out);
+  /// Retires the next event in simulated-time order: waits until every
+  /// worker with outstanding tasks has posted its next event, then takes
+  /// the earliest observe_ts(), ties broken by worker id — so the order
+  /// never depends on host thread scheduling.
   CompletionEvent wait_event();
 
   // PPE-side dispatch (machine().ppe() charges apply).
@@ -175,7 +183,7 @@ class TaskPool {
 
   std::mutex ev_mu_;
   std::condition_variable ev_cv_;
-  std::deque<CompletionEvent> events_;
+  std::vector<std::deque<CompletionEvent>> events_;  // per worker, FIFO
 
   Stats stats_;
   sim::SimTime start_ns_ = 0;

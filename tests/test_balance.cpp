@@ -2,8 +2,8 @@
 // TaskQueue arm/steal ledger, the peek-driven argmin), the content
 // cache (LRU eviction under a byte budget, digest determinism), and the
 // headline properties — a balanced CellEngine is bit-exact with the
-// static fused plans in every scenario (including pipelined batches,
-// streamed windows, and guarded fault runs), and a cache hit is
+// static fused plans in every scenario (including streamed windows and
+// guarded fault runs), and a cache hit is
 // bit-identical to the cold run it replaces. Also pins the cellbalance
 // satellites: dup_fraction dataset determinism, the p99.9 histogram
 // column's error bound, and the report hint suppression for cache-only
@@ -32,16 +32,7 @@
 namespace cellport::marvel {
 namespace {
 
-void expect_bitwise_equal(const AnalysisResult& a, const AnalysisResult& b) {
-  EXPECT_EQ(a.color_histogram.values, b.color_histogram.values);
-  EXPECT_EQ(a.color_correlogram.values, b.color_correlogram.values);
-  EXPECT_EQ(a.edge_histogram.values, b.edge_histogram.values);
-  EXPECT_EQ(a.texture.values, b.texture.values);
-  EXPECT_EQ(a.ch_detect.values, b.ch_detect.values);
-  EXPECT_EQ(a.cc_detect.values, b.cc_detect.values);
-  EXPECT_EQ(a.eh_detect.values, b.eh_detect.values);
-  EXPECT_EQ(a.tx_detect.values, b.tx_detect.values);
-}
+using testutil::expect_bitwise_equal;
 
 // ---- task split arithmetic ----
 
@@ -296,20 +287,6 @@ TEST_F(BalancedEngine, BitExactOnAwkwardImageShapes) {
     img::SicEncoded enc = img::sic_encode(
         img::synth_image(img::SceneKind::kGradient, 77, s.w, s.h));
     expect_bitwise_equal(balanced.analyze(enc), plain.analyze(enc));
-  }
-}
-
-TEST_F(BalancedEngine, PipelinedBatchMatchesPerImageCalls) {
-  sim::Machine m1;
-  CellEngine a(m1, library_path(), Scenario::kSharded);
-  a.set_balanced(true);
-  sim::Machine m2;
-  CellEngine b(m2, library_path(), Scenario::kSharded);
-  std::vector<AnalysisResult> batch =
-      a.analyze_batch_pipelined(dataset_->images);
-  ASSERT_EQ(batch.size(), dataset_->images.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_bitwise_equal(batch[i], b.analyze(dataset_->images[i]));
   }
 }
 

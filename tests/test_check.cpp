@@ -68,10 +68,6 @@ TEST(ScenarioGenerator, RespectsEngineAndKernelConstraints) {
         EXPECT_GE(im.height, 16);
       }
     }
-    if (s.pipelined_batch) {
-      EXPECT_TRUE(s.mode == Mode::kEngineMulti ||
-                  s.mode == Mode::kEngineMulti2);
-    }
     if (s.replay_twice) {
       EXPECT_NE(s.mode, Mode::kTaskPool);
     }

@@ -281,17 +281,7 @@ TEST_F(DmaListInvariants, AccountingSkewIsReported) {
 
 // ---- engine-level differential ingest ----
 
-void expect_bitwise_equal(const marvel::AnalysisResult& a,
-                          const marvel::AnalysisResult& b) {
-  EXPECT_EQ(a.color_histogram.values, b.color_histogram.values);
-  EXPECT_EQ(a.color_correlogram.values, b.color_correlogram.values);
-  EXPECT_EQ(a.edge_histogram.values, b.edge_histogram.values);
-  EXPECT_EQ(a.texture.values, b.texture.values);
-  EXPECT_EQ(a.ch_detect.values, b.ch_detect.values);
-  EXPECT_EQ(a.cc_detect.values, b.cc_detect.values);
-  EXPECT_EQ(a.eh_detect.values, b.eh_detect.values);
-  EXPECT_EQ(a.tx_detect.values, b.tx_detect.values);
-}
+using testutil::expect_bitwise_equal;
 
 class FeedEngine : public ::testing::Test {
  protected:
@@ -402,23 +392,6 @@ TEST_F(FeedEngine, OverwideRowsFallBackToPpeDecodeSilently) {
   expect_bitwise_equal(feed.analyze(enc), ppe.analyze(enc));
   EXPECT_EQ(counter(m_feed, "feed.images"), 0u);
   EXPECT_EQ(counter(m_feed, "feed.ppe_fallbacks"), 0u);
-}
-
-TEST_F(FeedEngine, PipelinedBatchMatchesPerImageWithFeed) {
-  sim::Machine m_ppe;
-  marvel::CellEngine ppe_engine(m_ppe, library_->path(),
-                                marvel::Scenario::kMultiSPE);
-  sim::Machine m_feed;
-  marvel::CellEngine feed_engine(m_feed, library_->path(),
-                                 marvel::Scenario::kMultiSPE);
-  feed_engine.set_feed(true);
-  std::vector<marvel::AnalysisResult> batch =
-      feed_engine.analyze_batch_pipelined(*carriers_);
-  ASSERT_EQ(batch.size(), carriers_->size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_bitwise_equal(batch[i], ppe_engine.analyze((*carriers_)[i]));
-  }
-  EXPECT_EQ(counter(m_feed, "feed.images"), carriers_->size());
 }
 
 TEST_F(FeedEngine, StreamMatchesPerCallWithFeed) {

@@ -31,16 +31,7 @@
 namespace cellport::marvel {
 namespace {
 
-void expect_bitwise_equal(const AnalysisResult& a, const AnalysisResult& b) {
-  EXPECT_EQ(a.color_histogram.values, b.color_histogram.values);
-  EXPECT_EQ(a.color_correlogram.values, b.color_correlogram.values);
-  EXPECT_EQ(a.edge_histogram.values, b.edge_histogram.values);
-  EXPECT_EQ(a.texture.values, b.texture.values);
-  EXPECT_EQ(a.ch_detect.values, b.ch_detect.values);
-  EXPECT_EQ(a.cc_detect.values, b.cc_detect.values);
-  EXPECT_EQ(a.eh_detect.values, b.eh_detect.values);
-  EXPECT_EQ(a.tx_detect.values, b.tx_detect.values);
-}
+using testutil::expect_bitwise_equal;
 
 // ---- fused split arithmetic ----
 
@@ -444,20 +435,6 @@ TEST_F(FusedEngine, ExtractionThroughputAtLeastDoubles) {
   EXPECT_GT(per_feature / fused, 2.0)
       << "per-feature " << per_feature << " ns vs fused " << fused
       << " ns";
-}
-
-TEST_F(FusedEngine, PipelinedBatchMatchesPerImageCalls) {
-  sim::Machine m1;
-  CellEngine a(m1, library_path(), Scenario::kSharded);
-  a.set_fused(true);
-  sim::Machine m2;
-  CellEngine b(m2, library_path(), Scenario::kSharded);
-  std::vector<AnalysisResult> batch =
-      a.analyze_batch_pipelined(dataset_->images);
-  ASSERT_EQ(batch.size(), dataset_->images.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_bitwise_equal(batch[i], b.analyze(dataset_->images[i]));
-  }
 }
 
 TEST_F(FusedEngine, StreamMatchesPerImageCalls) {

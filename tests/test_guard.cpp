@@ -480,17 +480,7 @@ std::string case_label(marvel::Scenario scenario, Strategy strategy) {
          " strategy " + std::to_string(static_cast<int>(strategy));
 }
 
-void expect_bitwise_equal(const marvel::AnalysisResult& a,
-                          const marvel::AnalysisResult& b) {
-  EXPECT_EQ(a.color_histogram.values, b.color_histogram.values);
-  EXPECT_EQ(a.color_correlogram.values, b.color_correlogram.values);
-  EXPECT_EQ(a.texture.values, b.texture.values);
-  EXPECT_EQ(a.edge_histogram.values, b.edge_histogram.values);
-  EXPECT_EQ(a.ch_detect.values, b.ch_detect.values);
-  EXPECT_EQ(a.cc_detect.values, b.cc_detect.values);
-  EXPECT_EQ(a.tx_detect.values, b.tx_detect.values);
-  EXPECT_EQ(a.eh_detect.values, b.eh_detect.values);
-}
+using testutil::expect_bitwise_equal;
 
 constexpr marvel::Scenario kScenarios[] = {
     marvel::Scenario::kSingleSPE, marvel::Scenario::kMultiSPE,
@@ -511,7 +501,7 @@ TEST_F(GuardedEngine, FaultFreeGuardedMatchesPlainEverywhere) {
     ppm.push_back(img::ppm_encode(image));
   }
   struct Run {
-    std::vector<double> ns;  // per call: analyze, pipelined, stream
+    std::vector<double> ns;  // per call: analyze, stream
     std::vector<marvel::AnalysisResult> results;
   };
   auto run_paths = [&](marvel::Scenario scenario, Strategy strategy,
@@ -533,9 +523,6 @@ TEST_F(GuardedEngine, FaultFreeGuardedMatchesPlainEverywhere) {
     timed([&] {
       return std::vector<marvel::AnalysisResult>{engine.analyze(images[0])};
     });
-    if (scenario != marvel::Scenario::kSingleSPE) {
-      timed([&] { return engine.analyze_batch_pipelined(images); });
-    }
     marvel::StreamOptions opts;
     opts.batch = 2;  // a full and a partial window, retired in turn
     opts.sequential = true;
@@ -577,16 +564,11 @@ TEST(CellEngine, UnguardedFaultThrowsOnEveryPath) {
   const std::vector<img::SicEncoded> images = {
       img::sic_encode(testutil::seeded_image(3200, 48, 32)),
       img::sic_encode(testutil::seeded_image(3201, 48, 32))};
-  enum class Path { kAnalyze, kPipelined, kStream };
   for (marvel::Scenario scenario : kScenarios) {
     for (Strategy strategy : kStrategies) {
-      for (Path path : {Path::kAnalyze, Path::kPipelined, Path::kStream}) {
-        if (path == Path::kPipelined &&
-            scenario == marvel::Scenario::kSingleSPE) {
-          continue;
-        }
-        SCOPED_TRACE(case_label(scenario, strategy) + " path " +
-                     std::to_string(static_cast<int>(path)));
+      for (bool stream : {false, true}) {
+        SCOPED_TRACE(case_label(scenario, strategy) +
+                     (stream ? " stream" : " analyze"));
         sim::Machine machine;
         marvel::CellEngine engine(machine, library.path(), scenario);
         set_strategy(engine, strategy);
@@ -594,16 +576,10 @@ TEST(CellEngine, UnguardedFaultThrowsOnEveryPath) {
         f.dma_error_after = 0;
         machine.spe(1).inject_fault(f);
         auto run = [&] {
-          switch (path) {
-            case Path::kAnalyze:
-              engine.analyze(images[0]);
-              break;
-            case Path::kPipelined:
-              engine.analyze_batch_pipelined(images);
-              break;
-            case Path::kStream:
-              engine.analyze_stream(images);
-              break;
+          if (stream) {
+            engine.analyze_stream(images);
+          } else {
+            engine.analyze(images[0]);
           }
         };
         if (scenario == marvel::Scenario::kSingleSPE &&

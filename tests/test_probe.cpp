@@ -314,18 +314,6 @@ TEST_F(ProbeEndToEnd, AttributionCoversEveryAnalyzeRequest) {
   EXPECT_FALSE(attr.critical_kernels().empty());
 }
 
-TEST_F(ProbeEndToEnd, PipelinedBatchEmitsOneRequestPerImage) {
-  sim::Machine machine;
-  marvel::CellEngine engine(machine, library_path(),
-                            marvel::Scenario::kMultiSPE);
-  CheckingSink sink;
-  engine.set_probe(&sink);
-  std::vector<marvel::AnalysisResult> results =
-      engine.analyze_batch_pipelined(dataset_->images);
-  EXPECT_EQ(results.size(), dataset_->images.size());
-  EXPECT_EQ(sink.requests, static_cast<int>(dataset_->images.size()));
-}
-
 TEST_F(ProbeEndToEnd, StreamRunIsOneProbedRequestAndStaysBitExact) {
   marvel::StreamOptions opts;
   opts.batch = 2;

@@ -1,5 +1,5 @@
 // Tests for the runtime extensions: signal-notification registers, the
-// dynamic TaskPool, the pipelined batch mode, the CH lookup-table
+// dynamic TaskPool, the stream's decode-ahead overlap, the CH lookup-table
 // variant, and the kNN detection kernel.
 #include <gtest/gtest.h>
 
@@ -194,6 +194,38 @@ TEST(TaskPool, ParallelWorkersBeatOneWorker) {
   EXPECT_GT(one / four, 3.0);  // near-linear for independent tasks
 }
 
+TEST(TaskPool, MakespanIsIndependentOfHostScheduling) {
+  // Uneven tasks over two kernels, so both the retirement order and the
+  // worker each task lands on decide the makespan and the code switches.
+  static auto burn = +[](std::uint64_t ea) {
+    sim::current_spe()->charge_even(8e5 * static_cast<double>(1 + ea % 3));
+    return 0;
+  };
+  static port::KernelModule mod_a("burn_a", 1024);
+  static port::KernelModule mod_b("burn_b", 1024);
+  static bool init =
+      (mod_a.add_function(1, burn), mod_b.add_function(1, burn), true);
+  (void)init;
+
+  for (int workers : {1, 4, 8}) {
+    auto run = [&] {
+      sim::Machine machine;
+      port::TaskPool pool(machine, workers);
+      for (std::uint64_t i = 0; i < 8; ++i) {
+        pool.submit(i % 2 == 0 ? mod_a : mod_b, 1, i);
+      }
+      pool.wait_all();
+      return pool.stats();
+    };
+    const port::TaskPool::Stats first = run();
+    for (int r = 1; r < 20; ++r) {
+      const port::TaskPool::Stats again = run();
+      EXPECT_EQ(again.makespan_ns, first.makespan_ns) << workers;
+      EXPECT_EQ(again.code_switches, first.code_switches) << workers;
+    }
+  }
+}
+
 TEST(TaskPool, RejectsBadConfig) {
   sim::Machine machine;
   EXPECT_THROW(port::TaskPool(machine, 0), ConfigError);
@@ -202,9 +234,13 @@ TEST(TaskPool, RejectsBadConfig) {
   EXPECT_THROW(pool.submit(incr_module(), 1, 0, {99}), ConfigError);
 }
 
-// ---- pipelined batch ----
+// ---- Figure 4(c) decode-ahead overlap on the stream path ----
+//
+// analyze_stream keeps two windows in flight per ring on the parallel
+// scenarios: the PPE decodes window w+1 while the SPEs extract window w.
+// At batch 1 that is the per-image overlap of Figure 4(c).
 
-class PipelinedBatch : public ::testing::Test {
+class StreamOverlap : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     library_ = new testutil::TempLibrary("cellport_runtime_models.bin",
@@ -221,70 +257,51 @@ class PipelinedBatch : public ::testing::Test {
   static marvel::Dataset* data_;
 };
 
-testutil::TempLibrary* PipelinedBatch::library_ = nullptr;
-marvel::Dataset* PipelinedBatch::data_ = nullptr;
+testutil::TempLibrary* StreamOverlap::library_ = nullptr;
+marvel::Dataset* StreamOverlap::data_ = nullptr;
 
-TEST_F(PipelinedBatch, ResultsMatchPerImageAnalyze) {
-  sim::Machine m1;
-  marvel::CellEngine pipelined(m1, library_path(),
-                               marvel::Scenario::kMultiSPE);
-  auto batch = pipelined.analyze_batch_pipelined(data_->images);
+TEST_F(StreamOverlap, ResultsMatchPerImageAnalyze) {
+  for (marvel::Scenario scen :
+       {marvel::Scenario::kMultiSPE, marvel::Scenario::kMultiSPE2}) {
+    sim::Machine m1;
+    marvel::CellEngine streamed(m1, library_path(), scen);
+    marvel::StreamOptions opts;
+    opts.batch = 1;
+    auto batch = streamed.analyze_stream(data_->images, opts);
 
-  sim::Machine m2;
-  marvel::CellEngine plain(m2, library_path(),
-                           marvel::Scenario::kMultiSPE);
-  ASSERT_EQ(batch.size(), data_->images.size());
-  for (std::size_t i = 0; i < data_->images.size(); ++i) {
-    auto ref = plain.analyze(data_->images[i]);
-    EXPECT_EQ(batch[i].color_histogram.values,
-              ref.color_histogram.values);
-    EXPECT_EQ(batch[i].color_correlogram.values,
-              ref.color_correlogram.values);
-    EXPECT_EQ(batch[i].edge_histogram.values,
-              ref.edge_histogram.values);
-    EXPECT_EQ(batch[i].cc_detect.values, ref.cc_detect.values);
+    sim::Machine m2;
+    marvel::CellEngine plain(m2, library_path(), scen);
+    ASSERT_EQ(batch.size(), data_->images.size());
+    for (std::size_t i = 0; i < data_->images.size(); ++i) {
+      auto ref = plain.analyze(data_->images[i]);
+      testutil::expect_bitwise_equal(batch[i], ref);
+    }
   }
 }
 
-TEST_F(PipelinedBatch, OverlapBeatsSequentialBatch) {
-  auto batch_ns = [&](bool pipelined) {
+TEST_F(StreamOverlap, OverlapBeatsSequentialStreamAndPerCall) {
+  enum class Mode { kPerCall, kSequential, kOverlapped };
+  auto batch_ns = [&](Mode mode) {
     sim::Machine machine;
     marvel::CellEngine engine(machine, library_path(),
                               marvel::Scenario::kMultiSPE);
     double t0 = machine.ppe().now_ns();
-    if (pipelined) {
-      engine.analyze_batch_pipelined(data_->images);
-    } else {
+    if (mode == Mode::kPerCall) {
       for (const auto& image : data_->images) engine.analyze(image);
+    } else {
+      marvel::StreamOptions opts;
+      opts.batch = 1;
+      opts.sequential = mode == Mode::kSequential;
+      engine.analyze_stream(data_->images, opts);
     }
     return machine.ppe().now_ns() - t0;
   };
-  double plain = batch_ns(false);
-  double overlapped = batch_ns(true);
-  EXPECT_LT(overlapped, plain);
+  const double per_call = batch_ns(Mode::kPerCall);
+  const double sequential = batch_ns(Mode::kSequential);
+  const double overlapped = batch_ns(Mode::kOverlapped);
   // The decode time of images 2..n hides behind kernel time.
-  EXPECT_LT(overlapped, plain * 0.95);
-}
-
-TEST_F(PipelinedBatch, RequiresParallelScenario) {
-  sim::Machine machine;
-  marvel::CellEngine engine(machine, library_path(),
-                            marvel::Scenario::kSingleSPE);
-  EXPECT_THROW(engine.analyze_batch_pipelined(data_->images),
-               ConfigError);
-}
-
-TEST_F(PipelinedBatch, MultiSpe2VariantMatchesToo) {
-  sim::Machine m1;
-  marvel::CellEngine engine(m1, library_path(),
-                            marvel::Scenario::kMultiSPE2);
-  auto batch = engine.analyze_batch_pipelined(data_->images);
-  sim::Machine m2;
-  marvel::CellEngine plain(m2, library_path(),
-                           marvel::Scenario::kMultiSPE2);
-  auto ref = plain.analyze(data_->images[1]);
-  EXPECT_EQ(batch[1].color_histogram.values, ref.color_histogram.values);
-  EXPECT_EQ(batch[1].tx_detect.values, ref.tx_detect.values);
+  EXPECT_LT(overlapped, per_call * 0.95);
+  EXPECT_LT(overlapped, sequential * 0.95);
 }
 
 // ---- CH LUT variant ----

@@ -41,16 +41,7 @@ using serve::TenantConfig;
 
 constexpr sim::SimTime kFarDeadline = 10'000'000'000;  // 10 s
 
-void expect_identical(const AnalysisResult& a, const AnalysisResult& b) {
-  EXPECT_EQ(a.color_histogram.values, b.color_histogram.values);
-  EXPECT_EQ(a.color_correlogram.values, b.color_correlogram.values);
-  EXPECT_EQ(a.texture.values, b.texture.values);
-  EXPECT_EQ(a.edge_histogram.values, b.edge_histogram.values);
-  EXPECT_EQ(a.ch_detect.values, b.ch_detect.values);
-  EXPECT_EQ(a.cc_detect.values, b.cc_detect.values);
-  EXPECT_EQ(a.tx_detect.values, b.tx_detect.values);
-  EXPECT_EQ(a.eh_detect.values, b.eh_detect.values);
-}
+using testutil::expect_bitwise_equal;
 
 template <typename T>
 std::vector<T> prefix(const std::vector<T>& v, std::size_t n) {
@@ -196,7 +187,7 @@ TEST_F(Serve, LightLoadServesEveryRequestOkAndBitExact) {
     EXPECT_TRUE(rs[i].served);
     EXPECT_EQ(rs[i].degrade_level, 0);
     EXPECT_TRUE(rs[i].result.degraded.empty());
-    expect_identical(rs[i].result, reference(i));
+    expect_bitwise_equal(rs[i].result, reference(i));
     EXPECT_GE(rs[i].start_ns, rs[i].arrival_ns);
     EXPECT_GT(rs[i].done_ns, rs[i].start_ns);
   }
@@ -291,7 +282,7 @@ TEST_F(Serve, ConceptClampDegradesToTheBitExactPrefix) {
   for (std::size_t i = 0; i < rs.size(); ++i) {
     AnalysisResult want = reference(i);
     if (rs[i].status == ServeStatus::kOk) {
-      expect_identical(rs[i].result, want);
+      expect_bitwise_equal(rs[i].result, want);
       continue;
     }
     ASSERT_EQ(rs[i].status, ServeStatus::kDegraded);
@@ -636,7 +627,7 @@ TEST_F(Serve, DeadlineMissMidShardReduceDoesNotPoisonTheNextWindow) {
       ++missed;
       EXPECT_TRUE(has_record(rs[i].result, "serve:deadline_missed"));
     }
-    expect_identical(rs[i].result, want[i]);
+    expect_bitwise_equal(rs[i].result, want[i]);
   }
   EXPECT_GE(missed, 1);
   // The next window is untouched: on time, full service, bit-exact —
@@ -644,7 +635,7 @@ TEST_F(Serve, DeadlineMissMidShardReduceDoesNotPoisonTheNextWindow) {
   for (std::size_t i = 2; i < 4; ++i) {
     EXPECT_EQ(rs[i].status, ServeStatus::kOk);
     EXPECT_TRUE(rs[i].result.degraded.empty());
-    expect_identical(rs[i].result, want[i]);
+    expect_bitwise_equal(rs[i].result, want[i]);
   }
   EXPECT_EQ(broker.stats().deadline_missed,
             static_cast<std::uint64_t>(missed));

@@ -260,19 +260,6 @@ TEST_F(ShardedEngine, LatencyBeatsMultiSpeByAtLeast1_4x) {
       << sharded.total << " ns";
 }
 
-TEST_F(ShardedEngine, PipelinedBatchMatchesPerImageCalls) {
-  sim::Machine m1;
-  CellEngine a(m1, library_path(), Scenario::kSharded);
-  sim::Machine m2;
-  CellEngine b(m2, library_path(), Scenario::kSharded);
-  std::vector<AnalysisResult> batch =
-      a.analyze_batch_pipelined(dataset_->images);
-  ASSERT_EQ(batch.size(), dataset_->images.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_bitwise_equal(batch[i], b.analyze(dataset_->images[i]));
-  }
-}
-
 TEST_F(ShardedEngine, PlanGaugesAreExported) {
   sim::Machine machine;
   CellEngine engine(machine, library_path(), Scenario::kSharded);

@@ -99,6 +99,20 @@ inline void expect_feature_equivalent(const marvel::AnalysisResult& cell,
   }
 }
 
+/// Every feature vector and score array of two results compares equal
+/// bit for bit (the contract between dispatch paths and strategies).
+inline void expect_bitwise_equal(const marvel::AnalysisResult& a,
+                                 const marvel::AnalysisResult& b) {
+  EXPECT_EQ(a.color_histogram.values, b.color_histogram.values);
+  EXPECT_EQ(a.color_correlogram.values, b.color_correlogram.values);
+  EXPECT_EQ(a.texture.values, b.texture.values);
+  EXPECT_EQ(a.edge_histogram.values, b.edge_histogram.values);
+  EXPECT_EQ(a.ch_detect.values, b.ch_detect.values);
+  EXPECT_EQ(a.cc_detect.values, b.cc_detect.values);
+  EXPECT_EQ(a.tx_detect.values, b.tx_detect.values);
+  EXPECT_EQ(a.eh_detect.values, b.eh_detect.values);
+}
+
 /// Seeded synthetic image, cycling through scene kinds so suites can
 /// ask for "image i" without repeating the kind/seed plumbing.
 inline img::RgbImage seeded_image(std::uint64_t seed, int width = 64,
