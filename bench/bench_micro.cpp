@@ -3,77 +3,24 @@
 // larger experiments; simulated time is deterministic regardless).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "features/color_histogram.h"
 #include "img/codec.h"
 #include "img/color.h"
 #include "img/synth.h"
-#include "kernels/cc_window.h"
 #include "kernels/ch_kernel.h"
-#include "kernels/eh_edge.h"
 #include "kernels/messages.h"
 #include "port/message.h"
 #include "port/spe_interface.h"
 #include "shard/reducer.h"
 #include "sim/machine.h"
-#include "spu/spu.h"
 #include "support/aligned.h"
 
 namespace {
 
 using namespace cellport;
-
-// The intrinsic benchmarks run with an SPE context installed on the
-// benchmark thread, so every intrinsic takes the pipe-charge path exactly
-// as it does inside a kernel (outside an SPE thread charging is a no-op).
-class SpeScope {
- public:
-  SpeScope() { sim::set_current_spe(&machine_.spe(0)); }
-  ~SpeScope() { sim::set_current_spe(nullptr); }
-  SpeScope(const SpeScope&) = delete;
-  SpeScope& operator=(const SpeScope&) = delete;
-
- private:
-  sim::Machine machine_{sim::Machine::Config{1}};
-};
-
-void BM_SpuIntrinsicMadd(benchmark::State& state) {
-  SpeScope spe;
-  auto a = spu::spu_splats<spu::vec_float4>(1.5f);
-  auto b = spu::spu_splats<spu::vec_float4>(0.5f);
-  auto c = spu::spu_splats<spu::vec_float4>(0.25f);
-  // Opaque inputs, so the lane arithmetic cannot be folded away.
-  benchmark::DoNotOptimize(a);
-  benchmark::DoNotOptimize(b);
-  benchmark::DoNotOptimize(c);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spu::spu_madd(a, b, c));
-  }
-}
-BENCHMARK(BM_SpuIntrinsicMadd);
-
-// The correlogram window's shuffles: the 2*kCcRadius+1 shift patterns that
-// extract each window offset from a pair of adjacent quadwords.
-void BM_SpuShuffle(benchmark::State& state) {
-  SpeScope spe;
-  auto a = spu::spu_splats<spu::vec_uchar16>(3);
-  auto b = spu::spu_splats<spu::vec_uchar16>(7);
-  benchmark::DoNotOptimize(a);
-  benchmark::DoNotOptimize(b);
-  for (auto _ : state) {
-    for (int dx = -kernels::kCcRadius; dx <= kernels::kCcRadius; ++dx) {
-      benchmark::DoNotOptimize(
-          spu::spu_shuffle(a, b, kernels::shift_pattern(dx)));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          (2 * kernels::kCcRadius + 1));
-}
-BENCHMARK(BM_SpuShuffle);
 
 void BM_MailboxRoundTrip(benchmark::State& state) {
   sim::Mailbox mb("bench", 4);
@@ -159,121 +106,6 @@ void BM_SpeColorHistogramKernel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpeColorHistogramKernel)->Unit(benchmark::kMillisecond);
-
-// The cellfuse question in isolation: one SPU_Run_Fused pass emits all
-// four raw-partial layouts, so its simulated cost should sit well under
-// the sum of the four standalone kernels (the planner's fused=4.4 cost
-// unit vs ch+cc+tx+eh ~= 5.4). `sim_ns_per_image` carries the
-// deterministic simulated kernel time per full-frame invocation.
-void BM_FusedTile(benchmark::State& state) {
-  img::RgbImage image = img::synth_image(img::SceneKind::kShapes, 1);
-  sim::Machine machine(sim::Machine::Config{1});
-  port::SPEInterface iface(kernels::ch_module());
-  const std::size_t bytes = kernels::fused_partial_bytes(
-      image.width(), image.height(), 0, image.height());
-  cellport::AlignedBuffer<std::uint8_t> out(cellport::round_up(
-      bytes, std::size_t{16}));
-  port::WrappedMessage<kernels::ImageMsg> msg;
-  msg->pixels_ea = reinterpret_cast<std::uint64_t>(image.data());
-  msg->width = image.width();
-  msg->height = image.height();
-  msg->stride = image.stride();
-  msg->buffering = kernels::kTripleBuffer;
-  msg->out_ea = reinterpret_cast<std::uint64_t>(out.data());
-  msg->row_begin = 0;
-  msg->row_end = 0;  // whole image: one lane, all four features
-  sim::SimTime busy0 = iface.spe().busy_ns();
-  std::int64_t images = 0;
-  for (auto _ : state) {
-    iface.SendAndWait(kernels::SPU_Run_Fused, msg.ea());
-    ++images;
-  }
-  state.counters["sim_ns_per_image"] =
-      images > 0 ? (iface.spe().busy_ns() - busy0) /
-                       static_cast<double>(images)
-                 : 0;
-}
-BENCHMARK(BM_FusedTile)->Unit(benchmark::kMillisecond);
-
-// The correlogram window alone, which is most of a fused tile's host
-// time: one output row of a 352-pixel-wide frame per iteration, from a
-// full 2*kCcRadius+1-row window of seeded bins.
-void BM_CcProduceRow(benchmark::State& state) {
-  constexpr int kW = 352;
-  constexpr int kH = 240;
-  SpeScope spe;
-  kernels::CcState st;
-  st.row_bytes = static_cast<int>(cellport::round_up(
-      static_cast<std::size_t>(kernels::kRingOrigin + kW + 24),
-      std::size_t{16}));
-  cellport::AlignedBuffer<std::uint8_t> ring(
-      static_cast<std::size_t>(kernels::kCcRingRows * st.row_bytes));
-  std::memset(ring.data(), kernels::kCcSentinel, ring.size());
-  std::uint32_t bins = 12345;
-  for (int r = 0; r < kernels::kCcRingRows; ++r) {
-    st.ring[r] = ring.data() + static_cast<std::size_t>(r * st.row_bytes);
-    for (int x = 0; x < kW; ++x) {
-      bins = bins * 1103515245u + 12345u;
-      st.ring[r][kernels::kRingOrigin + x] =
-          static_cast<std::uint8_t>((bins >> 16) % img::kHsvBins);
-    }
-  }
-  std::vector<std::uint32_t> same(img::kHsvBins), possible(img::kHsvBins);
-  std::vector<std::uint16_t> cols(kW);
-  for (int x = 0; x < kW; ++x) {
-    cols[static_cast<std::size_t>(x)] = static_cast<std::uint16_t>(
-        std::min(kW - 1, x + kernels::kCcRadius) -
-        std::max(0, x - kernels::kCcRadius) + 1);
-  }
-  st.same = same.data();
-  st.possible = possible.data();
-  st.cols_clamped = cols.data();
-  for (auto _ : state) {
-    kernels::cc_produce_row(st, kH / 2, kW, kH);
-    benchmark::DoNotOptimize(same.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kW);
-}
-BENCHMARK(BM_CcProduceRow)->Unit(benchmark::kMicrosecond);
-
-// One 352-wide Sobel row of the edge histogram: border pixels on the
-// scalar path, the interior in 8-pixel groups.
-void BM_EhProduceRow(benchmark::State& state) {
-  constexpr int kW = 352;
-  constexpr int kH = 240;
-  SpeScope spe;
-  kernels::EhState st;
-  st.w = kW;
-  st.h = kH;
-  const auto row_bytes = cellport::round_up(
-      static_cast<std::size_t>(kernels::kRingOrigin + kW + 24),
-      std::size_t{16});
-  cellport::AlignedBuffer<std::uint8_t> ring(
-      static_cast<std::size_t>(kernels::kEhRingRows) * row_bytes);
-  std::memset(ring.data(), 0, ring.size());
-  std::uint32_t gray = 12345;
-  for (int r = 0; r < kernels::kEhRingRows; ++r) {
-    st.ring[r] = ring.data() + static_cast<std::size_t>(r) * row_bytes;
-    for (int x = 0; x < kW; ++x) {
-      gray = gray * 1103515245u + 12345u;
-      st.ring[r][kernels::kRingOrigin + x] =
-          static_cast<std::uint8_t>(gray >> 16);
-    }
-  }
-  benchmark::DoNotOptimize(ring.data());
-  std::vector<std::uint32_t> counts(features::kEdgeAngleBins *
-                                    features::kEdgeMagBins);
-  st.counts = counts.data();
-  const kernels::EhConstants ec = kernels::EhConstants::load();
-  for (auto _ : state) {
-    kernels::eh_produce_row_simd(st, kH / 2, ec);
-    benchmark::DoNotOptimize(counts.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kW);
-}
-BENCHMARK(BM_EhProduceRow)->Unit(benchmark::kMicrosecond);
 
 // The cellshard reduction question in isolation: what does merging n
 // shard partials cost the PPE per image? These drive the planner's

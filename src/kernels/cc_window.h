@@ -1,12 +1,11 @@
 // Shared correlogram window machinery (hoisted out of cc_kernel.cpp for
-// cellfuse): the ring-buffer state, the per-offset shuffle patterns, and
-// the window accumulation that produces one output row. The fused
+// cellfuse): the ring-buffer state and the window accumulation that
+// produces one output row. The fused
 // kernel and the standalone CC kernel run the exact same produce_row, so
 // their same/possible counts are bit-identical by construction.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 
@@ -31,25 +30,6 @@ struct CcState {
   std::uint32_t* possible;
   std::uint16_t* cols_clamped;  // per-x clamped window width
 };
-
-/// Shuffle patterns extracting the 16 bytes at offset dx in
-/// [-kCcRadius, kCcRadius] from a pair of adjacent quadwords: the SPU
-/// code's window offsets, whose cost cc_produce_row charges.
-inline const cellport::spu::vec_uchar16& shift_pattern(int dx) {
-  using namespace cellport::spu;
-  static const auto patterns = [] {
-    std::array<vec_uchar16, 2 * kCcRadius + 1> out{};
-    for (int d = -kCcRadius; d <= kCcRadius; ++d) {
-      unsigned start = static_cast<unsigned>(d < 0 ? 16 + d : d);
-      for (unsigned i = 0; i < 16; ++i) {
-        out[static_cast<std::size_t>(d + kCcRadius)].v[i] =
-            static_cast<std::uint8_t>(start + i);
-      }
-    }
-    return out;
-  }();
-  return patterns[static_cast<std::size_t>(dx + kCcRadius)];
-}
 
 // SPU cycles of cc_produce_row, charged in closed form. Per 16-pixel
 // block: the centre vld (odd), two accumulator splats (even) and the loop

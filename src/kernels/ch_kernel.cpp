@@ -19,7 +19,7 @@ namespace {
 using namespace cellport::sim;
 using namespace cellport::spu;
 
-// channel_pattern (the per-channel gather shuffles) lives in
+// The HSV quantizer and the CH row (ch_count_row) live in hsv_simd.h and
 // row_convert.h, shared with CC and the cellfuse single-pass kernel.
 
 int ch_run(std::uint64_t ea) {
@@ -33,10 +33,7 @@ int ch_run(std::uint64_t ea) {
   auto* hist = spu_ls_alloc_array<std::uint32_t>(hist_len);
   std::memset(hist, 0, sizeof(std::uint32_t) * hist_len);
 
-  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
-  const vec_uchar16 pat_r = channel_pattern(0);
-  const vec_uchar16 pat_g = channel_pattern(1);
-  const vec_uchar16 pat_b = channel_pattern(2);
+  charge_even(kChCallEven);
   const HsvConstants hsv_c = HsvConstants::load();
 
   // cellshard: a shard invocation (row_end > 0) counts only its row range
@@ -53,35 +50,8 @@ int ch_run(std::uint64_t ea) {
   while (stream.has_next()) {
     RowStreamer::Block blk = stream.next();
     for (int r = 0; r < blk.rows; ++r) {
-      const std::uint8_t* row =
-          blk.data + static_cast<std::size_t>(r) * msg->stride;
-      int x = 0;
-      // SIMD body: 4 pixels per iteration.
-      for (; x + 4 <= w; x += 4) {
-        vec_uchar16 raw = vld_unaligned(row + x * 3);
-        vec_int4 ri =
-            vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_r));
-        vec_int4 gi =
-            vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_g));
-        vec_int4 bi =
-            vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_b));
-        vec_int4 bins = hsv_bins_4(spu_convtf(ri), spu_convtf(gi),
-                                   spu_convtf(bi), hsv_c);
-        // Histogram update is a scatter: inherently scalar on the SPU.
-        for (std::size_t lane = 0; lane < 4; ++lane) {
-          auto bin = static_cast<std::uint32_t>(spu_extract(bins, lane));
-          sstore(&hist[bin], sload(&hist[bin]) + 1);
-        }
-        spu_loop(1);
-      }
-      // Scalar tail for widths that are not a multiple of 4.
-      for (; x < w; ++x) {
-        sop(20);
-        int bin = img::rgb_to_bin(row[x * 3], row[x * 3 + 1],
-                                  row[x * 3 + 2]);
-        sstore(&hist[static_cast<std::uint32_t>(bin)],
-               sload(&hist[static_cast<std::uint32_t>(bin)]) + 1);
-      }
+      ch_count_row(blk.data + static_cast<std::size_t>(r) * msg->stride,
+                   w, hist, hsv_c);
     }
   }
 

@@ -115,18 +115,4 @@ RowStreamer::Block RowStreamer::next() {
   return b;
 }
 
-vec_uchar16 vld_unaligned(const std::uint8_t* p) {
-  auto addr = reinterpret_cast<std::uintptr_t>(p);
-  std::uintptr_t base = addr & ~std::uintptr_t{15};
-  unsigned offset = static_cast<unsigned>(addr & 15);
-  auto lo = vld<vec_uchar16>(reinterpret_cast<const void*>(base));
-  if (offset == 0) return lo;
-  auto hi = vld<vec_uchar16>(reinterpret_cast<const void*>(base + 16));
-  vec_uchar16 pattern;
-  for (unsigned i = 0; i < 16; ++i) {
-    pattern.v[i] = static_cast<std::uint8_t>(offset + i);
-  }
-  return spu_shuffle(lo, hi, pattern);
-}
-
 }  // namespace cellport::kernels

@@ -1,5 +1,5 @@
-// Shared SPE-side helpers: bulk DMA, multi-buffered row streaming,
-// unaligned vector loads.
+// Shared SPE-side helpers: bulk DMA, multi-buffered row streaming, and
+// the host vectors and load costs of the charge-once row bodies.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +78,21 @@ class RowStreamer {
   int prev_slot_ = -1;  // slot consumed by the previous next() call
 };
 
-/// Unaligned 16-byte load emulated the SPU way: two aligned quadword
-/// loads plus one shuffle.
-cellport::spu::vec_uchar16 vld_unaligned(const std::uint8_t* p);
+// Host lanes of the charge-once row bodies: GCC/Clang generic vectors,
+// which the default ISA lowers to native SIMD.
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef std::int32_t i32x4 __attribute__((vector_size(16)));
+
+// An unaligned 16-byte load, the SPU way: one aligned quadword vld (odd
+// pipe), plus a second vld and a merging shuffle when the address is not
+// 16-aligned. Row bodies count their misaligned loads and charge them
+// with the rest of the row.
+inline constexpr double kLoadOdd = 1;
+inline constexpr double kMisalignedLoadOdd = 2;
+
+/// 1 when an unaligned load from `p` needs the second vld and shuffle.
+inline int misaligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 16 != 0;
+}
 
 }  // namespace cellport::kernels

@@ -67,67 +67,48 @@ inline void eh_scalar_pixel(const EhState& st, int x, int y) {
   sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
 }
 
-/// Constant registers of the edge binning, loaded once per invocation.
-/// load() charges the splats the SPU code pays; the host binning itself
-/// reads only mag_b2.
+/// The SPU edge binning's constant registers: 21 splats (the sign mask,
+/// tan(22.5) and tan(67.5), the 7 squared magnitude boundaries, the
+/// integers 0..7 plus a second 0, the edge threshold 63 and a halfword 1),
+/// made once per invocation. load() charges them; the host binning reads
+/// only the boundaries.
 struct EhConstants {
-  cellport::spu::vec_float4 sign_clear;
-  cellport::spu::vec_float4 tan_lo;
-  cellport::spu::vec_float4 tan_hi;
-  cellport::spu::vec_float4 mag_b2[features::kEdgeMagBins - 1];
-  cellport::spu::vec_int4 zero_i;
-  cellport::spu::vec_int4 i0, i1, i2, i3, i4, i5, i6, i7;
-  cellport::spu::vec_int4 thresh63;
-  cellport::spu::vec_short8 one_h;
+  static constexpr double kSplats = 3 + (features::kEdgeMagBins - 1) + 9 + 2;
+  float mag_b2[features::kEdgeMagBins - 1];
 
   static EhConstants load() {
-    using namespace cellport::spu;
+    cellport::spu::charge_even(kSplats);
     EhConstants c;
-    c.sign_clear = vec_cast<vec_float4>(spu_splats<vec_uint4>(0x7FFFFFFFu));
-    c.tan_lo = spu_splats<vec_float4>(kEhTanLo);
-    c.tan_hi = spu_splats<vec_float4>(kEhTanHi);
     for (int k = 1; k < features::kEdgeMagBins; ++k) {
       float boundary = static_cast<float>(k) * features::kEdgeMagMax /
                        features::kEdgeMagBins;
-      c.mag_b2[k - 1] = spu_splats<vec_float4>(boundary * boundary);
+      c.mag_b2[k - 1] = boundary * boundary;
     }
-    c.zero_i = spu_splats<vec_int4>(0);
-    c.i0 = spu_splats<vec_int4>(0);
-    c.i1 = spu_splats<vec_int4>(1);
-    c.i2 = spu_splats<vec_int4>(2);
-    c.i3 = spu_splats<vec_int4>(3);
-    c.i4 = spu_splats<vec_int4>(4);
-    c.i5 = spu_splats<vec_int4>(5);
-    c.i6 = spu_splats<vec_int4>(6);
-    c.i7 = spu_splats<vec_int4>(7);
-    c.thresh63 = spu_splats<vec_int4>(63);
-    c.one_h = spu_splats<vec_short8>(1);
     return c;
   }
 };
 
-/// Bin of one edge pixel: its octant and its magnitude bin, by the same
-/// float compares as the SPU code (octant by tan(22.5)/tan(67.5) against
-/// |gx|, |gy|; magnitude by counting squared boundaries above mag2, which
-/// replaces the reference's sqrt).
-inline std::uint32_t eh_edge_bin(int gx, int gy, int mag2,
-                                 const EhConstants& c) {
-  const float ax = std::abs(static_cast<float>(gx));
-  const float ay = std::abs(static_cast<float>(gy));
-  int octant = gx > 0 ? 0 : 4;
-  if (ay > ax * kEhTanLo) {
-    if (ax * kEhTanHi > ay) {
-      octant = gx > 0 ? (gy > 0 ? 1 : 7) : (gy > 0 ? 3 : 5);
-    } else {
-      octant = gy > 0 ? 2 : 6;
-    }
-  }
-  const auto mf = static_cast<float>(mag2);  // exact: mag2 < 2^24
-  int mbin = features::kEdgeMagBins - 1;
+/// Bins of 4 gradient pixels, branch-free, by the same float compares as
+/// the SPU code: the octant by tan(22.5)/tan(67.5) against |gx|, |gy|; the
+/// magnitude bin by counting squared boundaries above mag2, which replaces
+/// the reference's sqrt. Lanes below the edge threshold get a bin too.
+inline i32x4 eh_edge_bins(i32x4 gx, i32x4 gy, i32x4 mag2,
+                          const EhConstants& c) {
+  const f32x4 ax = __builtin_convertvector(gx < 0 ? -gx : gx, f32x4);
+  const f32x4 ay = __builtin_convertvector(gy < 0 ? -gy : gy, f32x4);
+  const i32x4 diag = ay > ax * kEhTanLo;
+  const i32x4 not_vert = ax * kEhTanHi > ay;
+  const i32x4 gx_pos = gx > 0;
+  const i32x4 gy_pos = gy > 0;
+  const i32x4 diagonal = gx_pos ? (gy_pos ? 1 : 7) : (gy_pos ? 3 : 5);
+  const i32x4 octant = diag ? (not_vert ? diagonal : (gy_pos ? 2 : 6))
+                            : (gx_pos ? 0 : 4);
+  const f32x4 mf = __builtin_convertvector(mag2, f32x4);  // exact: < 2^24
+  i32x4 mbin = i32x4{} + (features::kEdgeMagBins - 1);
   for (int k = 1; k < features::kEdgeMagBins; ++k) {
-    if (c.mag_b2[k - 1].v[0] > mf) --mbin;
+    mbin += c.mag_b2[k - 1] > mf;  // a true mask is -1
   }
-  return static_cast<std::uint32_t>(octant * features::kEdgeMagBins + mbin);
+  return octant * features::kEdgeMagBins + mbin;
 }
 
 // SPU cycles of one 8-pixel group of eh_produce_row_simd, charged in
@@ -143,7 +124,6 @@ inline std::uint32_t eh_edge_bin(int gx, int gy, int mag2,
 inline constexpr double kEhGroupEven =
     9 + 13 + 4 + 6 + 2 + 2 * 17 + 2 * 16 + 2 * 2 + 2;
 inline constexpr double kEhGroupOdd = 3 + 9 + 8 * 2 + 1;
-inline constexpr double kEhMisalignedLoadOdd = 2;
 inline constexpr double kEhEdgeEven = 1;
 inline constexpr double kEhEdgeOdd = 1 + 2 + 2;
 
@@ -161,6 +141,8 @@ inline void eh_produce_row_simd(const EhState& st, int y,
     std::memcpy(&b, p, 8);
     return __builtin_convertvector(b, i16x8);
   };
+  typedef std::int16_t i16x4 __attribute__((vector_size(8)));
+  const auto widen = [](i16x4 v) { return __builtin_convertvector(v, i32x4); };
   const int w = st.w;
   // Border columns via the scalar float path. A one-column image has a
   // single border pixel, not two — without the early return it would be
@@ -173,8 +155,19 @@ inline void eh_produce_row_simd(const EhState& st, int y,
       st.ring[(y + 1) % kEhRingRows] + kRingOrigin};
 
   int groups = 0;
-  int misaligned = 0;
+  int misaligned_loads = 0;
   int edges = 0;
+  // Bins 4 gradient pixels and scatters the edge lanes (mag >= 8 <=>
+  // mag2 >= 64, exact); the other lanes add 0.
+  const auto count_edges = [&](i32x4 gx4, i32x4 gy4) {
+    const i32x4 mag2 = gx4 * gx4 + gy4 * gy4;
+    const i32x4 bins = eh_edge_bins(gx4, gy4, mag2, ec);
+    for (int i = 0; i < 4; ++i) {
+      const int edge = mag2[i] >= 64;
+      edges += edge;
+      st.counts[bins[i]] += edge;
+    }
+  };
   int x = 1;
   for (; x + 8 <= w - 1; x += 8) {
     i16x8 l[3];
@@ -184,24 +177,21 @@ inline void eh_produce_row_simd(const EhState& st, int y,
       l[k] = load8(rows[k] + x - 1);
       c[k] = load8(rows[k] + x);
       r[k] = load8(rows[k] + x + 1);
-      const auto addr = reinterpret_cast<std::uintptr_t>(rows[k] + x - 1);
-      misaligned += addr % 16 != 0;
+      misaligned_loads += misaligned(rows[k] + x - 1);
     }
     const i16x8 gx = (r[0] - l[0]) + (r[2] - l[2]) + 2 * (r[1] - l[1]);
     const i16x8 gy = (l[2] + r[2] + 2 * c[2]) - (l[0] + r[0] + 2 * c[0]);
-    for (int i = 0; i < 8; ++i) {
-      const int gxi = gx[i];
-      const int gyi = gy[i];
-      const int mag2 = gxi * gxi + gyi * gyi;
-      if (mag2 < 64) continue;  // mag >= 8  <=>  mag2 >= 64 (exact)
-      ++edges;
-      ++st.counts[eh_edge_bin(gxi, gyi, mag2, ec)];
-    }
+    // The SPU code bins the even and the odd lanes as two word vectors;
+    // the host bins the low and the high four.
+    count_edges(widen(__builtin_shufflevector(gx, gx, 0, 1, 2, 3)),
+                widen(__builtin_shufflevector(gy, gy, 0, 1, 2, 3)));
+    count_edges(widen(__builtin_shufflevector(gx, gx, 4, 5, 6, 7)),
+                widen(__builtin_shufflevector(gy, gy, 4, 5, 6, 7)));
     ++groups;
   }
   cellport::spu::charge_even(groups * kEhGroupEven + edges * kEhEdgeEven);
   cellport::spu::charge_odd(groups * kEhGroupOdd +
-                            misaligned * kEhMisalignedLoadOdd +
+                            misaligned_loads * kMisalignedLoadOdd +
                             edges * kEhEdgeOdd);
   for (; x < w - 1; ++x) eh_scalar_pixel(st, x, y);
   eh_scalar_pixel(st, w - 1, y);

@@ -77,7 +77,9 @@ int fused_run(std::uint64_t ea) {
       reinterpret_cast<std::uint8_t*>(blob) + kFusedCountBytes);
 
   // CH: four conflict-free sub-histograms, one per SIMD lane, so the four
-  // scatter updates of a quantized group have no serial LS dependency.
+  // scatter updates of a quantized group have no serial LS dependency and
+  // dual-issue cleanly (vs the standalone kernel's serial single-histogram
+  // chain).
   const std::size_t hist_len =
       cellport::round_up(std::size_t{img::kHsvBins}, 4);
   std::uint32_t* banks[4];
@@ -146,12 +148,7 @@ int fused_run(std::uint64_t ea) {
         const float* p0 =
             ll[l - 1] + static_cast<std::size_t>(local) * lvl_stride[l - 1];
         const float* p1 = p0 + lvl_stride[l - 1];
-        auto fetch_from = [&](const float* row) {
-          return [row](int x, vec_float4& e, vec_float4& o) {
-            deinterleave_floats(row + 2 * x, e, o);
-          };
-        };
-        haar_rows(lvl_w[l], fetch_from(p0), fetch_from(p1),
+        haar_rows(lvl_w[l], p0, p1,
                   ll[l] + static_cast<std::size_t>(y - y_begin) *
                               lvl_stride[l],
                   acc[l]);
@@ -178,22 +175,6 @@ int fused_run(std::uint64_t ea) {
 
   const HsvConstants hsv_c = HsvConstants::load();
   const EhConstants eh_c = EhConstants::load();
-
-  // Sub-histogram scatter for one quantized group: lane k updates bank k,
-  // so the four load-add-store chains are independent and dual-issue
-  // cleanly (vs the standalone kernel's serial single-histogram chain).
-  auto count4 = [&](const vec_int4& bins) {
-    charge_odd(8);   // 4 load-rotates, pipelined across banks
-    charge_even(4);  // 4 increments
-    charge_odd(4);   // 4 stores, no inter-lane dependency
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      auto bin = static_cast<std::uint32_t>(spu_extract(bins, lane));
-      banks[lane][bin] += 1;
-    }
-  };
-  auto count1 = [&](std::uint8_t bin) {
-    sstore(&banks[0][bin], sload(&banks[0][bin]) + 1);
-  };
 
   RowStreamer stream(
       msg->pixels_ea, static_cast<std::uint32_t>(msg->stride), fetch_begin,
@@ -223,11 +204,7 @@ int fused_run(std::uint64_t ea) {
       charge_odd(2);
       std::uint8_t* cc_dst =
           cc_st.ring[row_idx % kCcRingRows] + kRingOrigin;
-      if (own) {
-        quantize_row_counted(rgb, w, cc_dst, hsv_c, count4, count1);
-      } else {
-        quantize_row_simd(rgb, w, cc_dst, hsv_c);
-      }
+      quantize_row_counted(rgb, w, cc_dst, hsv_c, own ? banks : nullptr);
       if (row_idx >= gray_begin && row_idx < gray_end) {
         gray_row_simd(rgb, w,
                       eh_st.ring[row_idx % kEhRingRows] + kRingOrigin);
@@ -241,13 +218,7 @@ int fused_run(std::uint64_t ea) {
             eh_st.ring[(row_idx - 1) % kEhRingRows] + kRingOrigin;
         const std::uint8_t* g1 =
             eh_st.ring[row_idx % kEhRingRows] + kRingOrigin;
-        auto fetch0 = [&](int x, vec_float4& e, vec_float4& o) {
-          load_even_odd(g0 + 2 * x, e, o);
-        };
-        auto fetch1 = [&](int x, vec_float4& e, vec_float4& o) {
-          load_even_odd(g1 + 2 * x, e, o);
-        };
-        haar_rows(half_w, fetch0, fetch1,
+        haar_rows(half_w, g0, g1,
                   ll[0] + static_cast<std::size_t>(tile_ll_rows) *
                               lvl_stride[0],
                   acc[0]);

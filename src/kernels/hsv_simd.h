@@ -8,129 +8,127 @@
 // invocation). The arithmetic mirrors the reference's exact operation and
 // rounding order — divisions included, via the correctly rounded spu_div —
 // so the 4-wide port produces bit-identical bins.
+//
+// The lanes are computed on host vectors, with the SPU code's float
+// operations in the SPU code's order; the row converters that call
+// hsv_bins_4 charge its cycles (kHsvBins4Even) once per row.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+
 #include "img/color.h"
+#include "kernels/common.h"
 #include "spu/spu.h"
 
 namespace cellport::kernels {
 
-/// Constant registers of the HSV quantizer, splatted once per kernel
-/// invocation instead of once per pixel group.
+/// The SPU quantizer's constant registers: 18 splats (inv255, the black
+/// and gray thresholds, 0/3/4/60/120/240/360/(1/20) floats, an all-ones
+/// mask and the 0/2/3/4/17/18 integers), made once per kernel invocation
+/// instead of once per pixel group. The host lanes fold the constants
+/// into their code, so a loaded HsvConstants carries no values: the
+/// quantizers take it to show that the kernel paid for the load.
 struct HsvConstants {
-  cellport::spu::vec_float4 inv255;
-  cellport::spu::vec_float4 black_val;
-  cellport::spu::vec_float4 gray_sat;
-  cellport::spu::vec_float4 zero_f;
-  cellport::spu::vec_float4 three_f;
-  cellport::spu::vec_float4 four_f;
-  cellport::spu::vec_float4 sixty;
-  cellport::spu::vec_float4 h120;
-  cellport::spu::vec_float4 h240;
-  cellport::spu::vec_float4 h360;
-  cellport::spu::vec_float4 inv20;
-  cellport::spu::vec_float4 ones_bits;
-  cellport::spu::vec_int4 zero_i;
-  cellport::spu::vec_int4 two_i;
-  cellport::spu::vec_int4 three_i;
-  cellport::spu::vec_int4 four_i;
-  cellport::spu::vec_int4 seventeen_i;
-  cellport::spu::vec_int4 eighteen_i;
+  static constexpr double kSplats = 18;
 
   static HsvConstants load() {
-    using namespace cellport::spu;
-    HsvConstants c;
-    c.inv255 = spu_splats<vec_float4>(1.0f / 255.0f);
-    c.black_val = spu_splats<vec_float4>(img::kBlackValF);
-    c.gray_sat = spu_splats<vec_float4>(img::kGraySatF);
-    c.zero_f = spu_splats<vec_float4>(0.0f);
-    c.three_f = spu_splats<vec_float4>(3.0f);
-    c.four_f = spu_splats<vec_float4>(4.0f);
-    c.sixty = spu_splats<vec_float4>(60.0f);
-    c.h120 = spu_splats<vec_float4>(120.0f);
-    c.h240 = spu_splats<vec_float4>(240.0f);
-    c.h360 = spu_splats<vec_float4>(360.0f);
-    c.inv20 = spu_splats<vec_float4>(1.0f / 20.0f);
-    c.ones_bits = vec_cast<vec_float4>(spu_splats<vec_uint4>(~0u));
-    c.zero_i = spu_splats<vec_int4>(0);
-    c.two_i = spu_splats<vec_int4>(2);
-    c.three_i = spu_splats<vec_int4>(3);
-    c.four_i = spu_splats<vec_int4>(4);
-    c.seventeen_i = spu_splats<vec_int4>(17);
-    c.eighteen_i = spu_splats<vec_int4>(18);
-    return c;
+    cellport::spu::charge_even(kSplats);
+    return {};
   }
 };
+
+// Even-pipe instructions of one hsv_bins_4 call, in the order it issues
+// them: 3 normalizing mul; max/min by 4 cmpgt+sel; the delta sub; the
+// black cmpgt; the saturation div (5); the gray cmpgt; the gray bin (mul,
+// convts, cmpgt, sel); the hue-sector masks (2 cmpeq, xor, and); the
+// sector numerator (3 sub, 2 sel); the hue div (5); the hue base (2 sel);
+// 60*t + base (mul, add); the 360 wrap (cmpgt, add, sel); the hue index
+// (mul, convts, cmpgt, and, sub); the saturation and value indices (mul,
+// convts, cmpgt, sel each); 9h and 3s (sl+add each); the bin sum (3 add);
+// the gray and black selects (2 sel).
+inline constexpr double kHsvBins4Even = 3 + 8 + 1 + 1 + 5 + 1 + 4 + 4 +
+                                        5 + 5 + 2 + 2 + 3 + 5 + 4 + 4 +
+                                        4 + 3 + 2;
+static_assert(kHsvBins4Even == 66);
+
+/// spu_convts lane for lane: truncates toward zero, saturates to the
+/// int32 range, and converts NaN to 0.
+inline i32x4 convts(f32x4 x) {
+  const i32x4 hi = x >= 2147483648.0f;
+  const i32x4 lo = x <= -2147483648.0f;
+  const i32x4 inside = (x > -2147483648.0f) & (x < 2147483648.0f);
+  const auto safe = (f32x4)((i32x4)x & inside);
+  return __builtin_convertvector(safe, i32x4) |
+         (hi & std::numeric_limits<std::int32_t>::max()) |
+         (lo & std::numeric_limits<std::int32_t>::min());
+}
 
 /// Quantizes 4 pixels' RGB bytes (as float lanes in [0,255]) into their
 /// 166-bin HSV indices.
 ///
 /// Every arithmetic step mirrors the scalar reference's operation and
-/// rounding order exactly (same constants, same mul/add sequencing, the
-/// correctly-rounded spu_div), so the SIMD port is bit-identical to
+/// rounding order exactly (same constants, same mul/add sequencing,
+/// correctly rounded division), so the SIMD port is bit-identical to
 /// img/color.cpp — only the control flow changed (branches to masks).
-inline cellport::spu::vec_int4 hsv_bins_4(
-    const cellport::spu::vec_float4& r8,
-    const cellport::spu::vec_float4& g8,
-    const cellport::spu::vec_float4& b8, const HsvConstants& c) {
-  using namespace cellport::spu;
-
-  vec_float4 r = spu_mul(r8, c.inv255);
-  vec_float4 g = spu_mul(g8, c.inv255);
-  vec_float4 b = spu_mul(b8, c.inv255);
+inline i32x4 hsv_bins_4(f32x4 r8, f32x4 g8, f32x4 b8) {
+  const f32x4 r = r8 * (1.0f / 255.0f);
+  const f32x4 g = g8 * (1.0f / 255.0f);
+  const f32x4 b = b8 * (1.0f / 255.0f);
 
   // v = max(r,g,b), mn = min(r,g,b) — branch-free.
-  vec_float4 v = spu_sel(r, g, spu_cmpgt(g, r));
-  v = spu_sel(v, b, spu_cmpgt(b, v));
-  vec_float4 mn = spu_sel(g, r, spu_cmpgt(g, r));
-  mn = spu_sel(mn, b, spu_cmpgt(mn, b));
-  vec_float4 delta = spu_sub(v, mn);
+  f32x4 v = g > r ? g : r;
+  v = b > v ? b : v;
+  f32x4 mn = g > r ? r : g;
+  mn = mn > b ? b : mn;
+  const f32x4 delta = v - mn;
 
   // black: v < 0.08. gray: s = delta/v < 0.10 (v == 0 lanes produce
   // NaN, whose compare is false — they are already black).
-  vec_float4 black_m = spu_cmpgt(c.black_val, v);
-  vec_float4 s = spu_div(delta, v);
-  vec_float4 gray_m = spu_cmpgt(c.gray_sat, s);
+  const i32x4 black_m = img::kBlackValF > v;
+  const f32x4 s = delta / v;
+  const i32x4 gray_m = img::kGraySatF > s;
 
   // Gray bin: min(int(v*4), 3).
-  vec_int4 gray_bin = spu_convts(spu_mul(v, c.four_f));
-  gray_bin = spu_sel(gray_bin, c.three_i, spu_cmpgt(gray_bin, c.three_i));
+  i32x4 gray_bin = convts(v * 4.0f);
+  gray_bin = gray_bin > 3 ? 3 : gray_bin;
 
   // Hue sector masks, replacing the reference's if-chain:
   // mr: v==r (checked first), mg: v==g and not mr; b is the remainder.
-  vec_float4 mr = spu_cmpeq(v, r);
-  vec_float4 mg = spu_and(spu_cmpeq(v, g), spu_xor(mr, c.ones_bits));
+  const i32x4 mr = v == r;
+  const i32x4 mg = (v == g) & ~mr;
 
   // t = sector numerator / delta; h = 60*t + {0,120,240}, +360 wrap.
-  vec_float4 diff = spu_sel(spu_sel(spu_sub(r, g), spu_sub(b, r), mg),
-                            spu_sub(g, b), mr);
-  vec_float4 t = spu_div(diff, delta);
-  vec_float4 hbase = spu_sel(
-      spu_sel(c.h240, c.h120, mg), c.zero_f, mr);
-  vec_float4 h = spu_add(spu_mul(t, c.sixty), hbase);
-  vec_float4 wrap_m = spu_cmpgt(c.zero_f, h);
-  h = spu_sel(h, spu_add(h, c.h360), wrap_m);
+  const f32x4 diff = mr ? g - b : (mg ? b - r : r - g);
+  const f32x4 t = diff / delta;
+  const f32x4 hbase = mr ? 0.0f : (mg ? 120.0f : 240.0f);
+  f32x4 h = t * 60.0f + hbase;
+  h = 0.0f > h ? h + 360.0f : h;
 
   // h_idx = int(h * (1/20)) % 18 (the wrap only ever hits 18 -> 0).
-  vec_int4 h_idx = spu_convts(spu_mul(h, c.inv20));
-  vec_int4 wrap18_m =
-      vec_cast<vec_int4>(spu_cmpgt(h_idx, c.seventeen_i));
-  h_idx = spu_sub(h_idx, spu_and(wrap18_m, c.eighteen_i));
+  i32x4 h_idx = convts(h * (1.0f / 20.0f));
+  h_idx = h_idx > 17 ? h_idx - 18 : h_idx;
 
   // s_idx = min(int(s*3), 2), v_idx = min(int(v*3), 2).
-  vec_int4 s_idx = spu_convts(spu_mul(s, c.three_f));
-  s_idx = spu_sel(s_idx, c.two_i, spu_cmpgt(s_idx, c.two_i));
-  vec_int4 v_idx = spu_convts(spu_mul(v, c.three_f));
-  v_idx = spu_sel(v_idx, c.two_i, spu_cmpgt(v_idx, c.two_i));
+  i32x4 s_idx = convts(s * 3.0f);
+  s_idx = s_idx > 2 ? 2 : s_idx;
+  i32x4 v_idx = convts(v * 3.0f);
+  v_idx = v_idx > 2 ? 2 : v_idx;
 
-  // bin = 4 + 9*h + 3*s + v  (strength-reduced multiplies).
-  vec_int4 h9 = spu_add(spu_sl(h_idx, 3), h_idx);
-  vec_int4 s3i = spu_add(spu_sl(s_idx, 1), s_idx);
-  vec_int4 chroma = spu_add(spu_add(h9, s3i), spu_add(v_idx, c.four_i));
+  // bin = 4 + 9*h + 3*s + v. The indices are small, so no lane overflows.
+  const i32x4 chroma = 9 * h_idx + 3 * s_idx + v_idx + 4;
+  return black_m ? 0 : (gray_m ? gray_bin : chroma);
+}
 
-  vec_int4 bin = spu_sel(chroma, gray_bin, vec_cast<vec_int4>(gray_m));
-  bin = spu_sel(bin, c.zero_i, vec_cast<vec_int4>(black_m));
-  return bin;
+/// Bins of the 4 interleaved RGB pixels at `px` (12 bytes): the SPU code
+/// shuffles each channel into word lanes and converts them to floats.
+inline i32x4 hsv_bins_rgb4(const std::uint8_t* px) {
+  const i32x4 r = {px[0], px[3], px[6], px[9]};
+  const i32x4 g = {px[1], px[4], px[7], px[10]};
+  const i32x4 b = {px[2], px[5], px[8], px[11]};
+  return hsv_bins_4(__builtin_convertvector(r, f32x4),
+                    __builtin_convertvector(g, f32x4),
+                    __builtin_convertvector(b, f32x4));
 }
 
 }  // namespace cellport::kernels

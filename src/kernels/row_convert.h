@@ -7,8 +7,15 @@
 // re-implementation (the systematic rewrite-rules approach: one pattern,
 // many call sites).
 //
-//  - quantize_row_simd: RGB row -> 166-bin HSV byte row (CH + CC input)
-//  - gray_row_simd:     RGB row -> BT.601 gray byte row  (EH + TX input)
+//  - quantize_row_simd:    RGB row -> 166-bin HSV byte row (CC input)
+//  - quantize_row_counted: the same, counting the bins (fused CH)
+//  - ch_count_row:         RGB row -> HSV-bin histogram counts (CH)
+//  - gray_row_simd:        RGB row -> BT.601 gray byte row (EH + TX input)
+//
+// Each row is computed on host vectors and charges the SPU cycles of its
+// SIMD code once, in closed form: every charge is a whole number of
+// cycles and nothing flushes the pipes inside a row, so the pending
+// totals match per-instruction charging bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -24,164 +31,149 @@ namespace cellport::kernels {
 /// columns 0..15 hold the left sentinel/clamp band).
 inline constexpr int kRingOrigin = 16;
 
-/// Shuffle patterns building one 32-bit lane per pixel from channel bytes
-/// at interleaved offsets c, c+3, c+6, c+9 (little-endian low byte;
-/// indices >= 16 select from the zero vector).
-inline cellport::spu::vec_uchar16 channel_pattern(unsigned c) {
-  cellport::spu::vec_uchar16 p;
-  for (unsigned lane = 0; lane < 4; ++lane) {
-    p.v[4 * lane] = static_cast<std::uint8_t>(c + 3 * lane);
-    p.v[4 * lane + 1] = 16;
-    p.v[4 * lane + 2] = 16;
-    p.v[4 * lane + 3] = 16;
-  }
-  return p;
-}
-
-/// Packs the low bytes of four int4s into 16 bytes (3 shuffles).
-inline cellport::spu::vec_uchar16 pack_bins(
-    const cellport::spu::vec_int4& a, const cellport::spu::vec_int4& b,
-    const cellport::spu::vec_int4& c, const cellport::spu::vec_int4& d) {
-  using namespace cellport::spu;
-  vec_uchar16 word_low;
-  for (unsigned k = 0; k < 4; ++k) {
-    word_low.v[k] = static_cast<std::uint8_t>(4 * k);            // from a
-    word_low.v[4 + k] = static_cast<std::uint8_t>(16 + 4 * k);   // from b
-    word_low.v[8 + k] = static_cast<std::uint8_t>(4 * k);        // from c
-    word_low.v[12 + k] = static_cast<std::uint8_t>(16 + 4 * k);  // from d
-  }
-  vec_uchar16 ab = spu_shuffle(vec_cast<vec_uchar16>(a),
-                               vec_cast<vec_uchar16>(b), word_low);
-  vec_uchar16 cd = spu_shuffle(vec_cast<vec_uchar16>(c),
-                               vec_cast<vec_uchar16>(d), word_low);
-  vec_uchar16 combine;
-  for (unsigned k = 0; k < 8; ++k) {
-    combine.v[k] = static_cast<std::uint8_t>(k);
-    combine.v[8 + k] = static_cast<std::uint8_t>(16 + 8 + k);
-  }
-  return spu_shuffle(ab, cd, combine);
-}
+// SPU cycles of the quantizer rows. Per 4-pixel group: an unaligned load
+// of its 12 RGB bytes, three channel shuffles (odd) and three convtf
+// (even) feeding hsv_bins_4. Per 16-pixel block: four groups, three
+// shuffles packing their bins into bytes and a vst (odd), and the loop
+// branch (spu_loop: 2 even, 1 odd). Per row: the zero splat of the
+// channel shuffles. Per scalar-tail pixel: the scalar quantizer (20 even)
+// and its three byte loads (odd).
+inline constexpr double kQuantGroupEven = 3 + kHsvBins4Even;
+inline constexpr double kQuantGroupOdd = 3 + kLoadOdd;
+inline constexpr double kQuantBlockEven = 4 * kQuantGroupEven + 2;
+inline constexpr double kQuantBlockOdd = 4 * kQuantGroupOdd + 3 + 1 + 1;
+inline constexpr double kQuantRowEven = 1;
+inline constexpr double kQuantTailEven = 20;
+inline constexpr double kQuantTailOdd = 3;
+// Histogram scatter of one bin: the scalar load (load+rotate, 2 odd) and
+// the read-modify-write store (1 even, 2 odd) of its counter.
+inline constexpr double kScatterEven = 1;
+inline constexpr double kScatterOdd = 2 + 2;
+// The fused kernel's bank scatter of one group: 4 extracts (odd), 4
+// load-rotates pipelined across the banks (8 odd), 4 increments (even)
+// and 4 stores with no inter-lane dependency (odd).
+inline constexpr double kBankGroupEven = 4;
+inline constexpr double kBankGroupOdd = 4 + 8 + 4;
 
 /// Quantizes one RGB row into HSV-bin bytes (SIMD body + scalar tail).
-/// The optional `count` hook observes each SIMD group's four bin lanes
-/// and each scalar-tail bin — cellfuse feeds the CH histogram from the
-/// bins while they are still in registers, instead of re-reading (or
-/// worse, re-converting) the row. Pass nullptr-like no-ops to get the
-/// plain quantizer the CC kernel runs.
-template <typename CountGroup4, typename CountTail>
+/// With `banks`, the fused kernel's CH histogram is fed from the bins
+/// while they are still in registers: SIMD lane k of every group counts
+/// into banks[k] (four conflict-free sub-histograms) and the scalar tail
+/// counts into banks[0]. Without, this is the plain quantizer the CC
+/// kernel runs.
 inline void quantize_row_counted(const std::uint8_t* rgb, int w,
-                                 std::uint8_t* dst, const HsvConstants& hsv_c,
-                                 CountGroup4&& count4, CountTail&& count1) {
-  using namespace cellport::spu;
-  static const vec_uchar16 pat_r = channel_pattern(0);
-  static const vec_uchar16 pat_g = channel_pattern(1);
-  static const vec_uchar16 pat_b = channel_pattern(2);
-  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
-
+                                 std::uint8_t* dst, const HsvConstants&,
+                                 std::uint32_t* const* banks) {
   int x = 0;
+  int misaligned_loads = 0;
+  if (w >= 16) cellport::spu::vst_check(dst);
   for (; x + 16 <= w; x += 16) {
-    vec_int4 bins[4];
     for (int q = 0; q < 4; ++q) {
-      vec_uchar16 raw = vld_unaligned(rgb + (x + 4 * q) * 3);
-      vec_int4 ri = vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_r));
-      vec_int4 gi = vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_g));
-      vec_int4 bi = vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_b));
-      bins[q] = hsv_bins_4(spu_convtf(ri), spu_convtf(gi), spu_convtf(bi),
-                           hsv_c);
-      count4(bins[q]);
+      const std::uint8_t* px = rgb + (x + 4 * q) * 3;
+      misaligned_loads += misaligned(px);
+      const i32x4 bins = hsv_bins_rgb4(px);
+      for (int k = 0; k < 4; ++k) {
+        dst[x + 4 * q + k] = static_cast<std::uint8_t>(bins[k]);
+        if (banks != nullptr) ++banks[k][bins[k]];
+      }
     }
-    vst(dst + x, pack_bins(bins[0], bins[1], bins[2], bins[3]));
-    spu_loop(1);
   }
+  const int blocks = x / 16;
+  const int tail = w - x;
   for (; x < w; ++x) {
-    sop(20);
-    charge_odd(3);
-    auto bin = static_cast<std::uint8_t>(
+    const auto bin = static_cast<std::uint8_t>(
         img::rgb_to_bin(rgb[x * 3], rgb[x * 3 + 1], rgb[x * 3 + 2]));
     dst[x] = bin;
-    count1(bin);
+    if (banks != nullptr) ++banks[0][bin];
   }
+  double even = kQuantRowEven + blocks * kQuantBlockEven +
+                tail * kQuantTailEven;
+  double odd = blocks * kQuantBlockOdd +
+               misaligned_loads * kMisalignedLoadOdd + tail * kQuantTailOdd;
+  if (banks != nullptr) {
+    even += 4 * blocks * kBankGroupEven + tail * kScatterEven;
+    odd += 4 * blocks * kBankGroupOdd + tail * kScatterOdd;
+  }
+  cellport::spu::charge_even(even);
+  cellport::spu::charge_odd(odd);
 }
 
 /// Quantizes one RGB row into ring-row bins (the CC kernel's converter).
 inline void quantize_row_simd(const std::uint8_t* rgb, int w,
                               std::uint8_t* dst, const HsvConstants& hsv_c) {
-  quantize_row_counted(rgb, w, dst, hsv_c,
-                       [](const cellport::spu::vec_int4&) {},
-                       [](std::uint8_t) {});
+  quantize_row_counted(rgb, w, dst, hsv_c, nullptr);
 }
+
+// SPU cycles of the CH kernel's row. Per 4-pixel group: the quantizer
+// group, a serial scatter of its four bins into the one histogram (an
+// extract each, odd, plus the scatter) and the loop branch. Per
+// scalar-tail pixel: the scalar quantizer (20 even) and its scatter. Per
+// invocation, not per row: the zero splat of the channel shuffles.
+inline constexpr double kChCallEven = 1;
+inline constexpr double kChGroupEven =
+    kQuantGroupEven + 4 * kScatterEven + 2;
+inline constexpr double kChGroupOdd =
+    kQuantGroupOdd + 4 * (1 + kScatterOdd) + 1;
+inline constexpr double kChTailEven = kQuantTailEven + kScatterEven;
+inline constexpr double kChTailOdd = kScatterOdd;
+
+/// Counts one RGB row's HSV bins into `hist`, 4 pixels per group (the
+/// histogram update is a scatter: inherently scalar on the SPU).
+inline void ch_count_row(const std::uint8_t* rgb, int w, std::uint32_t* hist,
+                         const HsvConstants&) {
+  int x = 0;
+  int misaligned_loads = 0;
+  for (; x + 4 <= w; x += 4) {
+    const std::uint8_t* px = rgb + x * 3;
+    misaligned_loads += misaligned(px);
+    const i32x4 bins = hsv_bins_rgb4(px);
+    for (int k = 0; k < 4; ++k) ++hist[bins[k]];
+  }
+  const int groups = x / 4;
+  const int tail = w - x;
+  for (; x < w; ++x) {
+    ++hist[img::rgb_to_bin(rgb[x * 3], rgb[x * 3 + 1], rgb[x * 3 + 2])];
+  }
+  cellport::spu::charge_even(groups * kChGroupEven + tail * kChTailEven);
+  cellport::spu::charge_odd(groups * kChGroupOdd +
+                            misaligned_loads * kMisalignedLoadOdd +
+                            tail * kChTailOdd);
+}
+
+// SPU cycles of gray_row_simd. Per 16-pixel block, for each 8-pixel half:
+// two unaligned loads covering its 24 RGB bytes, three channel unpacks of
+// two shuffles each (odd), three 2-instruction halfword multiplies, two
+// adds and a shift (even). Then a pack shuffle, the vst and the loop
+// branch. Per row: four splats (zero and the three weights). Per
+// scalar-tail pixel: 8 even and 4 odd.
+inline constexpr double kGrayBlockEven = 2 * (3 * 2 + 2 + 1) + 2;
+inline constexpr double kGrayBlockOdd = 2 * (2 * kLoadOdd + 3 * 2) + 1 + 1 + 1;
+inline constexpr double kGrayRowEven = 4;
+inline constexpr double kGrayTailEven = 8;
+inline constexpr double kGrayTailOdd = 4;
 
 /// gray = (77 r + 150 g + 29 b) >> 8, 8 pixels at a time in halfwords
 /// (the products fit 16 bits), matching the integer reference exactly.
 inline void gray_row_simd(const std::uint8_t* rgb, int w,
                           std::uint8_t* dst) {
-  using namespace cellport::spu;
-  // Gathering a channel of 8 interleaved pixels spans 24 bytes, so each
-  // unpack shuffles across a pair of quadword loads (channel bytes into
-  // the low 8 byte positions), then widens against the zero vector.
-  static const auto make_gather = [](unsigned c) {
-    vec_uchar16 p;
-    for (unsigned lane = 0; lane < 8; ++lane) {
-      p.v[lane] = static_cast<std::uint8_t>(c + 3 * lane);  // 0..23
-    }
-    for (unsigned i = 8; i < 16; ++i) p.v[i] = 0;
-    return p;
-  };
-  static const vec_uchar16 gather_r = make_gather(0);
-  static const vec_uchar16 gather_g = make_gather(1);
-  static const vec_uchar16 gather_b = make_gather(2);
-  static const vec_uchar16 widen = [] {
-    vec_uchar16 p;
-    for (unsigned lane = 0; lane < 8; ++lane) {
-      p.v[2 * lane] = static_cast<std::uint8_t>(lane);
-      p.v[2 * lane + 1] = 16;  // zero byte
-    }
-    return p;
-  }();
-  static const vec_uchar16 pack = [] {
-    vec_uchar16 p;
-    for (unsigned k = 0; k < 8; ++k) {
-      p.v[k] = static_cast<std::uint8_t>(2 * k);       // low byte of lane k
-      p.v[8 + k] = static_cast<std::uint8_t>(16 + 2 * k);
-    }
-    return p;
-  }();
-  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
-  const vec_ushort8 wr = spu_splats<vec_ushort8>(77);
-  const vec_ushort8 wg = spu_splats<vec_ushort8>(150);
-  const vec_ushort8 wb = spu_splats<vec_ushort8>(29);
-
-  auto unpack = [&](const vec_uchar16& lo, const vec_uchar16& hi,
-                    const vec_uchar16& gather) {
-    vec_uchar16 bytes = spu_shuffle(lo, hi, gather);
-    return vec_cast<vec_ushort8>(spu_shuffle(bytes, zero, widen));
-  };
-
-  int x = 0;
-  for (; x + 16 <= w; x += 16) {
-    vec_uchar16 halves[2];
-    for (int half = 0; half < 2; ++half) {
-      const std::uint8_t* p = rgb + (x + 8 * half) * 3;
-      vec_uchar16 lo = vld_unaligned(p);
-      vec_uchar16 hi = vld_unaligned(p + 16);
-      vec_ushort8 r = unpack(lo, hi, gather_r);
-      vec_ushort8 g = unpack(lo, hi, gather_g);
-      vec_ushort8 b = unpack(lo, hi, gather_b);
-      vec_ushort8 acc = spu_add(spu_add(spu_mulhw(r, wr), spu_mulhw(g, wg)),
-                                spu_mulhw(b, wb));
-      acc = spu_sr(acc, 8);
-      halves[half] = vec_cast<vec_uchar16>(acc);
-    }
-    vst(dst + x, spu_shuffle(halves[0], halves[1], pack));
-    spu_loop(1);
+  const int blocks = w / 16;
+  int misaligned_loads = 0;
+  if (blocks > 0) cellport::spu::vst_check(dst);
+  for (int half = 0; half < 2 * blocks; ++half) {
+    const std::uint8_t* p = rgb + 8 * half * 3;
+    misaligned_loads += misaligned(p) + misaligned(p + 16);
   }
-  for (; x < w; ++x) {
-    sop(8);
-    charge_odd(4);
-    unsigned luma = 77u * rgb[x * 3] + 150u * rgb[x * 3 + 1] +
-                    29u * rgb[x * 3 + 2];
+  for (int x = 0; x < w; ++x) {
+    const unsigned luma = 77u * rgb[x * 3] + 150u * rgb[x * 3 + 1] +
+                          29u * rgb[x * 3 + 2];
     dst[x] = static_cast<std::uint8_t>(luma >> 8);
   }
+  const int tail = w - 16 * blocks;
+  cellport::spu::charge_even(kGrayRowEven + blocks * kGrayBlockEven +
+                             tail * kGrayTailEven);
+  cellport::spu::charge_odd(blocks * kGrayBlockOdd +
+                            misaligned_loads * kMisalignedLoadOdd +
+                            tail * kGrayTailOdd);
 }
 
 }  // namespace cellport::kernels

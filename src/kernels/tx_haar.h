@@ -1,11 +1,14 @@
 // Shared Haar-wavelet texture machinery (hoisted out of tx_kernel.cpp for
-// cellfuse): gray de-interleave loaders, the SIMD Haar row step, and the
-// float4 energy accumulators. TX's double accumulation is order-sensitive,
-// so the fused kernel replicating bit-exact energies depends on running
-// THESE functions in the same tile order — not a lookalike.
+// cellfuse): the de-interleaving column fetchers, the SIMD Haar row step,
+// and the float4 energy accumulators. TX's double accumulation is
+// order-sensitive, so the fused kernel replicating bit-exact energies
+// depends on running THESE functions in the same tile order — not a
+// lookalike.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "kernels/common.h"
 #include "spu/spu.h"
@@ -17,65 +20,32 @@ inline int tx_luma(const std::uint8_t* px) {
   return static_cast<int>((77u * px[0] + 150u * px[1] + 29u * px[2]) >> 8);
 }
 
-/// De-interleaves 8 consecutive gray floats (from bytes) into even and
-/// odd column float4s.
-inline void load_even_odd(const std::uint8_t* gray8,
-                          cellport::spu::vec_float4& even,
-                          cellport::spu::vec_float4& odd) {
-  using namespace cellport::spu;
-  // 8 bytes -> two int4s via shuffles against zero.
-  vec_uchar16 raw = vld_unaligned(gray8);
-  static const vec_uchar16 pat_even = [] {
-    vec_uchar16 p;
-    for (unsigned k = 0; k < 4; ++k) {
-      p.v[4 * k] = static_cast<std::uint8_t>(2 * k);
-      p.v[4 * k + 1] = 16;
-      p.v[4 * k + 2] = 16;
-      p.v[4 * k + 3] = 16;
-    }
-    return p;
-  }();
-  static const vec_uchar16 pat_odd = [] {
-    vec_uchar16 p;
-    for (unsigned k = 0; k < 4; ++k) {
-      p.v[4 * k] = static_cast<std::uint8_t>(2 * k + 1);
-      p.v[4 * k + 1] = 16;
-      p.v[4 * k + 2] = 16;
-      p.v[4 * k + 3] = 16;
-    }
-    return p;
-  }();
-  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
-  even = spu_convtf(vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_even)));
-  odd = spu_convtf(vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_odd)));
+// The Haar step's column fetchers: even and odd columns x..x+7 of an
+// input row, as two float4s. A gray byte row (level 1) costs an unaligned
+// load, a zero splat (even), two shuffles against it (odd) and two convtf
+// (even). A float LL row (levels 2..4) costs two unaligned loads and two
+// shuffles (odd).
+inline constexpr double kHaarFetchBytesEven = 1 + 2;
+inline constexpr double kHaarFetchBytesOdd = kLoadOdd + 2;
+inline constexpr double kHaarFetchFloatsEven = 0;
+inline constexpr double kHaarFetchFloatsOdd = 2 * kLoadOdd + 2;
+
+/// De-interleaves 8 consecutive gray bytes into even and odd column
+/// floats; returns the misaligned loads the SPU code makes.
+inline int haar_fetch(const std::uint8_t* gray8, f32x4& even, f32x4& odd) {
+  const i32x4 e = {gray8[0], gray8[2], gray8[4], gray8[6]};
+  const i32x4 o = {gray8[1], gray8[3], gray8[5], gray8[7]};
+  even = __builtin_convertvector(e, f32x4);
+  odd = __builtin_convertvector(o, f32x4);
+  return misaligned(gray8);
 }
 
-/// De-interleaves 8 consecutive floats into even and odd lane float4s
-/// (2 quadword loads + 2 shuffles).
-inline void deinterleave_floats(const float* p, cellport::spu::vec_float4& e,
-                                cellport::spu::vec_float4& o) {
-  using namespace cellport::spu;
-  auto raw = reinterpret_cast<const std::uint8_t*>(p);
-  vec_float4 lo = vec_cast<vec_float4>(vld_unaligned(raw));
-  vec_float4 hi = vec_cast<vec_float4>(vld_unaligned(raw + 16));
-  static const vec_uchar16 pat_e = [] {
-    vec_uchar16 pe;
-    const std::uint8_t lane_src[4] = {0, 8, 16, 24};  // lo0 lo2 hi0 hi2
-    for (unsigned k = 0; k < 4; ++k)
-      for (unsigned byte = 0; byte < 4; ++byte)
-        pe.v[4 * k + byte] = static_cast<std::uint8_t>(lane_src[k] + byte);
-    return pe;
-  }();
-  static const vec_uchar16 pat_o = [] {
-    vec_uchar16 po;
-    const std::uint8_t lane_src[4] = {4, 12, 20, 28};  // lo1 lo3 hi1 hi3
-    for (unsigned k = 0; k < 4; ++k)
-      for (unsigned byte = 0; byte < 4; ++byte)
-        po.v[4 * k + byte] = static_cast<std::uint8_t>(lane_src[k] + byte);
-    return po;
-  }();
-  e = spu_shuffle(lo, hi, pat_e);
-  o = spu_shuffle(lo, hi, pat_o);
+/// De-interleaves 8 consecutive floats into even and odd lane float4s;
+/// returns the misaligned loads the SPU code makes.
+inline int haar_fetch(const float* p, f32x4& even, f32x4& odd) {
+  even = f32x4{p[0], p[2], p[4], p[6]};
+  odd = f32x4{p[1], p[3], p[5], p[7]};
+  return misaligned(p) + misaligned(p + 4);
 }
 
 /// Horizontal reduction of a float4 into a double (for the energy sums).
@@ -94,60 +64,90 @@ struct Energies {
       cellport::spu::vec_float4>(0.0f);
 };
 
-/// One Haar step over a row pair, producing one LL row and accumulating
-/// detail energies. `fetch0`/`fetch1` deliver float4s of even/odd columns
-/// for the upper/lower input row.
-template <typename RowFetch0, typename RowFetch1>
-inline void haar_rows(int half_w, RowFetch0 fetch0, RowFetch1 fetch1,
+// SPU cycles of haar_rows besides its fetches. Per row: the 0.25 splat.
+// Per 4 output columns: 4 add/sub of the column pairs, 4 add/sub and 4
+// mul of the subbands, 3 madd into the energies (even), the LL vst (odd)
+// and the loop branch (2 even, 1 odd). Per scalar-tail column: 16 even
+// and 6 odd, after refetching its group.
+inline constexpr double kHaarRowEven = 1;
+inline constexpr double kHaarGroupEven = 4 + 4 + 4 + 3 + 2;
+inline constexpr double kHaarGroupOdd = 1 + 1;
+inline constexpr double kHaarTailEven = 16;
+inline constexpr double kHaarTailOdd = 6;
+
+/// One Haar step over a row pair (`row0` above `row1`: gray bytes for
+/// level 1, float LL rows above it), producing one LL row and
+/// accumulating detail energies. The lanes are computed on host vectors
+/// in the SPU code's order, and its cycles are charged once per row.
+template <typename Px>
+inline void haar_rows(int half_w, const Px* row0, const Px* row1,
                       float* ll_out, Energies& acc) {
-  using namespace cellport::spu;
-  const vec_float4 quarter = spu_splats<vec_float4>(0.25f);
+  f32x4 acc_lh;
+  f32x4 acc_hl;
+  f32x4 acc_hh;
+  std::memcpy(&acc_lh, acc.lh.v.data(), 16);
+  std::memcpy(&acc_hl, acc.hl.v.data(), 16);
+  std::memcpy(&acc_hh, acc.hh.v.data(), 16);
+  int misaligned_loads = 0;
   int x = 0;
+  if (half_w >= 4) cellport::spu::vst_check(ll_out);
   for (; x + 4 <= half_w; x += 4) {
-    vec_float4 a;
-    vec_float4 b;
-    vec_float4 c;
-    vec_float4 d;
-    fetch0(x, a, b);
-    fetch1(x, c, d);
-    vec_float4 ab_p = spu_add(a, b);
-    vec_float4 ab_m = spu_sub(a, b);
-    vec_float4 cd_p = spu_add(c, d);
-    vec_float4 cd_m = spu_sub(c, d);
-    vec_float4 ll = spu_mul(quarter, spu_add(ab_p, cd_p));
-    vec_float4 lh = spu_mul(quarter, spu_add(ab_m, cd_m));
-    vec_float4 hl = spu_mul(quarter, spu_sub(ab_p, cd_p));
-    vec_float4 hh = spu_mul(quarter, spu_sub(ab_m, cd_m));
-    vst(ll_out + x, ll);
-    acc.lh = spu_madd(lh, lh, acc.lh);
-    acc.hl = spu_madd(hl, hl, acc.hl);
-    acc.hh = spu_madd(hh, hh, acc.hh);
-    spu_loop(1);
+    f32x4 a;
+    f32x4 b;
+    f32x4 c;
+    f32x4 d;
+    misaligned_loads += haar_fetch(row0 + 2 * x, a, b);
+    misaligned_loads += haar_fetch(row1 + 2 * x, c, d);
+    const f32x4 ab_p = a + b;
+    const f32x4 ab_m = a - b;
+    const f32x4 cd_p = c + d;
+    const f32x4 cd_m = c - d;
+    const f32x4 ll = 0.25f * (ab_p + cd_p);
+    const f32x4 lh = 0.25f * (ab_m + cd_m);
+    const f32x4 hl = 0.25f * (ab_p - cd_p);
+    const f32x4 hh = 0.25f * (ab_m - cd_m);
+    std::memcpy(ll_out + x, &ll, 16);
+    acc_lh = lh * lh + acc_lh;
+    acc_hl = hl * hl + acc_hl;
+    acc_hh = hh * hh + acc_hh;
   }
-  // Scalar tail for half-widths not divisible by 4.
+  const int groups = x / 4;
+  const int tail = half_w - x;
+  // Scalar tail for half-widths not divisible by 4: each column refetches
+  // its group and accumulates into lane 0.
   for (; x < half_w; ++x) {
-    vec_float4 a;
-    vec_float4 b;
-    vec_float4 c;
-    vec_float4 d;
-    int base = x & ~3;
-    fetch0(base, a, b);
-    fetch1(base, c, d);
-    std::size_t lane = static_cast<std::size_t>(x - base);
-    sop(16);
-    charge_odd(6);
-    float ab_p = a.v[lane] + b.v[lane];
-    float ab_m = a.v[lane] - b.v[lane];
-    float cd_p = c.v[lane] + d.v[lane];
-    float cd_m = c.v[lane] - d.v[lane];
+    f32x4 a;
+    f32x4 b;
+    f32x4 c;
+    f32x4 d;
+    const int base = x & ~3;
+    misaligned_loads += haar_fetch(row0 + 2 * base, a, b);
+    misaligned_loads += haar_fetch(row1 + 2 * base, c, d);
+    const int lane = x - base;
+    const float ab_p = a[lane] + b[lane];
+    const float ab_m = a[lane] - b[lane];
+    const float cd_p = c[lane] + d[lane];
+    const float cd_m = c[lane] - d[lane];
     ll_out[x] = 0.25f * (ab_p + cd_p);
-    float lh = 0.25f * (ab_m + cd_m);
-    float hl = 0.25f * (ab_p - cd_p);
-    float hh = 0.25f * (ab_m - cd_m);
-    acc.lh.v[0] += lh * lh;
-    acc.hl.v[0] += hl * hl;
-    acc.hh.v[0] += hh * hh;
+    const float lh = 0.25f * (ab_m + cd_m);
+    const float hl = 0.25f * (ab_p - cd_p);
+    const float hh = 0.25f * (ab_m - cd_m);
+    acc_lh[0] += lh * lh;
+    acc_hl[0] += hl * hl;
+    acc_hh[0] += hh * hh;
   }
+  std::memcpy(acc.lh.v.data(), &acc_lh, 16);
+  std::memcpy(acc.hl.v.data(), &acc_hl, 16);
+  std::memcpy(acc.hh.v.data(), &acc_hh, 16);
+  constexpr bool kBytes = std::is_same_v<Px, std::uint8_t>;
+  const int fetches = 2 * (groups + tail);
+  cellport::spu::charge_even(
+      kHaarRowEven + groups * kHaarGroupEven + tail * kHaarTailEven +
+      fetches * (kBytes ? kHaarFetchBytesEven : kHaarFetchFloatsEven));
+  cellport::spu::charge_odd(
+      groups * kHaarGroupOdd + tail * kHaarTailOdd +
+      fetches * (kBytes ? kHaarFetchBytesOdd : kHaarFetchFloatsOdd) +
+      misaligned_loads * kMisalignedLoadOdd);
 }
 
 }  // namespace cellport::kernels

@@ -101,12 +101,7 @@ int tx_run(std::uint64_t ea) {
         const float* r0 =
             ll[l - 1] + static_cast<std::size_t>(local) * lvl_stride[l - 1];
         const float* r1 = r0 + lvl_stride[l - 1];
-        auto fetch_from = [&](const float* row) {
-          return [row](int x, vec_float4& e, vec_float4& o) {
-            deinterleave_floats(row + 2 * x, e, o);
-          };
-        };
-        haar_rows(lvl_w[l], fetch_from(r0), fetch_from(r1),
+        haar_rows(lvl_w[l], r0, r1,
                   ll[l] + static_cast<std::size_t>(y - y_begin) *
                               lvl_stride[l],
                   acc[l]);
@@ -150,8 +145,10 @@ int tx_run(std::uint64_t ea) {
       const std::uint8_t* rgb =
           blk.data + static_cast<std::size_t>(r) * msg->stride;
       std::uint8_t* dst = pending == nullptr ? gray0 : gray1;
-      // Gray conversion: same integer math as the reference, vectorized
-      // 8-wide (cost mirrors eh_kernel's converter).
+      // Gray conversion: same integer math as the reference. Its charge
+      // (9 even + 7 odd per 16 pixels, plus the loop) is one 8-pixel half
+      // of gray_row_simd's, not the whole converter; it is kept as is so
+      // that TX's simulated time does not move.
       for (int x = 0; x + 16 <= w; x += 16) {
         charge_even(9);
         charge_odd(7);
@@ -168,13 +165,7 @@ int tx_run(std::uint64_t ea) {
         pending = gray0;
       } else {
         // A full row pair: Haar-step it into the tile's LL buffer.
-        auto fetch0 = [&](int x, vec_float4& e, vec_float4& o) {
-          load_even_odd(gray0 + 2 * x, e, o);
-        };
-        auto fetch1 = [&](int x, vec_float4& e, vec_float4& o) {
-          load_even_odd(gray1 + 2 * x, e, o);
-        };
-        haar_rows(half_w, fetch0, fetch1,
+        haar_rows(half_w, gray0, gray1,
                   ll[0] + static_cast<std::size_t>(tile_ll_rows) *
                               lvl_stride[0],
                   acc[0]);

@@ -46,12 +46,19 @@ V vld(const void* p) {
   return r;
 }
 
-/// Quadword vector store; `p` must be 16-byte aligned.
-template <typename V>
-void vst(void* p, const V& x) {
+/// The alignment rule of vst without the store or its charge, for kernels
+/// that write an aligned local-store row natively and charge its stores
+/// in bulk.
+inline void vst_check(const void* p) {
   if (!cellport::is_aligned(p, 16)) {
     detail::unaligned("SPU vector store to unaligned address");
   }
+}
+
+/// Quadword vector store; `p` must be 16-byte aligned.
+template <typename V>
+void vst(void* p, const V& x) {
+  vst_check(p);
   charge_odd();
   std::memcpy(p, &x, 16);
 }

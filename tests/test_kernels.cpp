@@ -7,10 +7,13 @@
 // match bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <random>
 #include <tuple>
+#include <vector>
 
 #include "features/color_correlogram.h"
 #include "features/color_histogram.h"
@@ -23,7 +26,10 @@
 #include "kernels/ch_kernel.h"
 #include "kernels/eh_edge.h"
 #include "kernels/eh_kernel.h"
+#include "kernels/hsv_simd.h"
 #include "kernels/messages.h"
+#include "kernels/row_convert.h"
+#include "kernels/tx_haar.h"
 #include "kernels/tx_kernel.h"
 #include "learn/model_store.h"
 #include "port/message.h"
@@ -300,16 +306,86 @@ TEST(CdKernel, ScoresMatchReferenceDecisions) {
   }
 }
 
-// ---- charge-once window rows ----
+// ---- charge-once rows ----
 //
-// cc_produce_row and eh_produce_row_simd compute on host vectors and
-// charge their SPU cycles in closed form once per row. The intrinsic code
-// they replaced is kept here as the reference: it charges every SPU
-// instruction as it executes, so equal counts and exactly equal pipe
+// cc_produce_row, eh_produce_row_simd and the row converters (quantizer,
+// CH row, gray row, Haar step) compute on host vectors and charge their
+// SPU cycles in closed form once per row. The intrinsic code they
+// replaced is kept here as the reference: it charges every SPU
+// instruction as it executes, so equal outputs and exactly equal pipe
 // statistics pin both the results and every charge.
 namespace ref {
 
 using namespace cellport::spu;
+
+/// Unaligned 16-byte load emulated the SPU way: two aligned quadword
+/// loads plus one shuffle.
+vec_uchar16 vld_unaligned(const std::uint8_t* p) {
+  auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::uintptr_t base = addr & ~std::uintptr_t{15};
+  unsigned offset = static_cast<unsigned>(addr & 15);
+  auto lo = vld<vec_uchar16>(reinterpret_cast<const void*>(base));
+  if (offset == 0) return lo;
+  auto hi = vld<vec_uchar16>(reinterpret_cast<const void*>(base + 16));
+  vec_uchar16 pattern;
+  for (unsigned i = 0; i < 16; ++i) {
+    pattern.v[i] = static_cast<std::uint8_t>(offset + i);
+  }
+  return spu_shuffle(lo, hi, pattern);
+}
+
+/// Shuffle patterns extracting the 16 bytes at offset dx in
+/// [-kCcRadius, kCcRadius] from a pair of adjacent quadwords.
+const vec_uchar16& shift_pattern(int dx) {
+  static const auto patterns = [] {
+    std::array<vec_uchar16, 2 * kCcRadius + 1> out{};
+    for (int d = -kCcRadius; d <= kCcRadius; ++d) {
+      unsigned start = static_cast<unsigned>(d < 0 ? 16 + d : d);
+      for (unsigned i = 0; i < 16; ++i) {
+        out[static_cast<std::size_t>(d + kCcRadius)].v[i] =
+            static_cast<std::uint8_t>(start + i);
+      }
+    }
+    return out;
+  }();
+  return patterns[static_cast<std::size_t>(dx + kCcRadius)];
+}
+
+/// The edge binning's constant registers, splatted.
+struct EhConstants {
+  vec_float4 sign_clear;
+  vec_float4 tan_lo;
+  vec_float4 tan_hi;
+  vec_float4 mag_b2[features::kEdgeMagBins - 1];
+  vec_int4 zero_i;
+  vec_int4 i0, i1, i2, i3, i4, i5, i6, i7;
+  vec_int4 thresh63;
+  vec_short8 one_h;
+
+  static EhConstants load() {
+    EhConstants c;
+    c.sign_clear = vec_cast<vec_float4>(spu_splats<vec_uint4>(0x7FFFFFFFu));
+    c.tan_lo = spu_splats<vec_float4>(kEhTanLo);
+    c.tan_hi = spu_splats<vec_float4>(kEhTanHi);
+    for (int k = 1; k < features::kEdgeMagBins; ++k) {
+      float boundary = static_cast<float>(k) * features::kEdgeMagMax /
+                       features::kEdgeMagBins;
+      c.mag_b2[k - 1] = spu_splats<vec_float4>(boundary * boundary);
+    }
+    c.zero_i = spu_splats<vec_int4>(0);
+    c.i0 = spu_splats<vec_int4>(0);
+    c.i1 = spu_splats<vec_int4>(1);
+    c.i2 = spu_splats<vec_int4>(2);
+    c.i3 = spu_splats<vec_int4>(3);
+    c.i4 = spu_splats<vec_int4>(4);
+    c.i5 = spu_splats<vec_int4>(5);
+    c.i6 = spu_splats<vec_int4>(6);
+    c.i7 = spu_splats<vec_int4>(7);
+    c.thresh63 = spu_splats<vec_int4>(63);
+    c.one_h = spu_splats<vec_short8>(1);
+    return c;
+  }
+};
 
 void widen_accumulate(const vec_uchar16& bytes, vec_ushort8& lo,
                       vec_ushort8& hi) {
@@ -468,7 +544,401 @@ void eh_produce_row_simd(const EhState& st, int y, const EhConstants& ec) {
   eh_scalar_pixel(st, w - 1, y);
 }
 
+// ---- the row converters' intrinsic code ----
+
+/// The HSV quantizer's constant registers, splatted.
+struct HsvConstants {
+  vec_float4 inv255;
+  vec_float4 black_val;
+  vec_float4 gray_sat;
+  vec_float4 zero_f;
+  vec_float4 three_f;
+  vec_float4 four_f;
+  vec_float4 sixty;
+  vec_float4 h120;
+  vec_float4 h240;
+  vec_float4 h360;
+  vec_float4 inv20;
+  vec_float4 ones_bits;
+  vec_int4 zero_i;
+  vec_int4 two_i;
+  vec_int4 three_i;
+  vec_int4 four_i;
+  vec_int4 seventeen_i;
+  vec_int4 eighteen_i;
+
+  static HsvConstants load() {
+    HsvConstants c;
+    c.inv255 = spu_splats<vec_float4>(1.0f / 255.0f);
+    c.black_val = spu_splats<vec_float4>(img::kBlackValF);
+    c.gray_sat = spu_splats<vec_float4>(img::kGraySatF);
+    c.zero_f = spu_splats<vec_float4>(0.0f);
+    c.three_f = spu_splats<vec_float4>(3.0f);
+    c.four_f = spu_splats<vec_float4>(4.0f);
+    c.sixty = spu_splats<vec_float4>(60.0f);
+    c.h120 = spu_splats<vec_float4>(120.0f);
+    c.h240 = spu_splats<vec_float4>(240.0f);
+    c.h360 = spu_splats<vec_float4>(360.0f);
+    c.inv20 = spu_splats<vec_float4>(1.0f / 20.0f);
+    c.ones_bits = vec_cast<vec_float4>(spu_splats<vec_uint4>(~0u));
+    c.zero_i = spu_splats<vec_int4>(0);
+    c.two_i = spu_splats<vec_int4>(2);
+    c.three_i = spu_splats<vec_int4>(3);
+    c.four_i = spu_splats<vec_int4>(4);
+    c.seventeen_i = spu_splats<vec_int4>(17);
+    c.eighteen_i = spu_splats<vec_int4>(18);
+    return c;
+  }
+};
+
+vec_int4 hsv_bins_4(const vec_float4& r8, const vec_float4& g8,
+                    const vec_float4& b8, const HsvConstants& c) {
+  vec_float4 r = spu_mul(r8, c.inv255);
+  vec_float4 g = spu_mul(g8, c.inv255);
+  vec_float4 b = spu_mul(b8, c.inv255);
+
+  vec_float4 v = spu_sel(r, g, spu_cmpgt(g, r));
+  v = spu_sel(v, b, spu_cmpgt(b, v));
+  vec_float4 mn = spu_sel(g, r, spu_cmpgt(g, r));
+  mn = spu_sel(mn, b, spu_cmpgt(mn, b));
+  vec_float4 delta = spu_sub(v, mn);
+
+  vec_float4 black_m = spu_cmpgt(c.black_val, v);
+  vec_float4 s = spu_div(delta, v);
+  vec_float4 gray_m = spu_cmpgt(c.gray_sat, s);
+
+  vec_int4 gray_bin = spu_convts(spu_mul(v, c.four_f));
+  gray_bin = spu_sel(gray_bin, c.three_i, spu_cmpgt(gray_bin, c.three_i));
+
+  vec_float4 mr = spu_cmpeq(v, r);
+  vec_float4 mg = spu_and(spu_cmpeq(v, g), spu_xor(mr, c.ones_bits));
+
+  vec_float4 diff = spu_sel(spu_sel(spu_sub(r, g), spu_sub(b, r), mg),
+                            spu_sub(g, b), mr);
+  vec_float4 t = spu_div(diff, delta);
+  vec_float4 hbase = spu_sel(spu_sel(c.h240, c.h120, mg), c.zero_f, mr);
+  vec_float4 h = spu_add(spu_mul(t, c.sixty), hbase);
+  vec_float4 wrap_m = spu_cmpgt(c.zero_f, h);
+  h = spu_sel(h, spu_add(h, c.h360), wrap_m);
+
+  vec_int4 h_idx = spu_convts(spu_mul(h, c.inv20));
+  vec_int4 wrap18_m = vec_cast<vec_int4>(spu_cmpgt(h_idx, c.seventeen_i));
+  h_idx = spu_sub(h_idx, spu_and(wrap18_m, c.eighteen_i));
+
+  vec_int4 s_idx = spu_convts(spu_mul(s, c.three_f));
+  s_idx = spu_sel(s_idx, c.two_i, spu_cmpgt(s_idx, c.two_i));
+  vec_int4 v_idx = spu_convts(spu_mul(v, c.three_f));
+  v_idx = spu_sel(v_idx, c.two_i, spu_cmpgt(v_idx, c.two_i));
+
+  vec_int4 h9 = spu_add(spu_sl(h_idx, 3), h_idx);
+  vec_int4 s3i = spu_add(spu_sl(s_idx, 1), s_idx);
+  vec_int4 chroma = spu_add(spu_add(h9, s3i), spu_add(v_idx, c.four_i));
+
+  vec_int4 bin = spu_sel(chroma, gray_bin, vec_cast<vec_int4>(gray_m));
+  bin = spu_sel(bin, c.zero_i, vec_cast<vec_int4>(black_m));
+  return bin;
+}
+
+/// One 32-bit lane per pixel from channel bytes c, c+3, c+6, c+9.
+vec_uchar16 channel_pattern(unsigned c) {
+  vec_uchar16 p;
+  for (unsigned lane = 0; lane < 4; ++lane) {
+    p.v[4 * lane] = static_cast<std::uint8_t>(c + 3 * lane);
+    p.v[4 * lane + 1] = 16;
+    p.v[4 * lane + 2] = 16;
+    p.v[4 * lane + 3] = 16;
+  }
+  return p;
+}
+
+/// Bins of the 4 pixels at `px`: shuffle, convert, quantize.
+vec_int4 group_bins(const std::uint8_t* px, const vec_uchar16& zero,
+                    const HsvConstants& hsv_c) {
+  static const vec_uchar16 pat_r = channel_pattern(0);
+  static const vec_uchar16 pat_g = channel_pattern(1);
+  static const vec_uchar16 pat_b = channel_pattern(2);
+  vec_uchar16 raw = vld_unaligned(px);
+  vec_int4 ri = vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_r));
+  vec_int4 gi = vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_g));
+  vec_int4 bi = vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_b));
+  return hsv_bins_4(spu_convtf(ri), spu_convtf(gi), spu_convtf(bi), hsv_c);
+}
+
+/// Packs the low bytes of four int4s into 16 bytes (3 shuffles).
+vec_uchar16 pack_bins(const vec_int4& a, const vec_int4& b,
+                      const vec_int4& c, const vec_int4& d) {
+  vec_uchar16 word_low;
+  for (unsigned k = 0; k < 4; ++k) {
+    word_low.v[k] = static_cast<std::uint8_t>(4 * k);
+    word_low.v[4 + k] = static_cast<std::uint8_t>(16 + 4 * k);
+    word_low.v[8 + k] = static_cast<std::uint8_t>(4 * k);
+    word_low.v[12 + k] = static_cast<std::uint8_t>(16 + 4 * k);
+  }
+  vec_uchar16 ab = spu_shuffle(vec_cast<vec_uchar16>(a),
+                               vec_cast<vec_uchar16>(b), word_low);
+  vec_uchar16 cd = spu_shuffle(vec_cast<vec_uchar16>(c),
+                               vec_cast<vec_uchar16>(d), word_low);
+  vec_uchar16 combine;
+  for (unsigned k = 0; k < 8; ++k) {
+    combine.v[k] = static_cast<std::uint8_t>(k);
+    combine.v[8 + k] = static_cast<std::uint8_t>(16 + 8 + k);
+  }
+  return spu_shuffle(ab, cd, combine);
+}
+
+/// The quantizer, with the fused kernel's bank scatter when `banks` is
+/// set.
+void quantize_row_counted(const std::uint8_t* rgb, int w, std::uint8_t* dst,
+                          const HsvConstants& hsv_c,
+                          std::uint32_t* const* banks) {
+  auto count4 = [&](const vec_int4& bins) {
+    if (banks == nullptr) return;
+    charge_odd(8);
+    charge_even(4);
+    charge_odd(4);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      auto bin = static_cast<std::uint32_t>(spu_extract(bins, lane));
+      banks[lane][bin] += 1;
+    }
+  };
+  auto count1 = [&](std::uint8_t bin) {
+    if (banks == nullptr) return;
+    sstore(&banks[0][bin], sload(&banks[0][bin]) + 1);
+  };
+  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
+
+  int x = 0;
+  for (; x + 16 <= w; x += 16) {
+    vec_int4 bins[4];
+    for (int q = 0; q < 4; ++q) {
+      bins[q] = group_bins(rgb + (x + 4 * q) * 3, zero, hsv_c);
+      count4(bins[q]);
+    }
+    vst(dst + x, pack_bins(bins[0], bins[1], bins[2], bins[3]));
+    spu_loop(1);
+  }
+  for (; x < w; ++x) {
+    sop(20);
+    charge_odd(3);
+    auto bin = static_cast<std::uint8_t>(
+        img::rgb_to_bin(rgb[x * 3], rgb[x * 3 + 1], rgb[x * 3 + 2]));
+    dst[x] = bin;
+    count1(bin);
+  }
+}
+
+/// The CH kernel's row; `zero` is splatted once per invocation.
+void ch_count_row(const std::uint8_t* row, int w, std::uint32_t* hist,
+                  const vec_uchar16& zero, const HsvConstants& hsv_c) {
+  int x = 0;
+  for (; x + 4 <= w; x += 4) {
+    vec_int4 bins = group_bins(row + x * 3, zero, hsv_c);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      auto bin = static_cast<std::uint32_t>(spu_extract(bins, lane));
+      sstore(&hist[bin], sload(&hist[bin]) + 1);
+    }
+    spu_loop(1);
+  }
+  for (; x < w; ++x) {
+    sop(20);
+    int bin = img::rgb_to_bin(row[x * 3], row[x * 3 + 1], row[x * 3 + 2]);
+    sstore(&hist[static_cast<std::uint32_t>(bin)],
+           sload(&hist[static_cast<std::uint32_t>(bin)]) + 1);
+  }
+}
+
+void gray_row_simd(const std::uint8_t* rgb, int w, std::uint8_t* dst) {
+  static const auto make_gather = [](unsigned c) {
+    vec_uchar16 p;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      p.v[lane] = static_cast<std::uint8_t>(c + 3 * lane);
+    }
+    for (unsigned i = 8; i < 16; ++i) p.v[i] = 0;
+    return p;
+  };
+  static const vec_uchar16 gather_r = make_gather(0);
+  static const vec_uchar16 gather_g = make_gather(1);
+  static const vec_uchar16 gather_b = make_gather(2);
+  static const vec_uchar16 widen = [] {
+    vec_uchar16 p;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      p.v[2 * lane] = static_cast<std::uint8_t>(lane);
+      p.v[2 * lane + 1] = 16;
+    }
+    return p;
+  }();
+  static const vec_uchar16 pack = [] {
+    vec_uchar16 p;
+    for (unsigned k = 0; k < 8; ++k) {
+      p.v[k] = static_cast<std::uint8_t>(2 * k);
+      p.v[8 + k] = static_cast<std::uint8_t>(16 + 2 * k);
+    }
+    return p;
+  }();
+  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
+  const vec_ushort8 wr = spu_splats<vec_ushort8>(77);
+  const vec_ushort8 wg = spu_splats<vec_ushort8>(150);
+  const vec_ushort8 wb = spu_splats<vec_ushort8>(29);
+
+  auto unpack = [&](const vec_uchar16& lo, const vec_uchar16& hi,
+                    const vec_uchar16& gather) {
+    vec_uchar16 bytes = spu_shuffle(lo, hi, gather);
+    return vec_cast<vec_ushort8>(spu_shuffle(bytes, zero, widen));
+  };
+
+  int x = 0;
+  for (; x + 16 <= w; x += 16) {
+    vec_uchar16 halves[2];
+    for (int half = 0; half < 2; ++half) {
+      const std::uint8_t* p = rgb + (x + 8 * half) * 3;
+      vec_uchar16 lo = vld_unaligned(p);
+      vec_uchar16 hi = vld_unaligned(p + 16);
+      vec_ushort8 r = unpack(lo, hi, gather_r);
+      vec_ushort8 g = unpack(lo, hi, gather_g);
+      vec_ushort8 b = unpack(lo, hi, gather_b);
+      vec_ushort8 acc = spu_add(spu_add(spu_mulhw(r, wr), spu_mulhw(g, wg)),
+                                spu_mulhw(b, wb));
+      acc = spu_sr(acc, 8);
+      halves[half] = vec_cast<vec_uchar16>(acc);
+    }
+    vst(dst + x, spu_shuffle(halves[0], halves[1], pack));
+    spu_loop(1);
+  }
+  for (; x < w; ++x) {
+    sop(8);
+    charge_odd(4);
+    unsigned luma = 77u * rgb[x * 3] + 150u * rgb[x * 3 + 1] +
+                    29u * rgb[x * 3 + 2];
+    dst[x] = static_cast<std::uint8_t>(luma >> 8);
+  }
+}
+
+/// De-interleaves 8 gray bytes into even and odd column floats.
+void haar_fetch(const std::uint8_t* gray8, vec_float4& even,
+                vec_float4& odd) {
+  vec_uchar16 raw = vld_unaligned(gray8);
+  static const vec_uchar16 pat_even = [] {
+    vec_uchar16 p;
+    for (unsigned k = 0; k < 4; ++k) {
+      p.v[4 * k] = static_cast<std::uint8_t>(2 * k);
+      p.v[4 * k + 1] = 16;
+      p.v[4 * k + 2] = 16;
+      p.v[4 * k + 3] = 16;
+    }
+    return p;
+  }();
+  static const vec_uchar16 pat_odd = [] {
+    vec_uchar16 p;
+    for (unsigned k = 0; k < 4; ++k) {
+      p.v[4 * k] = static_cast<std::uint8_t>(2 * k + 1);
+      p.v[4 * k + 1] = 16;
+      p.v[4 * k + 2] = 16;
+      p.v[4 * k + 3] = 16;
+    }
+    return p;
+  }();
+  const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
+  even = spu_convtf(vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_even)));
+  odd = spu_convtf(vec_cast<vec_int4>(spu_shuffle(raw, zero, pat_odd)));
+}
+
+/// De-interleaves 8 floats into even and odd lane float4s.
+void haar_fetch(const float* p, vec_float4& e, vec_float4& o) {
+  auto raw = reinterpret_cast<const std::uint8_t*>(p);
+  vec_float4 lo = vec_cast<vec_float4>(vld_unaligned(raw));
+  vec_float4 hi = vec_cast<vec_float4>(vld_unaligned(raw + 16));
+  static const vec_uchar16 pat_e = [] {
+    vec_uchar16 pe;
+    const std::uint8_t lane_src[4] = {0, 8, 16, 24};
+    for (unsigned k = 0; k < 4; ++k)
+      for (unsigned byte = 0; byte < 4; ++byte)
+        pe.v[4 * k + byte] = static_cast<std::uint8_t>(lane_src[k] + byte);
+    return pe;
+  }();
+  static const vec_uchar16 pat_o = [] {
+    vec_uchar16 po;
+    const std::uint8_t lane_src[4] = {4, 12, 20, 28};
+    for (unsigned k = 0; k < 4; ++k)
+      for (unsigned byte = 0; byte < 4; ++byte)
+        po.v[4 * k + byte] = static_cast<std::uint8_t>(lane_src[k] + byte);
+    return po;
+  }();
+  e = spu_shuffle(lo, hi, pat_e);
+  o = spu_shuffle(lo, hi, pat_o);
+}
+
+template <typename Px>
+void haar_rows(int half_w, const Px* row0, const Px* row1, float* ll_out,
+               Energies& acc) {
+  const vec_float4 quarter = spu_splats<vec_float4>(0.25f);
+  int x = 0;
+  for (; x + 4 <= half_w; x += 4) {
+    vec_float4 a;
+    vec_float4 b;
+    vec_float4 c;
+    vec_float4 d;
+    haar_fetch(row0 + 2 * x, a, b);
+    haar_fetch(row1 + 2 * x, c, d);
+    vec_float4 ab_p = spu_add(a, b);
+    vec_float4 ab_m = spu_sub(a, b);
+    vec_float4 cd_p = spu_add(c, d);
+    vec_float4 cd_m = spu_sub(c, d);
+    vec_float4 ll = spu_mul(quarter, spu_add(ab_p, cd_p));
+    vec_float4 lh = spu_mul(quarter, spu_add(ab_m, cd_m));
+    vec_float4 hl = spu_mul(quarter, spu_sub(ab_p, cd_p));
+    vec_float4 hh = spu_mul(quarter, spu_sub(ab_m, cd_m));
+    vst(ll_out + x, ll);
+    acc.lh = spu_madd(lh, lh, acc.lh);
+    acc.hl = spu_madd(hl, hl, acc.hl);
+    acc.hh = spu_madd(hh, hh, acc.hh);
+    spu_loop(1);
+  }
+  for (; x < half_w; ++x) {
+    vec_float4 a;
+    vec_float4 b;
+    vec_float4 c;
+    vec_float4 d;
+    int base = x & ~3;
+    haar_fetch(row0 + 2 * base, a, b);
+    haar_fetch(row1 + 2 * base, c, d);
+    std::size_t lane = static_cast<std::size_t>(x - base);
+    sop(16);
+    charge_odd(6);
+    float ab_p = a.v[lane] + b.v[lane];
+    float ab_m = a.v[lane] - b.v[lane];
+    float cd_p = c.v[lane] + d.v[lane];
+    float cd_m = c.v[lane] - d.v[lane];
+    ll_out[x] = 0.25f * (ab_p + cd_p);
+    float lh = 0.25f * (ab_m + cd_m);
+    float hl = 0.25f * (ab_p - cd_p);
+    float hh = 0.25f * (ab_m - cd_m);
+    acc.lh.v[0] += lh * lh;
+    acc.hl.v[0] += hl * hl;
+    acc.hh.v[0] += hh * hh;
+  }
+}
+
 }  // namespace ref
+
+// The reference rows' unaligned load, against memcpy.
+TEST(VldUnaligned, MatchesMemcpyAtEveryOffset) {
+  sim::Machine machine(sim::Machine::Config{1});
+  sim::SpeContext& spe = machine.spe(0);
+  spe.ls().load_code(1024);
+  sim::set_current_spe(&spe);
+  auto* buf = static_cast<std::uint8_t*>(spe.ls().alloc(64, 16));
+  for (int i = 0; i < 64; ++i) buf[i] = static_cast<std::uint8_t>(i * 3);
+  for (int off = 0; off < 16; ++off) {
+    auto v = ref::vld_unaligned(buf + off);
+    std::uint8_t expect[16];
+    std::memcpy(expect, buf + off, 16);
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_EQ(v.v[static_cast<std::size_t>(i)], expect[i])
+          << "offset " << off << " byte " << i;
+    }
+  }
+  sim::set_current_spe(nullptr);
+}
 
 // Runs `rows` inside a fresh SPE context and returns its pipe statistics
 // after the final flush. The context starts with fractional cycles
@@ -643,6 +1113,7 @@ struct EhRing {
 
 TEST(ChargeOnceRows, EdgeRowMatchesIntrinsicReference) {
   const EhConstants ec = EhConstants::load();
+  const ref::EhConstants ref_ec = ref::EhConstants::load();
   for (int w : kWindowWidths) {
     for (int h : {3, 5, 17}) {
       for (EhFill fill :
@@ -662,7 +1133,7 @@ TEST(ChargeOnceRows, EdgeRowMatchesIntrinsicReference) {
           });
           const auto want = charged_run([&] {
             for (int y = 1; y < h - 1; ++y) {
-              ref::eh_produce_row_simd(ref_ring.st, y, ec);
+              ref::eh_produce_row_simd(ref_ring.st, y, ref_ec);
             }
           });
           EXPECT_EQ(std::memcmp(ring.counts.data(), ref_ring.counts.data(),
@@ -673,6 +1144,257 @@ TEST(ChargeOnceRows, EdgeRowMatchesIntrinsicReference) {
       }
     }
   }
+}
+
+
+enum class RgbFill { kRandom, kDarkGray, kPrimaries, kTies };
+
+// One RGB row of w pixels starting `skew` bytes past a quadword boundary,
+// padded for the reference's quadword loads past the row end.
+struct RgbRow {
+  RgbRow(int w, int skew, RgbFill fill, std::uint32_t seed)
+      : buf(static_cast<std::size_t>(3 * w + 64)), rgb(buf.data() + skew) {
+    std::memset(buf.data(), 0, buf.size());
+    std::mt19937 rng(seed);
+    auto byte = [&](unsigned n) { return static_cast<std::uint8_t>(rng() % n); };
+    for (int x = 0; x < w; ++x) {
+      std::uint8_t* px = rgb + 3 * x;
+      switch (fill) {
+        case RgbFill::kRandom:
+          for (int c = 0; c < 3; ++c) px[c] = byte(256);
+          break;
+        case RgbFill::kDarkGray: {
+          // Alternately near black (v about 0.08) and near gray (s about
+          // 0.10): the black and gray masks decide most pixels.
+          const int base = x % 2 == 0 ? byte(32) : byte(256);
+          for (int c = 0; c < 3; ++c) {
+            px[c] = static_cast<std::uint8_t>(
+                std::clamp(base + static_cast<int>(rng() % 25) - 12, 0, 255));
+          }
+          break;
+        }
+        case RgbFill::kPrimaries:
+          for (int c = 0; c < 3; ++c) px[c] = rng() % 2 == 0 ? 0 : 255;
+          break;
+        case RgbFill::kTies: {
+          // The maximum shared by two channels: r==g, g==b, r==b in turn.
+          const std::uint8_t hi = byte(256);
+          const auto lo = static_cast<std::uint8_t>(rng() % (hi + 1u));
+          const int odd_one = x % 3 == 0 ? 2 : (x % 3 == 1 ? 0 : 1);
+          for (int c = 0; c < 3; ++c) px[c] = c == odd_one ? lo : hi;
+          break;
+        }
+      }
+    }
+  }
+
+  cellport::AlignedBuffer<std::uint8_t> buf;
+  std::uint8_t* rgb;
+};
+
+constexpr RgbFill kRgbFills[] = {RgbFill::kRandom, RgbFill::kDarkGray,
+                                 RgbFill::kPrimaries, RgbFill::kTies};
+
+// Runs `body(w, skew, fill, row)` over every RGB row shape: the window
+// widths, every quadword skew (unaligned-load charges depend on it) and
+// every fill.
+template <typename Body>
+void for_each_rgb_row(Body&& body) {
+  for (int w : kWindowWidths) {
+    for (int skew = 0; skew < 16; ++skew) {
+      for (RgbFill fill : kRgbFills) {
+        SCOPED_TRACE(::testing::Message()
+                     << "w=" << w << " skew=" << skew
+                     << " fill=" << static_cast<int>(fill));
+        RgbRow row(w, skew, fill,
+                   static_cast<std::uint32_t>(w * 131 + skew * 7 +
+                                              static_cast<int>(fill)));
+        body(w, row);
+      }
+    }
+  }
+}
+
+TEST(ChargeOnceRows, QuantizerRowMatchesIntrinsicReference) {
+  const HsvConstants hsv_c = HsvConstants::load();
+  const ref::HsvConstants ref_c = ref::HsvConstants::load();
+  for_each_rgb_row([&](int w, const RgbRow& row) {
+    for (bool counted : {false, true}) {
+      SCOPED_TRACE(counted ? "counted" : "plain");
+      const auto bytes = static_cast<std::size_t>(w + 16);
+      cellport::AlignedBuffer<std::uint8_t> dst(bytes);
+      cellport::AlignedBuffer<std::uint8_t> ref_dst(bytes);
+      std::vector<std::uint32_t> banks(4 * 256);
+      std::vector<std::uint32_t> ref_banks(4 * 256);
+      std::uint32_t* const b[4] = {&banks[0], &banks[256], &banks[512],
+                                   &banks[768]};
+      std::uint32_t* const rb[4] = {&ref_banks[0], &ref_banks[256],
+                                    &ref_banks[512], &ref_banks[768]};
+      const auto got = charged_run([&] {
+        if (counted) {
+          quantize_row_counted(row.rgb, w, dst.data(), hsv_c, b);
+        } else {
+          quantize_row_simd(row.rgb, w, dst.data(), hsv_c);
+        }
+      });
+      const auto want = charged_run([&] {
+        ref::quantize_row_counted(row.rgb, w, ref_dst.data(), ref_c,
+                                  counted ? rb : nullptr);
+      });
+      EXPECT_EQ(std::memcmp(dst.data(), ref_dst.data(),
+                            static_cast<std::size_t>(w)),
+                0);
+      EXPECT_EQ(banks, ref_banks);
+      expect_same_pipes(got, want);
+    }
+  });
+}
+
+TEST(ChargeOnceRows, HistogramRowMatchesIntrinsicReference) {
+  const HsvConstants hsv_c = HsvConstants::load();
+  const ref::HsvConstants ref_c = ref::HsvConstants::load();
+  const spu::vec_uchar16 zero{};
+  for_each_rgb_row([&](int w, const RgbRow& row) {
+    std::vector<std::uint32_t> hist(256);
+    std::vector<std::uint32_t> ref_hist(256);
+    const auto got = charged_run(
+        [&] { ch_count_row(row.rgb, w, hist.data(), hsv_c); });
+    const auto want = charged_run([&] {
+      ref::ch_count_row(row.rgb, w, ref_hist.data(), zero, ref_c);
+    });
+    EXPECT_EQ(hist, ref_hist);
+    expect_same_pipes(got, want);
+  });
+}
+
+TEST(ChargeOnceRows, GrayRowMatchesIntrinsicReference) {
+  for_each_rgb_row([&](int w, const RgbRow& row) {
+    const auto bytes = static_cast<std::size_t>(w + 16);
+    cellport::AlignedBuffer<std::uint8_t> dst(bytes);
+    cellport::AlignedBuffer<std::uint8_t> ref_dst(bytes);
+    const auto got =
+        charged_run([&] { gray_row_simd(row.rgb, w, dst.data()); });
+    const auto want =
+        charged_run([&] { ref::gray_row_simd(row.rgb, w, ref_dst.data()); });
+    EXPECT_EQ(std::memcmp(dst.data(), ref_dst.data(),
+                          static_cast<std::size_t>(w)),
+              0);
+    expect_same_pipes(got, want);
+  });
+}
+
+// Three Haar row pairs of one input (gray bytes or float LL rows), each
+// producing a 16-aligned LL row, into one set of accumulators, on
+// production and on the reference: LL rows and energies must match
+// bitwise, and the pipes exactly.
+template <typename Px>
+void expect_haar_matches(int half_w, const Px* rows, std::size_t stride) {
+  constexpr int kPairs = 3;
+  const auto ll_stride =
+      cellport::round_up(static_cast<std::size_t>(half_w), 4);
+  cellport::AlignedBuffer<float> ll(ll_stride * kPairs);
+  cellport::AlignedBuffer<float> ref_ll(ll_stride * kPairs);
+  std::memset(ll.data(), 0, ll_stride * kPairs * sizeof(float));
+  std::memset(ref_ll.data(), 0, ll_stride * kPairs * sizeof(float));
+  Energies acc;
+  Energies ref_acc;
+  const auto got = charged_run([&] {
+    for (int p = 0; p < kPairs; ++p) {
+      haar_rows(half_w, rows + 2 * p * stride, rows + (2 * p + 1) * stride,
+                ll.data() + p * ll_stride, acc);
+    }
+  });
+  const auto want = charged_run([&] {
+    for (int p = 0; p < kPairs; ++p) {
+      ref::haar_rows(half_w, rows + 2 * p * stride,
+                     rows + (2 * p + 1) * stride,
+                     ref_ll.data() + p * ll_stride, ref_acc);
+    }
+  });
+  EXPECT_EQ(std::memcmp(ll.data(), ref_ll.data(),
+                        ll_stride * kPairs * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(&acc, &ref_acc, sizeof(Energies)), 0);
+  expect_same_pipes(got, want);
+}
+
+TEST(ChargeOnceRows, HaarRowMatchesIntrinsicReference) {
+  // The window widths, plus half-widths that leave a scalar tail.
+  std::vector<int> half_widths(std::begin(kWindowWidths),
+                               std::end(kWindowWidths));
+  for (int half_w : {3, 5, 6, 7, 9, 13, 22, 175}) {
+    half_widths.push_back(half_w);
+  }
+  std::mt19937 rng(5);
+  for (int half_w : half_widths) {
+    // Gray byte rows, the level-1 step, at every quadword skew.
+    const auto gray_stride = static_cast<std::size_t>(2 * half_w + 48);
+    for (int skew = 0; skew < 16; ++skew) {
+      SCOPED_TRACE(::testing::Message()
+                   << "gray half_w=" << half_w << " skew=" << skew);
+      cellport::AlignedBuffer<std::uint8_t> gray(6 * gray_stride + 16);
+      for (std::size_t i = 0; i < 6 * gray_stride + 16; ++i) {
+        gray.data()[i] = static_cast<std::uint8_t>(rng() % 256);
+      }
+      expect_haar_matches(half_w, gray.data() + skew, gray_stride);
+    }
+    // Float LL rows, levels 2..4, at every float skew.
+    const auto ll_stride = static_cast<std::size_t>(2 * half_w + 16);
+    std::uniform_real_distribution<float> value(0.0f, 255.0f);
+    for (int skew = 0; skew < 4; ++skew) {
+      SCOPED_TRACE(::testing::Message()
+                   << "float half_w=" << half_w << " skew=" << skew);
+      cellport::AlignedBuffer<float> lls(6 * ll_stride + 4);
+      for (std::size_t i = 0; i < 6 * ll_stride + 4; ++i) {
+        lls.data()[i] = value(rng);
+      }
+      expect_haar_matches(half_w, lls.data() + skew, ll_stride);
+    }
+  }
+}
+
+TEST(ChargeOnceRows, ConverterRowsRejectUnalignedStores) {
+  const HsvConstants hsv_c = HsvConstants::load();
+  RgbRow row(16, 0, RgbFill::kRandom, 1);
+  cellport::AlignedBuffer<std::uint8_t> dst(48);
+  EXPECT_THROW(quantize_row_simd(row.rgb, 16, dst.data() + 1, hsv_c),
+               cellport::Error);
+  EXPECT_THROW(gray_row_simd(row.rgb, 16, dst.data() + 1), cellport::Error);
+  cellport::AlignedBuffer<std::uint8_t> gray(64);
+  std::memset(gray.data(), 0, 64);
+  cellport::AlignedBuffer<float> ll(16);
+  Energies acc;
+  EXPECT_THROW(haar_rows(4, gray.data(), gray.data() + 16, ll.data() + 1, acc),
+               cellport::Error);
+}
+
+// hsv_simd.h claims its lanes are bit-identical to img/color.cpp: check
+// every RGB triple, four blues per call.
+TEST(HsvQuantizer, EveryRgbTripleMatchesReference) {
+  std::int64_t mismatches = 0;
+  int first = -1;
+  std::uint8_t px[12];
+  for (int r = 0; r < 256; ++r) {
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; b += 4) {
+        for (int k = 0; k < 4; ++k) {
+          px[3 * k] = static_cast<std::uint8_t>(r);
+          px[3 * k + 1] = static_cast<std::uint8_t>(g);
+          px[3 * k + 2] = static_cast<std::uint8_t>(b + k);
+        }
+        const i32x4 bins = hsv_bins_rgb4(px);
+        for (int k = 0; k < 4; ++k) {
+          const int want = img::rgb_to_bin(static_cast<std::uint8_t>(r),
+                                           static_cast<std::uint8_t>(g),
+                                           static_cast<std::uint8_t>(b + k));
+          if (bins[k] != want && mismatches++ == 0) {
+            first = (r << 16) | (g << 8) | (b + k);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at rgb 0x" << std::hex << first;
 }
 
 }  // namespace

@@ -260,26 +260,5 @@ TEST(MfcQueue, OverfillStallsButCompletes) {
   EXPECT_EQ(iface.SendAndWait(1, msg.ea()), 0);
 }
 
-// ---- unaligned vector loads ----
-
-TEST(VldUnaligned, MatchesMemcpyAtEveryOffset) {
-  sim::Machine machine(sim::Machine::Config{1});
-  sim::SpeContext& spe = machine.spe(0);
-  spe.ls().load_code(1024);
-  sim::set_current_spe(&spe);
-  auto* buf = static_cast<std::uint8_t*>(spe.ls().alloc(64, 16));
-  for (int i = 0; i < 64; ++i) buf[i] = static_cast<std::uint8_t>(i * 3);
-  for (int off = 0; off < 16; ++off) {
-    auto v = vld_unaligned(buf + off);
-    std::uint8_t expect[16];
-    std::memcpy(expect, buf + off, 16);
-    for (int i = 0; i < 16; ++i) {
-      ASSERT_EQ(v.v[static_cast<std::size_t>(i)], expect[i])
-          << "offset " << off << " byte " << i;
-    }
-  }
-  sim::set_current_spe(nullptr);
-}
-
 }  // namespace
 }  // namespace cellport::kernels
