@@ -38,7 +38,7 @@ int task_count(int h, int lanes, int grain = kDefaultGrain);
 /// The balanced task partition: task_count() tile-aligned row ranges
 /// covering [0, h), every one non-empty, in ascending row order
 /// (shard::split_fused over the task count, so the fused kernel and the
-/// PPE mirrors agree on coverage).
+/// PPE fallbacks agree on coverage).
 std::vector<shard::Range> split_tasks(int h, int lanes,
                                       int grain = kDefaultGrain);
 

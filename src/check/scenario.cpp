@@ -331,7 +331,7 @@ ScenarioSpec generate_guard_scenario(std::uint64_t seed) {
   // Balanced fault matrix (appended last): a scheduled fault lands
   // while lanes are stealing tasks, and the run must still match the
   // oracle bit-for-bit — the faulted lane's queue slot retries behind
-  // the guard or degrades to the PPE mirror while the other lanes drain
+  // the guard or degrades to the PPE fallback while the other lanes drain
   // the remaining descriptors.
   if (fits_fused(spec) && rng.next_below(100) < 25) {
     spec.balanced = true;

@@ -105,7 +105,7 @@ struct ScenarioSpec {
   /// layouts, reduced on the PPE with the cellshard merges. The fused
   /// property: results stay bit-exact with the reference oracle,
   /// including under scheduled faults, where an exhausted lane degrades
-  /// to the PPE mirror partials reported as "fuse:<feature>" (all four
+  /// to the PPE fallback partials reported as "fuse:<feature>" (all four
   /// features of that lane). Skipped when any corpus image is below the
   /// 16x16 wavelet floor — fused extraction always carries the texture.
   bool fused = false;
@@ -115,7 +115,7 @@ struct ScenarioSpec {
   /// The balanced property: results stay bit-exact with the reference
   /// oracle whatever the steal order, including under scheduled faults
   /// (a quarantined lane's tasks migrate to live lanes; an exhausted
-  /// task degrades to the PPE mirror like a fused lane would). Same
+  /// task degrades to the PPE fallback like a fused lane would). Same
   /// 16x16 floor as the fused rider — balanced dispatch rides the fused
   /// kernel.
   bool balanced = false;

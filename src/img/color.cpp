@@ -12,10 +12,7 @@ inline void chg(sim::ScalarContext* ctx, OpClass c, std::uint64_t n = 1) {
   if (ctx != nullptr) ctx->charge(c, n);
 }
 
-}  // namespace
-
-Hsv rgb_to_hsv(std::uint8_t r8, std::uint8_t g8, std::uint8_t b8,
-               sim::ScalarContext* ctx) {
+void charge_rgb_to_hsv(sim::ScalarContext* ctx) {
   // Op mix: 3 loads happen at the caller; here: normalization (3 mul),
   // min/max (4 cmp + branches), 2 divides, hue selection (~4 flops).
   chg(ctx, OpClass::kMul, 3);
@@ -23,6 +20,26 @@ Hsv rgb_to_hsv(std::uint8_t r8, std::uint8_t g8, std::uint8_t b8,
   chg(ctx, OpClass::kBranch, 4);
   chg(ctx, OpClass::kFloatAlu, 6);
   chg(ctx, OpClass::kDiv, 2);
+}
+
+void charge_quantize_hsv(sim::ScalarContext* ctx) {
+  // Op mix: threshold tests + three quantizations (mul + float->int).
+  chg(ctx, OpClass::kBranch, 2);
+  chg(ctx, OpClass::kMul, 3);
+  chg(ctx, OpClass::kFloatAlu, 3);
+  chg(ctx, OpClass::kIntAlu, 4);
+}
+
+}  // namespace
+
+void charge_rgb_to_bin(sim::ScalarContext* ctx) {
+  charge_rgb_to_hsv(ctx);
+  charge_quantize_hsv(ctx);
+}
+
+Hsv rgb_to_hsv(std::uint8_t r8, std::uint8_t g8, std::uint8_t b8,
+               sim::ScalarContext* ctx) {
+  charge_rgb_to_hsv(ctx);
 
   float r = static_cast<float>(r8) * (1.0f / 255.0f);
   float g = static_cast<float>(g8) * (1.0f / 255.0f);
@@ -50,11 +67,7 @@ Hsv rgb_to_hsv(std::uint8_t r8, std::uint8_t g8, std::uint8_t b8,
 }
 
 int quantize_hsv(const Hsv& hsv, sim::ScalarContext* ctx) {
-  // Op mix: threshold tests + three quantizations (mul + float->int).
-  chg(ctx, OpClass::kBranch, 2);
-  chg(ctx, OpClass::kMul, 3);
-  chg(ctx, OpClass::kFloatAlu, 3);
-  chg(ctx, OpClass::kIntAlu, 4);
+  charge_quantize_hsv(ctx);
 
   if (hsv.v < kBlackValF) return 0;
   if (hsv.s < kGraySatF) {

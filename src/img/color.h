@@ -46,6 +46,10 @@ int quantize_hsv(const Hsv& hsv, sim::ScalarContext* ctx = nullptr);
 int rgb_to_bin(std::uint8_t r, std::uint8_t g, std::uint8_t b,
                sim::ScalarContext* ctx = nullptr);
 
+/// Charges rgb_to_bin's op mix without converting a pixel: the same
+/// calls, in the same order, as one rgb_to_bin with `ctx`.
+void charge_rgb_to_bin(sim::ScalarContext* ctx);
+
 /// Quantizes a whole image into its per-pixel bin map (used by the
 /// correlogram, whose 54% coverage includes this pass).
 GrayImage quantize_image(const RgbImage& src,

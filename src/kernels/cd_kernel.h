@@ -16,7 +16,13 @@ namespace cellport::kernels {
 
 port::KernelModule& cd_module();
 
-/// Opcode of the module's kNN detection path (SVM detection is SPU_Run).
-std::uint32_t cd_knn_opcode();
+/// One support vector's step of a decision value, as the kernel runs it:
+/// K(x, sv) by the 4-lane dot product (`linear`) or squared distance and
+/// a software exp(-gamma * d2), then acc + coef * K in double. Outside an
+/// SPE thread its charges are no-ops, so the PPE fallback scores a model
+/// block with it over the models' rows in host memory. `x` and `sv` must
+/// be 16-byte aligned.
+double cd_accumulate(double acc, const float* x, const float* sv, int dim,
+                     bool linear, float gamma, float coef);
 
 }  // namespace cellport::kernels

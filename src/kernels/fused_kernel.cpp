@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "features/color_correlogram.h"
 #include "features/edge_histogram.h"
@@ -42,21 +43,25 @@ constexpr int kFusedBlockRows = 8;
 // kernels' own (cc_produce_row at 8 rows behind, eh rows 1 behind, a
 // texture tile finished every 8 LL rows), so counts and tile moments are
 // bit-identical to four separate shard invocations over the same range.
-int fused_run(std::uint64_t ea) {
-  auto* msg = static_cast<ImageMsg*>(spu_ls_alloc(sizeof(ImageMsg)));
-  fetch_msg(msg, ea);
-  const int w = msg->width;
-  const int h = msg->height;
-
-  const bool shard = msg->row_end > 0;
-  const int r0 = shard ? msg->row_begin : 0;
-  const int r1 = shard ? msg->row_end : h;
-
+//
+// The pass is the range code; `io` is its driver, which owns where the
+// rows come from and where the buffers live:
+//   io.alloc(bytes)        a 16-byte-aligned working buffer
+//   io.stream(begin, end)  rows [begin, end) in blocks (has_next/next,
+//                          RowStreamer::Block), `io.stride()` bytes apart
+//   io.emit(blob, bytes)   the finished kFused* blob
+// The SPE driver (fused_run) allocates from the local store, streams by
+// DMA and emits by DMA; the host driver (fused_partial_host) runs the
+// same pass on the PPE over the image's own rows. Every charge the pass
+// makes is a no-op outside an SPE thread. Without `texture` the pass
+// skips TX, as it does below one Haar tile, and then accepts any range.
+template <typename Io>
+void fused_pass(Io& io, int w, int h, int r0, int r1, bool texture) {
   // ---- texture geometry (skipped entirely below one Haar tile) ----
   const int half_w = w / 2;
   const int half_h = h / 2;
   const int heff = half_h * 2;
-  const int tx_doubles = fused_tx_doubles(w, h, r0, r1);
+  const int tx_doubles = texture ? fused_tx_doubles(w, h, r0, r1) : 0;
   const bool tx_on = tx_doubles > 0;
   const int tx_end = std::min(r1, heff);
   if (tx_on && r0 % kTxTileRows != 0) {
@@ -68,10 +73,10 @@ int fused_run(std::uint64_t ea) {
   const int t0 = tx_on ? r0 / kTxTileRows : 0;
 
   // ---- the fused partial: one contiguous LS block, one output DMA ----
-  auto* blob = static_cast<std::uint32_t*>(spu_ls_alloc(
-      static_cast<std::size_t>(fused_partial_bytes(w, h, r0, r1)), 16));
-  std::memset(blob, 0,
-              static_cast<std::size_t>(fused_partial_bytes(w, h, r0, r1)));
+  const auto blob_bytes =
+      static_cast<std::size_t>(kFusedCountBytes + tx_doubles * 8);
+  auto* blob = static_cast<std::uint32_t*>(io.alloc(blob_bytes));
+  std::memset(blob, 0, blob_bytes);
   std::uint32_t* ch_hist = blob;  // merged from the banks at the end
   auto* tx_partials = reinterpret_cast<double*>(
       reinterpret_cast<std::uint8_t*>(blob) + kFusedCountBytes);
@@ -84,7 +89,8 @@ int fused_run(std::uint64_t ea) {
       cellport::round_up(std::size_t{img::kHsvBins}, 4);
   std::uint32_t* banks[4];
   for (auto& b : banks) {
-    b = spu_ls_alloc_array<std::uint32_t>(hist_len);
+    b = static_cast<std::uint32_t*>(
+        io.alloc(hist_len * sizeof(std::uint32_t)));
     std::memset(b, 0, hist_len * sizeof(std::uint32_t));
   }
 
@@ -94,13 +100,14 @@ int fused_run(std::uint64_t ea) {
       static_cast<std::size_t>(kRingOrigin + w + 24), 16));
   for (auto& r : cc_st.ring) {
     r = static_cast<std::uint8_t*>(
-        spu_ls_alloc(static_cast<std::size_t>(cc_st.row_bytes), 16));
+        io.alloc(static_cast<std::size_t>(cc_st.row_bytes)));
     std::memset(r, kCcSentinel, static_cast<std::size_t>(cc_st.row_bytes));
   }
   cc_st.same = blob + kFusedCcOffset;
   cc_st.possible = blob + kFusedCcOffset + hist_len;
-  cc_st.cols_clamped = spu_ls_alloc_array<std::uint16_t>(
-      cellport::round_up(static_cast<std::size_t>(w), 8));
+  cc_st.cols_clamped = static_cast<std::uint16_t*>(io.alloc(
+      cellport::round_up(static_cast<std::size_t>(w), 8) *
+      sizeof(std::uint16_t)));
   for (int x = 0; x < w; ++x) {
     sop(4);
     cc_st.cols_clamped[x] = static_cast<std::uint16_t>(
@@ -113,7 +120,7 @@ int fused_run(std::uint64_t ea) {
   eh_st.h = h;
   for (auto& r : eh_st.ring) {
     r = static_cast<std::uint8_t*>(
-        spu_ls_alloc(static_cast<std::size_t>(cc_st.row_bytes), 16));
+        io.alloc(static_cast<std::size_t>(cc_st.row_bytes)));
     std::memset(r, 0, static_cast<std::size_t>(cc_st.row_bytes));
   }
   eh_st.counts = blob + kFusedEhOffset;
@@ -128,8 +135,9 @@ int fused_run(std::uint64_t ea) {
       lvl_stride[l] = static_cast<int>(
           cellport::round_up(static_cast<std::size_t>(lvl_w[l]), 4));
       const int tile_rows = kTxTileRows >> (l + 1);  // 8, 4, 2, 1
-      ll[l] = spu_ls_alloc_array<float>(
-          static_cast<std::size_t>(lvl_stride[l]) * tile_rows);
+      ll[l] = static_cast<float*>(io.alloc(
+          static_cast<std::size_t>(lvl_stride[l]) * tile_rows *
+          sizeof(float)));
     }
   }
   Energies acc[features::kTextureLevels];
@@ -176,10 +184,7 @@ int fused_run(std::uint64_t ea) {
   const HsvConstants hsv_c = HsvConstants::load();
   const EhConstants eh_c = EhConstants::load();
 
-  RowStreamer stream(
-      msg->pixels_ea, static_cast<std::uint32_t>(msg->stride), fetch_begin,
-      fetch_end, msg->block_rows > 0 ? msg->block_rows : kFusedBlockRows,
-      msg->buffering);
+  auto stream = io.stream(fetch_begin, fetch_end);
   int computed_to = fetch_begin;  // quantized rows (absolute, exclusive)
   int cc_produced = r0;
   int eh_produced = r0;
@@ -197,7 +202,7 @@ int fused_run(std::uint64_t ea) {
     for (int r = 0; r < blk.rows; ++r) {
       const int row_idx = blk.first_row + r;
       const std::uint8_t* rgb =
-          blk.data + static_cast<std::size_t>(r) * msg->stride;
+          blk.data + static_cast<std::size_t>(r) * io.stride();
       const bool own = row_idx >= r0 && row_idx < r1;
       // Per-row role dispatch (glue the standalone kernels don't pay).
       sop(4);
@@ -259,15 +264,93 @@ int fused_run(std::uint64_t ea) {
     spu_loop(1);
   }
 
-  emit_result(blob, msg->out_ea,
-              static_cast<std::uint32_t>(fused_partial_bytes(w, h, r0, r1)));
+  io.emit(blob, blob_bytes);
+}
+
+/// The SPE driver: the message, local-store buffers, DMA-streamed rows.
+struct SpeIo {
+  const ImageMsg* msg;
+
+  void* alloc(std::size_t bytes) { return spu_ls_alloc(bytes, 16); }
+  RowStreamer stream(int begin, int end) const {
+    return RowStreamer(
+        msg->pixels_ea, static_cast<std::uint32_t>(msg->stride), begin, end,
+        msg->block_rows > 0 ? msg->block_rows : kFusedBlockRows,
+        msg->buffering);
+  }
+  std::size_t stride() const { return static_cast<std::size_t>(msg->stride); }
+  void emit(const void* blob, std::size_t bytes) const {
+    emit_result(blob, msg->out_ea, static_cast<std::uint32_t>(bytes));
+  }
+};
+
+int fused_run(std::uint64_t ea) {
+  auto* msg = static_cast<ImageMsg*>(spu_ls_alloc(sizeof(ImageMsg)));
+  fetch_msg(msg, ea);
+  const bool shard = msg->row_end > 0;
+  SpeIo io{msg};
+  fused_pass(io, msg->width, msg->height, shard ? msg->row_begin : 0,
+             shard ? msg->row_end : msg->height, true);
   return 0;
 }
+
+/// The host driver: zeroed host buffers, the image's own rows in blocks
+/// of kFusedBlockRows. Each buffer carries 64 bytes of slack: the Haar
+/// tail refetches its whole column group and may read up to 32 bytes past
+/// the last LL row, which the local store absorbs on the SPE.
+class HostIo {
+ public:
+  HostIo(const img::RgbImage& image, std::uint8_t* out)
+      : image_(image), out_(out) {}
+
+  void* alloc(std::size_t bytes) {
+    buffers_.emplace_back(bytes + kSlackBytes);
+    return buffers_.back().data();
+  }
+
+  class Rows {
+   public:
+    Rows(const img::RgbImage& image, int begin, int end)
+        : image_(image), next_(begin), end_(end) {}
+    bool has_next() const { return next_ < end_; }
+    RowStreamer::Block next() {
+      const int rows = std::min(kFusedBlockRows, end_ - next_);
+      RowStreamer::Block blk{image_.row(next_), next_, rows};
+      next_ += rows;
+      return blk;
+    }
+
+   private:
+    const img::RgbImage& image_;
+    int next_;
+    int end_;
+  };
+  Rows stream(int begin, int end) const { return Rows(image_, begin, end); }
+  std::size_t stride() const {
+    return static_cast<std::size_t>(image_.stride());
+  }
+  void emit(const void* blob, std::size_t bytes) const {
+    std::memcpy(out_, blob, bytes);
+  }
+
+ private:
+  static constexpr std::size_t kSlackBytes = 64;
+  const img::RgbImage& image_;
+  std::uint8_t* out_;
+  std::vector<cellport::AlignedBuffer<std::uint8_t>> buffers_;
+};
 
 }  // namespace
 
 void register_fused(port::KernelModule& module) {
   module.add_function(SPU_Run_Fused, &fused_run);
+}
+
+void fused_partial_host(const img::RgbImage& image, int row_begin,
+                        int row_end, bool texture, std::uint8_t* blob) {
+  HostIo io(image, blob);
+  fused_pass(io, image.width(), image.height(), row_begin, row_end,
+             texture);
 }
 
 }  // namespace cellport::kernels

@@ -25,8 +25,8 @@ inline constexpr std::uint32_t SPU_Run_Lut = 3;
 /// cellfeed ingest (registered in every extract module so feed rows ride
 /// whatever SPEs the scenario already scheduled): DMA-list gather of
 /// packed P6 pixel rows, LS unpack to the aligned row stride, DMA-list
-/// scatter of finished rows — triple-buffered per tile. (Opcode 4 is
-/// taken by ConceptDet's kNN entry point.)
+/// scatter of finished rows — triple-buffered per tile. (Opcode 4 was
+/// ConceptDet's retired kNN entry point.)
 inline constexpr std::uint32_t SPU_Run_Feed = 5;
 /// cellfuse single-pass extraction (registered in every extract module so
 /// fused lanes ride whatever SPEs the scenario already scheduled): one
@@ -106,24 +106,6 @@ struct alignas(16) DetectMsg {
   /// `num_models` of them into scores_ea (the PPE points scores_ea at a
   /// per-shard staging buffer and concatenates). 0 = legacy full set.
   std::int32_t model_begin = 0;
-};
-
-/// kNN concept-detection message (the alternative classifier Section 5.1
-/// lists next to SVMs). Exemplars are packed rows in main memory, labels
-/// a parallel int array; the kernel streams exemplars and outputs one
-/// score per label: 2*(k-neighbor fraction) - 1 in [-1, 1].
-struct alignas(16) KnnMsg {
-  std::uint64_t feature_ea = 0;    // float[dim], 16-byte aligned
-  std::int32_t dim = 0;
-  std::int32_t k = 0;
-  std::int32_t num_exemplars = 0;
-  std::int32_t num_labels = 0;     // labels are 0..num_labels-1
-  std::uint64_t exemplars_ea = 0;  // float[num_exemplars * stride]
-  std::uint64_t labels_ea = 0;     // int32[num_exemplars] (16B padded)
-  std::uint64_t scores_ea = 0;     // double[num_labels] output
-  std::int32_t stride = 0;         // floats per exemplar row (16B mult.)
-  std::int32_t buffering = kDoubleBuffer;
-  std::int32_t pad_[2] = {};
 };
 
 // ---- cellshard: raw-partial layout shared between SPE kernels and the

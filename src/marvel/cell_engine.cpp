@@ -14,7 +14,7 @@
 #include "kernels/ch_kernel.h"
 #include "kernels/eh_kernel.h"
 #include "kernels/tx_kernel.h"
-#include "shard/mirror.h"
+#include "shard/fallback.h"
 #include "shard/reducer.h"
 #include "support/error.h"
 

@@ -176,9 +176,9 @@ class CellEngine {
   /// (kSingleSPE: one lane; kMultiSPE/kMultiSPE2: the four extract SPEs;
   /// kSharded: the extract-shard SPEs, capped at shard::plan_fused's lane
   /// count). A guarded lane that gives up has its range recomputed on
-  /// the PPE via the shard mirrors — per-feature partials for just that
-  /// slice — recorded as degraded "fuse:<feature>". Off (the default)
-  /// runs the per-feature kernels.
+  /// the PPE by the fused kernel's own range pass — per-feature partials
+  /// for just that slice — recorded as degraded "fuse:<feature>". Off
+  /// (the default) runs the per-feature kernels.
   void set_fused(bool on) { fused_ = on; }
   bool fused() const { return fused_; }
   /// The fused lane/detect split a kSharded engine consults (defaulted
@@ -340,7 +340,7 @@ class CellEngine {
   /// lanes, sends SPU_Run_Feed, and waits under the FeedDMA probe phase.
   void feed_image(const img::SicEncoded& image, const img::PpmHeader& hdr,
                   ImagePlan& p);
-  /// PPE mirror for one lane's row range (the lane faulted or its guard
+  /// PPE fallback for one lane's row range (the lane faulted or its guard
   /// gave up): bit-identical bytes to the SPE unpack. `degrade` records
   /// it (guarded lanes).
   void feed_fallback_rows(const img::SicEncoded& image,

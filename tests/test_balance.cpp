@@ -356,7 +356,7 @@ TEST_F(BalancedEngine, QuarantinedLaneDrainsThroughTheOthers) {
                     kernels::kDoubleBuffer, false, guard);
   engine.set_balanced(true);
   AnalysisResult got = engine.analyze(dataset_->images[0]);
-  // The hung lane's task degrades to the PPE mirror; every OTHER task
+  // The hung lane's task degrades to the PPE fallback; every OTHER task
   // steals onto live lanes and the reduction still matches bit-exactly.
   expect_bitwise_equal(got, want);
   ASSERT_GE(got.degraded.size(), 4u);

@@ -32,6 +32,7 @@ namespace cellport::marvel {
 namespace {
 
 using testutil::expect_bitwise_equal;
+using testutil::run_shard_kernel;
 
 // ---- fused split arithmetic ----
 
@@ -92,30 +93,6 @@ TEST(FusedSplit, PartialSizeArithmetic) {
 }
 
 // ---- the fused kernel against the standalone shard kernels ----
-
-// Runs `opcode` of `mod` in shard mode over [row_begin, row_end) and
-// returns the raw partial bytes.
-std::vector<std::uint8_t> run_shard_kernel(port::KernelModule& mod,
-                                           const img::RgbImage& image,
-                                           int opcode, std::size_t bytes,
-                                           int row_begin, int row_end,
-                                           sim::SimTime* busy_ns = nullptr) {
-  sim::Machine machine(sim::Machine::Config{1});
-  port::SPEInterface iface(mod);
-  cellport::AlignedBuffer<std::uint8_t> out(cellport::round_up(bytes, 16));
-  port::WrappedMessage<kernels::ImageMsg> msg;
-  msg->pixels_ea = reinterpret_cast<std::uint64_t>(image.data());
-  msg->width = image.width();
-  msg->height = image.height();
-  msg->stride = image.stride();
-  msg->buffering = kernels::kTripleBuffer;
-  msg->out_ea = reinterpret_cast<std::uint64_t>(out.data());
-  msg->row_begin = row_begin;
-  msg->row_end = row_end;
-  iface.SendAndWait(opcode, msg.ea());
-  if (busy_ns != nullptr) *busy_ns = iface.spe().busy_ns();
-  return {out.data(), out.data() + bytes};
-}
 
 std::vector<std::uint8_t> run_fused(const img::RgbImage& image,
                                     int row_begin, int row_end,
@@ -506,7 +483,7 @@ TEST_F(FusedEngine, TransientLaneFaultRetriesToTheSameResult) {
   EXPECT_TRUE(got.degraded.empty());  // a retry is not a degradation
 }
 
-TEST_F(FusedEngine, ExhaustedLaneFallsBackToThePpeMirrors) {
+TEST_F(FusedEngine, ExhaustedLaneFallsBackToThePpe) {
   sim::Machine plain;
   CellEngine baseline(plain, library_path(), Scenario::kSharded);
   AnalysisResult want = baseline.analyze(dataset_->images[0]);
@@ -525,7 +502,7 @@ TEST_F(FusedEngine, ExhaustedLaneFallsBackToThePpeMirrors) {
   engine.set_fused(true);
   AnalysisResult got = engine.analyze(dataset_->images[0]);
   // A fused lane carries all four features, so losing one degrades all
-  // four — but the mirrors recompute its slice bit-exactly.
+  // four — but the PPE reruns the fused pass on its slice bit-exactly.
   expect_bitwise_equal(got, want);
   ASSERT_EQ(got.degraded.size(), 4u);
   EXPECT_EQ(got.degraded[0], "fuse:color_histogram");

@@ -3,12 +3,9 @@
 #include <cmath>
 #include <cstdio>
 
-#include "learn/knn.h"
 #include "learn/model_store.h"
-#include "learn/smo.h"
 #include "learn/svm.h"
 #include "support/error.h"
-#include "support/rng.h"
 
 namespace cellport::learn {
 namespace {
@@ -69,92 +66,6 @@ TEST(Svm, ChargesPerSupportVector) {
   m.decision(x, &ctx);
   EXPECT_GE(ctx.meter().count(sim::OpClass::kMul), 320u);
   EXPECT_GT(ctx.now_ns(), 0.0);
-}
-
-// ---- SMO trainer ----
-
-TEST(Smo, SeparatesLinearlySeparableData) {
-  cellport::Rng rng(9);
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  for (int i = 0; i < 40; ++i) {
-    bool pos = i % 2 == 0;
-    float cx = pos ? 2.0f : -2.0f;
-    x.push_back({cx + static_cast<float>(rng.normal(0, 0.3)),
-                 static_cast<float>(rng.normal(0, 0.3))});
-    y.push_back(pos ? 1 : -1);
-  }
-  SvmTrainConfig cfg;
-  cfg.kernel = SvmKernelType::kLinear;
-  cfg.c = 10.0;
-  SvmModel m = smo_train("sep", x, y, cfg);
-  int correct = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    double d = m.decision(x[i]);
-    if ((d > 0) == (y[i] > 0)) ++correct;
-  }
-  EXPECT_GE(correct, 38);  // allow the odd margin point
-}
-
-TEST(Smo, RbfSolvesXor) {
-  // XOR is not linearly separable; the RBF kernel handles it.
-  std::vector<std::vector<float>> x = {
-      {0, 0}, {1, 1}, {0, 1}, {1, 0},
-      {0.1f, 0.1f}, {0.9f, 0.9f}, {0.1f, 0.9f}, {0.9f, 0.1f}};
-  std::vector<int> y = {1, 1, -1, -1, 1, 1, -1, -1};
-  SvmTrainConfig cfg;
-  cfg.kernel = SvmKernelType::kRbf;
-  cfg.gamma = 4.0f;
-  cfg.c = 100.0;
-  cfg.max_passes = 50;
-  cfg.max_iter = 100000;
-  SvmModel m = smo_train("xor", x, y, cfg);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_GT(m.decision(x[i]) * y[i], 0.0) << "sample " << i;
-  }
-}
-
-TEST(Smo, Validation) {
-  std::vector<std::vector<float>> x = {{0, 0}, {1, 1}};
-  EXPECT_THROW(smo_train("v", x, {1, 2}, {}), ConfigError);   // bad label
-  EXPECT_THROW(smo_train("v", x, {1, 1}, {}), ConfigError);   // one class
-  EXPECT_THROW(smo_train("v", {{0.f}}, {1}, {}), ConfigError);  // 1 sample
-}
-
-// ---- kNN ----
-
-TEST(Knn, MajorityVote) {
-  KnnClassifier knn(3);
-  knn.add({0, 0}, 1);
-  knn.add({0.1f, 0}, 1);
-  knn.add({5, 5}, 2);
-  knn.add({5, 5.1f}, 2);
-  knn.add({5.1f, 5}, 2);
-  std::vector<float> near_origin = {0.2f, 0.1f};
-  EXPECT_EQ(knn.predict(near_origin), 1);
-  std::vector<float> near_five = {4.9f, 5.0f};
-  EXPECT_EQ(knn.predict(near_five), 2);
-}
-
-TEST(Knn, ScoreReflectsNeighborhoodPurity) {
-  KnnClassifier knn(3);
-  knn.add({0, 0}, 1);
-  knn.add({0, 0.1f}, 1);
-  knn.add({0.1f, 0}, 1);
-  knn.add({9, 9}, 2);
-  std::vector<float> q = {0.0f, 0.05f};
-  EXPECT_DOUBLE_EQ(knn.score(q, 1), 1.0);
-  EXPECT_DOUBLE_EQ(knn.score(q, 2), -1.0);
-}
-
-TEST(Knn, Validation) {
-  KnnClassifier knn(2);
-  EXPECT_THROW(KnnClassifier(0), ConfigError);
-  std::vector<float> q = {1.0f};
-  EXPECT_THROW(knn.predict(q), ConfigError);  // no exemplars
-  knn.add({1, 2}, 1);
-  EXPECT_THROW(knn.add({1, 2, 3}, 1), ConfigError);
-  EXPECT_THROW(knn.predict(q), ConfigError);  // dim mismatch
 }
 
 // ---- synthetic model sets & library I/O ----

@@ -1,6 +1,6 @@
 // Tests for the runtime extensions: signal-notification registers, the
-// dynamic TaskPool, the stream's decode-ahead overlap, the CH lookup-table
-// variant, and the kNN detection kernel.
+// dynamic TaskPool, the stream's decode-ahead overlap, and the CH
+// lookup-table variant.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,10 +8,8 @@
 
 #include "features/color_histogram.h"
 #include "img/synth.h"
-#include "kernels/cd_kernel.h"
 #include "kernels/ch_kernel.h"
 #include "kernels/messages.h"
-#include "learn/knn.h"
 #include "learn/model_store.h"
 #include "marvel/cell_engine.h"
 #include "marvel/dataset.h"
@@ -22,7 +20,6 @@
 #include "sim/machine.h"
 #include "sim/signal.h"
 #include "sim/spu_mfcio.h"
-#include "support/rng.h"
 #include "testutil.h"
 
 namespace cellport {
@@ -348,70 +345,6 @@ TEST(ChLutKernel, TradesAccuracyForSpeed) {
   }
   EXPECT_GT(l1, 0.0);
   EXPECT_LT(l1, 0.25);
-}
-
-// ---- kNN detection kernel ----
-
-TEST(KnnKernel, MatchesReferenceClassifierOnSeparatedClusters) {
-  constexpr int kDim = 32;
-  constexpr int kK = 3;
-  constexpr int kLabels = 3;
-  constexpr int kPerLabel = 20;
-  Rng rng(5);
-
-  learn::KnnClassifier ref(kK);
-  const int stride = 32;  // floats, 16-byte multiple
-  const int n = kLabels * kPerLabel;
-  cellport::AlignedBuffer<float> exemplars(
-      static_cast<std::size_t>(n) * stride);
-  cellport::AlignedBuffer<std::int32_t> labels(
-      cellport::round_up(std::size_t{n}, 4));
-  int idx = 0;
-  for (int l = 0; l < kLabels; ++l) {
-    for (int i = 0; i < kPerLabel; ++i, ++idx) {
-      std::vector<float> v(kDim);
-      for (int d = 0; d < kDim; ++d) {
-        v[static_cast<std::size_t>(d)] = static_cast<float>(
-            10.0 * l + rng.normal(0.0, 0.5));
-        exemplars[static_cast<std::size_t>(idx) * stride +
-                  static_cast<std::size_t>(d)] =
-            v[static_cast<std::size_t>(d)];
-      }
-      labels[static_cast<std::size_t>(idx)] = l;
-      ref.add(v, l);
-    }
-  }
-
-  sim::Machine machine(sim::Machine::Config{1});
-  port::SPEInterface iface(kernels::cd_module());
-  for (int probe_label = 0; probe_label < kLabels; ++probe_label) {
-    cellport::AlignedBuffer<float> query(32);
-    std::vector<float> q(kDim);
-    for (int d = 0; d < kDim; ++d) {
-      q[static_cast<std::size_t>(d)] = static_cast<float>(
-          10.0 * probe_label + rng.normal(0.0, 0.5));
-      query[static_cast<std::size_t>(d)] = q[static_cast<std::size_t>(d)];
-    }
-    cellport::AlignedBuffer<double> scores(4);
-    port::WrappedMessage<kernels::KnnMsg> msg;
-    msg->feature_ea = reinterpret_cast<std::uint64_t>(query.data());
-    msg->dim = kDim;
-    msg->k = kK;
-    msg->num_exemplars = n;
-    msg->num_labels = kLabels;
-    msg->exemplars_ea = reinterpret_cast<std::uint64_t>(exemplars.data());
-    msg->labels_ea = reinterpret_cast<std::uint64_t>(labels.data());
-    msg->scores_ea = reinterpret_cast<std::uint64_t>(scores.data());
-    msg->stride = stride;
-    iface.SendAndWait(static_cast<int>(kernels::cd_knn_opcode()),
-                      msg.ea());
-
-    for (int l = 0; l < kLabels; ++l) {
-      EXPECT_DOUBLE_EQ(scores[static_cast<std::size_t>(l)],
-                       ref.score(q, l))
-          << "probe " << probe_label << " label " << l;
-    }
-  }
 }
 
 }  // namespace

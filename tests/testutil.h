@@ -14,8 +14,13 @@
 #include <vector>
 
 #include "img/synth.h"
+#include "kernels/messages.h"
 #include "learn/model_store.h"
 #include "marvel/result.h"
+#include "port/message.h"
+#include "port/spe_interface.h"
+#include "sim/machine.h"
+#include "support/aligned.h"
 
 namespace cellport::testutil {
 
@@ -119,6 +124,29 @@ inline img::RgbImage seeded_image(std::uint64_t seed, int width = 64,
                                   int height = 48) {
   auto kind = static_cast<img::SceneKind>(seed % 5);
   return img::synth_image(kind, seed, width, height);
+}
+
+/// Runs `opcode` of `mod` on a one-SPE machine in shard mode over
+/// [row_begin, row_end) and returns the raw partial bytes.
+inline std::vector<std::uint8_t> run_shard_kernel(
+    port::KernelModule& mod, const img::RgbImage& image, int opcode,
+    std::size_t bytes, int row_begin, int row_end,
+    sim::SimTime* busy_ns = nullptr) {
+  sim::Machine machine(sim::Machine::Config{1});
+  port::SPEInterface iface(mod);
+  cellport::AlignedBuffer<std::uint8_t> out(cellport::round_up(bytes, 16));
+  port::WrappedMessage<kernels::ImageMsg> msg;
+  msg->pixels_ea = reinterpret_cast<std::uint64_t>(image.data());
+  msg->width = image.width();
+  msg->height = image.height();
+  msg->stride = image.stride();
+  msg->buffering = kernels::kTripleBuffer;
+  msg->out_ea = reinterpret_cast<std::uint64_t>(out.data());
+  msg->row_begin = row_begin;
+  msg->row_end = row_end;
+  iface.SendAndWait(opcode, msg.ea());
+  if (busy_ns != nullptr) *busy_ns = iface.spe().busy_ns();
+  return {out.data(), out.data() + bytes};
 }
 
 }  // namespace cellport::testutil
