@@ -54,10 +54,10 @@ struct Task {
 };
 
 /// The tasks of one stage and the lanes the stage drives, in lane order.
-/// An extraction stage lists every lane of its strategy, even one this
-/// image leaves idle (the stream still arms its ring); a detection stage
-/// lists only lanes that carry a task. `group` is the feature slot a
-/// lane's completion is reported under.
+/// A static fused or detection stage lists only lanes that carry a task;
+/// a per-feature or sharded extraction stage lists every lane of its
+/// strategy, and a balanced one every lane that may steal. `group` is
+/// the feature slot a lane's completion is reported under.
 struct Stage {
   struct LaneRef {
     int lane = 0;

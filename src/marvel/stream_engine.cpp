@@ -124,9 +124,9 @@ int StreamEngine::flush_ring(port::SPEInterface* iface) {
 //
 // Each stage runs lane by lane: a lane's ring carries the window's tasks
 // for it, image-major, behind one doorbell. The extraction stage arms
-// every lane of its strategy (an idle lane's ring too) and is flushed for
-// the whole window before any wait; the detection stage flushes and
-// waits one lane at a time. A balanced window pools every image's tasks
+// every lane any image of the window drives and is flushed for the whole
+// window before any wait; the detection stage flushes and waits one lane
+// at a time. A balanced window pools every image's tasks
 // for the steal loop instead.
 
 std::vector<StreamEngine::Queued> StreamEngine::queued(
@@ -176,6 +176,25 @@ void StreamEngine::wait_lane(std::size_t w, std::size_t count,
   });
 }
 
+std::vector<Stage::LaneRef> StreamEngine::extract_lanes(std::size_t w,
+                                                        std::size_t count) {
+  std::vector<Stage::LaneRef> out;
+  for (std::size_t j = 0; j < count; ++j) {
+    for (const Stage::LaneRef& l : at(w, j).extract.lanes) {
+      if (std::none_of(out.begin(), out.end(), [&](const Stage::LaneRef& o) {
+            return o.lane == l.lane;
+          })) {
+        out.push_back(l);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Stage::LaneRef& a, const Stage::LaneRef& b) {
+              return a.lane < b.lane;
+            });
+  return out;
+}
+
 void StreamEngine::flush_extract(std::size_t w, std::size_t count, int s) {
   if (at(w, 0).stolen) {
     // The window-wide pool: lanes finishing a small image's tasks steal
@@ -190,7 +209,7 @@ void StreamEngine::flush_extract(std::size_t w, std::size_t count, int s) {
     engine_.steal_arm(pool_);
     return;
   }
-  for (const Stage::LaneRef& l : at(w, 0).extract.lanes) {
+  for (const Stage::LaneRef& l : extract_lanes(w, count)) {
     if (l.group == s) flush_lane(w, count, &ImagePlan::extract, l.lane);
   }
 }
@@ -200,7 +219,7 @@ void StreamEngine::wait_extract(std::size_t w, std::size_t count, int s) {
     if (s == 0) stats_.request_retries += engine_.steal_drain(pool_);
     return;
   }
-  for (const Stage::LaneRef& l : at(w, 0).extract.lanes) {
+  for (const Stage::LaneRef& l : extract_lanes(w, count)) {
     if (l.group == s) wait_lane(w, count, &ImagePlan::extract, l.lane);
   }
 }

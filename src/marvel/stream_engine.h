@@ -125,6 +125,8 @@ class StreamEngine {
   /// alone, dropping to its task's PPE fallback when the guard gives up.
   void wait_lane(std::size_t w, std::size_t count, Stage ImagePlan::*stage,
                  int lane);
+  /// The extraction lanes any image of window `w` drives, in lane order.
+  std::vector<Stage::LaneRef> extract_lanes(std::size_t w, std::size_t count);
   /// Dispatches (flush) or completes (wait) window `w`'s extraction on
   /// the lanes reported under slot `s`. Balanced plans arm and drain the
   /// window-wide steal pool in slot 0 instead.

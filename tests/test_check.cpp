@@ -218,6 +218,38 @@ TEST_F(CheckRunner, GuardedFusedFaultScenarioPasses) {
   EXPECT_TRUE(out.ok) << out.property << ": " << out.message;
 }
 
+TEST_F(CheckRunner, IdleFusedLanesAreNotArmed) {
+  // Guard-matrix seeds 9 and 10 at 500 scenarios, minimized: a 16x16
+  // image is one Haar tile, so every fused lane but lane 0 is idle. The
+  // scheduled fault sits on an idle lane; arming that lane's ring fired
+  // it with no work to retry (guard.not-exercised). Idle lanes are not
+  // armed, so the fault never fires and the run is the healthy one.
+  const char* const specs[] = {
+      R"({"seed":"1717181361462155540","mode":"engine-single","num_spes":5,)"
+      R"("pool_workers":1,"buffering":2,"block_rows":0,"use_naive":false,)"
+      R"("stream_batch":1,"kernel":-1,"fault_kind":-1,"replay_twice":false,)"
+      R"("scaling_probe":false,"sharded":true,"feed":false,"fused":true,)"
+      R"("balanced":false,"cache_kb":0,"guarded":true,"sched_fault":2,)"
+      R"("sched_spe":2,"sched_at":0,"serve":false,"serve_tenants":1,)"
+      R"("serve_budget":8,"serve_batch":2,"serve_tight":false,"images":)"
+      R"([{"kind":0,"seed":"1","width":16,"height":16,"quality":85}]})",
+      R"({"seed":"8975601525762773200","mode":"engine-single","num_spes":8,)"
+      R"("pool_workers":1,"buffering":2,"block_rows":0,"use_naive":false,)"
+      R"("stream_batch":1,"kernel":-1,"fault_kind":-1,"replay_twice":false,)"
+      R"("scaling_probe":false,"sharded":true,"feed":false,"fused":true,)"
+      R"("balanced":false,"cache_kb":0,"guarded":true,"sched_fault":3,)"
+      R"("sched_spe":4,"sched_at":0,"serve":false,"serve_tenants":1,)"
+      R"("serve_budget":8,"serve_batch":2,"serve_tight":false,"images":)"
+      R"([{"kind":0,"seed":"1","width":16,"height":16,"quality":85}]})",
+  };
+  for (const char* json : specs) {
+    const ScenarioSpec spec = spec_from_json(json);
+    RunOutcome out = run_scenario(spec, config());
+    EXPECT_TRUE(out.ok) << "seed " << spec.seed << " failed "
+                        << out.property << ": " << out.message;
+  }
+}
+
 TEST_F(CheckRunner, ReplayTwiceScenarioIsDeterministic) {
   ScenarioSpec spec;
   spec.mode = Mode::kEngineSingle;
