@@ -69,11 +69,11 @@ class Mailbox {
   std::size_t capacity() const { return capacity_; }
   const std::string& name() const { return name_; }
 
-  /// Traffic/occupancy statistics, feeding the mailbox series of the
-  /// MetricsRegistry. `writes`/`reads` are deterministic totals;
-  /// `max_depth` is the functional queue's high-water mark and therefore
-  /// depends on host thread interleaving (documented as such in
-  /// docs/OBSERVABILITY.md — it never feeds back into simulated time).
+  /// Traffic/occupancy statistics. `writes`/`reads` are deterministic
+  /// totals and feed the mailbox series of the MetricsRegistry;
+  /// `max_depth` is the functional queue's high-water mark, which depends
+  /// on host thread interleaving, so only the capacity invariant reads it
+  /// (it never feeds back into simulated time or a metric).
   struct Stats {
     std::uint64_t writes = 0;
     std::uint64_t reads = 0;

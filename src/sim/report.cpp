@@ -52,8 +52,6 @@ void collect_metrics(Machine& machine, trace::MetricsRegistry& metrics) {
     metrics.gauge(p + ".mbox.in_writes")
         .set(static_cast<double>(mb.writes));
     metrics.gauge(p + ".mbox.in_reads").set(static_cast<double>(mb.reads));
-    metrics.gauge(p + ".mbox.in_max_depth")
-        .set(static_cast<double>(mb.max_depth));
   }
   metrics.gauge("eib.bytes")
       .set(static_cast<double>(machine.eib().total_bytes()));

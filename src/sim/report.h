@@ -107,11 +107,11 @@ struct MachineReport {
 /// "spe<i>.pipe.{even_cycles,odd_cycles,slack_cycles}",
 /// "spe<i>.dma.{transfers,bytes,list_elements,stall_ns}",
 /// "spe<i>.ls.peak_bytes",
-/// "spe<i>.mbox.{in_writes,in_reads,in_max_depth}",
+/// "spe<i>.mbox.{in_writes,in_reads}",
 /// "eib.{bytes,transfers,utilization}".
-/// All simulated-time series are deterministic; `in_max_depth` is the one
-/// exception (functional queue occupancy depends on host interleaving) and
-/// is excluded from traces for that reason.
+/// Every series is a pure function of the simulated run. (The inbound
+/// mailbox's functional high-water mark follows host thread order, so it
+/// is not published; the mailbox invariants still check it.)
 void collect_metrics(Machine& machine, trace::MetricsRegistry& metrics);
 
 /// Snapshots the machine's counters. Implemented on top of
