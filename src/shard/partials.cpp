@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "shard/plan.h"
 #include "support/error.h"
 
 namespace cellport::shard {
@@ -49,6 +50,28 @@ std::vector<Range> split_fused(int h, int n) {
     }
   }
   return out;
+}
+
+std::size_t shard_part_bytes(int slot, const Range& r) {
+  switch (slot) {
+    case kSlotCh:
+      return kernels::kShardChWords * sizeof(std::uint32_t);
+    case kSlotCc:
+      return kernels::kShardCcWords * sizeof(std::uint32_t);
+    case kSlotTx:
+      return static_cast<std::size_t>(tx_partial_doubles(r)) *
+             sizeof(double);
+    default:
+      return kernels::kShardEhWords * sizeof(std::uint32_t);
+  }
+}
+
+std::size_t fused_section_offset(int slot) {
+  static constexpr std::size_t kOffset[kNumExtract] = {
+      0, kernels::kFusedCcOffset * sizeof(std::uint32_t),
+      kernels::kFusedCountBytes,
+      kernels::kFusedEhOffset * sizeof(std::uint32_t)};
+  return kOffset[slot];
 }
 
 int tx_partial_doubles(const Range& r) {

@@ -187,8 +187,7 @@ void reduce_shards(int slot, const std::vector<Range>& rows,
 void reduce_fused(int slot, const std::vector<Range>& rows,
                   const std::vector<AlignedBuffer<std::uint8_t>>& blobs,
                   int w, int h, float* out, sim::ScalarContext* ctx) {
-  static constexpr int kSection[kNumExtract] = {
-      0, kernels::kFusedCcOffset, 0, kernels::kFusedEhOffset};
+  const std::size_t offset = fused_section_offset(slot);
   std::vector<const std::uint32_t*> counts;
   std::vector<const double*> tiles;
   std::vector<int> tile_doubles;
@@ -196,13 +195,12 @@ void reduce_fused(int slot, const std::vector<Range>& rows,
     const Range& r = rows[k];
     if (r.empty()) continue;
     if (slot == kSlotTx) {
-      tiles.push_back(reinterpret_cast<const double*>(
-          blobs[k].data() + kernels::kFusedCountBytes));
+      tiles.push_back(
+          reinterpret_cast<const double*>(blobs[k].data() + offset));
       tile_doubles.push_back(kernels::fused_tx_doubles(w, h, r.begin, r.end));
     } else {
       counts.push_back(
-          reinterpret_cast<const std::uint32_t*>(blobs[k].data()) +
-          kSection[slot]);
+          reinterpret_cast<const std::uint32_t*>(blobs[k].data() + offset));
     }
   }
   reduce_slot(slot, counts, tiles, tile_doubles, w, h, out, ctx);
