@@ -25,7 +25,7 @@ using namespace cellport::bench;
 
 namespace {
 
-constexpr sim::SimTime kDeadlineNs = 500e6;  // the guard-matrix deadline
+constexpr sim::SimTime kDeadlineNs = 500e6;  // the cellcheck guard deadline
 
 guard::GuardPolicy guarded_policy() {
   guard::GuardPolicy gp;

@@ -45,9 +45,6 @@ struct Options {
   std::size_t shrink_budget = 200;
   bool verbose = false;
   bool fail_fast = true;
-  bool guard_matrix = false;
-  bool serve_matrix = false;
-  bool balance_matrix = false;
   int jobs = 0;  // scenario threads; 0 = hardware_concurrency
 };
 
@@ -71,13 +68,6 @@ int usage(const char* argv0) {
       "                     (default cellcheck.failure.json)\n"
       "  --library F        model library path (default: generated in "
       "/tmp)\n"
-      "  --guard-matrix     generate guarded engine scenarios with\n"
-      "                     scheduled SPE faults (hang/slow/dma-error)\n"
-      "  --serve-matrix     generate multi-tenant broker scenarios\n"
-      "                     (admission, deadlines, degrade/shed ladder)\n"
-      "  --balance-matrix   generate steal-scheduled scenarios with the\n"
-      "                     content cache armed (duplicate-heavy corpora,\n"
-      "                     guard faults, streamed windows)\n"
       "  --jobs N           scenario threads (default: all host cores);\n"
       "                     results and logs are independent of N\n"
       "  --no-shrink        keep the original failing scenario\n"
@@ -119,6 +109,13 @@ std::string describe(const ScenarioSpec& spec) {
   }
   if (spec.kernel >= 0) s += " kernel=" + std::to_string(spec.kernel);
   s += " images=" + std::to_string(spec.images.size());
+  const auto& images = spec.images;
+  for (auto it = images.begin(); it != images.end(); ++it) {
+    if (std::find(images.begin(), it, *it) != it) {
+      s += " dup";  // an image repeats an earlier one
+      break;
+    }
+  }
   if (spec.fault_kind >= 0) {
     s += std::string(" fault=") +
          cellport::check::fault_kind_name(spec.fault_kind);
@@ -195,38 +192,21 @@ int run(const Options& opts) {
                                   /*extra_concepts_per_feature=*/2);
   }
 
-  auto generate = [&opts](std::uint64_t s) {
-    if (opts.balance_matrix) {
-      return cellport::check::generate_balance_scenario(s);
-    }
-    if (opts.serve_matrix) return cellport::check::generate_serve_scenario(s);
-    if (opts.guard_matrix) return cellport::check::generate_guard_scenario(s);
-    return cellport::check::generate_scenario(s);
-  };
-  const char* matrix = opts.balance_matrix ? "balance-matrix "
-                       : opts.serve_matrix ? "serve-matrix "
-                       : opts.guard_matrix ? "guard-matrix "
-                                           : "";
   std::vector<ScenarioSpec> specs;
   if (!opts.replay_file.empty()) {
     specs.push_back(
         cellport::check::spec_from_json(read_file(opts.replay_file)));
     std::printf("[cellcheck] replaying %s\n", opts.replay_file.c_str());
   } else if (opts.have_replay_seed) {
-    specs.push_back(generate(opts.replay_seed));
-    std::printf("[cellcheck] replaying seed %llu%s\n",
-                static_cast<unsigned long long>(opts.replay_seed),
-                opts.balance_matrix ? " (balance matrix)"
-                : opts.serve_matrix ? " (serve matrix)"
-                : opts.guard_matrix ? " (guard matrix)"
-                                    : "");
+    specs.push_back(cellport::check::generate_scenario(opts.replay_seed));
+    std::printf("[cellcheck] replaying seed %llu\n",
+                static_cast<unsigned long long>(opts.replay_seed));
   } else {
-    std::printf("[cellcheck] %d %sscenarios, base seed %llu\n",
-                opts.scenarios, matrix,
-                static_cast<unsigned long long>(opts.seed));
+    std::printf("[cellcheck] %d scenarios, base seed %llu\n",
+                opts.scenarios, static_cast<unsigned long long>(opts.seed));
     for (int i = 0; i < opts.scenarios; ++i) {
-      specs.push_back(
-          generate(scenario_seed(opts.seed, static_cast<std::uint64_t>(i))));
+      specs.push_back(cellport::check::generate_scenario(
+          scenario_seed(opts.seed, static_cast<std::uint64_t>(i))));
     }
   }
 
@@ -330,12 +310,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--jobs") == 0 && (v = next()) != nullptr) {
       opts.jobs = std::atoi(v);
       if (opts.jobs <= 0) return usage(argv[0]);
-    } else if (std::strcmp(arg, "--guard-matrix") == 0) {
-      opts.guard_matrix = true;
-    } else if (std::strcmp(arg, "--serve-matrix") == 0) {
-      opts.serve_matrix = true;
-    } else if (std::strcmp(arg, "--balance-matrix") == 0) {
-      opts.balance_matrix = true;
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
       opts.shrink_budget = 0;
     } else if (std::strcmp(arg, "--keep-going") == 0) {

@@ -234,8 +234,12 @@ RunOutcome run_kernel_direct(const ScenarioSpec& spec, const RunConfig&,
 
 // ---- engine modes ----
 
-marvel::Scenario engine_scenario(Mode mode) {
-  switch (mode) {
+/// The engine schedule a scenario runs: the sharded rider replaces the
+/// mode's static schedule wholesale — same machine, same images, same
+/// oracle, different SPE plan.
+marvel::Scenario engine_scenario(const ScenarioSpec& spec) {
+  if (spec.sharded) return marvel::Scenario::kSharded;
+  switch (spec.mode) {
     case Mode::kEngineSingle: return marvel::Scenario::kSingleSPE;
     case Mode::kEngineMulti: return marvel::Scenario::kMultiSPE;
     case Mode::kEngineMulti2: return marvel::Scenario::kMultiSPE2;
@@ -274,39 +278,51 @@ sim::FaultInjection sched_injection(const ScenarioSpec& spec) {
   return f;
 }
 
-RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
-                      std::string* canonical) {
-  Inputs in = make_inputs(spec, /*through_codec=*/true);
-  // The sharded rider replaces the mode's static schedule wholesale:
-  // same machine, same images, same oracle — different SPE plan.
-  marvel::Scenario scen = spec.sharded ? marvel::Scenario::kSharded
-                                       : engine_scenario(spec.mode);
+/// Whether the scenario's scheduled fault lands on its machine.
+bool fault_armed(const ScenarioSpec& spec) {
+  return spec.guarded && spec.sched_fault >= 0 &&
+         spec.sched_spe < spec.num_spes;
+}
 
+/// Builds an engine for `spec` on `machine` running schedule `scen`, with
+/// the scenario's feed/fused/balanced riders and cache budget. A
+/// `guarded` engine also gets the cellguard policy and the scheduled
+/// fault, armed after construction so it fires during analysis, not
+/// during the module-open handshakes.
+std::unique_ptr<marvel::CellEngine> make_engine(const ScenarioSpec& spec,
+                                                const RunConfig& cfg,
+                                                sim::Machine& machine,
+                                                marvel::Scenario scen,
+                                                bool guarded) {
   guard::GuardPolicy policy;
-  if (spec.guarded) {
+  if (guarded) {
     policy.enabled = true;
     policy.retry.deadline_ns = kGuardDeadlineNs;
   }
-
-  sim::Machine machine(sim::Machine::Config{spec.num_spes});
-  marvel::CellEngine engine(
+  auto engine = std::make_unique<marvel::CellEngine>(
       machine, cfg.library_path, scen,
       static_cast<kernels::BufferingDepth>(spec.buffering), spec.use_naive,
       policy);
-  engine.set_feed(spec.feed);
-  engine.set_fused(spec.fused);
-  engine.set_balanced(spec.balanced);
+  engine->set_feed(spec.feed);
+  engine->set_fused(spec.fused);
+  engine->set_balanced(spec.balanced);
   if (spec.cache_kb > 0) {
-    engine.set_cache(static_cast<std::size_t>(spec.cache_kb) * 1024);
+    engine->set_cache(static_cast<std::size_t>(spec.cache_kb) * 1024);
   }
-  // The scheduled fault arms after engine construction so it fires
-  // during analysis, not during the module-open handshakes.
-  bool injected = false;
-  if (spec.guarded && spec.sched_fault >= 0 &&
-      spec.sched_spe < spec.num_spes) {
+  if (guarded && fault_armed(spec)) {
     machine.spe(spec.sched_spe).inject_fault(sched_injection(spec));
-    injected = true;
   }
+  return engine;
+}
+
+RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
+                      std::string* canonical) {
+  Inputs in = make_inputs(spec, /*through_codec=*/true);
+  const marvel::Scenario scen = engine_scenario(spec);
+  const bool injected = fault_armed(spec);
+  sim::Machine machine(sim::Machine::Config{spec.num_spes});
+  std::unique_ptr<marvel::CellEngine> engine =
+      make_engine(spec, cfg, machine, scen, spec.guarded);
   marvel::ReferenceEngine ref(sim::cell_ppe(), cfg.library_path);
 
   // cellprobe rides every engine scenario. The oracle comparisons below
@@ -314,16 +330,16 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
   // results or timing would fail the equivalence checks, not just the
   // partition property.
   probe::Attribution attr;
-  engine.set_probe(&attr);
+  engine->set_probe(&attr);
 
   std::vector<marvel::AnalysisResult> cell;
   marvel::StreamStats stream_stats;
   double t0 = machine.ppe().now_ns();
   if (spec.stream_batch > 0) {
-    cell = engine.analyze_stream(in.encoded, {spec.stream_batch},
-                                 &stream_stats);
+    cell = engine->analyze_stream(in.encoded, {spec.stream_batch},
+                                  &stream_stats);
   } else {
-    for (const auto& enc : in.encoded) cell.push_back(engine.analyze(enc));
+    for (const auto& enc : in.encoded) cell.push_back(engine->analyze(enc));
   }
   double elapsed_ns = machine.ppe().now_ns() - t0;
   if (!(machine.ppe().now_ns() > t0)) {
@@ -376,7 +392,7 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
     port::SPEInterface fault_if(fault_module());
     std::string err = run_fault_probe(fault_if, spec.fault_kind);
     if (!err.empty()) return fail("fault.contract", err);
-    marvel::AnalysisResult after = engine.analyze(in.encoded[0]);
+    marvel::AnalysisResult after = engine->analyze(in.encoded[0]);
     err = compare_results(after, ref.analyze(in.encoded[0]));
     if (!err.empty()) {
       return fail("fault.isolation",
@@ -445,27 +461,19 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
       // Transparency: a fault-free guarded run must produce the exact
       // results and simulated time of an unguarded run.
       sim::Machine m2(sim::Machine::Config{spec.num_spes});
-      marvel::CellEngine plain(
-          m2, cfg.library_path, scen,
-          static_cast<kernels::BufferingDepth>(spec.buffering),
-          spec.use_naive);
-      plain.set_feed(spec.feed);
-      plain.set_fused(spec.fused);
-      plain.set_balanced(spec.balanced);
-      if (spec.cache_kb > 0) {
-        plain.set_cache(static_cast<std::size_t>(spec.cache_kb) * 1024);
-      }
+      std::unique_ptr<marvel::CellEngine> plain =
+          make_engine(spec, cfg, m2, scen, /*guarded=*/false);
       std::vector<marvel::AnalysisResult> cell2;
       double u0 = m2.ppe().now_ns();
       if (spec.stream_batch > 0) {
         // Guarded streams retire windows sequentially; force the same
         // schedule on the unguarded engine so the exact comparison sees
         // the guard's overhead, not the pipelining it forgoes.
-        cell2 = plain.analyze_stream(
+        cell2 = plain->analyze_stream(
             in.encoded, {spec.stream_batch, /*sequential=*/true}, nullptr);
       } else {
         for (const auto& enc : in.encoded) {
-          cell2.push_back(plain.analyze(enc));
+          cell2.push_back(plain->analyze(enc));
         }
       }
       double unguarded_ns = m2.ppe().now_ns() - u0;
@@ -492,18 +500,10 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
   if (spec.scaling_probe) {
     auto per_image_ns = [&](marvel::Scenario s) {
       sim::Machine m(sim::Machine::Config{8});
-      marvel::CellEngine e(m, cfg.library_path, s,
-                           static_cast<kernels::BufferingDepth>(
-                               spec.buffering),
-                           spec.use_naive);
-      e.set_feed(spec.feed);
-      e.set_fused(spec.fused);
-      e.set_balanced(spec.balanced);
-      if (spec.cache_kb > 0) {
-        e.set_cache(static_cast<std::size_t>(spec.cache_kb) * 1024);
-      }
+      std::unique_ptr<marvel::CellEngine> e =
+          make_engine(spec, cfg, m, s, /*guarded=*/false);
       double probe_t0 = m.ppe().now_ns();
-      e.analyze(in.encoded[0]);
+      e->analyze(in.encoded[0]);
       return m.ppe().now_ns() - probe_t0;
     };
     double single = per_image_ns(marvel::Scenario::kSingleSPE);
@@ -529,7 +529,7 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
 
 // ---- cellserve mode ----
 
-/// Far deadline for the serve matrix: above any legitimate service time
+/// Far deadline for serve scenarios: above any legitimate service time
 /// including guard recovery (a `slow` fault stalls 4x the 500 ms guard
 /// deadline), so a miss under it is a real scheduling bug. The tight
 /// deadline sits below any service time, so misses are expected and the
@@ -539,28 +539,9 @@ constexpr sim::SimTime kServeTightDeadlineNs = 2'000'000;     // 2 ms
 
 RunOutcome run_serve(const ScenarioSpec& spec, const RunConfig& cfg) {
   Inputs in = make_inputs(spec, /*through_codec=*/true);
-  marvel::Scenario scen = spec.sharded ? marvel::Scenario::kSharded
-                                       : engine_scenario(spec.mode);
-  guard::GuardPolicy policy;
-  if (spec.guarded) {
-    policy.enabled = true;
-    policy.retry.deadline_ns = kGuardDeadlineNs;
-  }
   sim::Machine machine(sim::Machine::Config{spec.num_spes});
-  marvel::CellEngine engine(
-      machine, cfg.library_path, scen,
-      static_cast<kernels::BufferingDepth>(spec.buffering), spec.use_naive,
-      policy);
-  engine.set_feed(spec.feed);
-  engine.set_fused(spec.fused);
-  engine.set_balanced(spec.balanced);
-  if (spec.cache_kb > 0) {
-    engine.set_cache(static_cast<std::size_t>(spec.cache_kb) * 1024);
-  }
-  if (spec.guarded && spec.sched_fault >= 0 &&
-      spec.sched_spe < spec.num_spes) {
-    machine.spe(spec.sched_spe).inject_fault(sched_injection(spec));
-  }
+  std::unique_ptr<marvel::CellEngine> engine =
+      make_engine(spec, cfg, machine, engine_scenario(spec), spec.guarded);
   marvel::ReferenceEngine ref(sim::cell_ppe(), cfg.library_path);
 
   serve::ServeConfig scfg;
@@ -592,7 +573,7 @@ RunOutcome run_serve(const ScenarioSpec& spec, const RunConfig& cfg) {
     requests.push_back(r);
   }
 
-  serve::ServeBroker broker(engine, scfg);
+  serve::ServeBroker broker(*engine, scfg);
   std::vector<serve::ServeResponse> rs = broker.run(requests);
   if (rs.size() != requests.size()) {
     return fail("serve.responses",
@@ -976,7 +957,7 @@ RunOutcome run_once(const ScenarioSpec& spec, const RunConfig& cfg,
 RunOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& cfg) {
   sim::InvariantChannel::instance().drain();  // stale reports, if any
   try {
-    if (spec.replay_twice && spec.mode != Mode::kTaskPool) {
+    if (spec.replay_twice) {
       // Determinism property: the same scenario, run twice under fresh
       // trace sessions, must produce byte-identical canonical results
       // and byte-identical Chrome traces (simulated time is carried by

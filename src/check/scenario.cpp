@@ -69,14 +69,9 @@ ImageSpec pick_image(Rng& rng, bool allow_degenerate) {
   return img;
 }
 
-/// Whether the corpus can take the cellfuse rider: fused extraction
-/// always carries the 4-level wavelet texture, so every image must be at
-/// least one Haar tile in both dimensions.
-bool fits_fused(const ScenarioSpec& spec) {
-  for (const auto& img : spec.images) {
-    if (img.width < 16 || img.height < 16) return false;
-  }
-  return true;
+/// Whether a rider reached by the draw fires: true on `percent` of draws.
+bool chance(Rng& rng, std::uint64_t percent) {
+  return rng.next_below(100) < percent;
 }
 
 }  // namespace
@@ -111,23 +106,28 @@ Mode mode_from_name(const std::string& name) {
   throw cellport::ConfigError("unknown mode name '" + name + "'");
 }
 
+// Every rider is an independent draw over what the earlier draws left
+// legal, so coverage is tuned by the rider probabilities alone.
 ScenarioSpec generate_scenario(std::uint64_t seed) {
   Rng rng(seed);
   ScenarioSpec spec;
   spec.seed = seed;
 
-  std::uint64_t roll = rng.next_below(100);
-  if (roll < 35) {
+  // Engine modes carry every rider below, so they take 68 of 80 draws.
+  std::uint64_t roll = rng.next_below(80);
+  if (roll < 7) {
     spec.mode = Mode::kKernelDirect;
-  } else if (roll < 50) {
-    spec.mode = Mode::kEngineSingle;
-  } else if (roll < 65) {
-    spec.mode = Mode::kEngineMulti;
-  } else if (roll < 75) {
-    spec.mode = Mode::kEngineMulti2;
-  } else {
+  } else if (roll < 12) {
     spec.mode = Mode::kTaskPool;
+  } else if (roll < 35) {
+    spec.mode = Mode::kEngineSingle;
+  } else if (roll < 58) {
+    spec.mode = Mode::kEngineMulti;
+  } else {
+    spec.mode = Mode::kEngineMulti2;
   }
+  const bool engine = spec.mode != Mode::kKernelDirect &&
+                      spec.mode != Mode::kTaskPool;
 
   spec.buffering = 1 + static_cast<int>(rng.next_below(3));
   spec.block_rows = pick_block_rows(rng);
@@ -139,17 +139,16 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
     case Mode::kKernelDirect:
       spec.num_spes = 1 + static_cast<int>(rng.next_below(8));
       spec.kernel = static_cast<int>(rng.next_below(4));
-      spec.use_naive =
-          spec.kernel != kKernelTx && rng.next_below(4) == 0;
+      spec.use_naive = spec.kernel != kKernelTx && chance(rng, 25);
       break;
     case Mode::kEngineSingle:
     case Mode::kEngineMulti:
       spec.num_spes = 5 + static_cast<int>(rng.next_below(4));
-      spec.use_naive = rng.next_below(100) < 15;
+      spec.use_naive = chance(rng, 15);
       break;
     case Mode::kEngineMulti2:
       spec.num_spes = 8;
-      spec.use_naive = rng.next_below(100) < 15;
+      spec.use_naive = chance(rng, 15);
       break;
     case Mode::kTaskPool:
       spec.num_spes = 1 + static_cast<int>(rng.next_below(8));
@@ -160,16 +159,23 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
 
   // Image corpus. Degenerate geometry is only reachable where every
   // kernel that will see the image accepts it: the texture extractor
-  // (and hence every full-engine/TaskPool run) needs both dims >= 16.
+  // (and hence every engine/TaskPool run) needs both dims >= 16. The dup
+  // rider copies one image onto a later position, so the cache-hit path
+  // must be bit-identical to the cold path the oracle models.
   bool degenerate_ok =
       spec.mode == Mode::kKernelDirect && spec.kernel != kKernelTx;
   int num_images = 1 + static_cast<int>(rng.next_below(
-                           spec.mode == Mode::kKernelDirect ? 3 : 2));
+                           spec.mode == Mode::kKernelDirect ? 3 : 4));
   for (int i = 0; i < num_images; ++i) {
     spec.images.push_back(pick_image(rng, degenerate_ok));
   }
+  if (num_images >= 2 && chance(rng, 25)) {
+    const auto dst = 1 + rng.next_below(spec.images.size() - 1);
+    const auto src = rng.next_below(dst);
+    spec.images[dst] = spec.images[src];
+  }
 
-  // Fault injection needs a spare SPE beyond what the workload pins:
+  // The spare-SPE fault probe needs an SPE beyond what the workload pins:
   // the static engine leaves one only on 6+-SPE machines (and none in
   // kMultiSPE2, which pins all 8), kernel-direct needs a second SPE,
   // and TaskPool faults ride a worker, so any shape qualifies.
@@ -181,297 +187,67 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
     case Mode::kEngineMulti2: fault_ok = false; break;
     case Mode::kTaskPool: fault_ok = true; break;
   }
-  if (fault_ok && rng.next_below(100) < 20) {
+  if (fault_ok && chance(rng, 10)) {
     spec.fault_kind = static_cast<int>(rng.next_below(kNumFaultKinds));
   }
+  const bool probed = spec.fault_kind >= 0;
 
-  // Property riders. Replay determinism excludes TaskPool (its task ->
-  // worker assignment follows host event arrival order); the scaling
-  // probe compares engine scheduling scenarios, so it needs the 5-SPE
-  // layouts and a frame big enough for kernel time to dwarf protocol
-  // costs.
-  bool is_static = spec.mode != Mode::kTaskPool;
-  spec.replay_twice = is_static && rng.next_below(4) == 0;
-  bool engine_mode = spec.mode == Mode::kEngineSingle ||
-                     spec.mode == Mode::kEngineMulti ||
-                     spec.mode == Mode::kEngineMulti2;
-  if (engine_mode && spec.fault_kind < 0 && rng.next_below(5) == 0) {
+  // Strategy: how extraction is split. The shard plan packs every SPE,
+  // leaving none for the spare-SPE probe; fused and balanced lanes ride
+  // the interfaces the scenario already scheduled.
+  spec.sharded = engine && !probed && chance(rng, 35);
+  spec.fused = engine && chance(rng, 30);
+  spec.balanced = engine && chance(rng, 55);
+
+  // Dispatch: per-call analyze(), a streamed window (larger than the
+  // corpus exercises the short final window), or the broker — exactly
+  // one. The broker has no spare-SPE probe, so a probed scenario that
+  // draws it streams instead.
+  if (engine) {
+    std::uint64_t dispatch = rng.next_below(100);
+    if (dispatch < 40 && !probed) {
+      spec.serve = true;
+      spec.serve_tenants = 1 + static_cast<int>(rng.next_below(3));
+      // Budgets from "everything queues" down to "most of the burst
+      // sheds", so the degrade ladder and the shed path both see coverage.
+      spec.serve_budget = 2 + static_cast<int>(rng.next_below(8));
+      spec.serve_batch = 1 + static_cast<int>(rng.next_below(3));
+      spec.serve_tight = chance(rng, 30);
+    } else if (dispatch < 70) {
+      spec.stream_batch = 1 + static_cast<int>(rng.next_below(4));
+    }
+  }
+
+  // cellguard, usually with a scheduled fault on a pinned SPE. Not
+  // alongside the spare-SPE probe, which wants the spare SPEs the guard
+  // uses as retry targets.
+  if (engine && !probed && chance(rng, 75)) {
+    spec.guarded = true;
+    if (chance(rng, 75)) {
+      spec.sched_fault = static_cast<int>(rng.next_below(kNumSchedFaults));
+      int pinned = spec.mode == Mode::kEngineMulti2 ? 8 : 5;
+      spec.sched_spe = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(pinned)));
+      spec.sched_at = static_cast<int>(rng.next_below(spec.images.size()));
+    }
+  }
+
+  spec.feed = engine && chance(rng, 35);
+  if (engine && chance(rng, 40)) {
+    constexpr int kBudgetsKb[] = {2, 16, 64};
+    spec.cache_kb = kBudgetsKb[rng.next_below(3)];
+  }
+  spec.replay_twice = chance(rng, 20);
+
+  // The scaling probe compares the unsharded per-call schedules on
+  // unguarded machines of its own, so it needs a plain engine run and a
+  // frame big enough for kernel time to dwarf protocol costs.
+  if (engine && !probed && !spec.sharded && !spec.serve && !spec.guarded &&
+      chance(rng, 40)) {
     spec.scaling_probe = true;
     spec.images[0].width = 176;
     spec.images[0].height = 120;
   }
-
-  // cellguard rider (appended last so it never perturbs the draws
-  // above): engine modes only, and not alongside the spare-SPE fault
-  // probe (which wants the spare SPEs the guard uses as retry targets)
-  // or the scaling probe (whose probe machines run unguarded).
-  if (engine_mode && spec.fault_kind < 0 && !spec.scaling_probe &&
-      rng.next_below(100) < 25) {
-    spec.guarded = true;
-    if (rng.next_below(100) < 70) {
-      spec.sched_fault = static_cast<int>(rng.next_below(kNumSchedFaults));
-      int pinned = spec.mode == Mode::kEngineMulti2 ? 8 : 5;
-      spec.sched_spe = static_cast<int>(rng.next_below(
-          static_cast<std::uint64_t>(pinned)));
-      spec.sched_at = static_cast<int>(
-          rng.next_below(spec.images.size()));
-    }
-  }
-
-  // cellstream rider (also appended last): engine modes sometimes stream
-  // the corpus through the command rings instead of per-call analyze().
-  // The oracle and every downstream property are unchanged; windows
-  // larger than the corpus exercise the short-final-window path.
-  if (engine_mode && rng.next_below(100) < 30) {
-    spec.stream_batch = 1 + static_cast<int>(rng.next_below(4));
-  }
-
-  // cellshard rider (also appended last): ~30% of engine scenarios swap
-  // the mode's static schedule for the kSharded plan over the same
-  // machine (every engine shape has the planner's 5-SPE floor). The
-  // differential oracle is unchanged — sharded results are bit-exact —
-  // and scheduled guard faults compose (a faulted shard recovers alone).
-  // The spare-SPE fault probe is excluded: the shard plan packs every
-  // SPE, leaving no spare for the probe interface. So is the scaling
-  // probe, which compares the unsharded schedules on its own machines.
-  if (engine_mode && spec.fault_kind < 0 && !spec.scaling_probe &&
-      rng.next_below(100) < 30) {
-    spec.sharded = true;
-  }
-
-  // cellfeed rider (also appended last): ~30% of engine scenarios carry
-  // the corpus as PPM streams ingested by the SPE feed kernels instead
-  // of the PPE byte loop. Feed rows ride the interfaces the scenario
-  // already scheduled (no extra SPEs), so it composes with every other
-  // rider — guard faults, streaming, sharding, the spare-SPE fault
-  // probe — and the differential oracle is unchanged.
-  if (engine_mode && rng.next_below(100) < 30) {
-    spec.feed = true;
-  }
-
-  // cellfuse rider (also appended last): ~30% of engine scenarios swap
-  // the per-feature extraction for the single-pass fused lanes. Fused
-  // lanes ride the interfaces the scenario already scheduled, so it
-  // composes with every other rider; the differential oracle is
-  // unchanged (fused results are bit-exact). Skipped when any corpus
-  // image is below the 16x16 wavelet floor — fused extraction always
-  // carries the texture, so the engine rejects smaller frames.
-  if (engine_mode && fits_fused(spec) && rng.next_below(100) < 30) {
-    spec.fused = true;
-  }
-
-  // cellbalance riders (also appended last): ~25% of engine scenarios
-  // swap the fused lanes' static row split for the steal-driven task
-  // queue (same 16x16 floor — balanced dispatch rides the fused
-  // kernel), and ~25% independently arm the content cache with a small
-  // budget so both the hit and the eviction paths see coverage.
-  if (engine_mode && fits_fused(spec) && rng.next_below(100) < 25) {
-    spec.balanced = true;
-  }
-  if (engine_mode && rng.next_below(100) < 25) {
-    constexpr int kBudgetsKb[] = {2, 16, 64};
-    spec.cache_kb = kBudgetsKb[rng.next_below(3)];
-  }
-  return spec;
-}
-
-ScenarioSpec generate_guard_scenario(std::uint64_t seed) {
-  Rng rng(seed);
-  ScenarioSpec spec;
-  spec.seed = seed;
-  switch (rng.next_below(3)) {
-    case 0: spec.mode = Mode::kEngineSingle; break;
-    case 1: spec.mode = Mode::kEngineMulti; break;
-    default: spec.mode = Mode::kEngineMulti2; break;
-  }
-  spec.buffering = 1 + static_cast<int>(rng.next_below(3));
-  spec.num_spes = spec.mode == Mode::kEngineMulti2
-                      ? 8
-                      : 5 + static_cast<int>(rng.next_below(4));
-  spec.use_naive = rng.next_below(100) < 15;
-  int num_images = 1 + static_cast<int>(rng.next_below(2));
-  for (int i = 0; i < num_images; ++i) {
-    spec.images.push_back(pick_image(rng, /*allow_degenerate=*/false));
-  }
-  spec.guarded = true;
-  if (rng.next_below(100) < 85) {
-    spec.sched_fault = static_cast<int>(rng.next_below(kNumSchedFaults));
-    int pinned = spec.mode == Mode::kEngineMulti2 ? 8 : 5;
-    spec.sched_spe = static_cast<int>(
-        rng.next_below(static_cast<std::uint64_t>(pinned)));
-    spec.sched_at =
-        static_cast<int>(rng.next_below(spec.images.size()));
-  }
-  spec.replay_twice = rng.next_below(4) == 0;
-  // Guarded streaming: scheduled faults land mid-batch and the stream
-  // engine must recover per-request (retry via the guard, then PPE
-  // fallback) without disturbing the window's other images.
-  if (rng.next_below(100) < 35) {
-    spec.stream_batch = 1 + static_cast<int>(rng.next_below(4));
-  }
-  // Sharded fault matrix (appended last): the faulted shard must retry
-  // or fall back alone and the PPE reduction must still be bit-exact.
-  if (rng.next_below(100) < 30) {
-    spec.sharded = true;
-  }
-  // Feed fault matrix (appended last): scheduled faults land on lanes
-  // that also carry ingest rows, and the run must still match the
-  // oracle bit-for-bit — retried rows via the guard, exhausted lanes as
-  // "feed:ingest" PPE fallbacks.
-  if (rng.next_below(100) < 30) {
-    spec.feed = true;
-  }
-  // Fused fault matrix (appended last): a scheduled fault on a fused
-  // lane takes all four features' partials with it, and the run must
-  // still match the oracle bit-for-bit — retried lanes via the guard,
-  // exhausted lanes as four "fuse:<feature>" PPE fallbacks.
-  if (fits_fused(spec) && rng.next_below(100) < 30) {
-    spec.fused = true;
-  }
-  // Balanced fault matrix (appended last): a scheduled fault lands
-  // while lanes are stealing tasks, and the run must still match the
-  // oracle bit-for-bit — the faulted lane's queue slot retries behind
-  // the guard or degrades to the PPE fallback while the other lanes drain
-  // the remaining descriptors.
-  if (fits_fused(spec) && rng.next_below(100) < 25) {
-    spec.balanced = true;
-  }
-  if (rng.next_below(100) < 20) {
-    constexpr int kBudgetsKb[] = {2, 16, 64};
-    spec.cache_kb = kBudgetsKb[rng.next_below(3)];
-  }
-  return spec;
-}
-
-ScenarioSpec generate_serve_scenario(std::uint64_t seed) {
-  Rng rng(seed);
-  ScenarioSpec spec;
-  spec.seed = seed;
-  switch (rng.next_below(3)) {
-    case 0: spec.mode = Mode::kEngineSingle; break;
-    case 1: spec.mode = Mode::kEngineMulti; break;
-    default: spec.mode = Mode::kEngineMulti2; break;
-  }
-  spec.buffering = 1 + static_cast<int>(rng.next_below(3));
-  spec.num_spes = spec.mode == Mode::kEngineMulti2
-                      ? 8
-                      : 5 + static_cast<int>(rng.next_below(4));
-  spec.use_naive = rng.next_below(100) < 10;
-  // One request per image: enough corpus for multi-tenant contention
-  // without blowing per-scenario runtime.
-  int num_images = 2 + static_cast<int>(rng.next_below(4));
-  for (int i = 0; i < num_images; ++i) {
-    spec.images.push_back(pick_image(rng, /*allow_degenerate=*/false));
-  }
-  spec.serve = true;
-  spec.serve_tenants = 1 + static_cast<int>(rng.next_below(3));
-  // Budgets from "everything queues" down to "most of the burst sheds",
-  // so the degrade ladder and the shed path both see coverage.
-  spec.serve_budget = 2 + static_cast<int>(rng.next_below(8));
-  spec.serve_batch = 1 + static_cast<int>(rng.next_below(3));
-  spec.serve_tight = rng.next_below(100) < 25;
-  // cellguard rider: half the matrix serves behind the guard, usually
-  // with a scheduled fault — tenant isolation under faults is the
-  // property this matrix exists for.
-  if (rng.next_below(100) < 50) {
-    spec.guarded = true;
-    if (rng.next_below(100) < 60) {
-      spec.sched_fault = static_cast<int>(rng.next_below(kNumSchedFaults));
-      int pinned = spec.mode == Mode::kEngineMulti2 ? 8 : 5;
-      spec.sched_spe = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(pinned)));
-      spec.sched_at =
-          static_cast<int>(rng.next_below(spec.images.size()));
-    }
-  }
-  // cellshard / cellfeed riders compose with the broker the same way
-  // they compose with analyze_stream (the broker serves through
-  // StreamEngine windows).
-  if (rng.next_below(100) < 25) {
-    spec.sharded = true;
-  }
-  if (rng.next_below(100) < 25) {
-    spec.feed = true;
-  }
-  if (fits_fused(spec) && rng.next_below(100) < 25) {
-    spec.fused = true;
-  }
-  // cellbalance riders (appended last): broker traffic over balanced
-  // lanes, and the content cache the level-0 stream consults.
-  if (fits_fused(spec) && rng.next_below(100) < 25) {
-    spec.balanced = true;
-  }
-  if (rng.next_below(100) < 25) {
-    constexpr int kBudgetsKb[] = {2, 16, 64};
-    spec.cache_kb = kBudgetsKb[rng.next_below(3)];
-  }
-  return spec;
-}
-
-ScenarioSpec generate_balance_scenario(std::uint64_t seed) {
-  Rng rng(seed);
-  ScenarioSpec spec;
-  spec.seed = seed;
-  switch (rng.next_below(3)) {
-    case 0: spec.mode = Mode::kEngineSingle; break;
-    case 1: spec.mode = Mode::kEngineMulti; break;
-    default: spec.mode = Mode::kEngineMulti2; break;
-  }
-  spec.buffering = 1 + static_cast<int>(rng.next_below(3));
-  spec.num_spes = spec.mode == Mode::kEngineMulti2
-                      ? 8
-                      : 5 + static_cast<int>(rng.next_below(4));
-  spec.use_naive = rng.next_below(100) < 10;
-  // Mixed sizes stress the steal queue (a lane that drew a small image
-  // finishes early and must steal); duplicated images stress the cache.
-  int num_images = 2 + static_cast<int>(rng.next_below(4));
-  for (int i = 0; i < num_images; ++i) {
-    spec.images.push_back(pick_image(rng, /*allow_degenerate=*/false));
-  }
-  if (rng.next_below(100) < 40 && num_images >= 2) {
-    // Duplicate one position onto an earlier one — the cache-hit path
-    // must be bit-identical to the cold path the oracle models.
-    const auto dst = 1 + rng.next_below(spec.images.size() - 1);
-    const auto src = rng.next_below(dst);
-    spec.images[dst] = spec.images[src];
-  }
-  spec.balanced = true;
-  if (rng.next_below(100) < 60) {
-    constexpr int kBudgetsKb[] = {2, 16, 64};
-    spec.cache_kb = kBudgetsKb[rng.next_below(3)];
-  }
-  // cellguard rider: half the matrix steals around faults — the
-  // quarantined-lane property is what this matrix exists for.
-  if (rng.next_below(100) < 50) {
-    spec.guarded = true;
-    if (rng.next_below(100) < 60) {
-      spec.sched_fault = static_cast<int>(rng.next_below(kNumSchedFaults));
-      int pinned = spec.mode == Mode::kEngineMulti2 ? 8 : 5;
-      spec.sched_spe = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(pinned)));
-      spec.sched_at =
-          static_cast<int>(rng.next_below(spec.images.size()));
-    }
-  }
-  // Streamed balanced windows (cross-image stealing) and the other
-  // riders compose the same way they do in the base matrix.
-  if (rng.next_below(100) < 40) {
-    spec.stream_batch = 1 + static_cast<int>(rng.next_below(4));
-  }
-  if (rng.next_below(100) < 25) {
-    spec.sharded = true;
-  }
-  if (rng.next_below(100) < 25) {
-    spec.feed = true;
-  }
-  if (rng.next_below(100) < 20) {
-    spec.serve = true;
-    spec.serve_tenants = 1 + static_cast<int>(rng.next_below(3));
-    spec.serve_budget = 2 + static_cast<int>(rng.next_below(8));
-    spec.serve_batch = 1 + static_cast<int>(rng.next_below(3));
-    spec.serve_tight = rng.next_below(100) < 25;
-  }
-  spec.replay_twice = rng.next_below(4) == 0;
   return spec;
 }
 

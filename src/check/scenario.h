@@ -39,6 +39,8 @@ struct ImageSpec {
   int width = 64;
   int height = 48;
   int quality = 85;
+
+  bool operator==(const ImageSpec&) const = default;
 };
 
 /// Kernel index for kKernelDirect scenarios.
@@ -106,8 +108,8 @@ struct ScenarioSpec {
   /// property: results stay bit-exact with the reference oracle,
   /// including under scheduled faults, where an exhausted lane degrades
   /// to the PPE fallback partials reported as "fuse:<feature>" (all four
-  /// features of that lane). Skipped when any corpus image is below the
-  /// 16x16 wavelet floor — fused extraction always carries the texture.
+  /// features of that lane). Engine corpora never go below the 16x16
+  /// wavelet floor the texture — and so every fused lane — needs.
   bool fused = false;
   /// Engine modes: swap the fused lanes' static row split for the
   /// cellbalance steal-driven task queue (CellEngine::set_balanced) —
@@ -115,9 +117,8 @@ struct ScenarioSpec {
   /// The balanced property: results stay bit-exact with the reference
   /// oracle whatever the steal order, including under scheduled faults
   /// (a quarantined lane's tasks migrate to live lanes; an exhausted
-  /// task degrades to the PPE fallback like a fused lane would). Same
-  /// 16x16 floor as the fused rider — balanced dispatch rides the fused
-  /// kernel.
+  /// task degrades to the PPE fallback like a fused lane would).
+  /// Balanced dispatch rides the fused kernel.
   bool balanced = false;
   /// Engine modes: arm the engine's content-addressed feature cache
   /// with this byte budget in KiB (CellEngine::set_cache; 0 = off). The
@@ -143,7 +144,8 @@ struct ScenarioSpec {
   /// result-prefix checks.
   bool serve_tight = false;
   /// Re-run the whole scenario and require byte-identical results and
-  /// traces (static modes only; TaskPool timing is host-order dependent).
+  /// traces (every mode: TaskPool retires completions in simulated-time
+  /// order, so its traces do not depend on host scheduling either).
   bool replay_twice = false;
   /// Engine modes: additionally measure per-image time under kSingleSPE
   /// vs kMultiSPE (vs kMultiSPE2) and require the parallel group never
@@ -152,27 +154,11 @@ struct ScenarioSpec {
   std::vector<ImageSpec> images;
 };
 
-/// Derives the full scenario for `seed`. Pure function of the seed.
+/// Derives the full scenario for `seed`: the mode, the machine shape,
+/// the corpus, then independent riders over the executor's knobs
+/// (strategy, dispatch, guard and scheduled fault, feed, cache, replay,
+/// scaling probe). Pure function of the seed.
 ScenarioSpec generate_scenario(std::uint64_t seed);
-
-/// Derives a guarded engine scenario for `seed` (the `--guard-matrix`
-/// generator): always an engine mode behind cellguard, usually with a
-/// scheduled fault on a pinned SPE. Pure function of the seed.
-ScenarioSpec generate_guard_scenario(std::uint64_t seed);
-
-/// Derives a multi-tenant broker scenario for `seed` (the
-/// `--serve-matrix` generator): always an engine mode behind the
-/// cellserve broker, with seed-derived tenant counts, budgets, and
-/// deadline pressure, often composed with the guard/shard/feed riders.
-/// Pure function of the seed.
-ScenarioSpec generate_serve_scenario(std::uint64_t seed);
-
-/// Derives a cellbalance scenario for `seed` (the `--balance-matrix`
-/// generator): always an engine mode with steal-driven balanced
-/// dispatch, usually with a content cache armed and a duplicate-heavy
-/// corpus, often composed with the guard/stream/shard/feed/serve
-/// riders. Pure function of the seed.
-ScenarioSpec generate_balance_scenario(std::uint64_t seed);
 
 /// Serializes a spec as a JSON object (deterministic byte output).
 std::string spec_to_json(const ScenarioSpec& spec);

@@ -170,11 +170,16 @@ DiffReport diff_artifacts(const std::string& baseline_json,
   // unambiguous direction (e.g. stream.images_per_sec, *.stall_ns).
   const JsonValue* base_metrics = base.find("metrics");
   const JsonValue* fresh_metrics = fresh.find("metrics");
-  if (base_metrics != nullptr && fresh_metrics != nullptr) {
+  if (base_metrics != nullptr) {
     for (const auto& [key, value] : base_metrics->object) {
       if (!value.is_number()) continue;
-      const JsonValue* fv = fresh_metrics->find(key);
-      if (fv == nullptr || !fv->is_number()) continue;  // bags may evolve
+      const JsonValue* fv =
+          fresh_metrics != nullptr ? fresh_metrics->find(key) : nullptr;
+      if (fv == nullptr || !fv->is_number()) {
+        report.problems.push_back("metric '" + key +
+                                  "' missing from fresh run");
+        continue;
+      }
       if (metric_direction(key) == Direction::kInformational) continue;
       compare("metrics." + key, value.number, fv->number);
     }

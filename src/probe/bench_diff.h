@@ -8,9 +8,9 @@
 // "_ns" keys are lower-is-better, "per_sec"/"speedup" keys are
 // higher-is-better, everything else is informational), a shape check
 // that held in the baseline but fails in the fresh run is a regression,
-// and a row or key missing from the fresh run is a failure. Simulated
-// time is deterministic, so the default 5% threshold is generous — any
-// trip is a real model change, not noise.
+// and a row, key or metric missing from the fresh run is a failure.
+// Simulated time is deterministic, so the default 5% threshold is
+// generous — any trip is a real model change, not noise.
 #pragma once
 
 #include <string>
@@ -39,7 +39,7 @@ struct DiffLine {
 
 struct DiffReport {
   std::vector<DiffLine> lines;
-  /// Structural failures: missing rows/keys, flipped shape checks,
+  /// Structural failures: missing rows/keys/metrics, flipped shape checks,
   /// mismatched bench names.
   std::vector<std::string> problems;
   double threshold = 0;

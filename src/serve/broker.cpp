@@ -82,7 +82,6 @@ marvel::StreamEngine& ServeBroker::stream(int level) {
   if (slot == nullptr) {
     marvel::StreamOptions opts;
     opts.batch = cfg_.batch;
-    opts.sequential = cfg_.sequential;
     opts.max_models = level_max_models(level);
     slot = std::make_unique<marvel::StreamEngine>(engine_, opts);
   }

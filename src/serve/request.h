@@ -135,8 +135,6 @@ struct ServeConfig {
   /// Deadline for requests that do not carry their own, relative to
   /// arrival.
   sim::SimTime default_deadline_ns = 80'000'000;  // 80 ms
-  /// Mirror of StreamOptions.sequential for the service runs.
-  bool sequential = false;
 };
 
 /// Per-tenant terminal-status tallies (the serve.t<i>.* counters).

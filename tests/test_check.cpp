@@ -68,11 +68,34 @@ TEST(ScenarioGenerator, RespectsEngineAndKernelConstraints) {
         EXPECT_GE(im.height, 16);
       }
     }
-    if (s.replay_twice) {
-      EXPECT_NE(s.mode, Mode::kTaskPool);
+    const bool engine = s.mode != Mode::kKernelDirect &&
+                        s.mode != Mode::kTaskPool;
+    if (!engine) {
+      // The executor's knobs exist only on the engine; replay rides
+      // every mode.
+      EXPECT_FALSE(s.sharded || s.fused || s.balanced || s.feed ||
+                   s.serve || s.guarded || s.scaling_probe);
+      EXPECT_EQ(s.stream_batch, 0);
+      EXPECT_EQ(s.cache_kb, 0);
     }
+    // One dispatch path per scenario: per-call, streamed, or served.
+    EXPECT_FALSE(s.serve && s.stream_batch > 0);
     if (s.scaling_probe) {
       EXPECT_EQ(s.fault_kind, -1);  // probes build their own machines
+      EXPECT_FALSE(s.guarded || s.sharded || s.serve);
+    }
+    if (s.guarded) {
+      // The spare-SPE probe wants the spare SPEs the guard retries on.
+      EXPECT_EQ(s.fault_kind, -1);
+    }
+    if (s.sched_fault >= 0) {
+      EXPECT_TRUE(s.guarded);
+      EXPECT_LT(s.sched_fault, kNumSchedFaults);
+      EXPECT_LT(s.sched_spe, s.mode == Mode::kEngineMulti2 ? 8 : 5);
+      EXPECT_LT(s.sched_at, static_cast<int>(s.images.size()));
+    }
+    if (s.sharded || s.serve) {
+      EXPECT_EQ(s.fault_kind, -1);  // neither leaves a spare SPE probe
     }
     if (s.fault_kind >= 0) {
       EXPECT_LT(s.fault_kind, kNumFaultKinds);
@@ -85,6 +108,44 @@ TEST(ScenarioGenerator, RespectsEngineAndKernelConstraints) {
   }
   // 400 seeds must exercise every mode, or the fuzzer lost coverage.
   EXPECT_EQ(seen_modes.size(), 5u);
+}
+
+TEST(ScenarioGenerator, ReachesEveryRider) {
+  std::set<std::string> seen;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    ScenarioSpec s = generate_scenario(seed * 7919 + 1);
+    const auto& im = s.images;
+    for (std::size_t i = 1; i < im.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (im[i] == im[j]) seen.insert("dup");
+      }
+    }
+    if (s.fault_kind >= 0) seen.insert("fault");
+    if (s.sharded) seen.insert("sharded");
+    if (s.fused) seen.insert("fused");
+    if (s.balanced) seen.insert("balanced");
+    if (s.stream_batch > 0) seen.insert("stream");
+    if (s.serve) seen.insert("serve");
+    if (s.serve_tight) seen.insert("serve-tight");
+    if (s.guarded) seen.insert("guarded");
+    if (s.sched_fault >= 0) {
+      seen.insert(std::string("sched=") + sched_fault_name(s.sched_fault));
+    }
+    if (s.feed) seen.insert("feed");
+    if (s.cache_kb > 0) seen.insert("cache");
+    if (s.replay_twice) seen.insert("replay");
+    if (s.replay_twice && s.mode == Mode::kTaskPool) {
+      seen.insert("taskpool-replay");
+    }
+    if (s.scaling_probe) seen.insert("scaling");
+  }
+  for (const char* rider :
+       {"dup", "fault", "sharded", "fused", "balanced", "stream", "serve",
+        "serve-tight", "guarded", "sched=hang-transient",
+        "sched=hang-persistent", "sched=slow", "sched=dma-error", "feed",
+        "cache", "replay", "taskpool-replay", "scaling"}) {
+    EXPECT_TRUE(seen.count(rider)) << "no scenario drew " << rider;
+  }
 }
 
 TEST(ScenarioSpecJson, RoundTripsIncluding64BitSeeds) {

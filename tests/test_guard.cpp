@@ -367,7 +367,7 @@ class GuardedEngine : public Guard {
   static guard::GuardPolicy guarded_policy() {
     guard::GuardPolicy gp;
     gp.enabled = true;
-    gp.retry.deadline_ns = 500e6;  // the cellcheck guard-matrix deadline
+    gp.retry.deadline_ns = 500e6;  // the cellcheck guard deadline
     return gp;
   }
 };

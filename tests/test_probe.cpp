@@ -209,6 +209,24 @@ TEST(BenchDiff, MissingRowAndShapeFlipAreProblems) {
       "{\"bench\":\"t\",\"rows\":[],\"metrics\":{},\"shape_checks\":[]}";
   DiffReport missing = diff_artifacts(base, no_row, 0.05);
   EXPECT_FALSE(missing.ok());
+
+  // A baseline metric the fresh run no longer emits fails whatever its
+  // direction: here a gated rate and an informational count vanish.
+  std::string with_count = base;
+  with_count.replace(with_count.find("\"metrics\":{") + 11, 0,
+                     "\"t.images.count\":3,");
+  DiffReport vanished = diff_artifacts(
+      with_count,
+      "{\"bench\":\"t\",\"rows\":[{\"label\":\"Sharded\",\"p50_ns\":100,"
+      "\"share\":0.5}],\"metrics\":{},\"shape_checks\":[{\"ok\":true,"
+      "\"what\":\"the claim\"}]}",
+      0.05);
+  EXPECT_FALSE(vanished.ok());
+  ASSERT_EQ(vanished.problems.size(), 2u);
+  EXPECT_NE(vanished.problems[0].find("'stream.images_per_sec' missing"),
+            std::string::npos);
+  EXPECT_NE(vanished.problems[1].find("'t.images.count' missing"),
+            std::string::npos);
 }
 
 TEST(BenchDiff, DirectionInference) {
