@@ -8,11 +8,13 @@
 // Scenario i of a run uses seed SplitMix64(base_seed, i), so any failing
 // scenario is reproducible from the run's base seed alone. On failure
 // the scenario is greedily shrunk and the minimized spec written as JSON
-// (--out, default cellcheck.failure.json). All stdout is derived from
-// seeds and simulated time only — two identical invocations print
-// byte-identical logs.
+// (--out, default cellcheck.failure.json). All stdout but the host
+// ledger on the closing line (host wall seconds and scenarios per host
+// second) is derived from seeds and simulated time only — two identical
+// invocations print byte-identical logs up to that ledger.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -180,6 +182,7 @@ void report_failure(const ScenarioSpec& spec, const RunOutcome& outcome,
 }
 
 int run(const Options& opts) {
+  const auto host_t0 = std::chrono::steady_clock::now();
   RunConfig cfg;
   cfg.library_path = opts.library_path;
   if (cfg.library_path.empty()) {
@@ -272,11 +275,17 @@ int run(const Options& opts) {
       if (opts.fail_fast) break;
     }
   }
+  const double host_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - host_t0)
+                            .count();
+  const double rate = host_s > 0 ? specs.size() / host_s : 0.0;
   if (failures == 0) {
-    std::printf("[cellcheck] all %zu scenario(s) passed\n", specs.size());
+    std::printf("[cellcheck] all %zu scenario(s) passed (%.1f host s, %.1f "
+                "scenarios/s)\n", specs.size(), host_s, rate);
     return 0;
   }
-  std::printf("[cellcheck] %d failing scenario(s)\n", failures);
+  std::printf("[cellcheck] %d failing scenario(s) (%.1f host s, %.1f "
+              "scenarios/s)\n", failures, host_s, rate);
   return 1;
 }
 

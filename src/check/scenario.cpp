@@ -391,6 +391,14 @@ ScenarioSpec spec_from_json(const std::string& text) {
   spec.serve_budget = optional_number(doc, "serve_budget", 8);
   spec.serve_batch = optional_number(doc, "serve_batch", 2);
   spec.serve_tight = optional_bool(doc, "serve_tight", false);
+  // run_serve has no streamed window, spare-SPE probe or scaling check,
+  // so a serve spec asking for one would pass without it ever running.
+  if (spec.serve && (spec.stream_batch > 0 || spec.fault_kind != -1 ||
+                     spec.scaling_probe)) {
+    throw cellport::ConfigError(
+        "scenario JSON: 'serve' runs no stream_batch, fault_kind or "
+        "scaling_probe");
+  }
   const JsonValue* images = doc.find("images");
   if (images == nullptr || !images->is_array()) {
     throw cellport::ConfigError("scenario JSON: missing 'images'");

@@ -182,146 +182,6 @@ AnalysisResult CellEngine::collect(ImagePlan& p) {
   return result;
 }
 
-// ---- cellfeed: SPE-resident ingest of PPM carriers ----
-//
-// The paper's strategy applied to the last PPE-serial stage: the bytes
-// of a raw frame never cross the PPE. The header is parsed there (it is
-// a handful of bytes and decides the geometry); the packed pixel rows
-// are gathered by DMA lists, shifted/unpacked, and scattered as whole
-// destination rows by the feed kernel, with the image's rows split
-// across the scenario's detect-side SPEs — which are idle during every
-// schedule's decode phase, including the stream's decode-ahead overlap.
-
-void CellEngine::ingest(const img::SicEncoded& image, ImagePlan& p) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  p.degraded.clear();
-  p.pixels = img::RgbImage();  // the last image dies before the next decodes
-  if (feed_ && img::is_ppm(image)) {
-    // The strict shared parser: a malformed header throws the exact
-    // IoError the PPE decode path throws (accept/reject is identical).
-    img::PpmHeader hdr =
-        img::parse_p6_header(image.bytes.data(), image.bytes.size());
-    const std::size_t row_bytes = static_cast<std::size_t>(hdr.width) * 3;
-    const std::size_t payload =
-        row_bytes * static_cast<std::size_t>(hdr.height);
-    if (hdr.pixel_offset + payload > image.bytes.size()) {
-      throw cellport::IoError("truncated P6 pixel data");
-    }
-    const std::size_t stride = cellport::round_up(row_bytes, 16);
-    // Feed eligibility: one list element per row (the MFC 16KiB cap
-    // bounds both the widened gather window and the scatter stride), and
-    // the carrier must keep >= 15 readable bytes on both sides of the
-    // payload because gather windows anchor on enclosing 16-byte
-    // boundaries (img::ppm_encode guarantees the slack; hand-built
-    // carriers without it decode on the PPE).
-    const bool fits_list =
-        cellport::round_up(row_bytes + 15, 16) <= sim::Mfc::kMaxTransfer &&
-        stride <= sim::Mfc::kMaxTransfer;
-    const bool slack =
-        hdr.pixel_offset >= 15 &&
-        image.bytes.size() >= hdr.pixel_offset + payload + 15;
-    if (fits_list && slack) {
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kDecode, ppe,
-                              "feed_header");
-        // Raw frames are memory-resident producer buffers: no file
-        // open, and only the header bytes ever touch the PPE.
-        ppe.charge_io(hdr.pixel_offset, /*open_file=*/false);
-        ppe.charge(sim::OpClass::kIntAlu, 32);  // token scan
-      }
-      p.pixels = img::RgbImage(hdr.width, hdr.height);
-      feed_image(image, hdr, p);
-      return;
-    }
-  }
-  probe::ProbeSpan span(prt(), probe::Phase::kDecode, ppe, "sic_decode");
-  ppe.charge_io(image.bytes.size(), /*open_file=*/true);
-  p.pixels = img::sic_decode(image, &ppe);
-}
-
-void CellEngine::feed_image(const img::SicEncoded& image,
-                            const img::PpmHeader& hdr, ImagePlan& p) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  probe::ProbeSpan span(prt(), probe::Phase::kFeedDma, ppe, "feed_dma");
-  img::RgbImage& dst = p.pixels;
-  const std::size_t n = detect_lanes();
-  if (feed_msgs_.size() < n) {
-    feed_msgs_ = std::vector<port::WrappedMessage<kernels::FeedMsg>>(n);
-  }
-  const std::vector<shard::Range> rows =
-      shard::split_rows(hdr.height, static_cast<int>(n));
-  const auto src_ea = reinterpret_cast<std::uint64_t>(image.bytes.data() +
-                                                      hdr.pixel_offset);
-  const sim::SimTime sent = ppe.now_ns();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (rows[j].empty()) continue;
-    ppe.charge(sim::OpClass::kStore, 10);
-    kernels::FeedMsg& m = *feed_msgs_[j];
-    m.src_ea = src_ea;
-    m.dst_ea = reinterpret_cast<std::uint64_t>(dst.data());
-    m.width = hdr.width;
-    m.height = hdr.height;
-    m.dst_stride = dst.stride();
-    m.buffering = kernels::kTripleBuffer;
-    m.row_begin = rows[j].begin;
-    m.row_end = rows[j].end;
-    m.rows_per_tile = 0;
-    detect_lane(j).send(static_cast<int>(kernels::SPU_Run_Feed),
-                        feed_msgs_[j].ea());
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    if (rows[j].empty()) continue;
-    const std::string tag = "feed[" + std::to_string(j) + "]";
-    bool ok = true;
-    try {
-      ok = settle(detect_lane(j), tag, [] {}).ok;
-    } catch (const cellport::Error&) {
-      ok = false;  // plain lane fault: this lane's rows fall to the PPE
-    }
-    rt_.add_spe_span(probe::Phase::kFeedDma, tag, sent, ppe.now_ns());
-    if (ok) {
-      feed_rows_counter_->add(static_cast<std::uint64_t>(rows[j].count()));
-    } else {
-      feed_fallback_rows(image, hdr, rows[j], p, detect_lane(j).guarded());
-    }
-  }
-  feed_images_counter_->add(1);
-}
-
-void CellEngine::feed_fallback_rows(const img::SicEncoded& image,
-                                    const img::PpmHeader& hdr,
-                                    const shard::Range& rows, ImagePlan& p,
-                                    bool degrade) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  img::RgbImage& dst = p.pixels;
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe, "feed:ingest");
-  const std::size_t row_bytes = static_cast<std::size_t>(hdr.width) * 3;
-  const std::uint8_t* src = image.bytes.data() + hdr.pixel_offset;
-  for (int y = rows.begin; y < rows.end; ++y) {
-    std::memcpy(dst.row(y), src + static_cast<std::size_t>(y) * row_bytes,
-                row_bytes);
-  }
-  // The same per-chunk touch cost the PPE decode path charges for these
-  // rows (the destination pads are already zero: AlignedBuffer
-  // value-initializes, matching the kernel's explicit pad memset).
-  const auto chunks = static_cast<std::uint64_t>(
-      (row_bytes * static_cast<std::size_t>(rows.count()) + 15) / 16);
-  ppe.charge(sim::OpClass::kLoad, chunks);
-  ppe.charge(sim::OpClass::kStore, chunks);
-  ppe.charge(sim::OpClass::kIntAlu,
-             static_cast<std::uint64_t>(rows.count()) * 2);
-  feed_fallback_counter_->add(1);
-  if (degrade) {
-    p.degraded.push_back("feed:ingest");
-    fallback_counter_->add(1);
-    if (ppe.trace_on()) {
-      ppe.trace_track()->instant(trace::Category::kRuntime,
-                                 "ppe_fallback:feed:ingest", ppe.now_ns(),
-                                 "count", fallback_counter_->value());
-    }
-  }
-}
-
 AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
   sim::ScalarContext& ppe = machine_.ppe();
   if (probe_ != nullptr) rt_.start("analyze", ppe.now_ns());
@@ -340,7 +200,8 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
   }
   {
     port::Profiler::Scope probe(profiler_, kPhasePreprocess);
-    ingest(image, plan_);
+    build_ingest(image, plan_);
+    run_ingest(plan_);
   }
   QuiesceOnUnwind quiesce_on_unwind(*this);
   {
@@ -430,12 +291,43 @@ void CellEngine::send(Task& t, sim::SimTime wave_ns) {
 
 Lane::Result CellEngine::finish(ImagePlan& p, Task& t, Lane& lane,
                                 int image) {
+  sim::ScalarContext& ppe = machine_.ppe();
   const std::string tag = task_tag(t, image);
-  const Lane::Result r = settle(lane, tag, [&] { fallback(p, t, image); });
-  rt_.add_spe_span(t.kind < TaskKind::kDetect ? probe::Phase::kExtract
-                                              : probe::Phase::kDetect,
-                   tag, t.sent_ns, machine_.ppe().now_ns());
+  const bool feed = t.kind == TaskKind::kFeed;
+  const sim::SimTime t0 = ppe.now_ns();
+  Lane::Result r;
+  try {
+    r = lane.finish();
+  } catch (const cellport::Error&) {
+    if (!feed) throw;  // a plain feed lane's rows fall to the PPE instead
+  }
+  if (r.attempts > 1) {
+    rt_.add_closed(probe::Phase::kGuardRetry, tag, t0, ppe.now_ns());
+  }
+  if (!r.ok && !feed) fallback(p, t, image);
+  rt_.add_spe_span(feed                        ? probe::Phase::kFeedDma
+                   : t.kind < TaskKind::kDetect ? probe::Phase::kExtract
+                                                : probe::Phase::kDetect,
+                   tag, t.sent_ns, ppe.now_ns());
+  if (!r.ok && feed) fallback(p, t, image);
   return r;
+}
+
+void CellEngine::run_ingest(ImagePlan& p) {
+  if (p.ingest.tasks.empty()) return;
+  sim::ScalarContext& ppe = machine_.ppe();
+  probe::ProbeSpan span(prt(), probe::Phase::kFeedDma, ppe, "feed_dma");
+  const sim::SimTime wave = ppe.now_ns();
+  for (Task& t : p.ingest.tasks) {
+    ppe.charge(sim::OpClass::kStore, 10);  // the FeedMsg fill
+    send(t, wave);
+  }
+  for (Task& t : p.ingest.tasks) {
+    if (finish(p, t, lanes_[static_cast<std::size_t>(t.lane)], -1).ok) {
+      feed_rows_counter_->add(static_cast<std::uint64_t>(t.range.count()));
+    }
+  }
+  feed_images_counter_->add(1);
 }
 
 void CellEngine::extract(ImagePlan& p, bool overlap_detect) {
@@ -556,6 +448,8 @@ std::string CellEngine::task_tag(const Task& t, int image) const {
       return "cd:" + name;
     case TaskKind::kBlock:
       return "cd[" + j + "]:" + name;
+    case TaskKind::kFeed:
+      return "feed[" + j + "]";
   }
   return name;
 }
@@ -576,7 +470,7 @@ void CellEngine::fallback(ImagePlan& p, const Task& t, int image) {
       ppe.charge(sim::OpClass::kStore, static_cast<std::uint64_t>(slot.dim));
       std::memcpy(ps.out.data(), fv.values.data(),
                   static_cast<std::size_t>(slot.dim) * sizeof(float));
-      note_degraded("extract", t.slot, p);
+      note_degraded("extract:" + name, p);
       return;
     }
     case TaskKind::kShard: {
@@ -584,7 +478,7 @@ void CellEngine::fallback(ImagePlan& p, const Task& t, int image) {
       probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
                             "shard:" + name);
       shard::ppe_partial(t.slot, p.pixels, t.range, t.out, &ppe);
-      note_degraded("shard", t.slot, p);
+      note_degraded("shard:" + name, p);
       return;
     }
     case TaskKind::kFused: {
@@ -596,7 +490,9 @@ void CellEngine::fallback(ImagePlan& p, const Task& t, int image) {
                                                      : "fuse[" + j + "]");
       shard::ppe_partial_fused(p.pixels, t.range,
                                static_cast<std::uint8_t*>(t.out), &ppe);
-      for (int s = 0; s < 4; ++s) note_degraded("fuse", s, p);
+      for (const FeatureSlot& f : slots_) {
+        note_degraded(std::string("fuse:") + f.name, p);
+      }
       return;
     }
     case TaskKind::kDetect: {
@@ -618,7 +514,7 @@ void CellEngine::fallback(ImagePlan& p, const Task& t, int image) {
                                  static_cast<std::size_t>(ps.scored));
       std::memcpy(ps.scores.data(), scores.values.data(),
                   copy * sizeof(double));
-      note_degraded("detect", t.slot, p);
+      note_degraded("detect:" + name, p);
       return;
     }
     case TaskKind::kBlock: {
@@ -626,14 +522,41 @@ void CellEngine::fallback(ImagePlan& p, const Task& t, int image) {
                             "detect:" + name);
       shard::ppe_detect_block(ps.out.data(), slot.dim, *slot.set, t.range,
                               static_cast<double*>(t.out), &ppe);
-      note_degraded("detect", t.slot, p);
+      note_degraded("detect:" + name, p);
+      return;
+    }
+    case TaskKind::kFeed: {
+      // The bytes the kernel would unpack, charged per 16-byte chunk like
+      // the PPE decode of these rows (the destination pads are already
+      // zero: AlignedBuffer value-initializes, matching the kernel's
+      // explicit pad memset). Only a guarded lane's rows count as
+      // degraded.
+      probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                            "feed:ingest");
+      const auto& m = *reinterpret_cast<const kernels::FeedMsg*>(t.msg_ea);
+      const auto* src = reinterpret_cast<const std::uint8_t*>(m.src_ea);
+      const std::size_t row_bytes = static_cast<std::size_t>(m.width) * 3;
+      for (int y = t.range.begin; y < t.range.end; ++y) {
+        std::memcpy(p.pixels.row(y),
+                    src + static_cast<std::size_t>(y) * row_bytes, row_bytes);
+      }
+      const auto chunks = static_cast<std::uint64_t>(
+          (row_bytes * static_cast<std::size_t>(t.range.count()) + 15) / 16);
+      ppe.charge(sim::OpClass::kLoad, chunks);
+      ppe.charge(sim::OpClass::kStore, chunks);
+      ppe.charge(sim::OpClass::kIntAlu,
+                 static_cast<std::uint64_t>(t.range.count()) * 2);
+      feed_fallback_counter_->add(1);
+      if (lanes_[static_cast<std::size_t>(t.lane)].guarded()) {
+        note_degraded("feed:ingest", p);
+      }
       return;
     }
   }
 }
 
-void CellEngine::note_degraded(const char* stage, int s, ImagePlan& p) {
-  p.degraded.push_back(std::string(stage) + ":" + slots_[s].name);
+void CellEngine::note_degraded(std::string what, ImagePlan& p) {
+  p.degraded.push_back(std::move(what));
   fallback_counter_->add(1);
   sim::ScalarContext& ppe = machine_.ppe();
   if (ppe.trace_on()) {
@@ -754,18 +677,14 @@ void CellEngine::set_cache(std::size_t byte_budget) {
   m.gauge("cache.entries").set(0);
 }
 
-std::uint64_t CellEngine::cache_digest(const img::SicEncoded& image) {
-  // The FNV-1a pass is byte-serial on the PPE, over the ENCODED carrier
-  // (no decode needed to recognize a duplicate).
-  machine_.ppe().charge(sim::OpClass::kIntAlu, image.bytes.size());
-  return balance::fnv1a64(image.bytes.data(), image.bytes.size());
-}
-
 bool CellEngine::cache_try_serve(const img::SicEncoded& image,
                                  AnalysisResult* out, std::uint64_t* key) {
   sim::ScalarContext& ppe = machine_.ppe();
   probe::ProbeSpan span(prt(), probe::Phase::kCache, ppe, "cache_lookup");
-  *key = cache_digest(image);
+  // The FNV-1a pass is byte-serial on the PPE, over the ENCODED carrier
+  // (no decode needed to recognize a duplicate).
+  ppe.charge(sim::OpClass::kIntAlu, image.bytes.size());
+  *key = balance::fnv1a64(image.bytes.data(), image.bytes.size());
   const AnalysisResult* hit = cache_->find(*key);
   if (hit == nullptr) {
     cache_miss_counter_->add(1);

@@ -29,7 +29,6 @@
 #include "guard/guarded_interface.h"
 #include "guard/policy.h"
 #include "img/codec.h"
-#include "img/ppm.h"
 #include "kernels/messages.h"
 #include "port/message.h"
 #include "learn/model_store.h"
@@ -155,12 +154,14 @@ class CellEngine {
   /// cellfeed: with the knob on, PPM-carrier images (img::ppm_encode)
   /// are ingested by the SPE feed kernels — the PPE parses only the
   /// header, and the packed pixel rows stream main memory -> LS -> image
-  /// planes through DMA lists riding the scenario's detect-side SPEs
-  /// (the ones idle during every schedule's decode phase, including the
-  /// streaming decode-ahead overlap). SIC2 carriers, carriers
-  /// without the encoder's alignment slack, and rows too wide for one
-  /// list element keep the legacy PPE decode. A failed feed lane's rows
-  /// are unpacked on the PPE instead; a guarded lane also records it as
+  /// planes through DMA lists. The rows are the plan's ingest stage: one
+  /// kFeed task per detection lane's row range (the lanes idle during
+  /// every schedule's decode phase, including the streaming decode-ahead
+  /// overlap), sent and settled call by call on both dispatch paths.
+  /// SIC2 carriers, carriers without the encoder's alignment slack, and
+  /// rows too wide for one list element keep the legacy PPE decode. A
+  /// failed feed lane's rows are copied on the PPE instead (its task's
+  /// fallback, plain lanes included); a guarded lane also records it as
   /// degraded "feed:ingest". Off (the default) decodes every carrier on
   /// the PPE.
   void set_feed(bool on) { feed_ = on; }
@@ -265,27 +266,17 @@ class CellEngine {
   };
   void quiesce() noexcept;
 
-  /// Completes `lane`'s pending call. A guard retry is recorded as a
-  /// kGuardRetry span named `tag`, and a failed verdict runs `fallback`
-  /// (the PPE path for the lane's work). A plain lane's fault throws.
-  template <class Fallback>
-  Lane::Result settle(Lane& lane, const std::string& tag,
-                      Fallback&& fallback) {
-    const sim::SimTime t0 = machine_.ppe().now_ns();
-    Lane::Result r = lane.finish();
-    if (r.attempts > 1) {
-      rt_.add_closed(probe::Phase::kGuardRetry, tag, t0,
-                     machine_.ppe().now_ns());
-    }
-    if (!r.ok) fallback();
-    return r;
-  }
-
   // ---- cellexec: the plan builder (plan.cpp) ----
   /// Sizes a plan's per-slot buffers and messages and builds its
   /// detection stage (fixed per engine: it depends only on the model
   /// sets, clamped to `max_models` when non-zero, and the scenario).
   void init_plan(ImagePlan& p, int max_models);
+  /// Decode-or-feed front end: restarts `p.degraded` and either decodes
+  /// `image` into `p.pixels` on the PPE, or (feed on, eligible PPM
+  /// carrier) parses its header, sizes `p.pixels` and builds the ingest
+  /// stage. With feed off (or an ineligible carrier) it charges exactly
+  /// what the legacy decode path charged.
+  void build_ingest(const img::SicEncoded& image, ImagePlan& p);
   /// Fills the slot messages for `p.pixels` and builds the extraction
   /// stage of the engine's strategy. Throws ConfigError for a fused or
   /// balanced image below 16x16, exactly like the TX kernel (a fused
@@ -299,10 +290,15 @@ class CellEngine {
   // ---- cellexec: the per-call executor and the steps both share ----
   /// Sends `t` on its lane; range calls time their span from `wave_ns`.
   void send(Task& t, sim::SimTime wave_ns);
-  /// Settles `t`'s call on `lane` (its fallback on a failed verdict) and
-  /// records its SPE span. `image` is its stream window position (-1 per
-  /// call); it only names stolen tasks.
+  /// Settles `t`'s call on `lane` (a guard retry recorded as a
+  /// kGuardRetry span), records its SPE span and runs its fallback on a
+  /// failed verdict. A plain lane's fault throws, except a feed lane's,
+  /// whose rows fall to the PPE after its span closes. `image` is its
+  /// stream window position (-1 per call); it only names stolen tasks.
   Lane::Result finish(ImagePlan& p, Task& t, Lane& lane, int image);
+  /// Runs the ingest stage under one feed_dma span: sends every feed
+  /// task, then settles each.
+  void run_ingest(ImagePlan& p);
   /// Per-call extraction: send every task, settle each (kMultiSPE2
   /// per-feature sends slot s's detection as soon as its extraction
   /// settles, when `overlap_detect`), or the steal loop.
@@ -318,10 +314,12 @@ class CellEngine {
   AnalysisResult collect(ImagePlan& p);
   /// The task's span and retry tag.
   std::string task_tag(const Task& t, int image) const;
-  /// The PPE path for a task whose guarded lane gave up, recorded as
-  /// degraded.
+  /// The PPE path for a task whose guarded lane gave up (or, for a feed
+  /// task, whose plain lane faulted), recorded as degraded when the lane
+  /// is guarded.
   void fallback(ImagePlan& p, const Task& t, int image);
-  void note_degraded(const char* stage, int s, ImagePlan& p);
+  /// Records `what` ("stage:feature") as a PPE fallback of `p`.
+  void note_degraded(std::string what, ImagePlan& p);
   /// cellbalance: arms every fused lane with one pool task, then steals:
   /// peeks every in-flight completion, settles the earliest lane and
   /// hands it the next task until the pool drains. Returns the guard
@@ -330,29 +328,10 @@ class CellEngine {
   std::size_t steal_drain(StealPool& pool);
   void steal_issue(StealPool& pool, std::size_t k);
 
-  // ---- cellfeed paths (no-ops unless set_feed(true)) ----
-  /// Decode-or-feed front end shared by analyze() and
-  /// StreamEngine::prepare_window: decodes `image` into `p.pixels` and
-  /// restarts `p.degraded`. With feed off (or an ineligible carrier) it
-  /// charges exactly what the legacy decode path charged.
-  void ingest(const img::SicEncoded& image, ImagePlan& p);
-  /// The SPE half of ingest(): splits `hdr`'s rows across the detection
-  /// lanes, sends SPU_Run_Feed, and waits under the FeedDMA probe phase.
-  void feed_image(const img::SicEncoded& image, const img::PpmHeader& hdr,
-                  ImagePlan& p);
-  /// PPE fallback for one lane's row range (the lane faulted or its guard
-  /// gave up): bit-identical bytes to the SPE unpack. `degrade` records
-  /// it (guarded lanes).
-  void feed_fallback_rows(const img::SicEncoded& image,
-                          const img::PpmHeader& hdr,
-                          const shard::Range& rows, ImagePlan& p,
-                          bool degrade);
-
   // ---- cellbalance cache (no-ops unless set_cache(>0)) ----
   bool cache_on() const { return cache_ != nullptr && cache_->enabled(); }
-  /// FNV-1a64 over the encoded carrier bytes, charged to the PPE.
-  std::uint64_t cache_digest(const img::SicEncoded& image);
-  /// Lookup front end shared by every cached path: digests `image`,
+  /// Lookup front end shared by every cached path: digests `image`
+  /// (FNV-1a64 over the encoded carrier bytes, charged to the PPE),
   /// probes the cache under a kCache span and bumps the hit/miss
   /// counters. On a hit, copies the value into `*out` (charged like
   /// collect()) and returns true; on a miss, stores the digest in
@@ -399,7 +378,6 @@ class CellEngine {
 
   // cellfeed state.
   bool feed_ = false;
-  std::vector<port::WrappedMessage<kernels::FeedMsg>> feed_msgs_;
   trace::Counter* feed_images_counter_ = nullptr;
   trace::Counter* feed_rows_counter_ = nullptr;
   trace::Counter* feed_fallback_counter_ = nullptr;

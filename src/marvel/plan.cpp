@@ -1,10 +1,11 @@
-// cellexec: the plan builder — the only code that knows how each
-// extraction strategy splits an image and how each scenario routes
-// detection.
+// cellexec: the plan builder — the only code that knows how an image is
+// ingested, how each extraction strategy splits it and how each scenario
+// routes detection.
 #include <algorithm>
 
 #include "balance/steal.h"
 #include "features/texture.h"
+#include "img/ppm.h"
 #include "marvel/cell_engine.h"
 #include "support/error.h"
 
@@ -14,6 +15,7 @@ void CellEngine::init_plan(ImagePlan& p, int max_models) {
   const bool sharded = scenario_ == Scenario::kSharded;
   const std::size_t d = detect_lanes();
   const auto spu_run = static_cast<int>(kernels::SPU_Run);
+  p.feed_msgs = std::vector<port::WrappedMessage<kernels::FeedMsg>>(d);
   for (int s = 0; s < 4; ++s) {
     const FeatureSlot& slot = slots_[s];
     ImagePlan::Slot& ps = p.slots[s];
@@ -61,12 +63,82 @@ void CellEngine::init_plan(ImagePlan& p, int max_models) {
            ps.block_msgs[b].ea(), ps.block_scores[b].data()});
     }
   }
-  for (int k = detect_begin_; k < static_cast<int>(lanes_.size()); ++k) {
-    if (std::any_of(p.detect.tasks.begin(), p.detect.tasks.end(),
-                    [k](const Task& t) { return t.lane == k; })) {
-      p.detect.lanes.push_back({k, 0});
+}
+
+// ---- cellfeed: SPE-resident ingest of PPM carriers ----
+//
+// The paper's strategy applied to the last PPE-serial stage: the bytes
+// of a raw frame never cross the PPE. The header is parsed there (it is
+// a handful of bytes and decides the geometry); the packed pixel rows
+// are gathered by DMA lists, shifted/unpacked, and scattered as whole
+// destination rows by the feed kernel, with the image's rows split
+// across the scenario's detect-side SPEs — which are idle during every
+// schedule's decode phase, including the stream's decode-ahead overlap.
+
+void CellEngine::build_ingest(const img::SicEncoded& image, ImagePlan& p) {
+  sim::ScalarContext& ppe = machine_.ppe();
+  p.degraded.clear();
+  p.ingest.tasks.clear();
+  p.pixels = img::RgbImage();  // the last image dies before the next decodes
+  if (feed_ && img::is_ppm(image)) {
+    // The strict shared parser: a malformed header throws the exact
+    // IoError the PPE decode path throws (accept/reject is identical).
+    const img::PpmHeader hdr =
+        img::parse_p6_header(image.bytes.data(), image.bytes.size());
+    const std::size_t row_bytes = static_cast<std::size_t>(hdr.width) * 3;
+    const std::size_t payload =
+        row_bytes * static_cast<std::size_t>(hdr.height);
+    if (hdr.pixel_offset + payload > image.bytes.size()) {
+      throw cellport::IoError("truncated P6 pixel data");
+    }
+    // Feed eligibility: one list element per row (the MFC 16KiB cap
+    // bounds the widened gather window, and with it the scatter stride),
+    // and the carrier must keep >= 15 readable bytes on both sides of the
+    // payload because gather windows anchor on enclosing 16-byte
+    // boundaries (img::ppm_encode guarantees the slack; hand-built
+    // carriers without it decode on the PPE).
+    const bool fits_list =
+        cellport::round_up(row_bytes + 15, 16) <= sim::Mfc::kMaxTransfer;
+    const bool slack =
+        hdr.pixel_offset >= 15 &&
+        image.bytes.size() >= hdr.pixel_offset + payload + 15;
+    if (fits_list && slack) {
+      {
+        probe::ProbeSpan span(prt(), probe::Phase::kDecode, ppe,
+                              "feed_header");
+        // Raw frames are memory-resident producer buffers: no file
+        // open, and only the header bytes ever touch the PPE.
+        ppe.charge_io(hdr.pixel_offset, /*open_file=*/false);
+        ppe.charge(sim::OpClass::kIntAlu, 32);  // token scan
+      }
+      p.pixels = img::RgbImage(hdr.width, hdr.height);
+      // One task per detection lane's row range (its 10 message stores
+      // are charged right before its send).
+      const std::vector<shard::Range> rows = shard::split_rows(
+          hdr.height, static_cast<int>(p.feed_msgs.size()));
+      for (std::size_t j = 0; j < rows.size(); ++j) {
+        if (rows[j].empty()) continue;
+        *p.feed_msgs[j] = {
+            .src_ea = reinterpret_cast<std::uint64_t>(image.bytes.data() +
+                                                      hdr.pixel_offset),
+            .dst_ea = reinterpret_cast<std::uint64_t>(p.pixels.data()),
+            .width = hdr.width,
+            .height = hdr.height,
+            .dst_stride = p.pixels.stride(),
+            .row_begin = rows[j].begin,
+            .row_end = rows[j].end};
+        const auto index = static_cast<int>(j);
+        p.ingest.tasks.push_back(
+            {TaskKind::kFeed, 0, index, detect_begin_ + index,
+             static_cast<int>(kernels::SPU_Run_Feed), rows[j],
+             p.feed_msgs[j].ea(), p.pixels.data()});
+      }
+      return;
     }
   }
+  probe::ProbeSpan span(prt(), probe::Phase::kDecode, ppe, "sic_decode");
+  ppe.charge_io(image.bytes.size(), /*open_file=*/true);
+  p.pixels = img::sic_decode(image, &ppe);
 }
 
 void CellEngine::build_plan(ImagePlan& p) {
@@ -85,9 +157,7 @@ void CellEngine::build_plan(ImagePlan& p) {
     m.out_ea = reinterpret_cast<std::uint64_t>(p.slots[s].out.data());
     m.out_count = slots_[s].dim;
   }
-  Stage& x = p.extract;
-  x.tasks.clear();
-  x.lanes.clear();
+  p.extract.tasks.clear();
   p.msgs_filled = 0;
   p.stolen = balanced_;
   const int h = pixels.height();
@@ -106,14 +176,6 @@ void CellEngine::build_plan(ImagePlan& p) {
                 balanced_ ? balance::split_tasks(h, lanes)
                           : shard::split_fused(h, lanes),
                 TaskKind::kFused, 0, balanced_);
-    // A static split leaves a lane idle when its range is empty (an image
-    // of fewer Haar tiles than lanes); the steal loop drives every lane.
-    const std::vector<shard::Range>& rows = p.slots[0].rows;
-    for (int k = 0; k < lanes; ++k) {
-      if (balanced_ || !rows[static_cast<std::size_t>(k)].empty()) {
-        x.lanes.push_back({k, 0});
-      }
-    }
     return;
   }
   // Per-feature: one call per slot on its lane. cellshard: the shard
@@ -122,9 +184,6 @@ void CellEngine::build_plan(ImagePlan& p) {
   p.partials = sharded ? TaskKind::kShard : TaskKind::kFeature;
   for (int s = 0; s < 4; ++s) {
     const FeatureSlot& slot = slots_[s];
-    for (int j = 0; j < slot.lanes; ++j) {
-      x.lanes.push_back({slot.first_lane + j, s});
-    }
     if (sharded) {
       plan_ranges(p, s,
                   s == shard::kSlotTx ? shard::split_tiles(h, slot.lanes)
@@ -133,7 +192,7 @@ void CellEngine::build_plan(ImagePlan& p) {
       continue;
     }
     ImagePlan::Slot& ps = p.slots[s];
-    x.tasks.push_back({TaskKind::kFeature, s, 0, slot.first_lane,
+    p.extract.tasks.push_back({TaskKind::kFeature, s, 0, slot.first_lane,
                        extract_opcode(slot), {0, h}, ps.msg.ea(),
                        ps.out.data()});
   }

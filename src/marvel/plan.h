@@ -3,12 +3,18 @@
 // The paper's Eq. 3 models a request as G groups of parallel kernel
 // calls, each dispatched the same way (Section 3.3, Listing 4): fill the
 // messages, call the stubs, wait. A plan is that model made concrete —
-// two short task lists, extraction then detection, plus the storage the
-// tasks read and write. The per-feature, sharded, fused and balanced
-// strategies differ only in how CellEngine::build_plan splits the image
-// into tasks (reduce ∘ map over row splits); CellEngine::analyze runs a
-// plan call by call and StreamEngine runs a window of plans over the
-// command rings, and neither knows which strategy built it.
+// three short task lists, ingest, extraction and detection, plus the
+// storage the tasks read and write. Ingest is one more map over row
+// ranges: with the feed knob on, a PPM carrier's rows split across the
+// detection lanes (CellEngine::build_ingest), and both executors run
+// those tasks call by call through the same send/finish as every other
+// stage, their PPE path in fallback(). The per-feature, sharded, fused
+// and balanced strategies differ only in how CellEngine::build_plan
+// splits the image into extraction tasks (reduce ∘ map over row splits);
+// CellEngine::analyze runs a plan call by call and StreamEngine runs a
+// window of plans over the command rings, and neither knows which
+// strategy built it. A stage's lanes are its bound tasks' lanes, so a
+// lane whose range is empty is never driven.
 #pragma once
 
 #include <cstdint>
@@ -27,44 +33,39 @@
 namespace cellport::marvel {
 
 /// What a task computes, which also fixes its PPE fallback. The order
-/// matters: extraction kinds first, detection kinds last.
+/// matters: extraction kinds first, then detection kinds, then ingest.
 enum class TaskKind : std::uint8_t {
   kFeature,  ///< one slot's whole feature vector (ref_extract)
   kShard,    ///< one slot's raw partial over a range (shard::ppe_partial)
   kFused,    ///< all four raw partials over a row range (ppe_partial_fused)
   kDetect,   ///< one slot's scores over its model set (reference_detect)
   kBlock,    ///< one slot's scores over a model block (ppe_detect_block)
+  kFeed,     ///< a PPM carrier's rows over a range (PPE row copy)
 };
 
 /// One kernel call: (lane, opcode, range, message, output, fallback kind).
 struct Task {
   TaskKind kind = TaskKind::kFeature;
-  int slot = 0;   ///< feature slot (kFused: 0)
-  int index = 0;  ///< shard, fused range or model block number
+  int slot = 0;   ///< feature slot (kFused, kFeed: 0)
+  int index = 0;  ///< shard, fused range, model block or feed lane number
   /// Index into CellEngine::lanes_; -1 while unbound (a balanced task
   /// gets the lane that steals it).
   int lane = -1;
   int opcode = 0;
   shard::Range range;  ///< rows, Haar-tile rows or models; never empty
   std::uint64_t msg_ea = 0;
-  void* out = nullptr;  ///< partial blob or score staging the call fills
+  /// Partial blob, score staging or (kFeed) image the call fills.
+  void* out = nullptr;
   /// Start of the call's SPE span: its own send for whole-slot and
-  /// stolen calls, its wave's start for range calls.
+  /// stolen calls, its wave's start for range and feed calls.
   sim::SimTime sent_ns = 0;
 };
 
-/// The tasks of one stage and the lanes the stage drives, in lane order.
-/// A static fused or detection stage lists only lanes that carry a task;
-/// a per-feature or sharded extraction stage lists every lane of its
-/// strategy, and a balanced one every lane that may steal. `group` is
-/// the feature slot a lane's completion is reported under.
+/// The tasks of one stage. The lanes a stage drives are its bound tasks'
+/// lanes, each reported under its task's slot; a balanced stage's tasks
+/// stay unbound, and the steal loop drives every fused lane.
 struct Stage {
-  struct LaneRef {
-    int lane = 0;
-    int group = 0;
-  };
   std::vector<Task> tasks;
-  std::vector<LaneRef> lanes;
 };
 
 /// One image's plan and the storage its tasks run against. Storage is
@@ -94,8 +95,12 @@ struct ImagePlan {
   /// PPE fallbacks taken for this image, in order ("stage:feature").
   std::vector<std::string> degraded;
   Slot slots[4];
+  /// kFeed tasks; empty when the PPE decoded the image.
+  Stage ingest;
   Stage extract;
   Stage detect;
+  /// One feed message per detection lane.
+  std::vector<port::WrappedMessage<kernels::FeedMsg>> feed_msgs;
   /// What the extraction tasks produce: kFeature (final vectors), or
   /// kShard/kFused partials that CellEngine::reduce merges.
   TaskKind partials = TaskKind::kFeature;

@@ -32,59 +32,6 @@ StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
   }
 }
 
-port::SPEInterface* StreamEngine::ensure_ring(port::SPEInterface* iface,
-                                              std::uint32_t cap) {
-  if (iface == nullptr) return nullptr;
-  if (cap < 2) cap = 2;
-  if (!iface->ring_configured()) {
-    iface->set_ring_capacity(cap);
-  } else if (iface->ring_capacity() < cap) {
-    throw cellport::ConfigError(
-        "stream ring smaller than the window needs");
-  }
-  return iface;
-}
-
-template <class Fallback>
-void StreamEngine::rerun(Lane& lane, int opcode, std::uint64_t ea,
-                         const std::string& tag, Fallback&& fallback) {
-  ++stats_.request_retries;
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  const sim::SimTime retry_t0 = ppe.now_ns();
-  Lane::Result r = lane.call(opcode, ea);
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry, tag, retry_t0,
-                         ppe.now_ns());
-  if (!r.ok) fallback();
-}
-
-template <class Rerun>
-void StreamEngine::wait_ring(Lane& lane, std::size_t n, const char* stage,
-                             Rerun&& rerun_one) {
-  port::SPEInterface* iface = lane.iface();
-  if (iface == nullptr) {
-    // Guarded lane with every candidate SPE quarantined: the guard's
-    // per-call loop still yields verdicts, which drop to the PPE.
-    for (std::size_t i = 0; i < n; ++i) rerun_one(i);
-    return;
-  }
-  std::vector<int> res;
-  const sim::SimTime timeout =
-      guard_deadline_ns_ > 0
-          ? guard_deadline_ns_ * static_cast<sim::SimTime>(n)
-          : -1;
-  if (!iface->WaitBatch(&res, timeout)) {
-    ++stats_.batch_timeouts;
-    iface->reclaim();
-    for (std::size_t i = 0; i < n; ++i) rerun_one(i);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (res[i] != port::SPEInterface::kRingFault) continue;
-    if (!lane.guarded()) throw_ring_fault(stage, iface);
-    rerun_one(i);
-  }
-}
-
 std::size_t StreamEngine::window_begin(std::size_t w) const {
   return w * static_cast<std::size_t>(opts_.batch);
 }
@@ -100,24 +47,20 @@ ImagePlan& StreamEngine::at(std::size_t w, std::size_t j) {
 }
 
 void StreamEngine::prepare_window(
-    std::size_t w, const std::vector<const img::SicEncoded*>& images) {
+    std::size_t w, const std::vector<const img::SicEncoded*>& images,
+    const std::vector<std::size_t>& cold) {
   const std::size_t base = window_begin(w);
-  const std::size_t count = window_count(w, images.size());
+  const std::size_t count = window_count(w, cold.size());
   sim::ScalarContext& ppe = engine_.machine_.ppe();
   for (std::size_t j = 0; j < count; ++j) {
     ImagePlan& p = at(w, j);
-    engine_.ingest(*images[base + j], p);
+    engine_.build_ingest(*images[cold[base + j]], p);
+    engine_.run_ingest(p);
     engine_.build_plan(p);
     for (std::uint64_t m = 0; m < p.msgs_filled; ++m) {
       ppe.charge(sim::OpClass::kStore, 4);
     }
   }
-}
-
-int StreamEngine::flush_ring(port::SPEInterface* iface) {
-  int n = iface->FlushBatch();
-  if (n > 0) ++stats_.doorbells;
-  return n;
 }
 
 // ---- the stream executor ----
@@ -148,14 +91,19 @@ void StreamEngine::flush_lane(std::size_t w, std::size_t count,
   const auto on_lane = std::count_if(
       per_image.begin(), per_image.end(),
       [lane](const Task& t) { return t.lane == lane; });
-  const auto cap = static_cast<std::uint32_t>(
-      opts_.batch * std::max<std::ptrdiff_t>(on_lane, 1) *
-      (pipelined_ && stage == &ImagePlan::extract ? 2 : 1));
+  const auto cap = static_cast<std::uint32_t>(std::max<std::ptrdiff_t>(
+      2, opts_.batch * std::max<std::ptrdiff_t>(on_lane, 1) *
+             (pipelined_ && stage == &ImagePlan::extract ? 2 : 1)));
   port::SPEInterface* iface =
-      ensure_ring(engine_.lanes_[static_cast<std::size_t>(lane)].iface(), cap);
+      engine_.lanes_[static_cast<std::size_t>(lane)].iface();
   if (iface == nullptr) return;  // guarded + closed: the wait resolves it
+  if (!iface->ring_configured()) {
+    iface->set_ring_capacity(cap);
+  } else if (iface->ring_capacity() < cap) {
+    throw cellport::ConfigError("stream ring smaller than the window needs");
+  }
   for (const Queued& q : tasks) iface->Enqueue(q.task->opcode, q.task->msg_ea);
-  if (!tasks.empty()) flush_ring(iface);
+  if (!tasks.empty() && iface->FlushBatch() > 0) ++stats_.doorbells;
 }
 
 void StreamEngine::wait_lane(std::size_t w, std::size_t count,
@@ -165,33 +113,63 @@ void StreamEngine::wait_lane(std::size_t w, std::size_t count,
       "extract", "shard extract", "fused extract", "detect", "shard detect"};
   const std::vector<Queued> tasks = queued(w, count, stage, lane);
   if (tasks.empty()) return;
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
   Lane& l = engine_.lanes_[static_cast<std::size_t>(lane)];
-  wait_ring(l, tasks.size(),
-            kStage[static_cast<std::size_t>(tasks[0].task->kind)],
-            [&](std::size_t i) {
-    const Queued& q = tasks[i];
-    rerun(l, q.task->opcode, q.task->msg_ea,
-          engine_.task_tag(*q.task, q.image),
-          [&] { engine_.fallback(*q.plan, *q.task, q.image); });
-  });
+  // Re-runs one request alone through the lane's guard retry loop
+  // (recorded as a kGuardRetry span), dropping to its task's PPE
+  // fallback when the guard gives up.
+  auto rerun = [&](const Queued& q) {
+    ++stats_.request_retries;
+    const std::string tag = engine_.task_tag(*q.task, q.image);
+    const sim::SimTime t0 = ppe.now_ns();
+    const Lane::Result r = l.call(q.task->opcode, q.task->msg_ea);
+    engine_.rt_.add_closed(probe::Phase::kGuardRetry, tag, t0, ppe.now_ns());
+    if (!r.ok) engine_.fallback(*q.plan, *q.task, q.image);
+  };
+  // The batch waits under n times the per-call guard deadline. A guarded
+  // lane with every candidate SPE quarantined (the guard's per-call loop
+  // still yields verdicts) or a missed deadline (the batch is reclaimed)
+  // re-runs all n; a faulted request re-runs alone on a guarded lane and
+  // throws on a plain one.
+  port::SPEInterface* iface = l.iface();
+  std::vector<int> res;
+  const sim::SimTime timeout =
+      guard_deadline_ns_ > 0
+          ? guard_deadline_ns_ * static_cast<sim::SimTime>(tasks.size())
+          : -1;
+  if (iface == nullptr || !iface->WaitBatch(&res, timeout)) {
+    if (iface != nullptr) {
+      ++stats_.batch_timeouts;
+      iface->reclaim();
+    }
+    for (const Queued& q : tasks) rerun(q);
+    return;
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (res[i] != port::SPEInterface::kRingFault) continue;
+    if (!l.guarded()) {
+      throw cellport::Error(
+          std::string("stream ") +
+          kStage[static_cast<std::size_t>(tasks[i].task->kind)] +
+          " fault on '" + iface->module().name() +
+          "': " + iface->module().last_error());
+    }
+    rerun(tasks[i]);
+  }
 }
 
-std::vector<Stage::LaneRef> StreamEngine::extract_lanes(std::size_t w,
-                                                        std::size_t count) {
-  std::vector<Stage::LaneRef> out;
+std::vector<int> StreamEngine::lanes(std::size_t w, std::size_t count,
+                                     Stage ImagePlan::*stage, int group) {
+  std::vector<int> out;
   for (std::size_t j = 0; j < count; ++j) {
-    for (const Stage::LaneRef& l : at(w, j).extract.lanes) {
-      if (std::none_of(out.begin(), out.end(), [&](const Stage::LaneRef& o) {
-            return o.lane == l.lane;
-          })) {
-        out.push_back(l);
+    for (const Task& t : (at(w, j).*stage).tasks) {
+      if (t.lane >= 0 && (group < 0 || t.slot == group)) {
+        out.push_back(t.lane);
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const Stage::LaneRef& a, const Stage::LaneRef& b) {
-              return a.lane < b.lane;
-            });
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -209,8 +187,8 @@ void StreamEngine::flush_extract(std::size_t w, std::size_t count, int s) {
     engine_.steal_arm(pool_);
     return;
   }
-  for (const Stage::LaneRef& l : extract_lanes(w, count)) {
-    if (l.group == s) flush_lane(w, count, &ImagePlan::extract, l.lane);
+  for (int lane : lanes(w, count, &ImagePlan::extract, s)) {
+    flush_lane(w, count, &ImagePlan::extract, lane);
   }
 }
 
@@ -219,8 +197,8 @@ void StreamEngine::wait_extract(std::size_t w, std::size_t count, int s) {
     if (s == 0) stats_.request_retries += engine_.steal_drain(pool_);
     return;
   }
-  for (const Stage::LaneRef& l : extract_lanes(w, count)) {
-    if (l.group == s) wait_lane(w, count, &ImagePlan::extract, l.lane);
+  for (int lane : lanes(w, count, &ImagePlan::extract, s)) {
+    wait_lane(w, count, &ImagePlan::extract, lane);
   }
 }
 
@@ -238,9 +216,9 @@ void StreamEngine::run_detect(std::size_t w, std::size_t count) {
   const bool blocks = p0.detect.tasks.front().kind == TaskKind::kBlock;
   probe::ProbeSpan span(engine_.prt(), probe::Phase::kDetect, ppe,
                         blocks ? "detect_blocks" : "detect");
-  for (const Stage::LaneRef& l : p0.detect.lanes) {
-    flush_lane(w, count, &ImagePlan::detect, l.lane);
-    wait_lane(w, count, &ImagePlan::detect, l.lane);
+  for (int lane : lanes(w, count, &ImagePlan::detect, -1)) {
+    flush_lane(w, count, &ImagePlan::detect, lane);
+    wait_lane(w, count, &ImagePlan::detect, lane);
   }
   if (!blocks) return;
   // Concatenate the staged blocks into each image's score arrays.
@@ -249,23 +227,18 @@ void StreamEngine::run_detect(std::size_t w, std::size_t count) {
   }
 }
 
-void StreamEngine::collect_window(std::size_t w, std::size_t count,
+void StreamEngine::collect_window(std::size_t w,
+                                  const std::vector<std::size_t>& cold,
                                   std::vector<AnalysisResult>* out) {
   sim::ScalarContext& ppe = engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    AnalysisResult result = engine_.collect(at(w, j));
-    stats_.fallbacks += result.degraded.size();
+  const std::size_t base = window_begin(w);
+  for (std::size_t j = 0; j < window_count(w, cold.size()); ++j) {
+    const std::size_t i = cold[base + j];
+    (*out)[i] = engine_.collect(at(w, j));
+    stats_.fallbacks += (*out)[i].degraded.size();
     engine_.note_image_done();
-    completions_.push_back(ppe.now_ns());
-    out->push_back(std::move(result));
+    completions_[i] = ppe.now_ns();
   }
-}
-
-void StreamEngine::throw_ring_fault(const char* stage,
-                                    port::SPEInterface* iface) {
-  throw cellport::Error(std::string("stream ") + stage + " fault on '" +
-                        iface->module().name() +
-                        "': " + iface->module().last_error());
 }
 
 std::vector<AnalysisResult> StreamEngine::run(
@@ -324,8 +297,8 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
   const std::size_t was_cancelled = stats_.cancelled;
   stats_ = StreamStats{};
   stats_.cancelled = was_cancelled;
-  completions_.clear();
-  std::vector<AnalysisResult> results;
+  std::vector<AnalysisResult> results(images.size());
+  completions_.assign(images.size(), 0);
   if (images.empty()) return results;
   sim::ScalarContext& ppe = engine_.machine_.ppe();
   const sim::SimTime t0 = ppe.now_ns();
@@ -339,56 +312,48 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
 
   // cellbalance: content-cache front end. Every queued image is
   // digested up front (inside the stream trace, as kCache spans); hits
-  // are served at lookup time and only the misses run the window loop.
-  // A serve concept clamp (opts_.max_models != 0) scores a prefix of
-  // each model set, so clamped streams bypass the cache entirely rather
-  // than serve or poison full-set entries.
+  // land in their input positions at lookup time and only the misses
+  // (`cold`, by input position) run the window loop, which writes each
+  // result into its own position too. A serve concept clamp
+  // (opts_.max_models != 0) scores a prefix of each model set, so
+  // clamped streams bypass the cache entirely rather than serve or
+  // poison full-set entries.
   const bool caching = engine_.cache_on() && opts_.max_models == 0;
-  std::vector<AnalysisResult> hit_results(caching ? total_in : 0);
-  std::vector<sim::SimTime> hit_done(caching ? total_in : 0, 0);
-  std::vector<char> is_hit(caching ? total_in : 0, 0);
-  std::vector<const img::SicEncoded*> cold;
-  std::vector<std::uint64_t> cold_keys;
-  if (caching) {
-    for (std::size_t i = 0; i < total_in; ++i) {
-      std::uint64_t key = 0;
-      if (engine_.cache_try_serve(*images[i], &hit_results[i], &key)) {
-        is_hit[i] = 1;
-        engine_.note_image_done();
-        hit_done[i] = ppe.now_ns();
-      } else {
-        cold.push_back(images[i]);
-        cold_keys.push_back(key);
-      }
+  std::vector<std::uint64_t> keys(caching ? total_in : 0);
+  std::vector<std::size_t> cold;
+  for (std::size_t i = 0; i < total_in; ++i) {
+    if (caching && engine_.cache_try_serve(*images[i], &results[i], &keys[i])) {
+      engine_.note_image_done();
+      completions_[i] = ppe.now_ns();
+    } else {
+      cold.push_back(i);
     }
-  } else {
-    cold = images;
   }
 
   const std::size_t total = cold.size();
-  results.reserve(total);
   if (total > 0) {
     const std::size_t W =
         (total + static_cast<std::size_t>(opts_.batch) - 1) /
         static_cast<std::size_t>(opts_.batch);
     std::vector<sim::SimTime> win_sent(W, 0);
 
+    auto wait_slot = [&](std::size_t w, int s) {
+      wait_extract(w, window_count(w, total), s);
+      engine_.rt_.add_spe_span(probe::Phase::kExtract,
+                               std::string(engine_.slots_[s].name) + "[w" +
+                                   std::to_string(w) + "]",
+                               win_sent[w], ppe.now_ns());
+    };
     auto wait_window = [&](std::size_t w) {
       probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe,
                             "wait_extract");
-      for (int s = 0; s < 4; ++s) {
-        wait_extract(w, window_count(w, total), s);
-        engine_.rt_.add_spe_span(probe::Phase::kExtract,
-                                 std::string(engine_.slots_[s].name) +
-                                     "[w" + std::to_string(w) + "]",
-                                 win_sent[w], ppe.now_ns());
-      }
+      for (int s = 0; s < 4; ++s) wait_slot(w, s);
     };
     auto retire_window = [&](std::size_t w) {
       run_detect(w, window_count(w, total));
       probe::ProbeSpan span(rt, probe::Phase::kOutput, ppe,
                             "collect_window");
-      collect_window(w, window_count(w, total), &results);
+      collect_window(w, cold, &results);
     };
 
     if (pipelined_) {
@@ -398,7 +363,7 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
         {
           probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,
                                 "prepare_window");
-          prepare_window(w, cold);
+          prepare_window(w, images, cold);
         }
         {
           probe::ProbeSpan span(rt, probe::Phase::kDispatch, ppe,
@@ -424,7 +389,7 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
         {
           probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,
                                 "prepare_window");
-          prepare_window(w, cold);
+          prepare_window(w, images, cold);
         }
         if (engine_.scenario_ == Scenario::kSingleSPE) {
           probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe,
@@ -432,11 +397,7 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
           win_sent[w] = ppe.now_ns();
           for (int s = 0; s < 4; ++s) {
             flush_extract(w, window_count(w, total), s);
-            wait_extract(w, window_count(w, total), s);
-            engine_.rt_.add_spe_span(probe::Phase::kExtract,
-                                     std::string(engine_.slots_[s].name) +
-                                         "[w" + std::to_string(w) + "]",
-                                     win_sent[w], ppe.now_ns());
+            wait_slot(w, s);
           }
         } else {
           {
@@ -458,29 +419,13 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
   if (caching) {
     // Fill the cache with the cold results (degraded ones never enter —
     // a later identical image must see the same guard accounting cold
-    // would give it), then reassemble results and completion stamps in
-    // input order. Hits completed at lookup time, so completion_ns() is
-    // no longer non-decreasing when hits and misses interleave.
-    for (std::size_t c = 0; c < results.size(); ++c) {
-      if (results[c].degraded.empty()) {
-        engine_.cache_store(cold_keys[c], results[c]);
+    // would give it). Hits completed at lookup time, so completion_ns()
+    // is no longer non-decreasing when hits and misses interleave.
+    for (std::size_t i : cold) {
+      if (results[i].degraded.empty()) {
+        engine_.cache_store(keys[i], results[i]);
       }
     }
-    std::vector<AnalysisResult> merged(total_in);
-    std::vector<sim::SimTime> done(total_in, 0);
-    std::size_t c = 0;
-    for (std::size_t i = 0; i < total_in; ++i) {
-      if (is_hit[i] != 0) {
-        merged[i] = std::move(hit_results[i]);
-        done[i] = hit_done[i];
-      } else {
-        merged[i] = std::move(results[c]);
-        done[i] = completions_[c];
-        ++c;
-      }
-    }
-    results = std::move(merged);
-    completions_ = std::move(done);
   }
 
   stats_.images = total_in;

@@ -78,26 +78,6 @@ class StreamEngine {
     int image;
   };
 
-  /// Arms (or re-arms after a guard migration) a ring of >= `cap` slots
-  /// on a lane's stub; null when a guarded lane is currently closed.
-  port::SPEInterface* ensure_ring(port::SPEInterface* iface,
-                                  std::uint32_t cap);
-
-  /// Re-runs one request alone on guarded `lane` through the guard's
-  /// retry loop (recorded as a kGuardRetry span named `tag`), running
-  /// `fallback` — the PPE path for the request — when it gives up.
-  template <class Fallback>
-  void rerun(Lane& lane, int opcode, std::uint64_t ea,
-             const std::string& tag, Fallback&& fallback);
-  /// Collects `lane`'s oldest ring batch of `n` requests under n times
-  /// the per-call guard deadline. A closed lane or a missed deadline
-  /// (the batch is reclaimed) re-runs all n; a faulted request re-runs
-  /// alone on a guarded lane and throws on a plain one. `rerun_one(i)`
-  /// re-runs request i of the batch.
-  template <class Rerun>
-  void wait_ring(Lane& lane, std::size_t n, const char* stage,
-                 Rerun&& rerun_one);
-
   std::size_t window_begin(std::size_t w) const;
   std::size_t window_count(std::size_t w, std::size_t total) const;
   /// Image `j`'s plan in window `w`.
@@ -106,27 +86,34 @@ class StreamEngine {
   /// The shared streaming loop behind run() and drain().
   std::vector<AnalysisResult> run_queue(
       const std::vector<const img::SicEncoded*>& images);
-  /// Decodes window `w`'s images and builds their plans (the PPE-side
-  /// work that overlaps in-flight extraction in the pipelined flow).
+  /// Ingests window `w`'s images (`images` at the input positions
+  /// `cold`) and builds their plans (the PPE-side work that overlaps
+  /// in-flight extraction in the pipelined flow).
   void prepare_window(std::size_t w,
-                      const std::vector<const img::SicEncoded*>& images);
-  int flush_ring(port::SPEInterface* iface);
+                      const std::vector<const img::SicEncoded*>& images,
+                      const std::vector<std::size_t>& cold);
 
   // ---- the stream executor: a window of plans over the lane rings ----
   /// Window `w`'s tasks of `stage` on `lane`, image-major.
   std::vector<Queued> queued(std::size_t w, std::size_t count,
                              Stage ImagePlan::*stage, int lane);
-  /// Arms `lane`'s ring (sized for the window: batch x its tasks per
-  /// image, x2 for a pipelined extraction stage), enqueues the window's
-  /// tasks on it and rings the doorbell if there were any.
+  /// Arms `lane`'s ring, or re-arms it after a guard migration (sized
+  /// for the window: batch x its tasks per image, x2 for a pipelined
+  /// extraction stage, at least 2), enqueues the window's tasks on it and
+  /// rings the doorbell if there were any. A guarded lane that is closed
+  /// is skipped; its wait resolves it.
   void flush_lane(std::size_t w, std::size_t count, Stage ImagePlan::*stage,
                   int lane);
   /// Waits `lane`'s ring batch for window `w`; a faulted request re-runs
-  /// alone, dropping to its task's PPE fallback when the guard gives up.
+  /// alone, dropping to its task's PPE fallback when the guard gives up
+  /// (a guarded lane; a plain one throws).
   void wait_lane(std::size_t w, std::size_t count, Stage ImagePlan::*stage,
                  int lane);
-  /// The extraction lanes any image of window `w` drives, in lane order.
-  std::vector<Stage::LaneRef> extract_lanes(std::size_t w, std::size_t count);
+  /// The lanes window `w`'s bound tasks of `stage` run on (of slot
+  /// `group`, or of every slot when -1), ascending: a lane whose range
+  /// is empty in every image of the window is not driven.
+  std::vector<int> lanes(std::size_t w, std::size_t count,
+                         Stage ImagePlan::*stage, int group);
   /// Dispatches (flush) or completes (wait) window `w`'s extraction on
   /// the lanes reported under slot `s`. Balanced plans arm and drain the
   /// window-wide steal pool in slot 0 instead.
@@ -135,10 +122,10 @@ class StreamEngine {
   /// Merges window `w`'s partials, then runs its detection stage lane
   /// by lane.
   void run_detect(std::size_t w, std::size_t count);
-  void collect_window(std::size_t w, std::size_t count,
+  /// Collects window `w`'s results into their input positions in `out`
+  /// and completion_ns().
+  void collect_window(std::size_t w, const std::vector<std::size_t>& cold,
                       std::vector<AnalysisResult>* out);
-  [[noreturn]] void throw_ring_fault(const char* stage,
-                                     port::SPEInterface* iface);
 
   CellEngine& engine_;
   StreamOptions opts_;

@@ -447,6 +447,51 @@ TEST_F(BalancedEngine, ReplayedStreamServesEntirelyFromCache) {
   EXPECT_EQ(warm.images, data.images.size());
 }
 
+TEST_F(BalancedEngine, DegradedResultsAreNotCached) {
+  // Lane 0's SPE hangs for good, so every image degrades to the PPE on
+  // that lane. A degraded result never enters the cache — a later
+  // identical image must see the guard accounting a cold run gives it —
+  // so the same image misses again, per call and streamed.
+  sim::Machine machine;
+  guard::GuardPolicy guard;
+  guard.enabled = true;
+  guard.retry.deadline_ns = 50e6;
+  sim::FaultInjection f;
+  f.hang_after = 0;
+  f.hang_sticky = true;
+  f.clears_on_restart = false;
+  machine.spe(0).inject_fault(f);
+  CellEngine engine(machine, library_path(), Scenario::kSharded,
+                    kernels::kDoubleBuffer, false, guard);
+  engine.set_balanced(true);
+  engine.set_cache(8 << 20);
+  const std::vector<img::SicEncoded> one = {dataset_->images[0]};
+  EXPECT_FALSE(engine.analyze(one[0]).degraded.empty());
+  EXPECT_FALSE(engine.analyze(one[0]).degraded.empty());
+  EXPECT_FALSE(engine.analyze_stream(one)[0].degraded.empty());
+  EXPECT_FALSE(engine.analyze_stream(one)[0].degraded.empty());
+  EXPECT_EQ(machine.metrics().counter("cache.hits").value(), 0u);
+  EXPECT_EQ(machine.metrics().counter("cache.misses").value(), 4u);
+  EXPECT_EQ(machine.metrics().gauge("cache.entries").value(), 0.0);
+}
+
+TEST_F(BalancedEngine, ConceptClampedStreamsBypassTheCache) {
+  // A clamped stream scores a prefix of each model set, so it neither
+  // serves nor stores full-set entries: the cache counters stay put.
+  Dataset data = make_mixed_size_dataset(4, 31, 70, 0.5);
+  sim::Machine machine;
+  CellEngine engine(machine, library_path(), Scenario::kSharded);
+  engine.set_cache(8 << 20);
+  StreamOptions opts;
+  opts.batch = 2;
+  opts.max_models = 1;
+  engine.analyze_stream(data.images, opts, nullptr);
+  engine.analyze_stream(data.images, opts, nullptr);
+  EXPECT_EQ(machine.metrics().counter("cache.hits").value(), 0u);
+  EXPECT_EQ(machine.metrics().counter("cache.misses").value(), 0u);
+  EXPECT_EQ(machine.metrics().gauge("cache.entries").value(), 0.0);
+}
+
 // ---- report integration ----
 
 TEST(BalanceReport, CacheOnlyRunSuppressesTheDmaListHint) {

@@ -178,6 +178,37 @@ TEST(ScenarioSpecJson, RejectsMalformedSpecs) {
   EXPECT_THROW(spec_from_json(json), Error);
 }
 
+// run_serve has no streamed window, spare-SPE probe or scaling check, so
+// a replayed serve spec that sets one is rejected instead of passing
+// without it.
+ScenarioSpec serve_spec() {
+  ScenarioSpec s;
+  s.mode = Mode::kEngineMulti;
+  s.num_spes = 6;
+  s.serve = true;
+  s.images.push_back({/*kind=*/0, /*seed=*/1, 64, 48, 85});
+  EXPECT_NO_THROW(spec_from_json(spec_to_json(s)));
+  return s;
+}
+
+TEST(ScenarioSpecJson, RejectsServeWithStreamBatch) {
+  ScenarioSpec s = serve_spec();
+  s.stream_batch = 2;
+  EXPECT_THROW(spec_from_json(spec_to_json(s)), ConfigError);
+}
+
+TEST(ScenarioSpecJson, RejectsServeWithFaultKind) {
+  ScenarioSpec s = serve_spec();
+  s.fault_kind = 0;
+  EXPECT_THROW(spec_from_json(spec_to_json(s)), ConfigError);
+}
+
+TEST(ScenarioSpecJson, RejectsServeWithScalingProbe) {
+  ScenarioSpec s = serve_spec();
+  s.scaling_probe = true;
+  EXPECT_THROW(spec_from_json(spec_to_json(s)), ConfigError);
+}
+
 // ---- the runner ----
 
 class CheckRunner : public ::testing::Test {
@@ -279,12 +310,18 @@ TEST_F(CheckRunner, GuardedFusedFaultScenarioPasses) {
   EXPECT_TRUE(out.ok) << out.property << ": " << out.message;
 }
 
-TEST_F(CheckRunner, IdleFusedLanesAreNotArmed) {
+TEST_F(CheckRunner, IdleLanesAreNotArmed) {
   // Guard-matrix seeds 9 and 10 at 500 scenarios, minimized: a 16x16
   // image is one Haar tile, so every fused lane but lane 0 is idle. The
   // scheduled fault sits on an idle lane; arming that lane's ring fired
-  // it with no work to retry (guard.not-exercised). Idle lanes are not
-  // armed, so the fault never fires and the run is the healthy one.
+  // it with no work to retry (guard.not-exercised). A stage's lanes are
+  // its tasks' lanes, so idle lanes are not armed, the fault never fires
+  // and the run is the healthy one. The third spec is the sharded
+  // per-feature stream, which follows the same rule: its fault sits on
+  // the TX shard lane (SPE 5). shard::plan_shards never gives TX a
+  // second shard, and CC has at most 8 shards for an image of at least
+  // 16 rows, so no shard lane of a legal image is idle; the spec pins
+  // that the faulted lane is armed, retried and bit-exact.
   const char* const specs[] = {
       R"({"seed":"1717181361462155540","mode":"engine-single","num_spes":5,)"
       R"("pool_workers":1,"buffering":2,"block_rows":0,"use_naive":false,)"
@@ -300,6 +337,14 @@ TEST_F(CheckRunner, IdleFusedLanesAreNotArmed) {
       R"("scaling_probe":false,"sharded":true,"feed":false,"fused":true,)"
       R"("balanced":false,"cache_kb":0,"guarded":true,"sched_fault":3,)"
       R"("sched_spe":4,"sched_at":0,"serve":false,"serve_tenants":1,)"
+      R"("serve_budget":8,"serve_batch":2,"serve_tight":false,"images":)"
+      R"([{"kind":0,"seed":"1","width":16,"height":16,"quality":85}]})",
+      R"({"seed":"1","mode":"engine-single","num_spes":8,)"
+      R"("pool_workers":1,"buffering":2,"block_rows":0,"use_naive":false,)"
+      R"("stream_batch":1,"kernel":-1,"fault_kind":-1,"replay_twice":false,)"
+      R"("scaling_probe":false,"sharded":true,"feed":false,"fused":false,)"
+      R"("balanced":false,"cache_kb":0,"guarded":true,"sched_fault":3,)"
+      R"("sched_spe":5,"sched_at":0,"serve":false,"serve_tenants":1,)"
       R"("serve_budget":8,"serve_batch":2,"serve_tight":false,"images":)"
       R"([{"kind":0,"seed":"1","width":16,"height":16,"quality":85}]})",
   };

@@ -377,7 +377,7 @@ TEST_F(FeedEngine, NonCarrierInputsIgnoreTheKnob) {
 }
 
 TEST_F(FeedEngine, OverwideRowsFallBackToPpeDecodeSilently) {
-  // 3w+15 over one list element's 16 KiB: ingest() must choose the PPE
+  // 3w+15 over one list element's 16 KiB: build_ingest() must choose the PPE
   // path up front (no kernel attempt, no fallback event) and still
   // decode correctly.
   img::SicEncoded enc = img::ppm_encode(
@@ -415,11 +415,26 @@ TEST_F(FeedEngine, StreamMatchesPerCallWithFeed) {
   }
 }
 
-TEST_F(FeedEngine, UnguardedKernelFaultFallsBackToPpeRowsBitExactly) {
+/// The feed tests that run on both dispatch paths: per-call analyze()
+/// (false) and analyze_stream() (true).
+class FeedPaths : public FeedEngine,
+                  public ::testing::WithParamInterface<bool> {
+ protected:
+  std::vector<marvel::AnalysisResult> run(
+      marvel::CellEngine& engine, const std::vector<img::SicEncoded>& in) {
+    if (GetParam()) return engine.analyze_stream(in);
+    std::vector<marvel::AnalysisResult> out;
+    for (const auto& enc : in) out.push_back(engine.analyze(enc));
+    return out;
+  }
+};
+
+TEST_P(FeedPaths, UnguardedKernelFaultFallsBackToPpeRowsBitExactly) {
   // SPE 4 hosts the concept-detect interface — the feed lane in the
   // non-sharded scenarios. A transient DMA error there faults the feed
-  // kernel; the unguarded engine must absorb it by copying that lane's
-  // rows on the PPE, bit-exactly.
+  // kernel on the first image; the unguarded engine must absorb it by
+  // copying that lane's rows on the PPE, bit-exactly, and the second
+  // image feeds cleanly (the fault was one-shot).
   sim::Machine m_feed;
   marvel::CellEngine feed(m_feed, library_->path(),
                           marvel::Scenario::kMultiSPE);
@@ -430,14 +445,24 @@ TEST_F(FeedEngine, UnguardedKernelFaultFallsBackToPpeRowsBitExactly) {
   sim::Machine m_ppe;
   marvel::CellEngine ppe(m_ppe, library_->path(),
                          marvel::Scenario::kMultiSPE);
-  expect_bitwise_equal(feed.analyze((*carriers_)[0]),
-                       ppe.analyze((*carriers_)[0]));
+  const std::vector<img::SicEncoded> in(carriers_->begin(),
+                                        carriers_->begin() + 2);
+  const std::vector<marvel::AnalysisResult> got = run(feed, in);
+  ASSERT_EQ(got.size(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    expect_bitwise_equal(got[i], ppe.analyze(in[i]));
+    EXPECT_TRUE(got[i].degraded.empty());
+  }
   EXPECT_EQ(counter(m_feed, "feed.ppe_fallbacks"), 1u);
-  // The next image feeds cleanly (the fault was one-shot).
-  expect_bitwise_equal(feed.analyze((*carriers_)[1]),
-                       ppe.analyze((*carriers_)[1]));
-  EXPECT_EQ(counter(m_feed, "feed.ppe_fallbacks"), 1u);
+  EXPECT_EQ(counter(m_feed, "feed.images"), 2u);
+  // Only the second image's rows were fed by the SPE.
+  EXPECT_EQ(counter(m_feed, "feed.rows"), 67u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Path, FeedPaths, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Stream" : "PerCall";
+                         });
 
 TEST_F(FeedEngine, GuardedTransientFaultRetriesToTheSameResult) {
   // The baseline machine runs (and finishes) first: guarded recovery

@@ -1,10 +1,13 @@
 // cellexec: the plan builder's contract over every scenario x strategy x
-// image shape. Extraction tasks hold only non-empty ranges that tile the
-// image per slot (per lane group for fused and balanced plans), detection
-// tasks tile each model set, and the per-call and stream paths build the
-// same task list for the same image.
+// image shape x carrier. Ingest tasks (a PPM carrier with feed on) tile
+// the image's rows over distinct detection lanes, extraction tasks hold
+// only non-empty ranges that tile the image per slot (per lane group for
+// fused and balanced plans), detection tasks tile each model set, and the
+// per-call and stream paths build the same task lists for the same
+// image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <tuple>
@@ -59,7 +62,11 @@ using TaskKey = std::tuple<int, int, int, int, int, int, int,
 
 TaskKey key(const Task& t) {
   std::vector<std::int32_t> msg;
-  if (t.kind < TaskKind::kDetect) {
+  if (t.kind == TaskKind::kFeed) {
+    const auto& m = *reinterpret_cast<const kernels::FeedMsg*>(t.msg_ea);
+    msg = {m.width,     m.height,  m.dst_stride,   m.buffering,
+           m.row_begin, m.row_end, m.rows_per_tile};
+  } else if (t.kind < TaskKind::kDetect) {
     const auto& m = *reinterpret_cast<const kernels::ImageMsg*>(t.msg_ea);
     msg = {m.width,     m.height,     m.stride,    m.buffering,
            m.out_count, m.block_rows, m.row_begin, m.row_end};
@@ -77,6 +84,17 @@ std::vector<TaskKey> keys(const Stage& stage) {
   return out;
 }
 
+/// The lanes a stage drives: its bound tasks' lanes, ascending.
+std::vector<int> lanes(const Stage& stage) {
+  std::vector<int> out;
+  for (const Task& t : stage.tasks) {
+    if (t.lane >= 0) out.push_back(t.lane);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 /// `ranges` are non-empty, ascending and cover [0, end) exactly.
 void expect_tiles(const std::vector<shard::Range>& ranges, int end) {
   int next = 0;
@@ -88,21 +106,28 @@ void expect_tiles(const std::vector<shard::Range>& ranges, int end) {
   EXPECT_EQ(next, end);
 }
 
-void expect_well_formed(const ImagePlan& p, int height,
+void expect_well_formed(const ImagePlan& p, int height, bool fed,
                         const int (&models)[4]) {
+  // Ingest: one row range per detection lane that has rows.
+  std::vector<shard::Range> rows;
+  for (const Task& t : p.ingest.tasks) {
+    EXPECT_EQ(t.kind, TaskKind::kFeed);
+    rows.push_back(t.range);
+  }
+  EXPECT_EQ(rows.empty(), !fed);
+  if (fed) expect_tiles(rows, height);
+  EXPECT_EQ(lanes(p.ingest).size(), p.ingest.tasks.size());
   // Extraction: one range group per slot, or one for the fused lanes.
+  // A static stage runs one task per lane, so no lane it drives is
+  // idle; a balanced stage's tasks stay unbound.
   std::map<int, std::vector<shard::Range>> groups;
   for (const Task& t : p.extract.tasks) {
     EXPECT_EQ(t.kind, p.partials);
     EXPECT_EQ(t.lane < 0, p.stolen);
     groups[t.slot].push_back(t.range);
-    if (t.lane < 0) continue;
-    bool listed = false;
-    for (const Stage::LaneRef& l : p.extract.lanes) {
-      listed = listed || l.lane == t.lane;
-    }
-    EXPECT_TRUE(listed) << "task lane " << t.lane << " not in its stage";
   }
+  EXPECT_EQ(lanes(p.extract).size(),
+            p.stolen ? 0u : p.extract.tasks.size());
   EXPECT_EQ(groups.size(), p.partials == TaskKind::kFused ? 1u : 4u);
   for (const auto& [slot, ranges] : groups) {
     // TX shards cover the even-height region the Haar tiles read.
@@ -119,46 +144,58 @@ void expect_well_formed(const ImagePlan& p, int height,
 }
 
 TEST_F(PlanBuilder, TasksTileTheImageAndBothPathsBuildTheSameList) {
-  for (const Shape& shape : kShapes) {
-    const img::SicEncoded image = img::sic_encode(
-        testutil::seeded_image(4100, shape.width, shape.height));
-    for (Scenario scenario : kScenarios) {
-      // kMultiSPE2 pins eight SPEs.
-      const int spes = scenario == Scenario::kMultiSPE2 ? 8 : shape.spes;
-      for (Strategy strategy : kStrategies) {
-        SCOPED_TRACE(std::to_string(shape.width) + "x" +
-                     std::to_string(shape.height) + " on " +
-                     std::to_string(spes) + " SPEs, scenario " +
-                     std::to_string(static_cast<int>(scenario)) +
-                     " strategy " +
-                     std::to_string(static_cast<int>(strategy)));
-        sim::Machine m1(sim::Machine::Config{spes});
-        CellEngine per_call(m1, library_->path(), scenario);
-        set_strategy(per_call, strategy);
-        per_call.analyze(image);
+  // The SIC carrier decodes on the PPE; the PPM one is fed (feed on).
+  for (const bool fed : {false, true}) {
+    for (const Shape& shape : kShapes) {
+      const img::RgbImage pixels =
+          testutil::seeded_image(4100, shape.width, shape.height);
+      const img::SicEncoded image =
+          fed ? img::ppm_encode(pixels) : img::sic_encode(pixels);
+      for (Scenario scenario : kScenarios) {
+        // kMultiSPE2 pins eight SPEs.
+        const int spes = scenario == Scenario::kMultiSPE2 ? 8 : shape.spes;
+        for (Strategy strategy : kStrategies) {
+          SCOPED_TRACE(std::string(fed ? "fed " : "") +
+                       std::to_string(shape.width) + "x" +
+                       std::to_string(shape.height) + " on " +
+                       std::to_string(spes) + " SPEs, scenario " +
+                       std::to_string(static_cast<int>(scenario)) +
+                       " strategy " +
+                       std::to_string(static_cast<int>(strategy)));
+          sim::Machine m1(sim::Machine::Config{spes});
+          CellEngine per_call(m1, library_->path(), scenario);
+          set_strategy(per_call, strategy);
+          per_call.set_feed(fed);
+          per_call.analyze(image);
 
-        sim::Machine m2(sim::Machine::Config{spes});
-        CellEngine streaming(m2, library_->path(), scenario);
-        set_strategy(streaming, strategy);
-        StreamOptions opts;
-        opts.batch = 1;
-        StreamEngine stream(streaming, opts);
-        stream.run({image});
+          sim::Machine m2(sim::Machine::Config{spes});
+          CellEngine streaming(m2, library_->path(), scenario);
+          set_strategy(streaming, strategy);
+          streaming.set_feed(fed);
+          StreamOptions opts;
+          opts.batch = 1;
+          StreamEngine stream(streaming, opts);
+          stream.run({image});
 
-        int models[4];
-        const learn::MarvelModels& mm = per_call.models();
-        const learn::ConceptModelSet* sets[4] = {
-            &mm.color_histogram, &mm.color_correlogram, &mm.texture,
-            &mm.edge_histogram};
-        for (int s = 0; s < 4; ++s) {
-          models[s] = static_cast<int>(sets[s]->models.size());
+          int models[4];
+          const learn::MarvelModels& mm = per_call.models();
+          const learn::ConceptModelSet* sets[4] = {
+              &mm.color_histogram, &mm.color_correlogram, &mm.texture,
+              &mm.edge_histogram};
+          for (int s = 0; s < 4; ++s) {
+            models[s] = static_cast<int>(sets[s]->models.size());
+          }
+          const ImagePlan& a = per_call.plan();
+          const ImagePlan& b = stream.plan(0, 0);
+          expect_well_formed(a, shape.height, fed, models);
+          EXPECT_EQ(keys(a.ingest), keys(b.ingest));
+          EXPECT_EQ(keys(a.extract), keys(b.extract));
+          EXPECT_EQ(keys(a.detect), keys(b.detect));
+          for (Stage ImagePlan::*stage :
+               {&ImagePlan::ingest, &ImagePlan::extract, &ImagePlan::detect}) {
+            EXPECT_EQ(lanes(a.*stage), lanes(b.*stage));
+          }
         }
-        const ImagePlan& a = per_call.plan();
-        const ImagePlan& b = stream.plan(0, 0);
-        expect_well_formed(a, shape.height, models);
-        EXPECT_EQ(keys(a.extract), keys(b.extract));
-        EXPECT_EQ(keys(a.detect), keys(b.detect));
-        EXPECT_EQ(a.extract.lanes.size(), b.extract.lanes.size());
       }
     }
   }
