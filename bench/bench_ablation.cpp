@@ -290,5 +290,5 @@ int main(int argc, char** argv) {
   }
   if (obs.session() != nullptr) obs.session()->set_enabled(true);
   obs.finish();
-  return 0;
+  return shape_exit_code();
 }

@@ -15,13 +15,12 @@
 #include <vector>
 
 #include "harness.h"
-#include "img/color.h"
 #include "kernels/cc_kernel.h"
 #include "kernels/cd_kernel.h"
 #include "kernels/ch_kernel.h"
 #include "kernels/eh_kernel.h"
 #include "kernels/tx_kernel.h"
-#include "port/message.h"
+#include "marvel/task_graph.h"
 #include "port/taskpool.h"
 
 using namespace cellport;
@@ -29,84 +28,7 @@ using namespace cellport::bench;
 
 namespace {
 
-/// Per-image task state: decoded pixels, extraction wrappers/outputs,
-/// and detection wrappers.
-struct ImageTasks {
-  img::RgbImage pixels;
-  struct Feature {
-    port::KernelModule* module;
-    int dim;
-    const learn::ConceptModelSet* set;
-    port::WrappedMessage<kernels::ImageMsg> msg;
-    port::WrappedMessage<kernels::DetectMsg> detect_msg;
-    cellport::AlignedBuffer<float> out;
-    cellport::AlignedBuffer<kernels::DetectModelDesc> descs;
-    cellport::AlignedBuffer<double> scores;
-  };
-  std::vector<Feature> features;
-};
-
-std::vector<ImageTasks> prepare(const marvel::Dataset& data,
-                                const learn::MarvelModels& models) {
-  std::vector<ImageTasks> out(data.images.size());
-  const struct {
-    port::KernelModule* module;
-    int dim;
-    const learn::ConceptModelSet* set;
-  } config[4] = {
-      {&kernels::ch_module(), img::kHsvBins, &models.color_histogram},
-      {&kernels::cc_module(), img::kHsvBins, &models.color_correlogram},
-      {&kernels::tx_module(), features::kTextureDim, &models.texture},
-      {&kernels::eh_module(), features::kEdgeHistogramDim,
-       &models.edge_histogram},
-  };
-  for (std::size_t i = 0; i < data.images.size(); ++i) {
-    out[i].pixels = img::sic_decode(data.images[i]);
-    out[i].features.resize(4);
-    for (int f = 0; f < 4; ++f) {
-      auto& ft = out[i].features[static_cast<std::size_t>(f)];
-      ft.module = config[f].module;
-      ft.dim = config[f].dim;
-      ft.set = config[f].set;
-      ft.out = cellport::AlignedBuffer<float>(
-          cellport::round_up(static_cast<std::size_t>(ft.dim), 8));
-      ft.msg->pixels_ea =
-          reinterpret_cast<std::uint64_t>(out[i].pixels.data());
-      ft.msg->width = out[i].pixels.width();
-      ft.msg->height = out[i].pixels.height();
-      ft.msg->stride = out[i].pixels.stride();
-      ft.msg->out_ea = reinterpret_cast<std::uint64_t>(ft.out.data());
-      ft.msg->out_count = ft.dim;
-      ft.descs = cellport::AlignedBuffer<kernels::DetectModelDesc>(
-          ft.set->models.size());
-      for (std::size_t m = 0; m < ft.set->models.size(); ++m) {
-        const learn::SvmModel& model = ft.set->models[m];
-        ft.descs[m].sv_ea =
-            reinterpret_cast<std::uint64_t>(model.sv_data());
-        ft.descs[m].coef_ea =
-            reinterpret_cast<std::uint64_t>(model.coef().data());
-        ft.descs[m].num_sv = model.num_sv();
-        ft.descs[m].sv_stride = model.sv_stride();
-        ft.descs[m].gamma = model.gamma();
-        ft.descs[m].rho = model.rho();
-        ft.descs[m].kernel_type =
-            static_cast<std::int32_t>(model.kernel());
-      }
-      ft.scores = cellport::AlignedBuffer<double>(
-          cellport::round_up(ft.set->models.size(), 2));
-      ft.detect_msg->feature_ea =
-          reinterpret_cast<std::uint64_t>(ft.out.data());
-      ft.detect_msg->dim = ft.dim;
-      ft.detect_msg->num_models =
-          static_cast<std::int32_t>(ft.set->models.size());
-      ft.detect_msg->models_ea =
-          reinterpret_cast<std::uint64_t>(ft.descs.data());
-      ft.detect_msg->scores_ea =
-          reinterpret_cast<std::uint64_t>(ft.scores.data());
-    }
-  }
-  return out;
-}
+using marvel::ImageTasks;
 
 /// Runs the whole batch through a TaskPool with `workers` workers;
 /// returns the makespan and fills `stats`.
@@ -114,14 +36,7 @@ double dynamic_makespan(std::vector<ImageTasks>& images, int workers,
                         port::TaskPool::Stats* stats) {
   sim::Machine machine;
   port::TaskPool pool(machine, workers);
-  for (auto& image : images) {
-    for (auto& ft : image.features) {
-      auto extract = pool.submit(*ft.module, kernels::SPU_Run,
-                                 ft.msg.ea());
-      pool.submit(kernels::cd_module(), kernels::SPU_Run,
-                  ft.detect_msg.ea(), {extract});
-    }
-  }
+  for (auto& image : images) marvel::submit_tasks(pool, image);
   pool.wait_all();
   *stats = pool.stats();
   return stats->makespan_ns;
@@ -186,7 +101,7 @@ int main() {
   // --- part 1: the code-switch cost the paper's scenario 1 avoids ---
   {
     marvel::Dataset one = marvel::make_dataset(1);
-    auto tasks = prepare(one, models);
+    auto tasks = marvel::build_task_graph(one.images, models);
     double t_static = static_makespan(tasks);
     port::TaskPool::Stats stats;
     double t_dyn = dynamic_makespan(tasks, 1, &stats);
@@ -213,7 +128,7 @@ int main() {
   // --- part 2: dynamic wins on batches by overlapping across images ---
   {
     marvel::Dataset batch = marvel::make_dataset(8);
-    auto tasks = prepare(batch, models);
+    auto tasks = marvel::build_task_graph(batch.images, models);
     double t_static_par = static_parallel_makespan(tasks);
     port::TaskPool::Stats stats;
     double t_dyn8 = dynamic_makespan(tasks, 8, &stats);
@@ -240,5 +155,5 @@ int main() {
     }
     std::printf("%s\n", u.str().c_str());
   }
-  return 0;
+  return shape_exit_code();
 }

@@ -15,13 +15,13 @@
 #include "img/codec.h"
 #include "img/synth.h"
 #include "kernels/cc_kernel.h"
-#include "kernels/cd_kernel.h"
 #include "kernels/ch_kernel.h"
 #include "kernels/eh_kernel.h"
 #include "kernels/messages.h"
 #include "kernels/tx_kernel.h"
 #include "marvel/cell_engine.h"
 #include "marvel/reference_engine.h"
+#include "marvel/task_graph.h"
 #include "port/message.h"
 #include "port/spe_interface.h"
 #include "port/taskpool.h"
@@ -725,84 +725,8 @@ RunOutcome run_taskpool(const ScenarioSpec& spec, const RunConfig& cfg) {
   Inputs in = make_inputs(spec, /*through_codec=*/true);
   learn::MarvelModels models = learn::load_library(cfg.library_path);
 
-  // Per-image task state, the bench_dynamic layout: four extraction
-  // wrappers plus their dependent detection wrappers.
-  struct Feature {
-    port::KernelModule* module = nullptr;
-    int dim = 0;
-    const learn::ConceptModelSet* set = nullptr;
-    port::WrappedMessage<kernels::ImageMsg> msg;
-    port::WrappedMessage<kernels::DetectMsg> detect_msg;
-    cellport::AlignedBuffer<float> out;
-    cellport::AlignedBuffer<kernels::DetectModelDesc> descs;
-    cellport::AlignedBuffer<double> scores;
-  };
-  struct ImageTasks {
-    img::RgbImage pixels;
-    std::vector<Feature> features;
-  };
-  const struct {
-    port::KernelModule* module;
-    int dim;
-    const learn::ConceptModelSet* set;
-  } config[4] = {
-      {&kernels::ch_module(), features::kColorHistogramDim,
-       &models.color_histogram},
-      {&kernels::cc_module(), features::kColorCorrelogramDim,
-       &models.color_correlogram},
-      {&kernels::tx_module(), features::kTextureDim, &models.texture},
-      {&kernels::eh_module(), features::kEdgeHistogramDim,
-       &models.edge_histogram},
-  };
-
-  std::vector<ImageTasks> images(in.encoded.size());
-  for (std::size_t i = 0; i < in.encoded.size(); ++i) {
-    images[i].pixels = img::sic_decode(in.encoded[i]);
-    images[i].features.resize(4);
-    for (int f = 0; f < 4; ++f) {
-      Feature& ft = images[i].features[static_cast<std::size_t>(f)];
-      ft.module = config[f].module;
-      ft.dim = config[f].dim;
-      ft.set = config[f].set;
-      ft.out = cellport::AlignedBuffer<float>(
-          cellport::round_up(static_cast<std::size_t>(ft.dim), 8));
-      ft.msg->pixels_ea =
-          reinterpret_cast<std::uint64_t>(images[i].pixels.data());
-      ft.msg->width = images[i].pixels.width();
-      ft.msg->height = images[i].pixels.height();
-      ft.msg->stride = images[i].pixels.stride();
-      ft.msg->buffering = spec.buffering;
-      ft.msg->block_rows = spec.block_rows;
-      ft.msg->out_ea = reinterpret_cast<std::uint64_t>(ft.out.data());
-      ft.msg->out_count = ft.dim;
-      ft.descs = cellport::AlignedBuffer<kernels::DetectModelDesc>(
-          ft.set->models.size());
-      for (std::size_t m = 0; m < ft.set->models.size(); ++m) {
-        const learn::SvmModel& model = ft.set->models[m];
-        ft.descs[m].sv_ea =
-            reinterpret_cast<std::uint64_t>(model.sv_data());
-        ft.descs[m].coef_ea =
-            reinterpret_cast<std::uint64_t>(model.coef().data());
-        ft.descs[m].num_sv = model.num_sv();
-        ft.descs[m].sv_stride = model.sv_stride();
-        ft.descs[m].gamma = model.gamma();
-        ft.descs[m].rho = model.rho();
-        ft.descs[m].kernel_type = static_cast<std::int32_t>(model.kernel());
-      }
-      ft.scores = cellport::AlignedBuffer<double>(
-          cellport::round_up(ft.set->models.size(), 2));
-      ft.detect_msg->feature_ea =
-          reinterpret_cast<std::uint64_t>(ft.out.data());
-      ft.detect_msg->dim = ft.dim;
-      ft.detect_msg->num_models =
-          static_cast<std::int32_t>(ft.set->models.size());
-      ft.detect_msg->models_ea =
-          reinterpret_cast<std::uint64_t>(ft.descs.data());
-      ft.detect_msg->scores_ea =
-          reinterpret_cast<std::uint64_t>(ft.scores.data());
-      ft.detect_msg->buffering = spec.buffering;
-    }
-  }
+  std::vector<marvel::ImageTasks> images = marvel::build_task_graph(
+      in.encoded, models, spec.buffering, spec.block_rows);
 
   cellport::AlignedBuffer<std::uint8_t> fault_host(1024);
   port::WrappedMessage<FaultMsg> fault_msg;
@@ -817,13 +741,8 @@ RunOutcome run_taskpool(const ScenarioSpec& spec, const RunConfig& cfg) {
     port::TaskPool::TaskId fault_id = 0;
     bool have_fault = false;
     for (auto& image : images) {
-      for (auto& ft : image.features) {
-        auto extract =
-            pool.submit(*ft.module, kernels::SPU_Run, ft.msg.ea());
-        auto detect = pool.submit(kernels::cd_module(), kernels::SPU_Run,
-                                  ft.detect_msg.ea(), {extract});
-        all.push_back(extract);
-        all.push_back(detect);
+      for (port::TaskPool::TaskId id : marvel::submit_tasks(pool, image)) {
+        all.push_back(id);
       }
       if (inject_fault && !have_fault) {
         fault_id = pool.submit(fault_module(), 1, fault_msg.ea());
@@ -891,7 +810,8 @@ RunOutcome run_taskpool(const ScenarioSpec& spec, const RunConfig& cfg) {
   for (std::size_t i = 0; i < in.encoded.size(); ++i) {
     marvel::AnalysisResult expected = ref.analyze(in.encoded[i]);
     marvel::AnalysisResult got;
-    auto take = [](const Feature& ft, features::FeatureVector* fv,
+    auto take = [](const marvel::FeatureTask& ft,
+                   features::FeatureVector* fv,
                    marvel::DetectionScores* sc) {
       fv->values.assign(ft.out.data(), ft.out.data() + ft.dim);
       sc->values.assign(ft.scores.data(),

@@ -1,19 +1,16 @@
-// cellguard retry policy.
-//
-// Header-only on purpose: src/port's TaskPool consumes RetryPolicy while
-// cp_guard links against cp_port, so the policy must not drag a link
-// dependency in the other direction.
+// cellguard retry policy: plain data, read by SpeHealth and
+// GuardedInterface and carried by the engine's GuardPolicy.
 #pragma once
 
 #include "sim/time.h"
 
 namespace cellport::guard {
 
-/// How a guarded call (GuardedInterface) or a guarded task (TaskPool)
-/// responds to a fault or a missed deadline. All durations are simulated
-/// nanoseconds; enforcement is deterministic and replayable.
+/// How a guarded call (GuardedInterface) responds to a fault or a missed
+/// deadline. All durations are simulated nanoseconds; enforcement is
+/// deterministic and replayable.
 struct RetryPolicy {
-  /// Total tries per call/task, first attempt included.
+  /// Total tries per call, first attempt included.
   int max_attempts = 3;
   /// Exponential backoff charged to the PPE before retry k:
   /// backoff_base_ns * 2^(k-1).

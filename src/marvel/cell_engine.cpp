@@ -14,6 +14,7 @@
 #include "kernels/ch_kernel.h"
 #include "kernels/eh_kernel.h"
 #include "kernels/tx_kernel.h"
+#include "marvel/task_graph.h"
 #include "shard/fallback.h"
 #include "shard/reducer.h"
 #include "support/error.h"
@@ -133,27 +134,10 @@ CellEngine::CellEngine(sim::Machine& machine,
     slot.dim = config[i].dim;
     slot.name = config[i].name;
     slot.ref_extract = config[i].ref;
-    setup_descriptors(slot, *config[i].set);
+    slot.set = config[i].set;
+    slot.descs = make_detect_descs(*config[i].set);
   }
   init_plan(plan_, 0);
-}
-
-void CellEngine::setup_descriptors(FeatureSlot& slot,
-                                   const learn::ConceptModelSet& set) {
-  slot.set = &set;
-  slot.descs = cellport::AlignedBuffer<kernels::DetectModelDesc>(
-      set.models.size());
-  for (std::size_t m = 0; m < set.models.size(); ++m) {
-    const learn::SvmModel& model = set.models[m];
-    kernels::DetectModelDesc& d = slot.descs[m];
-    d.sv_ea = reinterpret_cast<std::uint64_t>(model.sv_data());
-    d.coef_ea = reinterpret_cast<std::uint64_t>(model.coef().data());
-    d.num_sv = model.num_sv();
-    d.sv_stride = model.sv_stride();
-    d.gamma = model.gamma();
-    d.rho = model.rho();
-    d.kernel_type = static_cast<std::int32_t>(model.kernel());
-  }
 }
 
 AnalysisResult CellEngine::collect(ImagePlan& p) {

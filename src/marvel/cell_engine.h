@@ -239,8 +239,6 @@ class CellEngine {
     int lanes = 0;
   };
 
-  void setup_descriptors(FeatureSlot& slot,
-                         const learn::ConceptModelSet& set);
   /// Bumps the images-analyzed counter and drops a timeline marker.
   void note_image_done();
   /// The opcode of slot `slot`'s per-feature kernel (naive when asked

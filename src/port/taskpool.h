@@ -21,10 +21,10 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "guard/policy.h"
 #include "port/dispatcher.h"
 #include "sim/machine.h"
 
@@ -44,35 +44,17 @@ class TaskPool {
 
   /// Submits a task: run `module`'s function `opcode` on the wrapper at
   /// `ea` once every task in `deps` has completed. Returns its id.
+  /// Throws cellport::Error after shutdown().
   TaskId submit(const KernelModule& module, std::uint32_t opcode,
                 std::uint64_t ea, std::vector<TaskId> deps = {});
-
-  /// cellstream: dispatch up to `n` ready tasks per worker with ONE
-  /// doorbell mailbox word instead of four mailbox writes per task — the
-  /// PPE stores task descriptors into a per-worker command block that the
-  /// worker DMA-fetches. With `n > 1` dispatch is deferred to wait_all()
-  /// so the accumulated ready-set goes out in full batches. `n == 1`
-  /// (the default) keeps the legacy per-task mailbox protocol
-  /// bit-identical. `n` is capped at 512 (one maximal MFC transfer of
-  /// descriptors); must be called while no task is outstanding.
-  void set_dispatch_batch(int n);
-  int dispatch_batch() const { return dispatch_batch_; }
 
   /// Blocks until every submitted task has completed. The PPE clock
   /// advances to the time the last completion event was delivered.
   void wait_all();
 
-  /// Enables cellguard supervision: a faulted or deadline-missing task is
-  /// re-dispatched (with exponential backoff) to a different worker; a
-  /// worker with `quarantine_after` consecutive faults is restarted once,
-  /// then quarantined. With every worker quarantined, remaining tasks are
-  /// marked failed instead of deadlocking. Without a policy the legacy
-  /// fault-surfacing behavior is unchanged.
-  void set_retry_policy(const guard::RetryPolicy& policy);
-
   /// Exception-free drain + worker teardown (the destructor's path,
-  /// callable early). Safe with hung or quarantined workers: timeouts
-  /// fail the affected tasks rather than blocking forever.
+  /// callable early). Safe with a hung worker: its never-delivered
+  /// completion fails the task rather than blocking forever.
   void shutdown();
 
   struct Stats {
@@ -80,23 +62,17 @@ class TaskPool {
     /// Worker invocations whose kernel image differed from the one
     /// resident in its local store (each pays a code-reload DMA).
     std::size_t code_switches = 0;
-    /// Tasks whose kernel threw; their dependents still ran (a failed
-    /// task satisfies its dependences, mirroring a hardware SPE that
-    /// signals completion with an error status word).
+    /// Tasks whose kernel threw or whose worker hung; their dependents
+    /// still ran (a failed task satisfies its dependences, mirroring a
+    /// hardware SPE that signals completion with an error status word).
     std::size_t faults = 0;
+    /// Completions that never arrived (a hung worker); each is also a
+    /// fault.
+    std::size_t timeouts = 0;
     /// Simulated time from construction to the last completion.
     sim::SimTime makespan_ns = 0;
     /// Per-worker simulated busy time.
     std::vector<sim::SimTime> worker_busy_ns;
-    // ---- cellguard (all zero without a retry policy) ----
-    /// Re-dispatches after a fault or missed deadline.
-    std::size_t retries = 0;
-    /// Completions that missed the policy deadline (includes hangs).
-    std::size_t timeouts = 0;
-    /// Workers restarted after hitting the quarantine threshold once.
-    std::size_t restarts = 0;
-    /// Workers permanently quarantined.
-    std::size_t quarantined_workers = 0;
   };
   Stats stats();
 
@@ -118,10 +94,6 @@ class TaskPool {
     bool done = false;
     bool failed = false;
     std::string error;
-    // cellguard bookkeeping
-    int attempts = 0;
-    int exclude_worker = -1;       // last worker that faulted on this task
-    sim::SimTime dispatch_ns = 0;  // PPE time of the latest dispatch
   };
 
   struct CompletionEvent {
@@ -131,6 +103,8 @@ class TaskPool {
     bool code_switched = false;
     bool failed = false;
     std::string error;
+    /// A hung worker's completion carries a kNeverNs timestamp.
+    bool hung() const { return ts >= sim::kNeverNs / 2; }
   };
 
   // SPE-side worker program.
@@ -138,43 +112,25 @@ class TaskPool {
   // Called from worker threads (the event-queue write).
   void post_completion(const CompletionEvent& ev);
   /// The simulated time the PPE observes `ev` at: its delivery timestamp,
-  /// or the deadline (now, with no deadline set) for a task that missed
-  /// it. `timed_out` receives the classification.
-  sim::SimTime observe_ts(const CompletionEvent& ev, bool* timed_out);
+  /// or now for a hung worker's never-delivered completion.
+  sim::SimTime observe_ts(const CompletionEvent& ev) const;
   /// Retires the next event in simulated-time order: waits until every
-  /// worker with outstanding tasks has posted its next event, then takes
-  /// the earliest observe_ts(), ties broken by worker id — so the order
-  /// never depends on host thread scheduling.
+  /// busy worker has posted its completion, then takes the earliest
+  /// observe_ts(), ties broken by worker id — so the order never depends
+  /// on host thread scheduling.
   CompletionEvent wait_event();
 
   // PPE-side dispatch (machine().ppe() charges apply).
   void dispatch(int worker, TaskId task);
-  /// Batched dispatch: stores the tasks into `worker`'s command block and
-  /// rings one doorbell.
-  void dispatch_block(int worker, const std::vector<TaskId>& batch);
+  /// FIFO: hands ready tasks to idle workers, lowest index first.
   void pump_ready_tasks();
-  /// Idle, non-quarantined worker for a task excluding `exclude` (used
-  /// only when no other healthy worker exists at all); -1 when none.
-  int pick_worker(int exclude) const;
-  bool has_eligible_worker() const;
-  void note_worker_fault(int worker);
-  void restart_worker(int worker);
-  /// Marks every not-yet-done task failed (all workers quarantined).
-  void fail_remaining(const std::string& reason);
 
   sim::Machine& machine_;
   std::vector<sim::SpeThread*> workers_;
-  std::vector<bool> worker_idle_;
-  std::vector<std::size_t> worker_outstanding_;  // dispatched, not completed
+  /// Worker w has a dispatched task whose completion is not retired yet.
+  std::vector<bool> worker_busy_;
   std::vector<void*> envs_;  // WorkerEnv*, freed after the workers join
-  int dispatch_batch_ = 1;
-
-  guard::RetryPolicy policy_;
-  bool policy_set_ = false;
   bool shut_down_ = false;
-  std::vector<int> consecutive_faults_;
-  std::vector<bool> worker_restarted_;
-  std::vector<bool> worker_quarantined_;
 
   std::vector<TaskRecord> tasks_;
   std::deque<TaskId> ready_;
@@ -183,7 +139,9 @@ class TaskPool {
 
   std::mutex ev_mu_;
   std::condition_variable ev_cv_;
-  std::vector<std::deque<CompletionEvent>> events_;  // per worker, FIFO
+  /// Each worker's posted, not yet retired completion (one task at a
+  /// time per worker, so one slot).
+  std::vector<std::optional<CompletionEvent>> events_;
 
   Stats stats_;
   sim::SimTime start_ns_ = 0;

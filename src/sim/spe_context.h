@@ -153,7 +153,7 @@ class SpeContext {
   /// Applies the hang schedule to an outbound completion's delivery
   /// timestamp: returns `base`, or kNeverNs when this completion is the
   /// hang trigger. Used by the mailbox write path and by TaskPool's
-  /// host-side completion queue (which bypasses mailboxes).
+  /// host-side completion events (which bypass mailboxes).
   SimTime completion_ts(SimTime base);
   /// Extra stall for the current DMA tag-status wait (0 normally).
   SimTime consume_dma_stall();

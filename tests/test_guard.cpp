@@ -124,29 +124,45 @@ TEST_F(Guard, WaitForReturnsFalseOnTimeout) {
 // ---- GuardedInterface: retry, restart, quarantine ----
 
 TEST_F(Guard, TransientDmaFaultIsRetriedOnASpareSpe) {
-  sim::Machine machine;
-  guard::RetryPolicy policy;
-  policy.deadline_ns = 10e6;
-  guard::SpeHealth health(machine, policy);
-  guard::GuardedInterface g(health, sum_module(), 0, {1});
-  sim::FaultInjection f;
-  f.dma_error_after = 0;
-  machine.spe(0).inject_fault(f);
+  // Same call twice: clean, and with one transient DMA fault that forces
+  // one retry. The faulted command aborts before any bytes move, and the
+  // retry re-fetches what the failed attempt never got — so the EIB
+  // totals must come out identical. Anything more means retries
+  // double-count traffic; anything less means a transfer was lost.
+  auto run = [](bool faulted) {
+    sim::Machine machine;
+    guard::RetryPolicy policy;
+    policy.deadline_ns = 10e6;
+    guard::SpeHealth health(machine, policy);
+    guard::GuardedInterface g(health, sum_module(), 0, {1});
+    if (faulted) {
+      sim::FaultInjection f;
+      f.dma_error_after = 0;
+      machine.spe(0).inject_fault(f);
+    }
 
-  cellport::AlignedBuffer<std::uint8_t> host(64);
-  for (std::size_t i = 0; i < 64; ++i) host[i] = 1;
-  port::WrappedMessage<FaultMsg> msg;
-  msg->ea = reinterpret_cast<std::uint64_t>(host.data());
+    cellport::AlignedBuffer<std::uint8_t> host(64);
+    for (std::size_t i = 0; i < 64; ++i) host[i] = 1;
+    port::WrappedMessage<FaultMsg> msg;
+    msg->ea = reinterpret_cast<std::uint64_t>(host.data());
 
-  guard::GuardedInterface::Result r = g.Call(1, msg.ea());
-  EXPECT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.value, 64);
-  EXPECT_EQ(r.attempts, 2);
-  EXPECT_EQ(g.spe(), 1);  // migrated away from the SPE that faulted
-  EXPECT_EQ(counter(machine, "guard.retries"), 1u);
-  EXPECT_EQ(counter(machine, "guard.timeouts"), 0u);
-  EXPECT_EQ(health.quarantined_count(), 0);
-  EXPECT_TRUE(sim::check_machine_invariants(machine).empty());
+    std::uint64_t before = machine.eib().total_bytes();
+    guard::GuardedInterface::Result r = g.Call(1, msg.ea());
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.value, 64);
+    EXPECT_EQ(r.attempts, faulted ? 2 : 1);
+    // A retry migrates away from the SPE that faulted.
+    EXPECT_EQ(g.spe(), faulted ? 1 : 0);
+    EXPECT_EQ(counter(machine, "guard.retries"), faulted ? 1u : 0u);
+    EXPECT_EQ(counter(machine, "guard.timeouts"), 0u);
+    EXPECT_EQ(health.quarantined_count(), 0);
+    EXPECT_TRUE(sim::check_machine_invariants(machine).empty());
+    return machine.eib().total_bytes() - before;
+  };
+
+  const std::uint64_t clean = run(false);
+  EXPECT_GT(clean, 0u);
+  EXPECT_EQ(run(true), clean);
 }
 
 TEST_F(Guard, HungCallTimesOutBacksOffAndRetries) {
@@ -240,113 +256,30 @@ TEST_F(Guard, RestartHealsARestartableFault) {
   EXPECT_TRUE(sim::check_machine_invariants(machine).empty());
 }
 
-// ---- retry accounting: no double-counted EIB bytes, no mailbox leaks --
+// ---- TaskPool: a hung worker fails its task, shutdown completes ----
 
-TEST_F(Guard, RetryDoesNotDoubleCountEibBytesOrLeakMailboxes) {
-  // Same workload twice: clean, and with one transient DMA fault that
-  // forces one retry. The faulted command aborts before any bytes move,
-  // and the retry re-fetches what the failed attempt never got — so the
-  // EIB totals must come out identical. Anything more means retries
-  // double-count traffic; anything less means a transfer was lost.
-  auto run = [](bool faulted) {
-    sim::Machine machine;
-    port::TaskPool pool(machine, 1);
-    guard::RetryPolicy policy;
-    policy.deadline_ns = 10e6;
-    pool.set_retry_policy(policy);
-    if (faulted) {
-      sim::FaultInjection f;
-      f.dma_error_after = 0;
-      machine.spe(0).inject_fault(f);
-    }
-    cellport::AlignedBuffer<std::uint8_t> host(64);
-    for (std::size_t i = 0; i < 64; ++i) host[i] = 1;
-    std::vector<port::WrappedMessage<FaultMsg>> msgs(2);
-    std::vector<port::TaskPool::TaskId> ids;
-    std::uint64_t before = machine.eib().total_bytes();
-    for (auto& m : msgs) {
-      m->ea = reinterpret_cast<std::uint64_t>(host.data());
-      ids.push_back(pool.submit(sum_module(), 1, m.ea()));
-    }
-    pool.wait_all();
-    for (auto id : ids) {
-      EXPECT_FALSE(pool.task_failed(id)) << pool.task_error(id);
-    }
-    std::uint64_t bytes = machine.eib().total_bytes() - before;
-    std::size_t retries = pool.stats().retries;
-    EXPECT_TRUE(sim::check_machine_invariants(machine).empty());
-    return std::pair<std::uint64_t, std::size_t>(bytes, retries);
-  };
-
-  auto clean = run(false);
-  auto guarded = run(true);
-  EXPECT_EQ(clean.second, 0u);
-  EXPECT_EQ(guarded.second, 1u);
-  EXPECT_EQ(guarded.first, clean.first);
-}
-
-// ---- TaskPool: deadlines, retry to another worker, hung shutdown ----
-
-TEST_F(Guard, PoolRetriesHungTaskOnAnotherWorker) {
+TEST_F(Guard, PoolWithHungWorkerShutsDownCleanly) {
+  // Shutting down a pool whose worker is hung must not hang the host: the
+  // destructor's shutdown path sees the never-delivered completion at
+  // once, fails the task and tears the worker down.
   sim::Machine machine;
-  port::TaskPool pool(machine, 2);
-  guard::RetryPolicy policy;
-  policy.deadline_ns = 10e6;
-  pool.set_retry_policy(policy);
-  // Worker 0's SPE stops answering after its first completion — and a
-  // context restart cannot fix it.
+  cellport::AlignedBuffer<std::uint8_t> host(64);
+  port::WrappedMessage<FaultMsg> msg;
+  port::TaskPool pool(machine, 1);
   sim::FaultInjection f;
   f.hang_after = 0;
   f.hang_sticky = true;
   f.clears_on_restart = false;
   machine.spe(0).inject_fault(f);
 
-  cellport::AlignedBuffer<std::uint8_t> host(64);
-  for (std::size_t i = 0; i < 64; ++i) host[i] = 1;
-  std::vector<port::WrappedMessage<FaultMsg>> msgs(4);
-  std::vector<port::TaskPool::TaskId> ids;
-  for (auto& m : msgs) {
-    m->ea = reinterpret_cast<std::uint64_t>(host.data());
-    ids.push_back(pool.submit(sum_module(), 1, m.ea()));
-  }
-  pool.wait_all();
-
-  // Every task completed despite the hung worker, and the hangs were
-  // observed as deadline misses, not host wedges.
-  for (auto id : ids) {
-    EXPECT_FALSE(pool.task_failed(id)) << pool.task_error(id);
-  }
+  msg->ea = reinterpret_cast<std::uint64_t>(host.data());
+  port::TaskPool::TaskId id = pool.submit(sum_module(), 1, msg.ea());
+  pool.shutdown();  // no wait_all first: the destructor's path runs it
+  EXPECT_TRUE(pool.task_failed(id));
+  EXPECT_FALSE(pool.task_error(id).empty());
   auto stats = pool.stats();
-  EXPECT_GE(stats.timeouts, 1u);
-  EXPECT_GE(stats.retries, 1u);
-  EXPECT_TRUE(sim::check_machine_invariants(machine).empty());
-}
-
-TEST_F(Guard, PoolWithHungWorkerShutsDownCleanly) {
-  // Destroying a pool whose worker is hung must not hang the host: the
-  // destructor's shutdown path classifies the pending completion by its
-  // timestamp and tears the worker down.
-  sim::Machine machine;
-  {
-    // Declared before the pool: its destructor drains work that still
-    // reads them.
-    cellport::AlignedBuffer<std::uint8_t> host(64);
-    port::WrappedMessage<FaultMsg> msg;
-    port::TaskPool pool(machine, 1);
-    guard::RetryPolicy policy;
-    policy.deadline_ns = 10e6;
-    policy.max_attempts = 2;
-    pool.set_retry_policy(policy);
-    sim::FaultInjection f;
-    f.hang_after = 0;
-    f.hang_sticky = true;
-    f.clears_on_restart = false;
-    machine.spe(0).inject_fault(f);
-
-    msg->ea = reinterpret_cast<std::uint64_t>(host.data());
-    pool.submit(sum_module(), 1, msg.ea());
-    // No wait_all: the destructor runs it (and survives the failure).
-  }
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.faults, 1u);
   sim::InvariantChannel::instance().drain();
 }
 

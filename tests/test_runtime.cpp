@@ -231,6 +231,19 @@ TEST(TaskPool, RejectsBadConfig) {
   EXPECT_THROW(pool.submit(incr_module(), 1, 0, {99}), ConfigError);
 }
 
+TEST(TaskPool, SubmitAfterShutdownThrows) {
+  sim::Machine machine;
+  port::TaskPool pool(machine, 2);
+  port::WrappedMessage<CounterMsg> msg;
+  pool.submit(incr_module(), 1, msg.ea());
+  pool.shutdown();
+  EXPECT_EQ(msg->value, 1);  // the drain ran the accepted task
+  EXPECT_THROW(pool.submit(incr_module(), 1, msg.ea()), cellport::Error);
+  pool.wait_all();  // nothing new was accepted: returns at once
+  EXPECT_EQ(pool.stats().tasks_run, 1u);
+  EXPECT_EQ(msg->value, 1);
+}
+
 // ---- Figure 4(c) decode-ahead overlap on the stream path ----
 //
 // analyze_stream keeps two windows in flight per ring on the parallel

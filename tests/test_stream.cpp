@@ -1,7 +1,6 @@
 // cellstream tests: the command ring (wraparound, batch-of-one cost
-// parity, metrics), the streaming engine (bit-exact with per-call
-// analyze, guarded per-request recovery, throughput), and TaskPool's
-// batched doorbell dispatch.
+// parity, metrics) and the streaming engine (bit-exact with per-call
+// analyze, guarded per-request recovery, throughput).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "marvel/stream_engine.h"
 #include "port/message.h"
 #include "port/spe_interface.h"
-#include "port/taskpool.h"
 #include "sim/invariants.h"
 #include "sim/machine.h"
 #include "sim/spu_mfcio.h"
@@ -47,36 +45,6 @@ port::KernelModule& ring_sum_module() {
                         return sum;
                       }),
                       true);
-  (void)init;
-  return mod;
-}
-
-/// Task-pool kernel with an output: sums 64 bytes from in_ea and puts
-/// the result at out_ea (16-byte store).
-struct alignas(16) SumTaskMsg {
-  std::uint64_t in_ea = 0;
-  std::uint64_t out_ea = 0;
-};
-
-port::KernelModule& sum_task_module() {
-  static port::KernelModule mod("stream_sum_task", 4096);
-  static bool init =
-      (mod.add_function(1, +[](std::uint64_t ea) {
-         auto* msg = reinterpret_cast<SumTaskMsg*>(ea);
-         auto* buf =
-             static_cast<std::uint8_t*>(sim::spu_ls_alloc(64, 16));
-         sim::mfc_get(buf, msg->in_ea, 64, 1);
-         sim::mfc_write_tag_mask(1u << 1);
-         sim::mfc_read_tag_status_all();
-         auto* out = static_cast<std::uint32_t*>(sim::spu_ls_alloc(16, 16));
-         out[0] = 0;
-         for (int i = 0; i < 64; ++i) out[0] += buf[i];
-         sim::mfc_put(out, msg->out_ea, 16, 2);
-         sim::mfc_write_tag_mask(1u << 2);
-         sim::mfc_read_tag_status_all();
-         return 0;
-       }),
-       true);
   (void)init;
   return mod;
 }
@@ -409,78 +377,6 @@ TEST_F(Stream, CloseWithNothingPendingCancelsNothing) {
   ASSERT_EQ(ends.size(), 1u);
   EXPECT_EQ(ends[0], marvel::StreamEngine::RequestEnd::kCompleted);
   EXPECT_EQ(se.stats().cancelled, 0u);
-}
-
-// ---- TaskPool batched dispatch ----
-
-TEST(TaskPoolBatch, BatchedSubmitMatchesLegacyWithFewerDoorbells) {
-  constexpr int kTasks = 12;
-  struct Run {
-    std::vector<std::uint32_t> sums;
-    sim::SimTime makespan_ns = 0;
-    double doorbells = 0;
-  };
-  auto run = [&](int batch) {
-    sim::Machine machine;
-    std::vector<cellport::AlignedBuffer<std::uint8_t>> ins;
-    std::vector<cellport::AlignedBuffer<std::uint32_t>> outs;
-    std::vector<port::WrappedMessage<SumTaskMsg>> msgs(kTasks);
-    for (int t = 0; t < kTasks; ++t) {
-      ins.emplace_back(64);
-      outs.emplace_back(4);
-      for (int i = 0; i < 64; ++i) {
-        ins.back()[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(t + 1);
-      }
-      msgs[static_cast<std::size_t>(t)]->in_ea =
-          reinterpret_cast<std::uint64_t>(ins.back().data());
-      msgs[static_cast<std::size_t>(t)]->out_ea =
-          reinterpret_cast<std::uint64_t>(outs.back().data());
-    }
-    Run r;
-    {
-      port::TaskPool pool(machine, 2);
-      pool.set_dispatch_batch(batch);
-      for (int t = 0; t < kTasks; ++t) {
-        pool.submit(sum_task_module(), 1,
-                    msgs[static_cast<std::size_t>(t)].ea());
-      }
-      pool.wait_all();
-      for (int t = 0; t < kTasks; ++t) {
-        EXPECT_FALSE(pool.task_failed(static_cast<std::size_t>(t)));
-      }
-      r.makespan_ns = pool.stats().makespan_ns;
-    }
-    for (int t = 0; t < kTasks; ++t) {
-      r.sums.push_back(outs[static_cast<std::size_t>(t)][0]);
-    }
-    r.doorbells = machine.metrics().value("taskpool.doorbells");
-    return r;
-  };
-
-  Run legacy = run(1);
-  Run batched = run(4);
-  ASSERT_EQ(legacy.sums.size(), batched.sums.size());
-  for (int t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(legacy.sums[static_cast<std::size_t>(t)],
-              static_cast<std::uint32_t>(64 * (t + 1)));
-    EXPECT_EQ(batched.sums[static_cast<std::size_t>(t)],
-              legacy.sums[static_cast<std::size_t>(t)]);
-  }
-  EXPECT_EQ(legacy.doorbells, 0.0);
-  EXPECT_GT(batched.doorbells, 0.0);
-  // 12 tasks over 2 workers in blocks of 4: three doorbells replace 48
-  // mailbox words, so the batched run must not be slower.
-  EXPECT_LE(batched.makespan_ns, legacy.makespan_ns);
-}
-
-TEST(TaskPoolBatch, RejectsBatchChangesWithWorkOutstanding) {
-  sim::Machine machine;
-  port::TaskPool pool(machine, 1);
-  EXPECT_THROW(pool.set_dispatch_batch(0), ConfigError);
-  EXPECT_THROW(pool.set_dispatch_batch(1000), ConfigError);
-  pool.set_dispatch_batch(4);
-  EXPECT_EQ(pool.dispatch_batch(), 4);
 }
 
 }  // namespace
