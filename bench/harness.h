@@ -141,14 +141,18 @@ class BenchArtifact {
   void set_metric(const std::string& name, double v) { metrics_[name] = v; }
 
   /// Folds a machine's metric series into the artifact: counters and
-  /// gauges verbatim, histograms as .count/.mean/.p95 summaries.
+  /// gauges verbatim, histograms as .count/.mean/.p95 summaries. The
+  /// series a machine registers only under --trace are left out, so the
+  /// artifact is the same with tracing on or off.
   void add_machine_metrics(const trace::MetricsRegistry& m,
                            const std::string& prefix = "") {
     for (const auto& [name, c] : m.counters()) {
+      if (sim::Machine::trace_only_series(name)) continue;
       metrics_[prefix + name] = static_cast<double>(c->value());
     }
     for (const auto& [name, g] : m.gauges()) metrics_[prefix + name] = g->value();
     for (const auto& [name, h] : m.histograms()) {
+      if (sim::Machine::trace_only_series(name)) continue;
       metrics_[prefix + name + ".count"] = static_cast<double>(h->count());
       metrics_[prefix + name + ".mean"] = h->mean();
       metrics_[prefix + name + ".p95"] = h->percentile(95);

@@ -69,10 +69,13 @@ int cc_run(std::uint64_t ea) {
   // cellshard: a shard produces output rows [out_begin, out_end) and
   // fetches those rows plus the kR-row halo on each side; the window math
   // in produce_row already clamps to the true image edges, so a shard's
-  // per-bin counts are exactly its slice of the full-image counts.
+  // per-bin counts are exactly its slice of the full-image counts once
+  // the state knows which rows are its own.
   const bool shard = msg->row_end > 0;
   const int out_begin = shard ? msg->row_begin : 0;
   const int out_end = shard ? msg->row_end : h;
+  st.own_begin = out_begin;
+  st.own_end = out_end;
   const int fetch_begin = std::max(0, out_begin - kR);
   const int fetch_end = std::min(h, out_end + kR);
 

@@ -8,14 +8,23 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "features/color_correlogram.h"
 #include "kernels/row_convert.h"
 #include "spu/spu.h"
+#include "support/error.h"
 
 namespace cellport::kernels {
 
 inline constexpr int kCcRadius = features::kCorrWindowRadius;  // 8
+inline constexpr int kCcOffsets = 2 * kCcRadius + 1;
+// cc_produce_row counts a 16-pixel block's matches in bytes and widens
+// them once per block. One byte counter takes the 8 right partners in the
+// centre row plus at most kCcRadius later own rows; each of the other two
+// takes at most kCcRadius halo rows on one side of the own rows.
+static_assert(kCcRadius + kCcRadius * kCcOffsets <= 255);  // 144
+static_assert(kCcRadius * kCcOffsets <= 255);              // 136
 inline constexpr int kCcBlockRows = 12;
 /// Window + one block of quantized rows resident in the LS.
 inline constexpr int kCcRingRows = 2 * kCcRadius + 1 + kCcBlockRows;
@@ -29,6 +38,12 @@ struct CcState {
   std::uint32_t* same;
   std::uint32_t* possible;
   std::uint16_t* cols_clamped;  // per-x clamped window width
+  /// The output rows [own_begin, own_end) the caller produces, each once;
+  /// the other rows of the image are halo. The default, every row, fits
+  /// only a caller that produces the whole image: a range kernel sets the
+  /// range it produces.
+  int own_begin = 0;
+  int own_end = std::numeric_limits<int>::max();
 };
 
 // SPU cycles of cc_produce_row, charged in closed form. Per 16-pixel
@@ -40,7 +55,6 @@ struct CcState {
 // and two adds (even); the loop branch. Per centre lane: an extract (odd),
 // sop(2), four scalar loads (2 odd each) and two scalar stores (1 even,
 // 2 odd each).
-inline constexpr int kCcOffsets = 2 * kCcRadius + 1;
 inline constexpr double kCcBlockEven = 2 + 2;
 inline constexpr double kCcBlockOdd = 1 + 1;
 inline constexpr double kCcWindowRowEven = 1 + 2 * kCcOffsets + 3 + 2;
@@ -48,11 +62,22 @@ inline constexpr double kCcWindowRowOdd = 3 + kCcOffsets + 2 + 1;
 inline constexpr double kCcLaneEven = 2 + 2 * 1;
 inline constexpr double kCcLaneOdd = 1 + 4 * 2 + 2 * 2;
 
-/// Produces one output row y from the ring buffer. The counts are computed
-/// on host vectors; the cycles of the SPU sequence above are charged once
-/// per row. Every charge is a whole number of cycles and nothing flushes
-/// the pipes inside a row, so the pending totals match the per-instruction
-/// charging bit for bit.
+/// Produces one output row y from the ring buffer.
+///
+/// The SPU code counts each centre's whole window. Equal bins and window
+/// membership are both symmetric, so the host counts each unordered pair
+/// of equal pixels once instead: a partner at dx = 1..8 in row y or in a
+/// later own row adds 2 (both pixels are centres), a partner in a halo row
+/// adds 1 (only the own pixel is), and earlier own rows are skipped (they
+/// counted their pairs with row y already). Row y's `same` contribution is
+/// therefore not its own window count; only the total over all of the
+/// state's own rows equals the SPU code's, and that total is all a kernel
+/// emits. `possible` is each centre's window area, as before.
+///
+/// The cycles of the SPU sequence above are charged once per row, from
+/// the full window's shape. Every charge is a whole number of cycles and
+/// nothing flushes the pipes inside a row, so the pending totals match the
+/// per-instruction charging bit for bit.
 inline void cc_produce_row(const CcState& st, int y, int w, int h) {
   typedef std::uint8_t u8x16 __attribute__((vector_size(16)));
   typedef std::uint16_t u16x8 __attribute__((vector_size(16)));
@@ -62,9 +87,16 @@ inline void cc_produce_row(const CcState& st, int y, int w, int h) {
     return v;
   };
   if (w <= 0) return;
+  if (y < st.own_begin || y >= st.own_end) {
+    throw cellport::Error("correlogram row outside the state's own rows");
+  }
   const int y0 = std::max(0, y - kCcRadius);
   const int y1 = std::min(h - 1, y + kCcRadius);
   const int rows = y1 - y0 + 1;
+  // Window rows [y0, before_end) are halo above the own rows,
+  // [y + 1, later_end) are later own rows, [later_end, y1] halo below.
+  const int before_end = std::max(y0, st.own_begin);
+  const int later_end = std::min(y1 + 1, st.own_end);
   const std::uint8_t* center_row = st.ring[y % kCcRingRows] + kRingOrigin;
   // The SPU code reads each ring row with aligned quadword loads.
   cellport::spu::vld_check(center_row);
@@ -72,30 +104,58 @@ inline void cc_produce_row(const CcState& st, int y, int w, int h) {
     cellport::spu::vld_check(st.ring[yy % kCcRingRows] + kRingOrigin);
   }
 
-  for (int x0 = 0; x0 < w; x0 += 16) {
-    const u8x16 centers = load(center_row + x0);
-    // Window counts of the even and the odd centre lanes.
-    u16x8 even = {};
-    u16x8 odd = {};
-    for (int yy = y0; yy <= y1; ++yy) {
+  // A compare mask is 0xFF (= -1) per matching byte, so subtracting it
+  // counts the match. The sentinel bands match no real bin.
+  const auto count_rows = [&](u8x16& acc, u8x16 centers, int x0, int begin,
+                              int end) {
+    for (int yy = begin; yy < end; ++yy) {
       const std::uint8_t* nrow =
           st.ring[yy % kCcRingRows] + kRingOrigin + x0;
-      // A compare mask is 0xFF (= -1) per matching byte, so subtracting
-      // it counts the match. The sentinel bands match no centre.
-      u8x16 row_acc = {};
       for (int dx = -kCcRadius; dx <= kCcRadius; ++dx) {
-        row_acc -= (u8x16)(load(nrow + dx) == centers);
+        acc -= (u8x16)(load(nrow + dx) == centers);
       }
-      even += (u16x8)row_acc & 0xFF;
-      odd += (u16x8)row_acc >> 8;
     }
+  };
+  // A sentinel centre (only test rings have one inside the image) also
+  // matches the band columns outside the image, which are no centres, so
+  // each such pair must count once. The pair rule counts the bands of the
+  // later own rows and the right band of row y twice, and misses those of
+  // the earlier own rows and the left band of row y.
+  const int own_before = y - before_end;
+  const int own_after = later_end - (y + 1);
+  const auto band_correction = [&](int x) {
+    const int nb = kCcOffsets - st.cols_clamped[x];
+    const int nbb = std::max(0, kCcRadius - x);
+    const int nbf = std::max(0, x + kCcRadius - (w - 1));
+    return static_cast<std::uint32_t>((own_before - own_after) * nb + nbb -
+                                      nbf);
+  };
+
+  for (int x0 = 0; x0 < w; x0 += 16) {
+    const u8x16 centers = load(center_row + x0);
+    u8x16 twice = {};
+    for (int dx = 1; dx <= kCcRadius; ++dx) {
+      twice -= (u8x16)(load(center_row + x0 + dx) == centers);
+    }
+    count_rows(twice, centers, x0, y + 1, later_end);
+    u8x16 above = {};
+    count_rows(above, centers, x0, y0, before_end);
+    u8x16 below = {};
+    count_rows(below, centers, x0, later_end, y1 + 1);
+    // Weighted counts of the even and the odd centre lanes.
+    const u16x8 even = (((u16x8)twice & 0xFF) << 1) +
+                       ((u16x8)above & 0xFF) + ((u16x8)below & 0xFF);
+    const u16x8 odd = (((u16x8)twice >> 8) << 1) + ((u16x8)above >> 8) +
+                      ((u16x8)below >> 8);
     const int lanes = std::min(16, w - x0);
     for (int lane = 0; lane < lanes; ++lane) {
-      const std::uint32_t cnt = lane % 2 ? odd[lane / 2] : even[lane / 2];
-      const std::uint8_t bin = center_row[x0 + lane];
-      const std::uint32_t area = static_cast<std::uint32_t>(rows) *
-                                 st.cols_clamped[x0 + lane];
-      st.same[bin] += cnt - 1;
+      const int x = x0 + lane;
+      std::uint32_t cnt = lane % 2 ? odd[lane / 2] : even[lane / 2];
+      const std::uint8_t bin = center_row[x];
+      if (bin == kCcSentinel) cnt += band_correction(x);
+      const std::uint32_t area =
+          static_cast<std::uint32_t>(rows) * st.cols_clamped[x];
+      st.same[bin] += cnt;
       st.possible[bin] += area - 1;
     }
   }

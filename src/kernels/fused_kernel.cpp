@@ -105,6 +105,8 @@ void fused_pass(Io& io, int w, int h, int r0, int r1, bool texture) {
   }
   cc_st.same = blob + kFusedCcOffset;
   cc_st.possible = blob + kFusedCcOffset + hist_len;
+  cc_st.own_begin = r0;
+  cc_st.own_end = r1;
   cc_st.cols_clamped = static_cast<std::uint16_t*>(io.alloc(
       cellport::round_up(static_cast<std::size_t>(w), 8) *
       sizeof(std::uint16_t)));

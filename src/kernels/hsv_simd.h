@@ -11,11 +11,13 @@
 //
 // The lanes are computed on host vectors, with the SPU code's float
 // operations in the SPU code's order; the row converters that call
-// hsv_bins_4 charge its cycles (kHsvBins4Even) once per row.
+// hsv_bins_4 charge its cycles (kHsvBins4Even) once per row. The SPU code
+// converts with the saturating spu_convts; the host converts with plain
+// truncation, which agrees on every finite in-range lane (see
+// hsv_bins_4).
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 #include "img/color.h"
 #include "kernels/common.h"
@@ -52,18 +54,6 @@ inline constexpr double kHsvBins4Even = 3 + 8 + 1 + 1 + 5 + 1 + 4 + 4 +
                                         4 + 3 + 2;
 static_assert(kHsvBins4Even == 66);
 
-/// spu_convts lane for lane: truncates toward zero, saturates to the
-/// int32 range, and converts NaN to 0.
-inline i32x4 convts(f32x4 x) {
-  const i32x4 hi = x >= 2147483648.0f;
-  const i32x4 lo = x <= -2147483648.0f;
-  const i32x4 inside = (x > -2147483648.0f) & (x < 2147483648.0f);
-  const auto safe = (f32x4)((i32x4)x & inside);
-  return __builtin_convertvector(safe, i32x4) |
-         (hi & std::numeric_limits<std::int32_t>::max()) |
-         (lo & std::numeric_limits<std::int32_t>::min());
-}
-
 /// Quantizes 4 pixels' RGB bytes (as float lanes in [0,255]) into their
 /// 166-bin HSV indices.
 ///
@@ -86,11 +76,11 @@ inline i32x4 hsv_bins_4(f32x4 r8, f32x4 g8, f32x4 b8) {
   // black: v < 0.08. gray: s = delta/v < 0.10 (v == 0 lanes produce
   // NaN, whose compare is false — they are already black).
   const i32x4 black_m = img::kBlackValF > v;
-  const f32x4 s = delta / v;
+  f32x4 s = delta / v;
   const i32x4 gray_m = img::kGraySatF > s;
 
-  // Gray bin: min(int(v*4), 3).
-  i32x4 gray_bin = convts(v * 4.0f);
+  // Gray bin: min(int(v*4), 3); v*4 lies in [0, 4].
+  i32x4 gray_bin = __builtin_convertvector(v * 4.0f, i32x4);
   gray_bin = gray_bin > 3 ? 3 : gray_bin;
 
   // Hue sector masks, replacing the reference's if-chain:
@@ -105,14 +95,28 @@ inline i32x4 hsv_bins_4(f32x4 r8, f32x4 g8, f32x4 b8) {
   f32x4 h = t * 60.0f + hbase;
   h = 0.0f > h ? h + 360.0f : h;
 
+  // The only non-finite values are NaN lanes of h and s. delta == 0 makes
+  // t = 0/0, and v == 0 (which implies delta == 0) makes s = 0/0. Such a
+  // lane is black (v == 0) or gray (s == 0 < 0.10), so the selects at the
+  // end overwrite its chroma bin. Every other lane is finite: |t| <= 1,
+  // so h lies in [0, 360] and s in (0, 1]. Zeroing the delta == 0 lanes
+  // (one compare, one and per vector) keeps NaN out of the truncating
+  // conversions, which then agree with the SPU's saturating spu_convts on
+  // every lane. HsvQuantizer.EveryRgbTripleMatchesReference checks all
+  // 2^24 RGB triples against the scalar reference.
+  const i32x4 chromatic = delta > 0.0f;
+  h = (f32x4)((i32x4)h & chromatic);
+  s = (f32x4)((i32x4)s & chromatic);
+
   // h_idx = int(h * (1/20)) % 18 (the wrap only ever hits 18 -> 0).
-  i32x4 h_idx = convts(h * (1.0f / 20.0f));
+  i32x4 h_idx = __builtin_convertvector(h * (1.0f / 20.0f), i32x4);
   h_idx = h_idx > 17 ? h_idx - 18 : h_idx;
 
-  // s_idx = min(int(s*3), 2), v_idx = min(int(v*3), 2).
-  i32x4 s_idx = convts(s * 3.0f);
+  // s_idx = min(int(s*3), 2), v_idx = min(int(v*3), 2); v*3 lies in
+  // [0, 3].
+  i32x4 s_idx = __builtin_convertvector(s * 3.0f, i32x4);
   s_idx = s_idx > 2 ? 2 : s_idx;
-  i32x4 v_idx = convts(v * 3.0f);
+  i32x4 v_idx = __builtin_convertvector(v * 3.0f, i32x4);
   v_idx = v_idx > 2 ? 2 : v_idx;
 
   // bin = 4 + 9*h + 3*s + v. The indices are small, so no lane overflows.

@@ -1,5 +1,7 @@
 #include "sim/machine.h"
 
+#include <string_view>
+
 #include "support/error.h"
 
 namespace cellport::sim {
@@ -9,9 +11,26 @@ namespace {
 // cellcheck --jobs runner) never observe each other. Single-threaded
 // callers see the historical process-wide behavior.
 thread_local Machine* g_current_machine = nullptr;
+
+// Names of the per-SPE series registered only under a TraceSession,
+// after the `spe<i>` prefix.
+constexpr std::string_view kDmaWaitNs = ".dma.wait_ns";
+constexpr std::string_view kMboxWaitNs = ".mbox.wait_ns";
+constexpr std::string_view kKernelInvocations = ".kernel.invocations";
+constexpr std::string_view kRingDepth = ".ring.depth";
 }
 
 Machine* Machine::current() { return g_current_machine; }
+
+bool Machine::trace_only_series(std::string_view name) {
+  if (!name.starts_with("spe")) return false;
+  std::size_t i = 3;
+  while (i < name.size() && name[i] >= '0' && name[i] <= '9') ++i;
+  if (i == 3) return false;
+  const std::string_view rest = name.substr(i);
+  return rest == kDmaWaitNs || rest == kMboxWaitNs ||
+         rest == kKernelInvocations || rest == kRingDepth;
+}
 
 SpeThread::SpeThread(Machine& m, SpeContext& ctx, SpeProgram program,
                      std::uint64_t argv)
@@ -63,11 +82,14 @@ Machine::Machine(Config cfg) : ppe_(cell_ppe()) {
       std::string prefix = "spe" + std::to_string(i);
       SpeContext::TraceHooks hooks;
       hooks.track = ts->make_track(trace_pid_, "SPE" + std::to_string(i));
-      hooks.dma_stall_ns = &metrics_.histogram(prefix + ".dma.wait_ns");
-      hooks.mbox_wait_ns = &metrics_.histogram(prefix + ".mbox.wait_ns");
+      hooks.dma_stall_ns =
+          &metrics_.histogram(prefix + std::string(kDmaWaitNs));
+      hooks.mbox_wait_ns =
+          &metrics_.histogram(prefix + std::string(kMboxWaitNs));
       hooks.kernel_invocations =
-          &metrics_.counter(prefix + ".kernel.invocations");
-      hooks.ring_depth = &metrics_.histogram(prefix + ".ring.depth");
+          &metrics_.counter(prefix + std::string(kKernelInvocations));
+      hooks.ring_depth =
+          &metrics_.histogram(prefix + std::string(kRingDepth));
       spes_[static_cast<std::size_t>(i)]->set_trace(hooks);
     }
   }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -108,6 +109,12 @@ class Machine {
   /// (re)filled by sim::collect_metrics; histogram series accumulate
   /// during the run while a TraceSession is installed.
   trace::MetricsRegistry& metrics() { return metrics_; }
+  /// Whether `name` is one of the per-SPE series a Machine registers only
+  /// while a TraceSession is installed: `spe<i>.dma.wait_ns`,
+  /// `spe<i>.mbox.wait_ns`, `spe<i>.kernel.invocations` and
+  /// `spe<i>.ring.depth`. A metric set that must not depend on tracing,
+  /// such as a bench artifact, leaves them out.
+  static bool trace_only_series(std::string_view name);
   /// The pid this machine registered with the installed TraceSession
   /// (0 when tracing was off at construction).
   int trace_pid() const { return trace_pid_; }

@@ -1057,12 +1057,75 @@ TEST(ChargeOnceRows, CorrelogramRowMatchesIntrinsicReference) {
   }
 }
 
+TEST(ChargeOnceRows, CorrelogramShardPartialsMatchIntrinsicReference) {
+  // A range kernel produces only its own rows and reads the halo rows
+  // around them. 1- and 2-row shards have halo rows on both sides. With
+  // kAllEqual, a 1-row shard fills both halo byte counters to their
+  // bound, and the whole-image run fills the own-row counter to its.
+  for (int w : kWindowWidths) {
+    for (int h : {5, 17, 24}) {
+      for (CcFill fill : {CcFill::kRandom, CcFill::kFewBins,
+                          CcFill::kAllEqual, CcFill::kSentinelRows}) {
+        CcRing ring(w, h, fill, static_cast<std::uint32_t>(w * 17 + h));
+        std::vector<std::uint32_t> whole_same, whole_possible;
+        const CcState whole = ring.state(whole_same, whole_possible);
+        for (int y = 0; y < h; ++y) cc_produce_row(whole, y, w, h);
+        for (int shard_rows : {1, 2, 16}) {
+          std::vector<std::uint32_t> sum_same(256), sum_possible(256);
+          for (int begin = 0; begin < h; begin += shard_rows) {
+            const int end = std::min(h, begin + shard_rows);
+            SCOPED_TRACE(::testing::Message()
+                         << "w=" << w << " h=" << h
+                         << " fill=" << static_cast<int>(fill) << " rows=["
+                         << begin << "," << end << ")");
+            std::vector<std::uint32_t> same, possible, ref_same,
+                ref_possible;
+            CcState st = ring.state(same, possible);
+            st.own_begin = begin;
+            st.own_end = end;
+            const CcState ref_st = ring.state(ref_same, ref_possible);
+            const auto got = charged_run([&] {
+              for (int y = begin; y < end; ++y) cc_produce_row(st, y, w, h);
+            });
+            const auto want = charged_run([&] {
+              for (int y = begin; y < end; ++y) {
+                ref::cc_produce_row(ref_st, y, w, h);
+              }
+            });
+            EXPECT_EQ(same, ref_same);
+            EXPECT_EQ(possible, ref_possible);
+            expect_same_pipes(got, want);
+            for (std::size_t b = 0; b < 256; ++b) {
+              sum_same[b] += same[b];
+              sum_possible[b] += possible[b];
+            }
+          }
+          EXPECT_EQ(sum_same, whole_same) << "shard rows " << shard_rows;
+          EXPECT_EQ(sum_possible, whole_possible)
+              << "shard rows " << shard_rows;
+        }
+      }
+    }
+  }
+}
+
 TEST(ChargeOnceRows, CorrelogramRowRejectsUnalignedRingRow) {
   CcRing ring(33, 5, CcFill::kRandom, 1);
   std::vector<std::uint32_t> same, possible;
   CcState st = ring.state(same, possible);
   st.ring[3] += 1;  // a neighbour row of output row 2
   EXPECT_THROW(cc_produce_row(st, 2, 33, 5), cellport::Error);
+}
+
+TEST(ChargeOnceRows, CorrelogramRowRejectsRowOutsideOwnRange) {
+  CcRing ring(33, 5, CcFill::kRandom, 1);
+  std::vector<std::uint32_t> same, possible;
+  CcState st = ring.state(same, possible);
+  st.own_begin = 1;
+  st.own_end = 3;
+  EXPECT_THROW(cc_produce_row(st, 0, 33, 5), cellport::Error);
+  EXPECT_THROW(cc_produce_row(st, 3, 33, 5), cellport::Error);
+  EXPECT_NO_THROW(cc_produce_row(st, 2, 33, 5));
 }
 
 enum class EhFill { kRandom, kFlat, kRamp, kStripes };

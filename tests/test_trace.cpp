@@ -3,7 +3,9 @@
 // across runs regardless of host thread scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -398,6 +400,57 @@ TEST(Machine, MetricsHistogramsAccumulateUnderTracing) {
         machine.metrics().histogram("spe0.mbox.wait_ns").count(), 1u);
   }
   session.uninstall();
+}
+
+// Every series name of a 2-SPE machine after one copy kernel and a
+// collect_metrics pass, with or without an installed TraceSession.
+std::vector<std::string> machine_series(bool traced) {
+  TraceSession session;
+  if (traced) session.install();
+  std::vector<std::string> names;
+  {
+    sim::Machine machine(sim::Machine::Config{2});
+    AlignedBuffer<std::uint8_t> host(4096);
+    port::SPEInterface iface(copy_module(), 0);
+    port::WrappedMessage<CopyMsg> msg;
+    msg->src_ea = reinterpret_cast<std::uint64_t>(host.data());
+    msg->bytes = 1024;
+    EXPECT_EQ(iface.SendAndWait(1, msg.ea()), 7);
+    iface.thread_close();
+    sim::collect_metrics(machine, machine.metrics());
+    for (const auto& [name, c] : machine.metrics().counters()) {
+      names.push_back(name);
+    }
+    for (const auto& [name, g] : machine.metrics().gauges()) {
+      names.push_back(name);
+    }
+    for (const auto& [name, h] : machine.metrics().histograms()) {
+      names.push_back(name);
+    }
+  }
+  if (traced) session.uninstall();
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(Machine, TraceOnlySeriesAreExactlyWhatTracingAdds) {
+  const std::vector<std::string> plain = machine_series(false);
+  const std::vector<std::string> traced = machine_series(true);
+  std::vector<std::string> added;
+  std::set_difference(traced.begin(), traced.end(), plain.begin(),
+                      plain.end(), std::back_inserter(added));
+  EXPECT_TRUE(std::includes(traced.begin(), traced.end(), plain.begin(),
+                            plain.end()));
+  EXPECT_EQ(added.size(), 8u);  // four series on each of the two SPEs
+  for (const std::string& name : added) {
+    EXPECT_TRUE(sim::Machine::trace_only_series(name)) << name;
+  }
+  for (const std::string& name : plain) {
+    EXPECT_FALSE(sim::Machine::trace_only_series(name)) << name;
+  }
+  EXPECT_FALSE(sim::Machine::trace_only_series("spe.dma.wait_ns"));
+  EXPECT_FALSE(sim::Machine::trace_only_series("spe0.dma.wait_ns.p95"));
+  EXPECT_FALSE(sim::Machine::trace_only_series("multi_spe.spe0.ring.depth"));
 }
 
 }  // namespace
