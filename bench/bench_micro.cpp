@@ -9,6 +9,7 @@
 #include "features/color_histogram.h"
 #include "img/codec.h"
 #include "img/color.h"
+#include "img/huffman.h"
 #include "img/synth.h"
 #include "kernels/ch_kernel.h"
 #include "kernels/messages.h"
@@ -239,14 +240,39 @@ void BM_ShardConcatScores(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardConcatScores)->Arg(2)->Arg(4)->Arg(8);
 
+// The percall decode path: a SIC carrier decoded with its cost charged
+// to a PPE context.
+img::SicEncoded decode_carrier() {
+  return img::sic_encode(img::synth_image(img::SceneKind::kTexture, 2), 70);
+}
+
 void BM_SicDecode(benchmark::State& state) {
-  img::SicEncoded enc =
-      img::sic_encode(img::synth_image(img::SceneKind::kTexture, 2), 70);
+  const img::SicEncoded enc = decode_carrier();
+  sim::ScalarContext ppe(sim::cell_ppe());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(img::sic_decode(enc));
+    ppe.reset();
+    benchmark::DoNotOptimize(img::sic_decode(enc, &ppe));
   }
 }
 BENCHMARK(BM_SicDecode)->Unit(benchmark::kMillisecond);
+
+// The entropy stage alone: the carrier's Huffman stream, which starts
+// after the "SIC2" magic and three header varints.
+void BM_HuffmanDecode(benchmark::State& state) {
+  const img::SicEncoded enc = decode_carrier();
+  std::size_t start = 4;
+  for (int field = 0; field < 3; ++field) {
+    while ((enc.bytes[start] & 0x80) != 0) ++start;
+    ++start;
+  }
+  sim::ScalarContext ppe(sim::cell_ppe());
+  for (auto _ : state) {
+    ppe.reset();
+    std::size_t pos = start;
+    benchmark::DoNotOptimize(img::huffman_decode(enc.bytes, pos, &ppe));
+  }
+}
+BENCHMARK(BM_HuffmanDecode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -79,8 +79,10 @@ void fdct8x8(const float in[kBlock][kBlock], float out[kBlock][kBlock]) {
 // Fast separable 8-point inverse DCT (even/odd decomposition: the basis
 // is symmetric for even and antisymmetric for odd coefficients, halving
 // the multiply count — the structure real JPEG decoders use).
-void idct8(const float in[kBlock], float out[kBlock]) {
-  const auto& b = basis();
+// The basis comes in by reference to a caller's local copy, so the
+// compiler can keep it in registers across the output stores.
+inline void idct8(const DctBasis& b, const float in[kBlock],
+                  float out[kBlock]) {
   float e[4];
   float o[4];
   for (int n = 0; n < 4; ++n) {
@@ -98,7 +100,8 @@ void idct8(const float in[kBlock], float out[kBlock]) {
 /// Returns the number of 1-D passes actually computed (the caller charges
 /// 32 mul + 32 add per pass). Columns whose coefficients are all zero are
 /// skipped — quantized blocks are sparse, and real decoders exploit it.
-int idct8x8(const float in[kBlock][kBlock], float out[kBlock][kBlock]) {
+int idct8x8(const DctBasis& b, const float in[kBlock][kBlock],
+            float out[kBlock][kBlock]) {
   float tmp[kBlock][kBlock];
   int passes = 0;
   for (int x = 0; x < kBlock; ++x) {
@@ -111,12 +114,12 @@ int idct8x8(const float in[kBlock][kBlock], float out[kBlock][kBlock]) {
     float col[kBlock];
     float res[kBlock];
     for (int k = 0; k < kBlock; ++k) col[k] = in[k][x];
-    idct8(col, res);
+    idct8(b, col, res);
     ++passes;
     for (int n = 0; n < kBlock; ++n) tmp[n][x] = res[n];
   }
   for (int y = 0; y < kBlock; ++y) {
-    idct8(tmp[y], out[y]);
+    idct8(b, tmp[y], out[y]);
     ++passes;
   }
   return passes;
@@ -132,18 +135,25 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-std::uint32_t get_varint(const std::vector<std::uint8_t>& in,
-                         std::size_t& pos) {
+std::uint32_t get_varint_slow(const std::uint8_t*& p,
+                              const std::uint8_t* end) {
   std::uint32_t v = 0;
   int shift = 0;
   for (;;) {
-    if (pos >= in.size()) throw cellport::IoError("truncated SIC stream");
-    std::uint8_t b = in[pos++];
+    if (p >= end) throw cellport::IoError("truncated SIC stream");
+    std::uint8_t b = *p++;
     v |= static_cast<std::uint32_t>(b & 0x7F) << shift;
     if ((b & 0x80) == 0) return v;
     shift += 7;
     if (shift > 28) throw cellport::IoError("overlong varint in SIC stream");
   }
+}
+
+/// Reads the varint at p (advanced past it); most tokens are one byte.
+inline std::uint32_t get_varint(const std::uint8_t*& p,
+                                const std::uint8_t* end) {
+  if (p < end && *p < 0x80) return *p++;
+  return get_varint_slow(p, end);
 }
 
 std::uint32_t zz_enc(int v) {
@@ -157,6 +167,18 @@ int zz_dec(std::uint32_t v) {
 inline void chg(sim::ScalarContext* ctx, sim::OpClass c,
                 std::uint64_t n = 1) {
   if (ctx != nullptr) ctx->charge(c, n);
+}
+
+/// clamp(lround(v + 128), 0, 255) without libm. Between the clamps,
+/// f - trunc(f) is exact (t <= f < 2t, or t = 0), so comparing it with
+/// 0.5 rounds half away from zero as lround does.
+inline std::uint8_t to_pixel(float v) {
+  const float f = v + 128.0f;
+  if (!(f >= 0.5f)) return 0;
+  if (f >= 254.5f) return 255;
+  const int t = static_cast<int>(f);
+  return static_cast<std::uint8_t>(
+      t + (f - static_cast<float>(t) >= 0.5f ? 1 : 0));
 }
 
 }  // namespace
@@ -270,47 +292,68 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
         static_cast<std::uint64_t>(img.height()) * 2);
     return img;
   }
-  std::size_t hdr = 0;
   if (enc.bytes.size() < 4 || enc.bytes[0] != 'S' ||
       enc.bytes[1] != 'I' || enc.bytes[2] != 'C' || enc.bytes[3] != '2') {
     throw cellport::IoError("bad SIC magic");
   }
-  hdr = 4;
-  int w = static_cast<int>(get_varint(enc.bytes, hdr));
-  int h = static_cast<int>(get_varint(enc.bytes, hdr));
-  int quality = static_cast<int>(get_varint(enc.bytes, hdr));
-  // Entropy-decode the token stream, then parse it.
-  std::vector<std::uint8_t> in = huffman_decode(enc.bytes, hdr, ctx);
-  std::size_t pos = 0;
+  const std::uint8_t* p = enc.bytes.data() + 4;
+  const std::uint8_t* const bytes_end = enc.bytes.data() + enc.bytes.size();
+  int w = static_cast<int>(get_varint(p, bytes_end));
+  int h = static_cast<int>(get_varint(p, bytes_end));
+  int quality = static_cast<int>(get_varint(p, bytes_end));
   if (w <= 0 || h <= 0 || w > 1 << 16 || h > 1 << 16) {
     throw cellport::IoError("bad SIC dimensions");
   }
-  auto q = quant_table(quality);
-  RgbImage img(w, h);
-
+  // Entropy-decode the token stream, then parse it.
+  std::size_t hdr = static_cast<std::size_t>(p - enc.bytes.data());
+  std::vector<std::uint8_t> in = huffman_decode(enc.bytes, hdr, ctx);
   int bw = (w + kBlock - 1) / kBlock;
   int bh = (h + kBlock - 1) / kBlock;
+  // Every block of every channel holds at least a DC varint and an
+  // end-of-block token; check before sizing the image.
+  if (in.size() < 2 * 3 * static_cast<std::uint64_t>(bw) * bh) {
+    throw cellport::IoError("truncated SIC stream");
+  }
+  auto q = quant_table(quality);
+  std::array<float, 64> qf{};
+  for (int k = 0; k < 64; ++k) qf[k] = static_cast<float>(q[k]);
+  const DctBasis b = basis();
+  const float c00 = b.c[0][0];
+  RgbImage img(w, h);
+
+  const std::uint8_t* const end = in.data() + in.size();
+  p = in.data();
   for (int ch = 0; ch < 3; ++ch) {
     int prev_dc = 0;
     for (int by = 0; by < bh; ++by) {
+      const int rows = std::min(kBlock, h - by * kBlock);
       for (int bx = 0; bx < bw; ++bx) {
-        int qv[64] = {};
-        prev_dc += zz_dec(get_varint(in, pos));
-        qv[0] = prev_dc;
+        const int cols = std::min(kBlock, w - bx * kBlock);
+        // Wrapping sum: a malformed stream may overflow the DC chain.
+        prev_dc = static_cast<int>(
+            static_cast<std::uint32_t>(prev_dc) +
+            static_cast<std::uint32_t>(zz_dec(get_varint(p, end))));
+        float coef[kBlock][kBlock] = {};
         int i = 1;
         int nz_ac = 0;
         for (;;) {
-          std::uint32_t tok = get_varint(in, pos);
+          std::uint32_t tok = get_varint(p, end);
           chg(ctx, sim::OpClass::kLoad, 2);
           chg(ctx, sim::OpClass::kIntAlu, 4);
           chg(ctx, sim::OpClass::kBranch, 2);
           if (tok == 0) break;  // end of block
+          if (tok - 1 >= static_cast<std::uint32_t>(64 - i)) {
+            throw cellport::IoError("SIC run overflow");
+          }
           i += static_cast<int>(tok) - 1;
-          if (i >= 64) throw cellport::IoError("SIC run overflow");
-          qv[i++] = zz_dec(get_varint(in, pos));
+          const int idx = kZigzag[static_cast<std::size_t>(i++)];
+          coef[idx / kBlock][idx % kBlock] =
+              static_cast<float>(zz_dec(get_varint(p, end))) * qf[idx];
           ++nz_ac;
         }
-        float blk[kBlock][kBlock];
+        std::uint8_t* const dst0 =
+            img.row(by * kBlock) + bx * kBlock * 3 + ch;
+        const int stride = img.stride();
         if (nz_ac == 0) {
           // DC-only fast path (most blocks of smooth regions): the
           // whole block is one constant. Same association as the
@@ -318,41 +361,29 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
           chg(ctx, sim::OpClass::kMul, 3);
           chg(ctx, sim::OpClass::kStore, 64);
           chg(ctx, sim::OpClass::kIntAlu, 64);
-          float c00 = basis().c[0][0];
-          float v = (static_cast<float>(qv[0]) *
-                     static_cast<float>(q[0]) * c00) *
-                    c00;
-          for (auto& row : blk) {
-            for (float& x : row) x = v;
+          const std::uint8_t v = to_pixel(
+              (static_cast<float>(prev_dc) * qf[0] * c00) * c00);
+          for (int y = 0; y < rows; ++y) {
+            std::uint8_t* dst = dst0 + y * stride;
+            for (int x = 0; x < cols; ++x) dst[x * 3] = v;
           }
-        } else {
-          // Dequantize the nonzeros + fast separable IDCT (32 mul +
-          // 32 add per 1-D pass; all-zero columns are skipped).
-          float coef[kBlock][kBlock] = {};
-          for (int k = 0; k < 64; ++k) {
-            int idx = kZigzag[k];
-            coef[idx / kBlock][idx % kBlock] =
-                static_cast<float>(qv[k]) * static_cast<float>(q[idx]);
-          }
-          int passes = idct8x8(coef, blk);
-          chg(ctx, sim::OpClass::kMul,
-              static_cast<std::uint64_t>(nz_ac) + 1);
-          chg(ctx, sim::OpClass::kFloatAlu,
-              static_cast<std::uint64_t>(passes) * 32);
-          chg(ctx, sim::OpClass::kMul,
-              static_cast<std::uint64_t>(passes) * 32);
-          chg(ctx, sim::OpClass::kIntAlu, 64 * 2);
-          chg(ctx, sim::OpClass::kStore, 64);
+          continue;
         }
-        for (int y = 0; y < kBlock; ++y) {
-          int sy = by * kBlock + y;
-          if (sy >= h) break;
-          for (int x = 0; x < kBlock; ++x) {
-            int sx = bx * kBlock + x;
-            if (sx >= w) break;
-            img.at(sx, sy, ch) = static_cast<std::uint8_t>(
-                std::clamp(std::lround(blk[y][x] + 128.0f), 0l, 255l));
-          }
+        // Dequantize the nonzeros (above, as parsed) + fast separable
+        // IDCT (32 mul + 32 add per 1-D pass; all-zero columns are
+        // skipped).
+        coef[0][0] = static_cast<float>(prev_dc) * qf[0];
+        float blk[kBlock][kBlock];
+        int passes = idct8x8(b, coef, blk);
+        chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(nz_ac) + 1);
+        chg(ctx, sim::OpClass::kFloatAlu,
+            static_cast<std::uint64_t>(passes) * 32);
+        chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(passes) * 32);
+        chg(ctx, sim::OpClass::kIntAlu, 64 * 2);
+        chg(ctx, sim::OpClass::kStore, 64);
+        for (int y = 0; y < rows; ++y) {
+          std::uint8_t* dst = dst0 + y * stride;
+          for (int x = 0; x < cols; ++x) dst[x * 3] = to_pixel(blk[y][x]);
         }
       }
     }

@@ -331,6 +331,41 @@ TEST(Codec, RejectsGarbage) {
   EXPECT_THROW(sic_decode(truncated), IoError);
 }
 
+TEST(Codec, RejectsOversizedHeadersWithoutAllocating) {
+  // Headers that would size a huge image or Huffman buffer throw IoError
+  // from the header checks, before any allocation or charge.
+  auto expect_rejected_uncharged = [](const SicEncoded& enc) {
+    sim::ScalarContext ctx(sim::cell_ppe());
+    EXPECT_THROW(sic_decode(enc, &ctx), IoError);
+    EXPECT_EQ(ctx.now_ns(), 0.0);
+    EXPECT_EQ(ctx.meter().total_ops(), 0u);
+  };
+  // 65536 x 65536 (a 12.9 GB image) with an empty payload.
+  SicEncoded huge_image;
+  huge_image.bytes = {'S',  'I',  'C',  '2', 0x80, 0x80,
+                      0x04, 0x80, 0x80, 0x04, 70,  0};
+  expect_rejected_uncharged(huge_image);
+  // A Huffman count of 2^32 over a valid 256-byte code table.
+  SicEncoded huge_count;
+  huge_count.bytes = {'S', 'I', 'C', '2', 8, 8, 70, 0x80, 0x80, 0x80, 0x80,
+                      0x10};
+  huge_count.bytes.insert(huge_count.bytes.end(), 256, 8);
+  ASSERT_EQ(huge_count.bytes.size(), 268u);
+  expect_rejected_uncharged(huge_count);
+  // A well-formed Huffman stream too short for 64 x 64: rejected before
+  // the image is sized, so no block is charged.
+  SicEncoded short_tokens;
+  short_tokens.bytes = {'S', 'I', 'C', '2', 64, 64, 70};
+  const std::vector<std::uint8_t> tokens =
+      huffman_encode(std::vector<std::uint8_t>(100, 0));
+  short_tokens.bytes.insert(short_tokens.bytes.end(), tokens.begin(),
+                            tokens.end());
+  sim::ScalarContext ctx(sim::cell_ppe());
+  EXPECT_THROW(sic_decode(short_tokens, &ctx), IoError);
+  EXPECT_EQ(ctx.meter().count(sim::OpClass::kMul), 0u);
+  EXPECT_EQ(ctx.meter().count(sim::OpClass::kStore), 0u);
+}
+
 TEST(Codec, DecodeChargesPreprocessCost) {
   SicEncoded enc = sic_encode(synth_image(SceneKind::kGradient, 2), 80);
   sim::ScalarContext ctx(sim::desktop_pentium_d());
