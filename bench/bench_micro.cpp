@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "balance/digest.h"
 #include "features/color_histogram.h"
 #include "img/codec.h"
 #include "img/color.h"
@@ -273,6 +274,35 @@ void BM_HuffmanDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HuffmanDecode)->Unit(benchmark::kMillisecond);
+
+// The cache key over the serve path's carrier: a 352x240 PPM frame.
+// The feature cache keys with content_digest; fnv1a64, the byte-serial
+// digest it replaced, is kept for comparison.
+img::SicEncoded digest_carrier() {
+  return img::ppm_encode(img::synth_image(img::SceneKind::kTexture, 2));
+}
+
+void BM_ContentDigest(benchmark::State& state) {
+  const img::SicEncoded enc = digest_carrier();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        balance::content_digest(enc.bytes.data(), enc.bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(enc.bytes.size()));
+}
+BENCHMARK(BM_ContentDigest)->Unit(benchmark::kMicrosecond);
+
+void BM_Fnv1a64(benchmark::State& state) {
+  const img::SicEncoded enc = digest_carrier();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        balance::fnv1a64(enc.bytes.data(), enc.bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(enc.bytes.size()));
+}
+BENCHMARK(BM_Fnv1a64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

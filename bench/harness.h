@@ -33,18 +33,24 @@ namespace cellport::bench {
 /// Writes the standard model library to a temp path (done once per
 /// binary) and returns the path. The path is per-process: concurrent
 /// bench binaries (CI runs them in parallel) must not rebuild the
-/// library over each other mid-read.
+/// library over each other mid-read. The file is removed at normal
+/// exit.
 inline const std::string& library_path() {
-  static const std::string path = [] {
-    std::string p = "/tmp/cellport_bench_models." +
-                    std::to_string(::getpid()) + ".bin";
-    learn::MarvelModels models = learn::make_marvel_models();
-    std::size_t bytes = learn::save_library(p, models);
-    std::printf("[setup] model library: %.2f MB at %s\n",
-                static_cast<double>(bytes) / 1e6, p.c_str());
-    return p;
-  }();
-  return path;
+  struct LibraryFile {
+    std::string path = "/tmp/cellport_bench_models." +
+                       std::to_string(::getpid()) + ".bin";
+    LibraryFile() {
+      learn::MarvelModels models = learn::make_marvel_models();
+      std::size_t bytes = learn::save_library(path, models);
+      std::printf("[setup] model library: %.2f MB at %s\n",
+                  static_cast<double>(bytes) / 1e6, path.c_str());
+    }
+    ~LibraryFile() { std::remove(path.c_str()); }
+    LibraryFile(const LibraryFile&) = delete;
+    LibraryFile& operator=(const LibraryFile&) = delete;
+  };
+  static const LibraryFile file;
+  return file.path;
 }
 
 /// Exclusive simulated ns of one profiler phase (0 when absent).

@@ -1,11 +1,11 @@
 // cellbalance: content-addressed LRU cache with a byte budget.
 //
-// Maps an image-bytes digest (balance::fnv1a64 over the ENCODED carrier)
-// to the full analysis value the cold path produced, so repeated and
-// duplicated uploads skip decode + extraction + detection entirely. The
-// template keeps the cache below the engine in the dependency order: the
-// engine instantiates it with its own result type and charges the
-// simulated costs at its call sites.
+// Maps an image-bytes digest (balance::content_digest over the ENCODED
+// carrier) to the full analysis value the cold path produced, so
+// repeated and duplicated uploads skip decode + extraction + detection
+// entirely. The template keeps the cache below the engine in the
+// dependency order: the engine instantiates it with its own result type
+// and charges the simulated costs at its call sites.
 //
 // Eviction is strict LRU under a byte budget: inserting past the budget
 // evicts least-recently-used entries first; a value larger than the whole

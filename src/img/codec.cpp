@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 
 #include "img/huffman.h"
 #include "img/ppm.h"
@@ -76,51 +77,80 @@ void fdct8x8(const float in[kBlock][kBlock], float out[kBlock][kBlock]) {
   }
 }
 
-// Fast separable 8-point inverse DCT (even/odd decomposition: the basis
-// is symmetric for even and antisymmetric for odd coefficients, halving
-// the multiply count — the structure real JPEG decoders use).
-// The basis comes in by reference to a caller's local copy, so the
-// compiler can keep it in registers across the output stores.
-inline void idct8(const DctBasis& b, const float in[kBlock],
-                  float out[kBlock]) {
-  float e[4];
-  float o[4];
-  for (int n = 0; n < 4; ++n) {
-    e[n] = in[0] * b.c[0][n] + in[2] * b.c[2][n] + in[4] * b.c[4][n] +
-           in[6] * b.c[6][n];
-    o[n] = in[1] * b.c[1][n] + in[3] * b.c[3][n] + in[5] * b.c[5][n] +
-           in[7] * b.c[7][n];
-  }
-  for (int n = 0; n < 4; ++n) {
-    out[n] = e[n] + o[n];
-    out[7 - n] = e[n] - o[n];
-  }
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef std::int32_t i32x4 __attribute__((vector_size(16)));
+typedef std::uint8_t u8x4 __attribute__((vector_size(4)));
+
+inline f32x4 load4(const float* p) {
+  f32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-/// Returns the number of 1-D passes actually computed (the caller charges
-/// 32 mul + 32 add per pass). Columns whose coefficients are all zero are
-/// skipped — quantized blocks are sparse, and real decoders exploit it.
+/// One 8x8 block after the inverse DCT: row y is lo[y] (outputs 0-3)
+/// and hi[y] (outputs 4-7).
+struct IdctRows {
+  f32x4 lo[kBlock];
+  f32x4 hi[kBlock];
+};
+
+/// Fast separable 8-point inverse DCT (even/odd decomposition: the basis
+/// is symmetric for even and antisymmetric for odd coefficients, halving
+/// the multiply count — the structure real JPEG decoders use), four
+/// lanes at a time. Every lane makes the float operations of the scalar
+/// 1-D transform in the same order:
+///   e[n] = in[0]*c[0][n] + in[2]*c[2][n] + in[4]*c[4][n] + in[6]*c[6][n]
+///   o[n] = in[1]*c[1][n] + in[3]*c[3][n] + in[5]*c[5][n] + in[7]*c[7][n]
+///   out[n] = e[n] + o[n],  out[7-n] = e[n] - o[n]   (n = 0..3)
+/// so each output has the scalar transform's bits, up to the sign of a
+/// zero, which +128 erases.
+///
+/// Returns the number of 1-D passes the scalar transform computes (the
+/// caller charges 32 mul + 32 add per pass): 8 row passes plus one per
+/// column with a nonzero coefficient — quantized blocks are sparse, and
+/// real decoders skip the all-zero columns. Here a group of four
+/// columns is skipped only when all four are zero.
 int idct8x8(const DctBasis& b, const float in[kBlock][kBlock],
-            float out[kBlock][kBlock]) {
-  float tmp[kBlock][kBlock];
-  int passes = 0;
-  for (int x = 0; x < kBlock; ++x) {
-    bool any = false;
-    for (int k = 0; k < kBlock; ++k) any = any || in[k][x] != 0.0f;
-    if (!any) {
-      for (int n = 0; n < kBlock; ++n) tmp[n][x] = 0.0f;
+            IdctRows& out) {
+  // Column pass, lanes across columns: tmp[n] holds output n of
+  // columns 4h..4h+3 in tmp[n][h].
+  f32x4 tmp[kBlock][2];
+  int passes = kBlock;
+  for (int h = 0; h < 2; ++h) {
+    f32x4 v[kBlock];
+    i32x4 nz = {};
+    for (int k = 0; k < kBlock; ++k) {
+      v[k] = load4(&in[k][4 * h]);
+      nz |= v[k] != 0.0f;
+    }
+    passes -= nz[0] + nz[1] + nz[2] + nz[3];
+    if ((nz[0] | nz[1] | nz[2] | nz[3]) == 0) {
+      for (auto& row : tmp) row[h] = f32x4{};
       continue;
     }
-    float col[kBlock];
-    float res[kBlock];
-    for (int k = 0; k < kBlock; ++k) col[k] = in[k][x];
-    idct8(b, col, res);
-    ++passes;
-    for (int n = 0; n < kBlock; ++n) tmp[n][x] = res[n];
+    for (int n = 0; n < 4; ++n) {
+      const f32x4 e = v[0] * b.c[0][n] + v[2] * b.c[2][n] +
+                      v[4] * b.c[4][n] + v[6] * b.c[6][n];
+      const f32x4 o = v[1] * b.c[1][n] + v[3] * b.c[3][n] +
+                      v[5] * b.c[5][n] + v[7] * b.c[7][n];
+      tmp[n][h] = e + o;
+      tmp[7 - n][h] = e - o;
+    }
   }
+  // Row pass, lanes across outputs n, with each input broadcast; the
+  // outputs 7-n are e - o reversed.
+  f32x4 c[kBlock];
+  for (int k = 0; k < kBlock; ++k) c[k] = load4(b.c[k]);
   for (int y = 0; y < kBlock; ++y) {
-    idct8(b, tmp[y], out[y]);
-    ++passes;
+    const f32x4 t0 = tmp[y][0];
+    const f32x4 t1 = tmp[y][1];
+    const f32x4 e = c[0] * t0[0] + c[2] * t0[2] + c[4] * t1[0] +
+                    c[6] * t1[2];
+    const f32x4 o = c[1] * t0[1] + c[3] * t0[3] + c[5] * t1[1] +
+                    c[7] * t1[3];
+    out.lo[y] = e + o;
+    const f32x4 d = e - o;
+    out.hi[y] = __builtin_shufflevector(d, d, 3, 2, 1, 0);
   }
   return passes;
 }
@@ -164,21 +194,20 @@ int zz_dec(std::uint32_t v) {
   return static_cast<int>(v >> 1) ^ -static_cast<int>(v & 1);
 }
 
-inline void chg(sim::ScalarContext* ctx, sim::OpClass c,
-                std::uint64_t n = 1) {
-  if (ctx != nullptr) ctx->charge(c, n);
-}
-
-/// clamp(lround(v + 128), 0, 255) without libm. Between the clamps,
-/// f - trunc(f) is exact (t <= f < 2t, or t = 0), so comparing it with
-/// 0.5 rounds half away from zero as lround does.
-inline std::uint8_t to_pixel(float v) {
-  const float f = v + 128.0f;
-  if (!(f >= 0.5f)) return 0;
-  if (f >= 254.5f) return 255;
-  const int t = static_cast<int>(f);
-  return static_cast<std::uint8_t>(
-      t + (f - static_cast<float>(t) >= 0.5f ? 1 : 0));
+/// clamp(lround(v + 128), 0, 255) per lane, without libm. Between the
+/// clamps, f - trunc(f) is exact (t <= f < 2t, or t = 0), so comparing
+/// it with 0.5 rounds half away from zero as lround does. Lanes outside
+/// the clamps (NaN included) convert +0 instead, so no conversion
+/// leaves the int range.
+inline u8x4 to_pixel4(f32x4 v) {
+  const f32x4 f = v + 128.0f;
+  const i32x4 lo = f >= 0.5f;
+  const i32x4 hi = f >= 254.5f;
+  const f32x4 in = reinterpret_cast<f32x4>(reinterpret_cast<i32x4>(f) &
+                                           (lo & ~hi));
+  const i32x4 t = __builtin_convertvector(in, i32x4);
+  const i32x4 up = in - __builtin_convertvector(t, f32x4) >= 0.5f;
+  return __builtin_convertvector((t - up) | (hi & 255), u8x4);
 }
 
 }  // namespace
@@ -286,10 +315,11 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
     std::uint64_t chunks =
         (static_cast<std::uint64_t>(img.width()) * 3 * img.height() + 15) /
         16;
-    chg(ctx, sim::OpClass::kLoad, chunks);
-    chg(ctx, sim::OpClass::kStore, chunks);
-    chg(ctx, sim::OpClass::kIntAlu,
-        static_cast<std::uint64_t>(img.height()) * 2);
+    sim::ScalarContext::ChargeRun run(ctx);
+    run.charge(sim::OpClass::kLoad, chunks);
+    run.charge(sim::OpClass::kStore, chunks);
+    run.charge(sim::OpClass::kIntAlu,
+               static_cast<std::uint64_t>(img.height()) * 2);
     return img;
   }
   if (enc.bytes.size() < 4 || enc.bytes[0] != 'S' ||
@@ -321,6 +351,18 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
   const float c00 = b.c[0][0];
   RgbImage img(w, h);
 
+  // The block stage's charges run in locals; the fixed ones are priced
+  // once.
+  using sim::OpClass;
+  sim::ScalarContext::ChargeRun run(ctx);
+  const auto tok_load = run.fixed(OpClass::kLoad, 2);
+  const auto tok_alu = run.fixed(OpClass::kIntAlu, 4);
+  const auto tok_branch = run.fixed(OpClass::kBranch, 2);
+  const auto dc_mul = run.fixed(OpClass::kMul, 3);
+  const auto store_block = run.fixed(OpClass::kStore, 64);
+  const auto dc_alu = run.fixed(OpClass::kIntAlu, 64);
+  const auto idct_alu = run.fixed(OpClass::kIntAlu, 64 * 2);
+
   const std::uint8_t* const end = in.data() + in.size();
   p = in.data();
   for (int ch = 0; ch < 3; ++ch) {
@@ -333,14 +375,14 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
         prev_dc = static_cast<int>(
             static_cast<std::uint32_t>(prev_dc) +
             static_cast<std::uint32_t>(zz_dec(get_varint(p, end))));
-        float coef[kBlock][kBlock] = {};
+        alignas(16) float coef[kBlock][kBlock] = {};
         int i = 1;
         int nz_ac = 0;
         for (;;) {
           std::uint32_t tok = get_varint(p, end);
-          chg(ctx, sim::OpClass::kLoad, 2);
-          chg(ctx, sim::OpClass::kIntAlu, 4);
-          chg(ctx, sim::OpClass::kBranch, 2);
+          run.charge(tok_load);
+          run.charge(tok_alu);
+          run.charge(tok_branch);
           if (tok == 0) break;  // end of block
           if (tok - 1 >= static_cast<std::uint32_t>(64 - i)) {
             throw cellport::IoError("SIC run overflow");
@@ -358,11 +400,11 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
           // DC-only fast path (most blocks of smooth regions): the
           // whole block is one constant. Same association as the
           // general path: (dc*q * c00) * c00.
-          chg(ctx, sim::OpClass::kMul, 3);
-          chg(ctx, sim::OpClass::kStore, 64);
-          chg(ctx, sim::OpClass::kIntAlu, 64);
-          const std::uint8_t v = to_pixel(
-              (static_cast<float>(prev_dc) * qf[0] * c00) * c00);
+          run.charge(dc_mul);
+          run.charge(store_block);
+          run.charge(dc_alu);
+          const float dc = (static_cast<float>(prev_dc) * qf[0] * c00) * c00;
+          const std::uint8_t v = to_pixel4(f32x4{dc, dc, dc, dc})[0];
           for (int y = 0; y < rows; ++y) {
             std::uint8_t* dst = dst0 + y * stride;
             for (int x = 0; x < cols; ++x) dst[x * 3] = v;
@@ -373,17 +415,22 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
         // IDCT (32 mul + 32 add per 1-D pass; all-zero columns are
         // skipped).
         coef[0][0] = static_cast<float>(prev_dc) * qf[0];
-        float blk[kBlock][kBlock];
-        int passes = idct8x8(b, coef, blk);
-        chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(nz_ac) + 1);
-        chg(ctx, sim::OpClass::kFloatAlu,
-            static_cast<std::uint64_t>(passes) * 32);
-        chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(passes) * 32);
-        chg(ctx, sim::OpClass::kIntAlu, 64 * 2);
-        chg(ctx, sim::OpClass::kStore, 64);
+        IdctRows blk;
+        const int passes = idct8x8(b, coef, blk);
+        run.charge(OpClass::kMul, static_cast<std::uint64_t>(nz_ac) + 1);
+        run.charge(OpClass::kFloatAlu,
+                   static_cast<std::uint64_t>(passes) * 32);
+        run.charge(OpClass::kMul, static_cast<std::uint64_t>(passes) * 32);
+        run.charge(idct_alu);
+        run.charge(store_block);
         for (int y = 0; y < rows; ++y) {
+          std::uint8_t px[kBlock];
+          const u8x4 lo = to_pixel4(blk.lo[y]);
+          const u8x4 hi = to_pixel4(blk.hi[y]);
+          std::memcpy(px, &lo, 4);
+          std::memcpy(px + 4, &hi, 4);
           std::uint8_t* dst = dst0 + y * stride;
-          for (int x = 0; x < cols; ++x) dst[x * 3] = to_pixel(blk[y][x]);
+          for (int x = 0; x < cols; ++x) dst[x * 3] = px[x];
         }
       }
     }

@@ -665,10 +665,11 @@ bool CellEngine::cache_try_serve(const img::SicEncoded& image,
                                  AnalysisResult* out, std::uint64_t* key) {
   sim::ScalarContext& ppe = machine_.ppe();
   probe::ProbeSpan span(prt(), probe::Phase::kCache, ppe, "cache_lookup");
-  // The FNV-1a pass is byte-serial on the PPE, over the ENCODED carrier
-  // (no decode needed to recognize a duplicate).
+  // The modelled digest pass is byte-serial on the PPE, over the ENCODED
+  // carrier (no decode needed to recognize a duplicate): one IntAlu per
+  // byte. The host computes the key word-wide; only its equality shows.
   ppe.charge(sim::OpClass::kIntAlu, image.bytes.size());
-  *key = balance::fnv1a64(image.bytes.data(), image.bytes.size());
+  *key = balance::content_digest(image.bytes.data(), image.bytes.size());
   const AnalysisResult* hit = cache_->find(*key);
   if (hit == nullptr) {
     cache_miss_counter_->add(1);

@@ -202,11 +202,11 @@ class CellEngine {
   bool balanced() const { return balanced_; }
 
   /// cellbalance: content-addressed feature cache. A non-zero byte
-  /// budget caches each undegraded AnalysisResult under the FNV-1a
-  /// digest of the ENCODED image bytes; repeated/duplicated uploads in
-  /// analyze(), analyze_stream() and the cellserve broker are served
-  /// from the cache (digest + copy-out only), bit-identical to the cold
-  /// path. Eviction is strict LRU
+  /// budget caches each undegraded AnalysisResult under the
+  /// balance::content_digest of the ENCODED image bytes;
+  /// repeated/duplicated uploads in analyze(), analyze_stream() and the
+  /// cellserve broker are served from the cache (digest + copy-out
+  /// only), bit-identical to the cold path. Eviction is strict LRU
   /// under the budget (cache.{hits,misses,evictions,bytes,entries}
   /// metrics). Degraded results are never cached (guard accounting
   /// stays exact) and concept-clamped serve levels bypass the cache
@@ -329,7 +329,8 @@ class CellEngine {
   // ---- cellbalance cache (no-ops unless set_cache(>0)) ----
   bool cache_on() const { return cache_ != nullptr && cache_->enabled(); }
   /// Lookup front end shared by every cached path: digests `image`
-  /// (FNV-1a64 over the encoded carrier bytes, charged to the PPE),
+  /// (balance::content_digest over the encoded carrier bytes; the PPE
+  /// is charged one IntAlu per byte for the modelled pass),
   /// probes the cache under a kCache span and bumps the hit/miss
   /// counters. On a hit, copies the value into `*out` (charged like
   /// collect()) and returns true; on a miss, stores the digest in

@@ -33,6 +33,8 @@ class ScalarContext {
     clock_ns_ += core_.ns_for(c, n);
   }
 
+  class ChargeRun;
+
   /// Charges a streaming I/O transfer (disk read / image decode input).
   /// Time = per-file latency (if `open_file`) + bytes at disk bandwidth.
   /// By default the machine's I/O factor applies (per-access CPU overhead
@@ -91,6 +93,48 @@ class ScalarContext {
   SimTime io_ns_ = 0;
   CostMeter meter_;
   trace::TraceTrack* trace_track_ = nullptr;
+};
+
+/// A scoped run of charges whose clock and counts live in locals, so a
+/// hot loop does not round-trip them through memory. Each charge makes
+/// the same `clock += core.ns_for(c, n)` add as ScalarContext::charge,
+/// in the same order, so the running double sum ends with the same
+/// bits. Both are written back when the run ends, during exception
+/// unwinding too. Nothing else may charge the context while a run is
+/// open. A run over a null context charges nothing.
+class ScalarContext::ChargeRun {
+ public:
+  /// One charge's class, count and cost. ns_for is pure, so a charge
+  /// repeated in a loop can be priced once.
+  struct Charge {
+    OpClass c;
+    std::uint64_t n;
+    SimTime ns;
+  };
+
+  explicit ChargeRun(ScalarContext* ctx)
+      : ctx_(ctx), clock_ns_(ctx != nullptr ? ctx->clock_ns_ : 0) {}
+  ~ChargeRun() {
+    if (ctx_ == nullptr) return;
+    ctx_->clock_ns_ = clock_ns_;
+    ctx_->meter_ += meter_;
+  }
+  ChargeRun(const ChargeRun&) = delete;
+  ChargeRun& operator=(const ChargeRun&) = delete;
+
+  Charge fixed(OpClass c, std::uint64_t n) const {
+    return {c, n, ctx_ != nullptr ? ctx_->core_.ns_for(c, n) : 0};
+  }
+  void charge(const Charge& k) {
+    meter_.charge(k.c, k.n);
+    clock_ns_ += k.ns;
+  }
+  void charge(OpClass c, std::uint64_t n = 1) { charge(fixed(c, n)); }
+
+ private:
+  ScalarContext* ctx_;
+  SimTime clock_ns_;
+  CostMeter meter_;
 };
 
 }  // namespace cellport::sim

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -139,6 +141,75 @@ TEST(BalanceDigest, Fnv1a64IsTheReferenceFunction) {
   const std::uint8_t c[] = {'a', 'b', 'd'};
   EXPECT_EQ(balance::fnv1a64(b, 3), balance::fnv1a64(b, 3));
   EXPECT_NE(balance::fnv1a64(b, 3), balance::fnv1a64(c, 3));
+}
+
+TEST(BalanceDigest, ContentDigestIsPinned) {
+  // Any change to the function must be deliberate. The digest is
+  // XXH64 with seed 0: the first three are its published values.
+  EXPECT_EQ(balance::content_digest(nullptr, 0), 0xef46db3751d8e999ull);
+  const std::uint8_t abc[] = {'a', 'b', 'c'};
+  EXPECT_EQ(balance::content_digest(abc, 1), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(balance::content_digest(abc, 3), 0x44bc2cf5ad770999ull);
+  // The half-word and word tails, one stripe, and stripes plus tails.
+  std::vector<std::uint8_t> seq(100);
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    seq[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  EXPECT_EQ(balance::content_digest(seq.data(), 15), 0x90a9714eb00e8d29ull);
+  EXPECT_EQ(balance::content_digest(seq.data(), 32), 0xcc6b8aaada790b2dull);
+  EXPECT_EQ(balance::content_digest(seq.data(), 100), 0x4826e367566ea023ull);
+}
+
+TEST(BalanceDigest, ContentDigestSeesEveryBitAndLength) {
+  std::vector<std::uint8_t> buf(4096);
+  std::uint64_t x = 88172645463325252ull;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  const std::uint64_t base = balance::content_digest(buf.data(), buf.size());
+  for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+    buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    ASSERT_NE(balance::content_digest(buf.data(), buf.size()), base)
+        << "bit " << bit;
+    buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+  // Every prefix length through the word and byte tails, and zero
+  // bytes that only the length tells apart.
+  std::set<std::uint64_t> seen;
+  for (std::size_t n = 0; n <= 300; ++n) {
+    seen.insert(balance::content_digest(buf.data(), n));
+  }
+  EXPECT_EQ(seen.size(), 301u);
+  const std::vector<std::uint8_t> zeros(300, 0);
+  seen.clear();
+  for (std::size_t n = 0; n <= zeros.size(); ++n) {
+    seen.insert(balance::content_digest(zeros.data(), n));
+  }
+  EXPECT_EQ(seen.size(), 301u);
+}
+
+TEST(BalanceDigest, ContentDigestKeysEveryCarrierApart) {
+  // Every distinct carrier of the mixed-size SIC and PPM sets, at three
+  // seeds, gets its own key.
+  std::map<std::uint64_t, std::vector<std::uint8_t>> keys;
+  std::set<std::vector<std::uint8_t>> carriers;
+  for (std::uint64_t seed : {7u, 61u, 2007u}) {
+    for (const Dataset& set : {make_mixed_size_dataset(12, seed),
+                               make_mixed_size_ppm_dataset(12, seed)}) {
+      for (const img::SicEncoded& im : set.images) {
+        const auto it = keys.emplace(
+            balance::content_digest(im.bytes.data(), im.bytes.size()),
+            im.bytes).first;
+        EXPECT_EQ(it->second, im.bytes) << "digest collision";
+        carriers.insert(im.bytes);
+      }
+    }
+  }
+  EXPECT_EQ(keys.size(), carriers.size());
+  EXPECT_GE(carriers.size(), 60u);
 }
 
 TEST(BalanceCache, LruEvictsUnderTheByteBudget) {
@@ -380,6 +451,26 @@ TEST_F(BalancedEngine, CacheHitIsBitIdenticalToTheColdRun) {
   // (The engine charges only the digest + copy-out on the hit path.)
   ASSERT_NE(engine.cache(), nullptr);
   EXPECT_EQ(engine.cache()->stats().hits, 1u);
+}
+
+TEST_F(BalancedEngine, CacheKeySeesOneChangedByte) {
+  // Identical bytes hit; a carrier that differs in one pixel byte
+  // misses and gets its own cold result.
+  const img::SicEncoded carrier =
+      make_mixed_size_ppm_dataset(1, 5).images[0];
+  img::SicEncoded changed = carrier;
+  changed.bytes[changed.bytes.size() / 2] ^= 0x01;
+  sim::Machine machine;
+  CellEngine engine(machine, library_path(), Scenario::kSharded);
+  engine.set_cache(8 << 20);
+  const AnalysisResult cold = engine.analyze(carrier);
+  expect_bitwise_equal(engine.analyze(img::SicEncoded(carrier)), cold);
+  EXPECT_EQ(machine.metrics().counter("cache.hits").value(), 1u);
+  engine.analyze(changed);
+  EXPECT_EQ(machine.metrics().counter("cache.hits").value(), 1u);
+  EXPECT_EQ(machine.metrics().counter("cache.misses").value(), 2u);
+  engine.analyze(changed);
+  EXPECT_EQ(machine.metrics().counter("cache.hits").value(), 2u);
 }
 
 TEST_F(BalancedEngine, TinyBudgetEvictsAndStillMatches) {

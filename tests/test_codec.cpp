@@ -500,7 +500,9 @@ TEST(Codec, DecodeMatchesBitWalkReference) {
   } kSizes[] = {{352, 240}, {37, 23}, {64, 48}, {9, 17}, {1, 1}, {17, 8}};
   Rng rng(25);
   int n = 0;
-  for (int quality : {30, 70, 95}) {
+  // Quality 1 leaves DC-only blocks; quality 100 leaves dense blocks,
+  // mostly without an all-zero column.
+  for (int quality : {1, 30, 70, 95, 100}) {
     for (const auto& size : kSizes) {
       // The full-size frame once per quality; each small size twice.
       const int kinds = size.w == 352 ? 1 : 2;

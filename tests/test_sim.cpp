@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "sim/calibration.h"
 #include "sim/core_model.h"
@@ -65,6 +68,68 @@ TEST(ScalarContext, IoChargeUsesMachineFactor) {
   p.charge_io(600000);
   EXPECT_NEAR(d.now_ns(), 1e7, 1);
   EXPECT_NEAR(p.now_ns(), 1.4e7, 1);
+}
+
+/// The clock's bits and every meter count of a context.
+std::vector<std::uint64_t> charge_state(const ScalarContext& ctx) {
+  std::vector<std::uint64_t> s{std::bit_cast<std::uint64_t>(ctx.now_ns())};
+  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+    s.push_back(ctx.meter().count(static_cast<OpClass>(c)));
+  }
+  return s;
+}
+
+TEST(ScalarContext, ChargeRunMatchesChargeByCharge) {
+  // Mixed classes and counts, some priced once and reused, some priced
+  // per call. The clock is a running double sum that has grown large,
+  // so a merged or reordered add would show in its low bits.
+  struct Step {
+    OpClass c;
+    std::uint64_t n;
+  };
+  std::vector<Step> steps;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    steps.push_back({static_cast<OpClass>(i * 7 % kNumOpClasses),
+                     i % 5 == 0 ? 2 : (i * 7919) % 97 + 1});
+  }
+  for (const std::size_t cut : {steps.size(), std::size_t{1234}}) {
+    for (const CoreModel& core : {cell_ppe(), desktop_pentium_d()}) {
+      ScalarContext want(core);
+      ScalarContext got(core);
+      for (ScalarContext* ctx : {&want, &got}) {
+        ctx->advance_ns(1e6 / 3);
+        ctx->charge(OpClass::kMul, 3);
+      }
+      for (std::size_t i = 0; i < cut; ++i) {
+        want.charge(steps[i].c, steps[i].n);
+      }
+      // The cut run ends by a throw: the unwinding writes it back.
+      try {
+        ScalarContext::ChargeRun run(&got);
+        const auto twice = run.fixed(steps[0].c, 2);
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+          if (i == cut) throw IoError("cut short");
+          if (steps[i].n == 2 && steps[i].c == twice.c) {
+            run.charge(twice);
+          } else {
+            run.charge(steps[i].c, steps[i].n);
+          }
+        }
+      } catch (const IoError&) {
+        EXPECT_LT(cut, steps.size());
+      }
+      EXPECT_EQ(charge_state(got), charge_state(want))
+          << core.name << ", cut at " << cut;
+      // The context goes on charging from the written-back state.
+      want.charge(OpClass::kLoad, 5);
+      got.charge(OpClass::kLoad, 5);
+      EXPECT_EQ(charge_state(got), charge_state(want)) << core.name;
+    }
+  }
+  // A run over no context charges nothing.
+  ScalarContext::ChargeRun none(nullptr);
+  none.charge(OpClass::kDiv, 9);
+  EXPECT_EQ(none.fixed(OpClass::kDiv, 9).ns, 0.0);
 }
 
 // ---- cost meter ----
