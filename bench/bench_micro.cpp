@@ -3,7 +3,9 @@
 // larger experiments; simulated time is deterministic regardless).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "balance/digest.h"
@@ -12,8 +14,13 @@
 #include "img/color.h"
 #include "img/huffman.h"
 #include "img/synth.h"
+#include "kernels/cc_window.h"
 #include "kernels/ch_kernel.h"
+#include "kernels/eh_edge.h"
+#include "kernels/hsv_simd.h"
 #include "kernels/messages.h"
+#include "kernels/row_convert.h"
+#include "marvel/dataset.h"
 #include "port/message.h"
 #include "port/spe_interface.h"
 #include "shard/reducer.h"
@@ -303,6 +310,151 @@ void BM_Fnv1a64(benchmark::State& state) {
                           static_cast<std::int64_t>(enc.bytes.size()));
 }
 BENCHMARK(BM_Fnv1a64)->Unit(benchmark::kMicrosecond);
+
+// The fused pass's row bodies alone, each over every row of four 352x240
+// dataset frames (one iteration is all four frames, which share one
+// width): cellbench times them only inside whole kernels. No SPE context
+// is current, so the rows' charges are no-ops and the time is their host
+// lanes'.
+const std::vector<img::RgbImage>& row_frames() {
+  static const std::vector<img::RgbImage> frames = [] {
+    std::vector<img::RgbImage> out;
+    for (const img::SicEncoded& enc : marvel::make_dataset(4).images) {
+      out.push_back(img::sic_decode(enc));
+    }
+    return out;
+  }();
+  return frames;
+}
+
+// One frame's converted rows laid out as a kernel's ring rows (a band of
+// kRingOrigin bytes before each row and 24 after), every row kept: a row
+// body's ring pointers are aimed at the rows it reads instead of refilled.
+struct RingPlane {
+  RingPlane(int w, int h, std::uint8_t band)
+      : row_bytes(cellport::round_up(
+            static_cast<std::size_t>(kernels::kRingOrigin + w + 24), 16)),
+        buf(row_bytes * static_cast<std::size_t>(h)) {
+    std::memset(buf.data(), band, buf.size());
+  }
+  std::uint8_t* row(int y) {
+    return buf.data() + static_cast<std::size_t>(y) * row_bytes;
+  }
+  std::size_t row_bytes;
+  cellport::AlignedBuffer<std::uint8_t> buf;
+};
+
+void BM_RowQuantize(benchmark::State& state) {
+  const kernels::HsvConstants hsv_c = kernels::HsvConstants::load();
+  cellport::AlignedBuffer<std::uint8_t> dst(512);
+  std::vector<std::uint32_t> counts(4 * 256);
+  std::uint32_t* const banks[4] = {&counts[0], &counts[256], &counts[512],
+                                   &counts[768]};
+  const std::vector<img::RgbImage>& frames = row_frames();
+  for (auto _ : state) {
+    for (const img::RgbImage& f : frames) {
+      for (int y = 0; y < f.height(); ++y) {
+        kernels::quantize_row_counted(f.row(y), f.width(), dst.data(), hsv_c,
+                                      banks);
+      }
+    }
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RowQuantize)->Unit(benchmark::kMillisecond);
+
+void BM_RowGray(benchmark::State& state) {
+  cellport::AlignedBuffer<std::uint8_t> dst(512);
+  const std::vector<img::RgbImage>& frames = row_frames();
+  for (auto _ : state) {
+    for (const img::RgbImage& f : frames) {
+      for (int y = 0; y < f.height(); ++y) {
+        kernels::gray_row_simd(f.row(y), f.width(), dst.data());
+      }
+    }
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RowGray)->Unit(benchmark::kMillisecond);
+
+void BM_RowCcWindow(benchmark::State& state) {
+  const std::vector<img::RgbImage>& frames = row_frames();
+  std::vector<RingPlane> planes;
+  for (const img::RgbImage& f : frames) {
+    planes.emplace_back(f.width(), f.height(), kernels::kCcSentinel);
+    for (int y = 0; y < f.height(); ++y) {
+      kernels::quantize_row_simd(f.row(y), f.width(),
+                                 planes.back().row(y) + kernels::kRingOrigin,
+                                 kernels::HsvConstants::load());
+    }
+  }
+  const int w = frames[0].width();
+  std::vector<std::uint16_t> cols(static_cast<std::size_t>(w));
+  for (int x = 0; x < w; ++x) {
+    cols[static_cast<std::size_t>(x)] = static_cast<std::uint16_t>(
+        std::min(w - 1, x + kernels::kCcRadius) -
+        std::max(0, x - kernels::kCcRadius) + 1);
+  }
+  std::vector<std::uint32_t> same(256), possible(256);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < planes.size(); ++i) {
+      const int h = frames[i].height();
+      kernels::CcState st;
+      st.row_bytes = static_cast<int>(planes[i].row_bytes);
+      st.same = same.data();
+      st.possible = possible.data();
+      st.cols_clamped = cols.data();
+      for (int y = 0; y < h; ++y) {
+        for (int yy = std::max(0, y - kernels::kCcRadius);
+             yy <= std::min(h - 1, y + kernels::kCcRadius); ++yy) {
+          st.ring[yy % kernels::kCcRingRows] = planes[i].row(yy);
+        }
+        kernels::cc_produce_row(st, y, w, h);
+      }
+    }
+    benchmark::DoNotOptimize(same.data());
+    benchmark::DoNotOptimize(possible.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RowCcWindow)->Unit(benchmark::kMillisecond);
+
+void BM_RowEdge(benchmark::State& state) {
+  const std::vector<img::RgbImage>& frames = row_frames();
+  std::vector<RingPlane> planes;
+  for (const img::RgbImage& f : frames) {
+    planes.emplace_back(f.width(), f.height(), 0);
+    for (int y = 0; y < f.height(); ++y) {
+      kernels::gray_row_simd(f.row(y), f.width(),
+                             planes.back().row(y) + kernels::kRingOrigin);
+    }
+  }
+  const kernels::EhConstants ec = kernels::EhConstants::load();
+  std::vector<std::uint32_t> counts(features::kEdgeAngleBins *
+                                    features::kEdgeMagBins);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < planes.size(); ++i) {
+      kernels::EhState st;
+      st.counts = counts.data();
+      st.w = frames[i].width();
+      st.h = frames[i].height();
+      // Interior rows: the image's first and last rows run the scalar
+      // border path only.
+      for (int y = 1; y < st.h - 1; ++y) {
+        for (int yy = y - 1; yy <= y + 1; ++yy) {
+          st.ring[yy % kernels::kEhRingRows] = planes[i].row(yy);
+        }
+        kernels::eh_produce_row_simd(st, y, ec);
+      }
+    }
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RowEdge)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -20,9 +20,10 @@ namespace cellport::kernels {
 inline constexpr int kCcRadius = features::kCorrWindowRadius;  // 8
 inline constexpr int kCcOffsets = 2 * kCcRadius + 1;
 // cc_produce_row counts a 16-pixel block's matches in bytes and widens
-// them once per block. One byte counter takes the 8 right partners in the
+// them once per block. One byte count takes the 8 right partners in the
 // centre row plus at most kCcRadius later own rows; each of the other two
-// takes at most kCcRadius halo rows on one side of the own rows.
+// takes at most kCcRadius halo rows on one side of the own rows. (The
+// host spreads each count over four byte accumulators that sum to it.)
 static_assert(kCcRadius + kCcRadius * kCcOffsets <= 255);  // 144
 static_assert(kCcRadius * kCcOffsets <= 255);              // 136
 inline constexpr int kCcBlockRows = 12;
@@ -79,8 +80,6 @@ inline constexpr double kCcLaneOdd = 1 + 4 * 2 + 2 * 2;
 /// nothing flushes the pipes inside a row, so the pending totals match the
 /// per-instruction charging bit for bit.
 inline void cc_produce_row(const CcState& st, int y, int w, int h) {
-  typedef std::uint8_t u8x16 __attribute__((vector_size(16)));
-  typedef std::uint16_t u16x8 __attribute__((vector_size(16)));
   const auto load = [](const std::uint8_t* p) {
     u8x16 v;
     std::memcpy(&v, p, 16);
@@ -100,21 +99,30 @@ inline void cc_produce_row(const CcState& st, int y, int w, int h) {
   const std::uint8_t* center_row = st.ring[y % kCcRingRows] + kRingOrigin;
   // The SPU code reads each ring row with aligned quadword loads.
   cellport::spu::vld_check(center_row);
+  const std::uint8_t* window[kCcOffsets];  // row yy at window[yy - y0]
   for (int yy = y0; yy <= y1; ++yy) {
-    cellport::spu::vld_check(st.ring[yy % kCcRingRows] + kRingOrigin);
+    window[yy - y0] = st.ring[yy % kCcRingRows] + kRingOrigin;
+    cellport::spu::vld_check(window[yy - y0]);
   }
 
   // A compare mask is 0xFF (= -1) per matching byte, so subtracting it
-  // counts the match. The sentinel bands match no real bin.
-  const auto count_rows = [&](u8x16& acc, u8x16 centers, int x0, int begin,
+  // counts the match. The sentinel bands match no real bin. The offsets
+  // of a row are spread over four independent byte accumulators, so no
+  // compare waits on the one before it; the four take disjoint parts of
+  // one count, so their byte sum is that count and stays in its bound.
+  typedef u8x16 Counts[4];
+  const auto count_rows = [&](Counts& acc, u8x16 centers, int x0, int begin,
                               int end) {
     for (int yy = begin; yy < end; ++yy) {
-      const std::uint8_t* nrow =
-          st.ring[yy % kCcRingRows] + kRingOrigin + x0;
-      for (int dx = -kCcRadius; dx <= kCcRadius; ++dx) {
-        acc -= (u8x16)(load(nrow + dx) == centers);
+      const std::uint8_t* nrow = window[yy - y0] + x0 - kCcRadius;
+#pragma GCC unroll 17
+      for (int i = 0; i < kCcOffsets; ++i) {
+        acc[i % 4] -= (u8x16)(load(nrow + i) == centers);
       }
     }
+  };
+  const auto sum = [](const Counts& acc) {
+    return (acc[0] + acc[1]) + (acc[2] + acc[3]);
   };
   // A sentinel centre (only test rings have one inside the image) also
   // matches the band columns outside the image, which are no centres, so
@@ -133,24 +141,34 @@ inline void cc_produce_row(const CcState& st, int y, int w, int h) {
 
   for (int x0 = 0; x0 < w; x0 += 16) {
     const u8x16 centers = load(center_row + x0);
-    u8x16 twice = {};
+    Counts twice = {};
+#pragma GCC unroll 8
     for (int dx = 1; dx <= kCcRadius; ++dx) {
-      twice -= (u8x16)(load(center_row + x0 + dx) == centers);
+      twice[dx % 4] -= (u8x16)(load(center_row + x0 + dx) == centers);
     }
     count_rows(twice, centers, x0, y + 1, later_end);
-    u8x16 above = {};
+    Counts above = {};
     count_rows(above, centers, x0, y0, before_end);
-    u8x16 below = {};
+    Counts below = {};
     count_rows(below, centers, x0, later_end, y1 + 1);
-    // Weighted counts of the even and the odd centre lanes.
-    const u16x8 even = (((u16x8)twice & 0xFF) << 1) +
-                       ((u16x8)above & 0xFF) + ((u16x8)below & 0xFF);
-    const u16x8 odd = (((u16x8)twice >> 8) << 1) + ((u16x8)above >> 8) +
-                      ((u16x8)below >> 8);
+    // Weighted counts of the even and the odd centre lanes, interleaved
+    // back into lane order.
+    const u16x8 t = (u16x8)sum(twice);
+    const u16x8 a = (u16x8)sum(above);
+    const u16x8 b = (u16x8)sum(below);
+    const u16x8 even = ((t & 0xFF) << 1) + (a & 0xFF) + (b & 0xFF);
+    const u16x8 odd = ((t >> 8) << 1) + (a >> 8) + (b >> 8);
+    std::uint16_t counts[16];
+    const u16x8 lo = __builtin_shufflevector(even, odd, 0, 8, 1, 9, 2, 10, 3,
+                                             11);
+    const u16x8 hi = __builtin_shufflevector(even, odd, 4, 12, 5, 13, 6, 14,
+                                             7, 15);
+    std::memcpy(counts, &lo, 16);
+    std::memcpy(counts + 8, &hi, 16);
     const int lanes = std::min(16, w - x0);
     for (int lane = 0; lane < lanes; ++lane) {
       const int x = x0 + lane;
-      std::uint32_t cnt = lane % 2 ? odd[lane / 2] : even[lane / 2];
+      std::uint32_t cnt = counts[lane];
       const std::uint8_t bin = center_row[x];
       if (bin == kCcSentinel) cnt += band_correction(x);
       const std::uint32_t area =

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 #include "spu/spu.h"
 
@@ -82,6 +83,40 @@ class RowStreamer {
 // which the default ISA lowers to native SIMD.
 typedef float f32x4 __attribute__((vector_size(16)));
 typedef std::int32_t i32x4 __attribute__((vector_size(16)));
+typedef std::uint8_t u8x16 __attribute__((vector_size(16)));
+typedef std::uint16_t u16x8 __attribute__((vector_size(16)));
+typedef std::uint32_t u32x4 __attribute__((vector_size(16)));
+
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the RGB word gathers read channels from little-endian words");
+
+/// The 32-bit word at `p`: red, green and blue in bytes 0-2 when `p` is a
+/// pixel.
+inline std::int32_t rgb_word(const std::uint8_t* p) {
+  std::int32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+/// Four pixels whose bytes start at `px` and lie `step` pixels apart,
+/// one per word lane: red in bits 0-7, green 8-15, blue 16-23 (bits 24-31
+/// hold the next pixel's red, or 0). The last pixel's word is read from
+/// the byte before it and shifted down, so the gather reads no byte past
+/// that pixel's blue: a row's last pixel may end its row.
+inline i32x4 rgb_words4(const std::uint8_t* px, int step) {
+  const int s = 3 * step;
+  const auto last = static_cast<std::uint32_t>(rgb_word(px + 3 * s - 1));
+  return i32x4{rgb_word(px), rgb_word(px + s), rgb_word(px + 2 * s),
+               static_cast<std::int32_t>(last >> 8)};
+}
+
+/// Packs the low bytes of four word vectors into 16 bytes, byte 4k + j
+/// from lane k of `v[j]`: the store order of 16 pixels gathered as
+/// rgb_words4(px + 3j, 4).
+inline u8x16 pack_lanes(const i32x4 (&v)[4]) {
+  return (u8x16)((u32x4)v[0] | ((u32x4)v[1] << 8) | ((u32x4)v[2] << 16) |
+                 ((u32x4)v[3] << 24));
+}
 
 // An unaligned 16-byte load, the SPU way: one aligned quadword vld (odd
 // pipe), plus a second vld and a merging shuffle when the address is not

@@ -38,10 +38,9 @@ inline int eh_clamped(const EhState& st, int x, int y) {
 
 /// Scalar pixel using the reference's exact float sqrt/atan2 path (used
 /// for the image border, where clamping breaks the vector pattern).
-inline void eh_scalar_pixel(const EhState& st, int x, int y) {
-  using namespace cellport::spu;
-  sop(30);
-  charge_odd(20);
+/// Returns 1 when the pixel is an edge, which it counts. Charges nothing:
+/// its row charges its scalar pixels once (eh_charge_scalar).
+inline int eh_scalar_pixel(const EhState& st, int x, int y) {
   int gx = -eh_clamped(st, x - 1, y - 1) + eh_clamped(st, x + 1, y - 1) -
            2 * eh_clamped(st, x - 1, y) + 2 * eh_clamped(st, x + 1, y) -
            eh_clamped(st, x - 1, y + 1) + eh_clamped(st, x + 1, y + 1);
@@ -51,8 +50,7 @@ inline void eh_scalar_pixel(const EhState& st, int x, int y) {
   float mag =
       std::sqrt(static_cast<float>(gx) * static_cast<float>(gx) +
                 static_cast<float>(gy) * static_cast<float>(gy));
-  if (mag < features::kEdgeMagThreshold) return;
-  sop(40);
+  if (mag < features::kEdgeMagThreshold) return 0;
   float angle =
       std::atan2(static_cast<float>(gy), static_cast<float>(gx));
   if (angle < 0.0f) angle += kEhTwoPi;
@@ -62,19 +60,42 @@ inline void eh_scalar_pixel(const EhState& st, int x, int y) {
   int mbin = static_cast<int>(
       mag * (features::kEdgeMagBins / features::kEdgeMagMax));
   if (mbin >= features::kEdgeMagBins) mbin = features::kEdgeMagBins - 1;
-  auto bin = static_cast<std::uint32_t>(abin * features::kEdgeMagBins +
-                                        mbin);
-  sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
+  ++st.counts[abin * features::kEdgeMagBins + mbin];
+  return 1;
+}
+
+// SPU cycles of the scalar pixel path. Per pixel: the clamped gradient and
+// the magnitude (30 even, 20 odd). Per edge pixel: the angle and the bins
+// (40 even) and the counter's scalar load (2 odd) and store (1 even,
+// 2 odd).
+inline constexpr double kEhScalarEven = 30;
+inline constexpr double kEhScalarOdd = 20;
+inline constexpr double kEhScalarEdgeEven = 40 + 1;
+inline constexpr double kEhScalarEdgeOdd = 2 + 2;
+
+/// Charges a row's `pixels` scalar pixels, `edges` of them edges.
+inline void eh_charge_scalar(int pixels, int edges) {
+  cellport::spu::charge_even(pixels * kEhScalarEven +
+                             edges * kEhScalarEdgeEven);
+  cellport::spu::charge_odd(pixels * kEhScalarOdd + edges * kEhScalarEdgeOdd);
+}
+
+/// Produces the image's first or last gradient row: every pixel on the
+/// scalar path, charged once.
+inline void eh_border_row(const EhState& st, int y) {
+  int edges = 0;
+  for (int x = 0; x < st.w; ++x) edges += eh_scalar_pixel(st, x, y);
+  eh_charge_scalar(st.w, edges);
 }
 
 /// The SPU edge binning's constant registers: 21 splats (the sign mask,
 /// tan(22.5) and tan(67.5), the 7 squared magnitude boundaries, the
 /// integers 0..7 plus a second 0, the edge threshold 63 and a halfword 1),
 /// made once per invocation. load() charges them; the host binning reads
-/// only the boundaries.
+/// only the boundaries, splatted like the SPU's.
 struct EhConstants {
   static constexpr double kSplats = 3 + (features::kEdgeMagBins - 1) + 9 + 2;
-  float mag_b2[features::kEdgeMagBins - 1];
+  f32x4 mag_b2[features::kEdgeMagBins - 1];
 
   static EhConstants load() {
     cellport::spu::charge_even(kSplats);
@@ -82,20 +103,28 @@ struct EhConstants {
     for (int k = 1; k < features::kEdgeMagBins; ++k) {
       float boundary = static_cast<float>(k) * features::kEdgeMagMax /
                        features::kEdgeMagBins;
-      c.mag_b2[k - 1] = boundary * boundary;
+      c.mag_b2[k - 1] = f32x4{} + boundary * boundary;
     }
     return c;
   }
 };
 
-/// Bins of 4 gradient pixels, branch-free, by the same float compares as
-/// the SPU code: the octant by tan(22.5)/tan(67.5) against |gx|, |gy|; the
-/// magnitude bin by counting squared boundaries above mag2, which replaces
-/// the reference's sqrt. Lanes below the edge threshold get a bin too.
-inline i32x4 eh_edge_bins(i32x4 gx, i32x4 gy, i32x4 mag2,
-                          const EhConstants& c) {
-  const f32x4 ax = __builtin_convertvector(gx < 0 ? -gx : gx, f32x4);
-  const f32x4 ay = __builtin_convertvector(gy < 0 ? -gy : gy, f32x4);
+/// Bins and edge mask of 4 gradient pixels, branch-free, by the same
+/// float compares as the SPU code: the octant by tan(22.5)/tan(67.5)
+/// against |gx|, |gy|; the magnitude bin by counting squared boundaries
+/// above mag2, which replaces the reference's sqrt. `edge` is -1 where
+/// mag2 > 63 (mag >= 8, the edge threshold); the other lanes get a bin
+/// too. The host computes mag2 in float lanes, where fx*fx + fy*fy is
+/// exact (at most 2 * 1020^2 < 2^24), and takes |g| by clearing the sign
+/// bit, as the SPU code does.
+inline i32x4 eh_edge_bins(i32x4 gx, i32x4 gy, const EhConstants& c,
+                          i32x4& edge) {
+  const f32x4 fx = __builtin_convertvector(gx, f32x4);
+  const f32x4 fy = __builtin_convertvector(gy, f32x4);
+  const f32x4 ax = (f32x4)((i32x4)fx & 0x7FFFFFFF);
+  const f32x4 ay = (f32x4)((i32x4)fy & 0x7FFFFFFF);
+  const f32x4 mag2 = fx * fx + fy * fy;
+  edge = mag2 > 63.0f;
   const i32x4 diag = ay > ax * kEhTanLo;
   const i32x4 not_vert = ax * kEhTanHi > ay;
   const i32x4 gx_pos = gx > 0;
@@ -103,10 +132,10 @@ inline i32x4 eh_edge_bins(i32x4 gx, i32x4 gy, i32x4 mag2,
   const i32x4 diagonal = gx_pos ? (gy_pos ? 1 : 7) : (gy_pos ? 3 : 5);
   const i32x4 octant = diag ? (not_vert ? diagonal : (gy_pos ? 2 : 6))
                             : (gx_pos ? 0 : 4);
-  const f32x4 mf = __builtin_convertvector(mag2, f32x4);  // exact: < 2^24
   i32x4 mbin = i32x4{} + (features::kEdgeMagBins - 1);
+#pragma GCC unroll 7
   for (int k = 1; k < features::kEdgeMagBins; ++k) {
-    mbin += c.mag_b2[k - 1] > mf;  // a true mask is -1
+    mbin += c.mag_b2[k - 1] > mag2;  // a true mask is -1
   }
   return octant * features::kEdgeMagBins + mbin;
 }
@@ -128,27 +157,27 @@ inline constexpr double kEhEdgeEven = 1;
 inline constexpr double kEhEdgeOdd = 1 + 2 + 2;
 
 /// Produces one gradient row y: the scalar border pixels, 8-pixel groups
-/// on host vectors, and the scalar tail. The groups' SPU cycles are
-/// charged once per row; every charge is a whole number of cycles and
-/// nothing flushes the pipes inside a row, so the pending totals match
-/// the per-instruction charging bit for bit.
+/// on host vectors, and the scalar tail. The row's SPU cycles are charged
+/// once; every charge is a whole number of cycles and nothing flushes the
+/// pipes inside a row, so the pending totals match the per-instruction
+/// charging bit for bit.
 inline void eh_produce_row_simd(const EhState& st, int y,
                                 const EhConstants& ec) {
   typedef std::uint8_t u8x8 __attribute__((vector_size(8)));
   typedef std::int16_t i16x8 __attribute__((vector_size(16)));
-  const auto load8 = [](const std::uint8_t* p) {
-    u8x8 b;
-    std::memcpy(&b, p, 8);
-    return __builtin_convertvector(b, i16x8);
-  };
-  typedef std::int16_t i16x4 __attribute__((vector_size(8)));
-  const auto widen = [](i16x4 v) { return __builtin_convertvector(v, i32x4); };
+  // The SPU code bins the even and the odd halfword lanes of a group as
+  // two word vectors (mule/mulo); so does the host, by shifts.
+  const auto even = [](i16x8 v) { return ((i32x4)v << 16) >> 16; };
+  const auto odd = [](i16x8 v) { return (i32x4)v >> 16; };
   const int w = st.w;
   // Border columns via the scalar float path. A one-column image has a
   // single border pixel, not two — without the early return it would be
   // binned twice (column 0 and column w-1 are the same pixel).
-  eh_scalar_pixel(st, 0, y);
-  if (w == 1) return;
+  int scalar_edges = eh_scalar_pixel(st, 0, y);
+  if (w == 1) {
+    eh_charge_scalar(1, scalar_edges);
+    return;
+  }
   const std::uint8_t* rows[3] = {
       st.ring[(y - 1) % kEhRingRows] + kRingOrigin,
       st.ring[y % kEhRingRows] + kRingOrigin,
@@ -156,45 +185,41 @@ inline void eh_produce_row_simd(const EhState& st, int y,
 
   int groups = 0;
   int misaligned_loads = 0;
-  int edges = 0;
-  // Bins 4 gradient pixels and scatters the edge lanes (mag >= 8 <=>
-  // mag2 >= 64, exact); the other lanes add 0.
+  i32x4 edge_lanes = {};  // minus the edges counted in each lane
+  // Bins 4 gradient pixels and scatters them; a lane that is no edge adds
+  // 0 to its bin.
   const auto count_edges = [&](i32x4 gx4, i32x4 gy4) {
-    const i32x4 mag2 = gx4 * gx4 + gy4 * gy4;
-    const i32x4 bins = eh_edge_bins(gx4, gy4, mag2, ec);
-    for (int i = 0; i < 4; ++i) {
-      const int edge = mag2[i] >= 64;
-      edges += edge;
-      st.counts[bins[i]] += edge;
-    }
+    i32x4 edge;
+    const i32x4 bins = eh_edge_bins(gx4, gy4, ec, edge);
+    edge_lanes += edge;
+    for (int i = 0; i < 4; ++i) st.counts[bins[i]] += edge[i] & 1;
   };
   int x = 1;
   for (; x + 8 <= w - 1; x += 8) {
-    i16x8 l[3];
-    i16x8 c[3];
-    i16x8 r[3];
-    for (int k = 0; k < 3; ++k) {
-      l[k] = load8(rows[k] + x - 1);
-      c[k] = load8(rows[k] + x);
-      r[k] = load8(rows[k] + x + 1);
-      misaligned_loads += misaligned(rows[k] + x - 1);
-    }
-    const i16x8 gx = (r[0] - l[0]) + (r[2] - l[2]) + 2 * (r[1] - l[1]);
-    const i16x8 gy = (l[2] + r[2] + 2 * c[2]) - (l[0] + r[0] + 2 * c[0]);
-    // The SPU code bins the even and the odd lanes as two word vectors;
-    // the host bins the low and the high four.
-    count_edges(widen(__builtin_shufflevector(gx, gx, 0, 1, 2, 3)),
-                widen(__builtin_shufflevector(gy, gy, 0, 1, 2, 3)));
-    count_edges(widen(__builtin_shufflevector(gx, gx, 4, 5, 6, 7)),
-                widen(__builtin_shufflevector(gy, gy, 4, 5, 6, 7)));
+    // Pixels x-1+dx .. x+6+dx of window row k as halfwords.
+    const auto px = [&](int k, int dx) {
+      u8x8 b;
+      std::memcpy(&b, rows[k] + x - 1 + dx, 8);
+      return __builtin_convertvector(b, i16x8);
+    };
+    for (int k = 0; k < 3; ++k) misaligned_loads += misaligned(rows[k] + x - 1);
+    const i16x8 gx = (px(0, 2) - px(0, 0)) + (px(2, 2) - px(2, 0)) +
+                     2 * (px(1, 2) - px(1, 0));
+    const i16x8 gy = (px(2, 0) + px(2, 2) + 2 * px(2, 1)) -
+                     (px(0, 0) + px(0, 2) + 2 * px(0, 1));
+    count_edges(even(gx), even(gy));
+    count_edges(odd(gx), odd(gy));
     ++groups;
   }
+  const int edges =
+      -(edge_lanes[0] + edge_lanes[1] + edge_lanes[2] + edge_lanes[3]);
+  for (; x < w - 1; ++x) scalar_edges += eh_scalar_pixel(st, x, y);
+  scalar_edges += eh_scalar_pixel(st, w - 1, y);
   cellport::spu::charge_even(groups * kEhGroupEven + edges * kEhEdgeEven);
   cellport::spu::charge_odd(groups * kEhGroupOdd +
                             misaligned_loads * kMisalignedLoadOdd +
                             edges * kEhEdgeOdd);
-  for (; x < w - 1; ++x) eh_scalar_pixel(st, x, y);
-  eh_scalar_pixel(st, w - 1, y);
+  eh_charge_scalar(w - 8 * groups, scalar_edges);
 }
 
 }  // namespace cellport::kernels

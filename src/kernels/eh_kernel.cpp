@@ -23,7 +23,7 @@ using namespace cellport::sim;
 using namespace cellport::spu;
 
 // The gray converter, ring state, and the Sobel/binning production
-// (eh_scalar_pixel, eh_produce_row_simd) live in eh_edge.h /
+// (eh_border_row, eh_produce_row_simd) live in eh_edge.h /
 // row_convert.h, shared verbatim with the cellfuse single-pass kernel.
 constexpr int kBlockRows = kEhBlockRows;
 constexpr int kRingRows = kEhRingRows;
@@ -76,7 +76,7 @@ int eh_run(std::uint64_t ea) {
     while (produced < out_end &&
            (produced + 1 < computed_to || computed_to == fetch_end)) {
       if (produced == 0 || produced == st.h - 1) {
-        for (int x = 0; x < st.w; ++x) eh_scalar_pixel(st, x, produced);
+        eh_border_row(st, produced);
       } else {
         eh_produce_row_simd(st, produced, eh_c);
       }
@@ -85,7 +85,7 @@ int eh_run(std::uint64_t ea) {
   }
   while (produced < out_end) {
     if (produced == 0 || produced == st.h - 1) {
-      for (int x = 0; x < st.w; ++x) eh_scalar_pixel(st, x, produced);
+      eh_border_row(st, produced);
     } else {
       eh_produce_row_simd(st, produced, eh_c);
     }

@@ -193,7 +193,7 @@ void fused_pass(Io& io, int w, int h, int r0, int r1, bool texture) {
 
   auto eh_row = [&](int y) {
     if (y == 0 || y == h - 1) {
-      for (int x = 0; x < w; ++x) eh_scalar_pixel(eh_st, x, y);
+      eh_border_row(eh_st, y);
     } else {
       eh_produce_row_simd(eh_st, y, eh_c);
     }

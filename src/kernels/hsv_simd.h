@@ -66,8 +66,10 @@ inline i32x4 hsv_bins_4(f32x4 r8, f32x4 g8, f32x4 b8) {
   const f32x4 g = g8 * (1.0f / 255.0f);
   const f32x4 b = b8 * (1.0f / 255.0f);
 
-  // v = max(r,g,b), mn = min(r,g,b) — branch-free.
-  f32x4 v = g > r ? g : r;
+  // v = max(r,g,b), mn = min(r,g,b) — branch-free. (r > g ? r : g picks
+  // the same value as the SPU's g > r ? g : r; its own mask lets the host
+  // lower each select to one max or min.)
+  f32x4 v = r > g ? r : g;
   v = b > v ? b : v;
   f32x4 mn = g > r ? r : g;
   mn = mn > b ? b : mn;
@@ -79,9 +81,11 @@ inline i32x4 hsv_bins_4(f32x4 r8, f32x4 g8, f32x4 b8) {
   f32x4 s = delta / v;
   const i32x4 gray_m = img::kGraySatF > s;
 
-  // Gray bin: min(int(v*4), 3); v*4 lies in [0, 4].
-  i32x4 gray_bin = __builtin_convertvector(v * 4.0f, i32x4);
-  gray_bin = gray_bin > 3 ? 3 : gray_bin;
+  // Gray bin: min(int(v*4), 3); v*4 lies in [0, 4]. The host clamps
+  // before it converts, which gives the same integer on such a lane
+  // (as do the index clamps below).
+  const f32x4 v4 = v * 4.0f;
+  const i32x4 gray_bin = __builtin_convertvector(v4 < 3.0f ? v4 : 3.0f, i32x4);
 
   // Hue sector masks, replacing the reference's if-chain:
   // mr: v==r (checked first), mg: v==g and not mr; b is the remainder.
@@ -114,25 +118,27 @@ inline i32x4 hsv_bins_4(f32x4 r8, f32x4 g8, f32x4 b8) {
 
   // s_idx = min(int(s*3), 2), v_idx = min(int(v*3), 2); v*3 lies in
   // [0, 3].
-  i32x4 s_idx = __builtin_convertvector(s * 3.0f, i32x4);
-  s_idx = s_idx > 2 ? 2 : s_idx;
-  i32x4 v_idx = __builtin_convertvector(v * 3.0f, i32x4);
-  v_idx = v_idx > 2 ? 2 : v_idx;
+  const f32x4 s3 = s * 3.0f;
+  const i32x4 s_idx = __builtin_convertvector(s3 < 2.0f ? s3 : 2.0f, i32x4);
+  const f32x4 v3 = v * 3.0f;
+  const i32x4 v_idx = __builtin_convertvector(v3 < 2.0f ? v3 : 2.0f, i32x4);
 
   // bin = 4 + 9*h + 3*s + v. The indices are small, so no lane overflows.
   const i32x4 chroma = 9 * h_idx + 3 * s_idx + v_idx + 4;
   return black_m ? 0 : (gray_m ? gray_bin : chroma);
 }
 
-/// Bins of the 4 interleaved RGB pixels at `px` (12 bytes): the SPU code
-/// shuffles each channel into word lanes and converts them to floats.
+/// Bins of 4 pixels gathered by rgb_words4: the SPU code shuffles each
+/// channel into word lanes and converts them to floats.
+inline i32x4 hsv_bins_words(i32x4 words) {
+  return hsv_bins_4(__builtin_convertvector(words & 0xFF, f32x4),
+                    __builtin_convertvector((words >> 8) & 0xFF, f32x4),
+                    __builtin_convertvector((words >> 16) & 0xFF, f32x4));
+}
+
+/// Bins of the 4 interleaved RGB pixels at `px` (12 bytes).
 inline i32x4 hsv_bins_rgb4(const std::uint8_t* px) {
-  const i32x4 r = {px[0], px[3], px[6], px[9]};
-  const i32x4 g = {px[1], px[4], px[7], px[10]};
-  const i32x4 b = {px[2], px[5], px[8], px[11]};
-  return hsv_bins_4(__builtin_convertvector(r, f32x4),
-                    __builtin_convertvector(g, f32x4),
-                    __builtin_convertvector(b, f32x4));
+  return hsv_bins_words(rgb_words4(px, 1));
 }
 
 }  // namespace cellport::kernels

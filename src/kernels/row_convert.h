@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 #include "img/color.h"
 #include "kernels/common.h"
@@ -61,6 +62,11 @@ inline constexpr double kBankGroupOdd = 4 + 8 + 4;
 /// into banks[k] (four conflict-free sub-histograms) and the scalar tail
 /// counts into banks[0]. Without, this is the plain quantizer the CC
 /// kernel runs.
+///
+/// The host gathers a 16-pixel block as four word vectors of pixels 4
+/// apart (vector j holds pixels j, j+4, j+8, j+12, which are SPU lane j
+/// of the four groups), so the bins pack into one 16-byte store with
+/// shifts and ors, and vector j counts into banks[j].
 inline void quantize_row_counted(const std::uint8_t* rgb, int w,
                                  std::uint8_t* dst, const HsvConstants&,
                                  std::uint32_t* const* banks) {
@@ -68,15 +74,17 @@ inline void quantize_row_counted(const std::uint8_t* rgb, int w,
   int misaligned_loads = 0;
   if (w >= 16) cellport::spu::vst_check(dst);
   for (; x + 16 <= w; x += 16) {
-    for (int q = 0; q < 4; ++q) {
-      const std::uint8_t* px = rgb + (x + 4 * q) * 3;
-      misaligned_loads += misaligned(px);
-      const i32x4 bins = hsv_bins_rgb4(px);
-      for (int k = 0; k < 4; ++k) {
-        dst[x + 4 * q + k] = static_cast<std::uint8_t>(bins[k]);
-        if (banks != nullptr) ++banks[k][bins[k]];
+    const std::uint8_t* px = rgb + x * 3;
+    i32x4 bins[4];
+    for (int j = 0; j < 4; ++j) {
+      misaligned_loads += misaligned(px + 12 * j);
+      bins[j] = hsv_bins_words(rgb_words4(px + 3 * j, 4));
+      if (banks != nullptr) {
+        for (int k = 0; k < 4; ++k) ++banks[j][bins[j][k]];
       }
     }
+    const u8x16 packed = pack_lanes(bins);
+    std::memcpy(dst + x, &packed, 16);
   }
   const int blocks = x / 16;
   const int tail = w - x;
@@ -152,8 +160,38 @@ inline constexpr double kGrayRowEven = 4;
 inline constexpr double kGrayTailEven = 8;
 inline constexpr double kGrayTailOdd = 4;
 
-/// gray = (77 r + 150 g + 29 b) >> 8, 8 pixels at a time in halfwords
-/// (the products fit 16 bits), matching the integer reference exactly.
+/// gray = (77 r + 150 g + 29 b) >> 8 for the row's pixels, matching the
+/// integer reference exactly; charges nothing. Each 16-pixel block runs
+/// on halfword lanes: a gathered word's halfwords are r + 256 g and
+/// b + 256 n (n the next pixel's red, or 0), so one multiply by
+/// (77, 29) of the low bytes and one by (150, 0) of the high bytes give
+/// 77 r + 150 g and 29 b, each below 2^16, and their sum is at most
+/// 65280. The tail pixels are scalar.
+inline void gray_lanes(const std::uint8_t* rgb, int w, std::uint8_t* dst) {
+  const u16x8 low_weights = {77, 29, 77, 29, 77, 29, 77, 29};
+  const u16x8 high_weights = {150, 0, 150, 0, 150, 0, 150, 0};
+  int x = 0;
+  for (; x + 16 <= w; x += 16) {
+    const std::uint8_t* px = rgb + x * 3;
+    i32x4 luma[4];
+    for (int j = 0; j < 4; ++j) {
+      const u16x8 halves = (u16x8)rgb_words4(px + 3 * j, 4);
+      const u32x4 sums = (u32x4)((halves & 0xFF) * low_weights +
+                                 (halves >> 8) * high_weights);
+      luma[j] = (i32x4)(((sums & 0xFFFF) + (sums >> 16)) >> 8);
+    }
+    const u8x16 packed = pack_lanes(luma);
+    std::memcpy(dst + x, &packed, 16);
+  }
+  for (; x < w; ++x) {
+    const unsigned sum = 77u * rgb[x * 3] + 150u * rgb[x * 3 + 1] +
+                         29u * rgb[x * 3 + 2];
+    dst[x] = static_cast<std::uint8_t>(sum >> 8);
+  }
+}
+
+/// The EH and fused kernels' gray converter: gray_lanes, charged as the
+/// SPU code's 8-pixel halfword halves.
 inline void gray_row_simd(const std::uint8_t* rgb, int w,
                           std::uint8_t* dst) {
   const int blocks = w / 16;
@@ -163,11 +201,7 @@ inline void gray_row_simd(const std::uint8_t* rgb, int w,
     const std::uint8_t* p = rgb + 8 * half * 3;
     misaligned_loads += misaligned(p) + misaligned(p + 16);
   }
-  for (int x = 0; x < w; ++x) {
-    const unsigned luma = 77u * rgb[x * 3] + 150u * rgb[x * 3 + 1] +
-                          29u * rgb[x * 3 + 2];
-    dst[x] = static_cast<std::uint8_t>(luma >> 8);
-  }
+  gray_lanes(rgb, w, dst);
   const int tail = w - 16 * blocks;
   cellport::spu::charge_even(kGrayRowEven + blocks * kGrayBlockEven +
                              tail * kGrayTailEven);

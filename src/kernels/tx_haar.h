@@ -15,11 +15,6 @@
 
 namespace cellport::kernels {
 
-/// Integer BT.601 luma for one pixel (matches img::rgb_to_gray).
-inline int tx_luma(const std::uint8_t* px) {
-  return static_cast<int>((77u * px[0] + 150u * px[1] + 29u * px[2]) >> 8);
-}
-
 // The Haar step's column fetchers: even and odd columns x..x+7 of an
 // input row, as two float4s. A gray byte row (level 1) costs an unaligned
 // load, a zero splat (even), two shuffles against it (odd) and two convtf

@@ -8,6 +8,7 @@
 #include "kernels/feed_kernel.h"
 #include "kernels/fused_kernel.h"
 #include "kernels/messages.h"
+#include "kernels/row_convert.h"
 #include "kernels/tx_haar.h"
 #include "spu/spu.h"
 #include "support/aligned.h"
@@ -24,6 +25,10 @@ using namespace cellport::spu;
 // double accumulation is order-sensitive, so sharing the exact functions
 // is what keeps fused energies bit-identical).
 constexpr int kBlockRows = 16;  // even: level 1 consumes row pairs
+// SPU cycles of TX's gray conversion per 16-pixel block: 9 even and 7 odd,
+// and the loop branch (spu_loop: 2 even, 1 odd).
+constexpr double kTxGrayBlockEven = 9 + 2;
+constexpr double kTxGrayBlockOdd = 7 + 1;
 
 // The decomposition runs in 16-input-row TILES (kTxTileRows): each tile
 // fuses the streaming gray conversion with level 1, then runs levels 2..4
@@ -145,22 +150,13 @@ int tx_run(std::uint64_t ea) {
       const std::uint8_t* rgb =
           blk.data + static_cast<std::size_t>(r) * msg->stride;
       std::uint8_t* dst = pending == nullptr ? gray0 : gray1;
-      // Gray conversion: same integer math as the reference. Its charge
-      // (9 even + 7 odd per 16 pixels, plus the loop) is one 8-pixel half
-      // of gray_row_simd's, not the whole converter; it is kept as is so
-      // that TX's simulated time does not move.
-      for (int x = 0; x + 16 <= w; x += 16) {
-        charge_even(9);
-        charge_odd(7);
-        for (int k = 0; k < 16; ++k) dst[x + k] = static_cast<std::uint8_t>(
-            tx_luma(rgb + (x + k) * 3));
-        spu_loop(1);
-      }
-      for (int x = w & ~15; x < w; ++x) {
-        sop(8);
-        charge_odd(4);
-        dst[x] = static_cast<std::uint8_t>(tx_luma(rgb + x * 3));
-      }
+      // Gray conversion: same integer math as the reference, on the gray
+      // lanes. Its charge (9 even + 7 odd per 16 pixels, plus the loop) is
+      // one 8-pixel half of gray_row_simd's, not the whole converter; it is
+      // kept as is so that TX's simulated time does not move.
+      gray_lanes(rgb, w, dst);
+      charge_even((w / 16) * kTxGrayBlockEven + (w % 16) * kGrayTailEven);
+      charge_odd((w / 16) * kTxGrayBlockOdd + (w % 16) * kGrayTailOdd);
       if (pending == nullptr) {
         pending = gray0;
       } else {

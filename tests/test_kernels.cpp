@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <random>
 #include <tuple>
 #include <vector>
@@ -490,9 +493,43 @@ vec_int4 mag_bin_4(const vec_int4& mag2, const EhConstants& c) {
   return spu_sub(c.i7, gt_count);
 }
 
+/// The scalar border pixel as the SPU code issues it, charged per
+/// instruction group: the reference's float sqrt/atan2 path.
+void eh_scalar_pixel(const EhState& st, int x, int y) {
+  sop(30);
+  charge_odd(20);
+  int gx = -eh_clamped(st, x - 1, y - 1) + eh_clamped(st, x + 1, y - 1) -
+           2 * eh_clamped(st, x - 1, y) + 2 * eh_clamped(st, x + 1, y) -
+           eh_clamped(st, x - 1, y + 1) + eh_clamped(st, x + 1, y + 1);
+  int gy = -eh_clamped(st, x - 1, y - 1) - 2 * eh_clamped(st, x, y - 1) -
+           eh_clamped(st, x + 1, y - 1) + eh_clamped(st, x - 1, y + 1) +
+           2 * eh_clamped(st, x, y + 1) + eh_clamped(st, x + 1, y + 1);
+  float mag =
+      std::sqrt(static_cast<float>(gx) * static_cast<float>(gx) +
+                static_cast<float>(gy) * static_cast<float>(gy));
+  if (mag < features::kEdgeMagThreshold) return;
+  sop(40);
+  float angle =
+      std::atan2(static_cast<float>(gy), static_cast<float>(gx));
+  if (angle < 0.0f) angle += kEhTwoPi;
+  int abin = static_cast<int>((angle + kEhTwoPi / 16.0f) *
+                              (features::kEdgeAngleBins / kEhTwoPi));
+  if (abin >= features::kEdgeAngleBins) abin = 0;
+  int mbin = static_cast<int>(
+      mag * (features::kEdgeMagBins / features::kEdgeMagMax));
+  if (mbin >= features::kEdgeMagBins) mbin = features::kEdgeMagBins - 1;
+  auto bin = static_cast<std::uint32_t>(abin * features::kEdgeMagBins +
+                                        mbin);
+  sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
+}
+
+void eh_border_row(const EhState& st, int y) {
+  for (int x = 0; x < st.w; ++x) ref::eh_scalar_pixel(st, x, y);
+}
+
 void eh_produce_row_simd(const EhState& st, int y, const EhConstants& ec) {
   const int w = st.w;
-  eh_scalar_pixel(st, 0, y);
+  ref::eh_scalar_pixel(st, 0, y);
   if (w == 1) return;
   const std::uint8_t* rows[3] = {
       st.ring[(y - 1) % kEhRingRows] + kRingOrigin,
@@ -540,8 +577,8 @@ void eh_produce_row_simd(const EhState& st, int y, const EhConstants& ec) {
     }
     spu_loop(1);
   }
-  for (; x < w - 1; ++x) eh_scalar_pixel(st, x, y);
-  eh_scalar_pixel(st, w - 1, y);
+  for (; x < w - 1; ++x) ref::eh_scalar_pixel(st, x, y);
+  ref::eh_scalar_pixel(st, w - 1, y);
 }
 
 // ---- the row converters' intrinsic code ----
@@ -1190,14 +1227,18 @@ TEST(ChargeOnceRows, EdgeRowMatchesIntrinsicReference) {
           EhRing ring(w, h, fill, skew, seed);
           EhRing ref_ring(w, h, fill, skew, seed);
           const auto got = charged_run([&] {
+            eh_border_row(ring.st, 0);
             for (int y = 1; y < h - 1; ++y) {
               eh_produce_row_simd(ring.st, y, ec);
             }
+            eh_border_row(ring.st, h - 1);
           });
           const auto want = charged_run([&] {
+            ref::eh_border_row(ref_ring.st, 0);
             for (int y = 1; y < h - 1; ++y) {
               ref::eh_produce_row_simd(ref_ring.st, y, ref_ec);
             }
+            ref::eh_border_row(ref_ring.st, h - 1);
           });
           EXPECT_EQ(std::memcmp(ring.counts.data(), ref_ring.counts.data(),
                                 ring.counts.size() * 4),
@@ -1346,6 +1387,80 @@ TEST(ChargeOnceRows, GrayRowMatchesIntrinsicReference) {
   });
 }
 
+// A copy of an RGB row whose last byte is the last byte of its heap
+// allocation, `skew` bytes past a quadword boundary: a row body that
+// reads past the row's end then fails under AddressSanitizer.
+struct TightRow {
+  TightRow(const std::uint8_t* src, int w, int skew) {
+    const auto bytes = static_cast<std::size_t>(skew + 3 * w);
+    void* p = nullptr;
+    if (posix_memalign(&p, 16, bytes) != 0) throw std::bad_alloc();
+    base.reset(static_cast<std::uint8_t*>(p));
+    rgb = base.get() + skew;
+    std::memcpy(rgb, src, static_cast<std::size_t>(3 * w));
+  }
+
+  std::unique_ptr<std::uint8_t, decltype(&std::free)> base{nullptr,
+                                                           &std::free};
+  std::uint8_t* rgb = nullptr;
+};
+
+TEST(ChargeOnceRows, ConverterRowsEndAtTheRowsLastByte) {
+  // Every width up to four 16-pixel blocks, so each block and tail length
+  // ends a row, at every quadword skew. The reference reads quadwords
+  // past the row, so it runs on the padded row.
+  const HsvConstants hsv_c = HsvConstants::load();
+  const ref::HsvConstants ref_c = ref::HsvConstants::load();
+  const spu::vec_uchar16 zero{};
+  for (int w = 1; w <= 64; ++w) {
+    for (int skew = 0; skew < 16; ++skew) {
+      SCOPED_TRACE(::testing::Message() << "w=" << w << " skew=" << skew);
+      const RgbRow row(w, skew, RgbFill::kRandom,
+                       static_cast<std::uint32_t>(w * 16 + skew));
+      const TightRow tight(row.rgb, w, skew);
+      const auto bytes = static_cast<std::size_t>(w + 16);
+      cellport::AlignedBuffer<std::uint8_t> dst(bytes);
+      cellport::AlignedBuffer<std::uint8_t> ref_dst(bytes);
+      for (bool counted : {false, true}) {
+        std::vector<std::uint32_t> banks(4 * 256);
+        std::vector<std::uint32_t> ref_banks(4 * 256);
+        std::uint32_t* const b[4] = {&banks[0], &banks[256], &banks[512],
+                                     &banks[768]};
+        std::uint32_t* const rb[4] = {&ref_banks[0], &ref_banks[256],
+                                      &ref_banks[512], &ref_banks[768]};
+        const auto got = charged_run([&] {
+          quantize_row_counted(tight.rgb, w, dst.data(), hsv_c,
+                               counted ? b : nullptr);
+        });
+        const auto want = charged_run([&] {
+          ref::quantize_row_counted(row.rgb, w, ref_dst.data(), ref_c,
+                                    counted ? rb : nullptr);
+        });
+        EXPECT_EQ(std::memcmp(dst.data(), ref_dst.data(),
+                              static_cast<std::size_t>(w)),
+                  0);
+        EXPECT_EQ(banks, ref_banks);
+        expect_same_pipes(got, want);
+      }
+      std::vector<std::uint32_t> hist(256);
+      std::vector<std::uint32_t> ref_hist(256);
+      expect_same_pipes(
+          charged_run([&] { ch_count_row(tight.rgb, w, hist.data(), hsv_c); }),
+          charged_run([&] {
+            ref::ch_count_row(row.rgb, w, ref_hist.data(), zero, ref_c);
+          }));
+      EXPECT_EQ(hist, ref_hist);
+      expect_same_pipes(
+          charged_run([&] { gray_row_simd(tight.rgb, w, dst.data()); }),
+          charged_run(
+              [&] { ref::gray_row_simd(row.rgb, w, ref_dst.data()); }));
+      EXPECT_EQ(std::memcmp(dst.data(), ref_dst.data(),
+                            static_cast<std::size_t>(w)),
+                0);
+    }
+  }
+}
+
 // Three Haar row pairs of one input (gray bytes or float LL rows), each
 // producing a 16-aligned LL row, into one set of accumulators, on
 // production and on the reference: LL rows and energies must match
@@ -1458,6 +1573,53 @@ TEST(HsvQuantizer, EveryRgbTripleMatchesReference) {
     }
   }
   EXPECT_EQ(mismatches, 0) << "first mismatch at rgb 0x" << std::hex << first;
+}
+
+// eh_edge.h bins in float lanes: check every Sobel gradient the gray
+// rows can produce, four gy per call, against the intrinsic reference's
+// octant and magnitude binning and its edge rule (mag2 > 63).
+TEST(EdgeBinning, EveryGradientMatchesReference) {
+  constexpr int kMaxGrad = 4 * 255;
+  const EhConstants ec = EhConstants::load();
+  const ref::EhConstants ref_ec = ref::EhConstants::load();
+  std::int64_t mismatches = 0;
+  int first_gx = 0;
+  int first_gy = 0;
+  for (int gx = -kMaxGrad; gx <= kMaxGrad; ++gx) {
+    for (int gy0 = -kMaxGrad; gy0 <= kMaxGrad; gy0 += 4) {
+      i32x4 gx4;
+      i32x4 gy4;
+      spu::vec_int4 ref_gx;
+      spu::vec_int4 ref_gy;
+      spu::vec_int4 ref_mag2;
+      for (int k = 0; k < 4; ++k) {
+        const int gy = std::min(gy0 + k, kMaxGrad);
+        gx4[k] = gx;
+        gy4[k] = gy;
+        const auto lane = static_cast<std::size_t>(k);
+        ref_gx.v[lane] = gx;
+        ref_gy.v[lane] = gy;
+        ref_mag2.v[lane] = gx * gx + gy * gy;
+      }
+      i32x4 edge;
+      const i32x4 bins = eh_edge_bins(gx4, gy4, ec, edge);
+      const spu::vec_int4 octant = ref::octant_bin_4(ref_gx, ref_gy, ref_ec);
+      const spu::vec_int4 mbin = ref::mag_bin_4(ref_mag2, ref_ec);
+      for (int k = 0; k < 4; ++k) {
+        const auto lane = static_cast<std::size_t>(k);
+        const int want_bin =
+            octant.v[lane] * features::kEdgeMagBins + mbin.v[lane];
+        const int want_edge = ref_mag2.v[lane] > 63 ? -1 : 0;
+        if ((bins[k] != want_bin || edge[k] != want_edge) &&
+            mismatches++ == 0) {
+          first_gx = gx;
+          first_gy = gy4[k];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at gx=" << first_gx
+                           << " gy=" << first_gy;
 }
 
 }  // namespace
