@@ -34,9 +34,15 @@
 //   - cellfuse: the single-pass fused lanes run the extraction stage
 //     >= 2x faster than the per-feature schedule on the same machine,
 //     win end to end, and carry every image (fuse.images == queue);
+//   - on the cellbench stream shape (8 SPEs, kSharded, feed and fused
+//     lanes, batch 16, mixed-size PPM queue) the fused lanes' busy times
+//     stay within 5% of each other: each image's range-to-lane map
+//     rotates by its queue position, so split_fused's leftover tiles do
+//     not pile onto the low lanes;
 //   - at the protocol level a batch-of-one ring request costs within 1%
 //     of a legacy per-call request (the ring's two staging DMAs are noise
 //     against one saved mailbox word).
+#include <algorithm>
 #include <cstdio>
 
 #include "harness.h"
@@ -308,6 +314,37 @@ int main(int argc, char** argv) {
     ok &= artifact.shape(fuse_images == static_cast<double>(kImages),
                          "every image of the queue went through a fused "
                          "lane (fuse.images == queue)");
+  }
+
+  // The cellbench stream shape: Eq. 3 charges a window's fused group
+  // its slowest lane, so the lanes' busy times should match.
+  {
+    sim::Machine machine;
+    marvel::CellEngine engine(machine, library_path(),
+                              marvel::Scenario::kSharded);
+    engine.set_feed(true);
+    engine.set_fused(true);
+    marvel::StreamStats stats;
+    engine.analyze_stream(marvel::make_mixed_size_ppm_dataset(kImages).images,
+                          {16}, &stats);
+    double lo = 0, hi = 0;
+    for (int i = 0; i < engine.fused_plan().lanes; ++i) {
+      const auto busy = static_cast<double>(machine.spe(i).busy_ns());
+      lo = i == 0 ? busy : std::min(lo, busy);
+      hi = std::max(hi, busy);
+    }
+    const double spread = hi / lo;
+    std::printf("Sharded ring(16), feed + fused lanes (%d PPM carriers): "
+                "%.1f img/s, %.2f ms, fused lane busy max/min %.4f\n\n",
+                kImages, stats.images_per_sec, stats.elapsed_ns / 1e6,
+                spread);
+    artifact.add_row("Sharded.fused_feed_ring16",
+                     {{"images_per_sec", stats.images_per_sec},
+                      {"elapsed_ns", static_cast<double>(stats.elapsed_ns)},
+                      {"fused_lane_busy_spread", spread}});
+    ok &= artifact.shape(spread <= 1.05,
+                         "a mixed-size stream keeps the fused lanes' busy "
+                         "times within 5% of each other");
   }
 
   double legacy_ns = protocol_ns(false, 8);

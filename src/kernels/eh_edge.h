@@ -7,7 +7,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -36,58 +35,6 @@ inline int eh_clamped(const EhState& st, int x, int y) {
   return st.ring[y % kEhRingRows][kRingOrigin + x];
 }
 
-/// Scalar pixel using the reference's exact float sqrt/atan2 path (used
-/// for the image border, where clamping breaks the vector pattern).
-/// Returns 1 when the pixel is an edge, which it counts. Charges nothing:
-/// its row charges its scalar pixels once (eh_charge_scalar).
-inline int eh_scalar_pixel(const EhState& st, int x, int y) {
-  int gx = -eh_clamped(st, x - 1, y - 1) + eh_clamped(st, x + 1, y - 1) -
-           2 * eh_clamped(st, x - 1, y) + 2 * eh_clamped(st, x + 1, y) -
-           eh_clamped(st, x - 1, y + 1) + eh_clamped(st, x + 1, y + 1);
-  int gy = -eh_clamped(st, x - 1, y - 1) - 2 * eh_clamped(st, x, y - 1) -
-           eh_clamped(st, x + 1, y - 1) + eh_clamped(st, x - 1, y + 1) +
-           2 * eh_clamped(st, x, y + 1) + eh_clamped(st, x + 1, y + 1);
-  float mag =
-      std::sqrt(static_cast<float>(gx) * static_cast<float>(gx) +
-                static_cast<float>(gy) * static_cast<float>(gy));
-  if (mag < features::kEdgeMagThreshold) return 0;
-  float angle =
-      std::atan2(static_cast<float>(gy), static_cast<float>(gx));
-  if (angle < 0.0f) angle += kEhTwoPi;
-  int abin = static_cast<int>((angle + kEhTwoPi / 16.0f) *
-                              (features::kEdgeAngleBins / kEhTwoPi));
-  if (abin >= features::kEdgeAngleBins) abin = 0;
-  int mbin = static_cast<int>(
-      mag * (features::kEdgeMagBins / features::kEdgeMagMax));
-  if (mbin >= features::kEdgeMagBins) mbin = features::kEdgeMagBins - 1;
-  ++st.counts[abin * features::kEdgeMagBins + mbin];
-  return 1;
-}
-
-// SPU cycles of the scalar pixel path. Per pixel: the clamped gradient and
-// the magnitude (30 even, 20 odd). Per edge pixel: the angle and the bins
-// (40 even) and the counter's scalar load (2 odd) and store (1 even,
-// 2 odd).
-inline constexpr double kEhScalarEven = 30;
-inline constexpr double kEhScalarOdd = 20;
-inline constexpr double kEhScalarEdgeEven = 40 + 1;
-inline constexpr double kEhScalarEdgeOdd = 2 + 2;
-
-/// Charges a row's `pixels` scalar pixels, `edges` of them edges.
-inline void eh_charge_scalar(int pixels, int edges) {
-  cellport::spu::charge_even(pixels * kEhScalarEven +
-                             edges * kEhScalarEdgeEven);
-  cellport::spu::charge_odd(pixels * kEhScalarOdd + edges * kEhScalarEdgeOdd);
-}
-
-/// Produces the image's first or last gradient row: every pixel on the
-/// scalar path, charged once.
-inline void eh_border_row(const EhState& st, int y) {
-  int edges = 0;
-  for (int x = 0; x < st.w; ++x) edges += eh_scalar_pixel(st, x, y);
-  eh_charge_scalar(st.w, edges);
-}
-
 /// The SPU edge binning's constant registers: 21 splats (the sign mask,
 /// tan(22.5) and tan(67.5), the 7 squared magnitude boundaries, the
 /// integers 0..7 plus a second 0, the edge threshold 63 and a halfword 1),
@@ -99,6 +46,11 @@ struct EhConstants {
 
   static EhConstants load() {
     cellport::spu::charge_even(kSplats);
+    return boundaries();
+  }
+
+  /// The boundaries alone, uncharged.
+  static EhConstants boundaries() {
     EhConstants c;
     for (int k = 1; k < features::kEdgeMagBins; ++k) {
       float boundary = static_cast<float>(k) * features::kEdgeMagMax /
@@ -138,6 +90,58 @@ inline i32x4 eh_edge_bins(i32x4 gx, i32x4 gy, const EhConstants& c,
     mbin += c.mag_b2[k - 1] > mag2;  // a true mask is -1
   }
   return octant * features::kEdgeMagBins + mbin;
+}
+
+/// Bin of one gradient by eh_edge_bins' compare rule, or -1 when it is no
+/// edge. The SPU's scalar path bins with the reference's float sqrt and
+/// atan2 (and is charged so); the two agree on every Sobel gradient
+/// (tests/test_kernels.cpp, EdgeBinning), so the host skips libm.
+inline int eh_gradient_bin(int gx, int gy) {
+  static const EhConstants kBounds = EhConstants::boundaries();
+  i32x4 edge;
+  const i32x4 bins = eh_edge_bins(i32x4{} + gx, i32x4{} + gy, kBounds, edge);
+  return edge[0] != 0 ? bins[0] : -1;
+}
+
+/// Scalar pixel (used for the image border, where clamping breaks the
+/// vector pattern, and a row's tail). Returns 1 when the pixel is an
+/// edge, which it counts. Charges nothing: its row charges its scalar
+/// pixels once (eh_charge_scalar).
+inline int eh_scalar_pixel(const EhState& st, int x, int y) {
+  int gx = -eh_clamped(st, x - 1, y - 1) + eh_clamped(st, x + 1, y - 1) -
+           2 * eh_clamped(st, x - 1, y) + 2 * eh_clamped(st, x + 1, y) -
+           eh_clamped(st, x - 1, y + 1) + eh_clamped(st, x + 1, y + 1);
+  int gy = -eh_clamped(st, x - 1, y - 1) - 2 * eh_clamped(st, x, y - 1) -
+           eh_clamped(st, x + 1, y - 1) + eh_clamped(st, x - 1, y + 1) +
+           2 * eh_clamped(st, x, y + 1) + eh_clamped(st, x + 1, y + 1);
+  const int bin = eh_gradient_bin(gx, gy);
+  if (bin < 0) return 0;
+  ++st.counts[bin];
+  return 1;
+}
+
+// SPU cycles of the scalar pixel path. Per pixel: the clamped gradient and
+// the magnitude (30 even, 20 odd). Per edge pixel: the angle and the bins
+// (40 even) and the counter's scalar load (2 odd) and store (1 even,
+// 2 odd).
+inline constexpr double kEhScalarEven = 30;
+inline constexpr double kEhScalarOdd = 20;
+inline constexpr double kEhScalarEdgeEven = 40 + 1;
+inline constexpr double kEhScalarEdgeOdd = 2 + 2;
+
+/// Charges a row's `pixels` scalar pixels, `edges` of them edges.
+inline void eh_charge_scalar(int pixels, int edges) {
+  cellport::spu::charge_even(pixels * kEhScalarEven +
+                             edges * kEhScalarEdgeEven);
+  cellport::spu::charge_odd(pixels * kEhScalarOdd + edges * kEhScalarEdgeOdd);
+}
+
+/// Produces the image's first or last gradient row: every pixel on the
+/// scalar path, charged once.
+inline void eh_border_row(const EhState& st, int y) {
+  int edges = 0;
+  for (int x = 0; x < st.w; ++x) edges += eh_scalar_pixel(st, x, y);
+  eh_charge_scalar(st.w, edges);
 }
 
 // SPU cycles of one 8-pixel group of eh_produce_row_simd, charged in

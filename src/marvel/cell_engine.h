@@ -281,7 +281,8 @@ class CellEngine {
   /// lane always computes the wavelet texture).
   void build_plan(ImagePlan& p);
   /// Adds slot `s`'s range tasks over `rows` (empty ranges skipped),
-  /// bound to lanes first_lane.. (or unbound when `stolen`).
+  /// range k bound to lane first_lane + k, a kFused range to first_lane +
+  /// (k + p.queue_pos) mod rows.size() (or unbound when `stolen`).
   void plan_ranges(ImagePlan& p, int s, std::vector<shard::Range> rows,
                    TaskKind kind, int first_lane, bool stolen);
 

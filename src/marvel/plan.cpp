@@ -229,8 +229,10 @@ void CellEngine::plan_ranges(ImagePlan& p, int s,
     m.out_ea = reinterpret_cast<std::uint64_t>(ps.parts[j].data());
     ++p.msgs_filled;
     const auto index = static_cast<int>(j);
+    const auto offset = static_cast<int>(
+        kind == TaskKind::kFused ? (j + p.queue_pos) % n : j);
     p.extract.tasks.push_back({kind, s, index,
-                               stolen ? -1 : first_lane + index, opcode, r,
+                               stolen ? -1 : first_lane + offset, opcode, r,
                                ps.range_msgs[j].ea(), ps.parts[j].data()});
   }
 }

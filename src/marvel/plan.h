@@ -17,6 +17,7 @@
 // lane whose range is empty is never driven.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -106,6 +107,10 @@ struct ImagePlan {
   TaskKind partials = TaskKind::kFeature;
   /// Balanced: extraction tasks are bound to lanes by the steal loop.
   bool stolen = false;
+  /// The image's position q in a stream's cold queue (0 per call): fused
+  /// range k runs on fused lane (k + q) mod L, so the leftover tiles
+  /// split_fused gives the low ranges rotate over the L lanes.
+  std::size_t queue_pos = 0;
   /// Range messages build_plan filled (4 PPE stores each, charged by
   /// the executor: once in total per call, once per message per ring).
   std::uint64_t msgs_filled = 0;

@@ -56,6 +56,7 @@ void StreamEngine::prepare_window(
     ImagePlan& p = at(w, j);
     engine_.build_ingest(*images[cold[base + j]], p);
     engine_.run_ingest(p);
+    p.queue_pos = base + j;
     engine_.build_plan(p);
     for (std::uint64_t m = 0; m < p.msgs_filled; ++m) {
       ppe.charge(sim::OpClass::kStore, 4);

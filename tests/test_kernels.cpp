@@ -493,6 +493,25 @@ vec_int4 mag_bin_4(const vec_int4& mag2, const EhConstants& c) {
   return spu_sub(c.i7, gt_count);
 }
 
+/// The reference's float sqrt/atan2 binning of one gradient, or -1 when
+/// it is no edge (mag < 8).
+int atan2_bin(int gx, int gy) {
+  float mag =
+      std::sqrt(static_cast<float>(gx) * static_cast<float>(gx) +
+                static_cast<float>(gy) * static_cast<float>(gy));
+  if (mag < features::kEdgeMagThreshold) return -1;
+  float angle =
+      std::atan2(static_cast<float>(gy), static_cast<float>(gx));
+  if (angle < 0.0f) angle += kEhTwoPi;
+  int abin = static_cast<int>((angle + kEhTwoPi / 16.0f) *
+                              (features::kEdgeAngleBins / kEhTwoPi));
+  if (abin >= features::kEdgeAngleBins) abin = 0;
+  int mbin = static_cast<int>(
+      mag * (features::kEdgeMagBins / features::kEdgeMagMax));
+  if (mbin >= features::kEdgeMagBins) mbin = features::kEdgeMagBins - 1;
+  return abin * features::kEdgeMagBins + mbin;
+}
+
 /// The scalar border pixel as the SPU code issues it, charged per
 /// instruction group: the reference's float sqrt/atan2 path.
 void eh_scalar_pixel(const EhState& st, int x, int y) {
@@ -504,23 +523,11 @@ void eh_scalar_pixel(const EhState& st, int x, int y) {
   int gy = -eh_clamped(st, x - 1, y - 1) - 2 * eh_clamped(st, x, y - 1) -
            eh_clamped(st, x + 1, y - 1) + eh_clamped(st, x - 1, y + 1) +
            2 * eh_clamped(st, x, y + 1) + eh_clamped(st, x + 1, y + 1);
-  float mag =
-      std::sqrt(static_cast<float>(gx) * static_cast<float>(gx) +
-                static_cast<float>(gy) * static_cast<float>(gy));
-  if (mag < features::kEdgeMagThreshold) return;
+  const int bin = atan2_bin(gx, gy);
+  if (bin < 0) return;
   sop(40);
-  float angle =
-      std::atan2(static_cast<float>(gy), static_cast<float>(gx));
-  if (angle < 0.0f) angle += kEhTwoPi;
-  int abin = static_cast<int>((angle + kEhTwoPi / 16.0f) *
-                              (features::kEdgeAngleBins / kEhTwoPi));
-  if (abin >= features::kEdgeAngleBins) abin = 0;
-  int mbin = static_cast<int>(
-      mag * (features::kEdgeMagBins / features::kEdgeMagMax));
-  if (mbin >= features::kEdgeMagBins) mbin = features::kEdgeMagBins - 1;
-  auto bin = static_cast<std::uint32_t>(abin * features::kEdgeMagBins +
-                                        mbin);
-  sstore(&st.counts[bin], sload(&st.counts[bin]) + 1);
+  const auto b = static_cast<std::uint32_t>(bin);
+  sstore(&st.counts[b], sload(&st.counts[b]) + 1);
 }
 
 void eh_border_row(const EhState& st, int y) {
@@ -1618,6 +1625,31 @@ TEST(EdgeBinning, EveryGradientMatchesReference) {
       }
     }
   }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at gx=" << first_gx
+                           << " gy=" << first_gy;
+}
+
+// The host's scalar border and tail pixels bin by the compare rule
+// (eh_gradient_bin) where the SPU's scalar path uses sqrt and atan2:
+// every Sobel gradient must land in the same bin, with the same edge flag.
+TEST(EdgeBinning, ScalarPixelMatchesAtan2Binning) {
+  constexpr int kMaxGrad = 4 * 255;
+  std::int64_t mismatches = 0;
+  std::int64_t edges = 0;
+  int first_gx = 0;
+  int first_gy = 0;
+  for (int gx = -kMaxGrad; gx <= kMaxGrad; ++gx) {
+    for (int gy = -kMaxGrad; gy <= kMaxGrad; ++gy) {
+      const int want = ref::atan2_bin(gx, gy);
+      edges += want >= 0;
+      if (eh_gradient_bin(gx, gy) != want && mismatches++ == 0) {
+        first_gx = gx;
+        first_gy = gy;
+      }
+    }
+  }
+  // 2041^2 gradients, less the 193 with gx^2 + gy^2 < 64.
+  EXPECT_EQ(edges, 2041 * 2041 - 193);
   EXPECT_EQ(mismatches, 0) << "first mismatch at gx=" << first_gx
                            << " gy=" << first_gy;
 }

@@ -3,6 +3,7 @@
 // analyze, guarded per-request recovery, throughput).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -377,6 +378,42 @@ TEST_F(Stream, CloseWithNothingPendingCancelsNothing) {
   ASSERT_EQ(ends.size(), 1u);
   EXPECT_EQ(ends[0], marvel::StreamEngine::RequestEnd::kCompleted);
   EXPECT_EQ(se.stats().cancelled, 0u);
+}
+
+// Eq. 3 charges a window's fused group its slowest lane. A streamed image
+// at cold-queue position q runs fused range k on lane (k + q) mod L, so
+// the leftover tiles split_fused gives the low ranges rotate over the L
+// lanes and a mixed-size queue loads them alike; per call, range k stays
+// on lane k.
+TEST(StreamEngine, FusedLanesShareAMixedQueue) {
+  testutil::TempLibrary library("cellport_stream_fused_models.bin", 0);
+  const marvel::Dataset queue =
+      marvel::make_mixed_size_ppm_dataset(28, 4242, 0.0);
+  sim::Machine machine;
+  marvel::CellEngine engine(machine, library.path(),
+                            marvel::Scenario::kSharded);
+  engine.set_feed(true);
+  engine.set_fused(true);
+  marvel::StreamEngine se(engine, {/*batch=*/16});
+  (void)se.run(queue.images);
+  const int lanes = engine.fused_plan().lanes;
+  ASSERT_GE(lanes, 2);
+  for (const marvel::Task& t : se.plan(1, 3).extract.tasks) {
+    EXPECT_EQ(t.lane, (t.index + 16 + 3) % lanes);
+  }
+  sim::SimTime lo = machine.spe(0).busy_ns();
+  sim::SimTime hi = lo;
+  for (int i = 1; i < lanes; ++i) {
+    lo = std::min(lo, machine.spe(i).busy_ns());
+    hi = std::max(hi, machine.spe(i).busy_ns());
+  }
+  EXPECT_LE(static_cast<double>(hi), 1.02 * static_cast<double>(lo))
+      << "fused lane busy " << lo << " .. " << hi << " ns";
+
+  (void)engine.analyze(queue.images[0]);
+  const marvel::ImagePlan& p = engine.plan();
+  ASSERT_EQ(p.extract.tasks.size(), static_cast<std::size_t>(lanes));
+  for (const marvel::Task& t : p.extract.tasks) EXPECT_EQ(t.lane, t.index);
 }
 
 }  // namespace
