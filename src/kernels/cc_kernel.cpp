@@ -26,7 +26,8 @@ using namespace cellport::spu;
 
 // The window machinery (CcState, shift patterns, cc_produce_row) and the
 // row quantizer live in cc_window.h / row_convert.h, shared verbatim with
-// the cellfuse single-pass kernel.
+// the cellfuse single-pass kernel. This kernel charges the full-window
+// sequence (CcCharge::kWindow), the fused one the pair sequence.
 constexpr int kR = kCcRadius;  // 8
 constexpr int kBlockRows = kCcBlockRows;
 constexpr int kRowOrigin = kRingOrigin;
@@ -96,12 +97,12 @@ int cc_run(std::uint64_t ea) {
     }
     while (produced < out_end &&
            (produced + kR < computed_to || computed_to == fetch_end)) {
-      cc_produce_row(st, produced, w, h);
+      cc_produce_row<CcCharge::kWindow>(st, produced, w, h);
       ++produced;
     }
   }
   while (produced < out_end) {
-    cc_produce_row(st, produced, w, h);
+    cc_produce_row<CcCharge::kWindow>(st, produced, w, h);
     ++produced;
   }
 

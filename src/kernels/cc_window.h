@@ -1,8 +1,18 @@
 // Shared correlogram window machinery (hoisted out of cc_kernel.cpp for
 // cellfuse): the ring-buffer state and the window accumulation that
-// produces one output row. The fused
-// kernel and the standalone CC kernel run the exact same produce_row, so
-// their same/possible counts are bit-identical by construction.
+// produces one output row. The fused kernel and the standalone CC kernel
+// run the exact same counting code, so their same/possible counts are
+// bit-identical by construction. They charge different SPU sequences
+// (CcCharge):
+//   - the standalone kernel charges the sequence that compares every
+//     centre's full 17x17 window. It is the paper's Table 1 kernel, and
+//     the per-call shards run it, so its simulated time is the paper's
+//     measurement. Charged by pairs, its Table 1 speed-up would go from
+//     25.7x to 39.8x, next to EH Extract's 41.7x (the paper's largest),
+//     and every Table 1 and Figure 7 time would move;
+//   - the fused kernel charges the pair-symmetric sequence, which
+//     compares each unordered pair of pixels once, as the counting code
+//     does: the rewrite is part of the fused port.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +57,16 @@ struct CcState {
   int own_end = std::numeric_limits<int>::max();
 };
 
-// SPU cycles of cc_produce_row, charged in closed form. Per 16-pixel
+/// The SPU instruction sequence a correlogram row is charged as. Each
+/// kernel picks one at compile time.
+enum class CcCharge {
+  /// Every centre's whole window: the standalone CC kernel (cc_run).
+  kWindow,
+  /// Each unordered pair once: the fused kernel (fused_pass).
+  kPairs,
+};
+
+// SPU cycles of the kWindow sequence, charged in closed form. Per 16-pixel
 // block: the centre vld (odd), two accumulator splats (even) and the loop
 // branch (spu_loop: 2 even, 1 odd). Per window row of a block: three vld
 // (odd) and a byte-counter splat (even); per window offset one shuffle
@@ -63,23 +82,40 @@ inline constexpr double kCcWindowRowOdd = 3 + kCcOffsets + 2 + 1;
 inline constexpr double kCcLaneEven = 2 + 2 * 1;
 inline constexpr double kCcLaneOdd = 1 + 4 * 2 + 2 * 2;
 
+// SPU cycles of the kPairs sequence. Per 16-pixel block: the centre vld
+// and the next quadword of the centre row (odd), three byte-counter
+// splats (even); per right partner dx = 1..8 one shuffle (odd) plus a
+// cmpeq and a sub (even); the widening of the three byte counts once per
+// block, a zero splat (even), then two shuffles (odd) and two adds (even)
+// per count (the own-row count's adds double it); the loop branch. Per
+// visited window row (the later own rows, the halo rows below, and the
+// halo rows above, which only the first kCcRadius rows of a range have):
+// three vld (odd), per window offset a shuffle (odd) plus a cmpeq and a
+// sub (even), and the loop branch. Per centre lane: as kWindow.
+inline constexpr double kCcPairBlockEven = 3 + 2 * kCcRadius + 1 + 3 * 2 + 2;
+inline constexpr double kCcPairBlockOdd = 2 + kCcRadius + 3 * 2 + 1;
+inline constexpr double kCcPairRowEven = 2 * kCcOffsets + 2;
+inline constexpr double kCcPairRowOdd = 3 + kCcOffsets + 1;
+
 /// Produces one output row y from the ring buffer.
 ///
-/// The SPU code counts each centre's whole window. Equal bins and window
-/// membership are both symmetric, so the host counts each unordered pair
-/// of equal pixels once instead: a partner at dx = 1..8 in row y or in a
-/// later own row adds 2 (both pixels are centres), a partner in a halo row
-/// adds 1 (only the own pixel is), and earlier own rows are skipped (they
-/// counted their pairs with row y already). Row y's `same` contribution is
-/// therefore not its own window count; only the total over all of the
-/// state's own rows equals the SPU code's, and that total is all a kernel
-/// emits. `possible` is each centre's window area, as before.
+/// Equal bins and window membership are both symmetric, so the code
+/// counts each unordered pair of equal pixels once: a partner at
+/// dx = 1..8 in row y or in a later own row adds 2 (both pixels are
+/// centres), a partner in a halo row adds 1 (only the own pixel is), and
+/// earlier own rows are skipped (they counted their pairs with row y
+/// already). Row y's `same` contribution is therefore not its own window
+/// count; only the total over all of the state's own rows equals the
+/// full-window count, and that total is all a kernel emits. `possible` is
+/// each centre's window area.
 ///
-/// The cycles of the SPU sequence above are charged once per row, from
-/// the full window's shape. Every charge is a whole number of cycles and
+/// The cycles of the `kCharge` sequence are charged once per row, in
+/// closed form: kWindow from the full window's shape, kPairs from the
+/// rows the pair rule visits. Every charge is a whole number of cycles and
 /// nothing flushes the pipes inside a row, so the pending totals match the
 /// per-instruction charging bit for bit.
-inline void cc_produce_row(const CcState& st, int y, int w, int h) {
+template <CcCharge kCharge = CcCharge::kWindow>
+void cc_produce_row(const CcState& st, int y, int w, int h) {
   const auto load = [](const std::uint8_t* p) {
     u8x16 v;
     std::memcpy(&v, p, 16);
@@ -178,10 +214,20 @@ inline void cc_produce_row(const CcState& st, int y, int w, int h) {
     }
   }
   const int blocks = (w + 15) / 16;
-  cellport::spu::charge_even(
-      blocks * (kCcBlockEven + kCcWindowRowEven * rows) + kCcLaneEven * w);
-  cellport::spu::charge_odd(
-      blocks * (kCcBlockOdd + kCcWindowRowOdd * rows) + kCcLaneOdd * w);
+  if constexpr (kCharge == CcCharge::kWindow) {
+    cellport::spu::charge_even(
+        blocks * (kCcBlockEven + kCcWindowRowEven * rows) + kCcLaneEven * w);
+    cellport::spu::charge_odd(
+        blocks * (kCcBlockOdd + kCcWindowRowOdd * rows) + kCcLaneOdd * w);
+  } else {
+    const int visited = (y1 - y) + (before_end - y0);
+    cellport::spu::charge_even(
+        blocks * (kCcPairBlockEven + kCcPairRowEven * visited) +
+        kCcLaneEven * w);
+    cellport::spu::charge_odd(
+        blocks * (kCcPairBlockOdd + kCcPairRowOdd * visited) +
+        kCcLaneOdd * w);
+  }
 }
 
 }  // namespace cellport::kernels

@@ -43,6 +43,9 @@ constexpr int kFusedBlockRows = 8;
 // kernels' own (cc_produce_row at 8 rows behind, eh rows 1 behind, a
 // texture tile finished every 8 LL rows), so counts and tile moments are
 // bit-identical to four separate shard invocations over the same range.
+// Only the charge differs: the correlogram rows charge the pair-symmetric
+// sequence the counting code runs (CcCharge::kPairs), where the
+// standalone CC kernel charges every centre's full window.
 //
 // The pass is the range code; `io` is its driver, which owns where the
 // rows come from and where the buffers live:
@@ -236,7 +239,7 @@ void fused_pass(Io& io, int w, int h, int r0, int r1, bool texture) {
     }
     while (cc_produced < r1 && (cc_produced + kCcRadius < computed_to ||
                                 computed_to == fetch_end)) {
-      cc_produce_row(cc_st, cc_produced, w, h);
+      cc_produce_row<CcCharge::kPairs>(cc_st, cc_produced, w, h);
       ++cc_produced;
     }
     const int gray_to = std::min(computed_to, gray_end);
@@ -247,7 +250,7 @@ void fused_pass(Io& io, int w, int h, int r0, int r1, bool texture) {
     }
   }
   while (cc_produced < r1) {
-    cc_produce_row(cc_st, cc_produced, w, h);
+    cc_produce_row<CcCharge::kPairs>(cc_st, cc_produced, w, h);
     ++cc_produced;
   }
   while (eh_produced < r1) {

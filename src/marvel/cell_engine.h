@@ -185,6 +185,9 @@ class CellEngine {
   /// The fused lane/detect split a kSharded engine consults (defaulted
   /// 1+1 otherwise).
   const shard::FusedPlan& fused_plan() const { return fused_plan_; }
+  /// How many SPEs run fused lanes when set_fused(true): SPEs
+  /// [0, fused_lanes()) in an unguarded engine.
+  std::size_t fused_lanes() const { return fused_lanes_; }
 
   /// cellbalance: with the knob on, the fused single-pass extraction is
   /// driven by a work-stealing dispatcher instead of one static range

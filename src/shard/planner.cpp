@@ -14,8 +14,11 @@ KernelCosts default_costs() {
   // invocation covering all four features — cheaper than the four
   // kernels summed (one fetch, one HSV quantization, one gray
   // conversion), which is why plan_fused beats plan_shards on the same
-  // machine. The overhead term folds in the per-extra-SPE costs: one
-  // more dispatch, the halo refetch, one more partial to reduce.
+  // machine; its correlogram window is charged as the pair-symmetric
+  // sequence (each unordered pair compared once), where the CC kernel
+  // compares every centre's full window. The overhead term folds in the
+  // per-extra-SPE costs: one more dispatch, the halo refetch, one more
+  // partial to reduce.
   // tests/test_fuse.cpp re-measures every ratio in-process and fails if
   // these drift by more than the pinning tolerance.
   KernelCosts c;
@@ -23,7 +26,7 @@ KernelCosts default_costs() {
   c.extract[kSlotCc] = 3.4;
   c.extract[kSlotTx] = 0.13;
   c.extract[kSlotEh] = 0.90;
-  c.fused = 4.4;
+  c.fused = 3.2;
   // Detection scores only the ACTIVE models (inactive library fillers
   // are skipped at load), so its unit is small and independent of the
   // library size — the old detect=2.0 dated from before the SIMD dot

@@ -264,6 +264,24 @@ TEST(FusedPlanner, Deterministic) {
   }
 }
 
+TEST(FusedPlanner, PlansArePinned) {
+  // The plans every machine shape gets from the calibrated table. A
+  // recalibration that moves one of them is a deliberate rebaseline.
+  for (int spes = 2; spes <= 8; ++spes) {
+    const shard::FusedPlan plan = shard::plan_fused(spes);
+    EXPECT_EQ(plan.lanes, spes - 1) << spes << " SPEs";
+    EXPECT_EQ(plan.detect_spes, 1) << spes << " SPEs";
+  }
+  for (int spes = 5; spes <= 8; ++spes) {
+    const shard::ShardPlan plan = shard::plan_shards(spes);
+    EXPECT_EQ(plan.extract_shards[shard::kSlotCh], 1) << spes << " SPEs";
+    EXPECT_EQ(plan.extract_shards[shard::kSlotCc], spes - 4) << spes << " SPEs";
+    EXPECT_EQ(plan.extract_shards[shard::kSlotTx], 1) << spes << " SPEs";
+    EXPECT_EQ(plan.extract_shards[shard::kSlotEh], 1) << spes << " SPEs";
+    EXPECT_EQ(plan.detect_spes, 1) << spes << " SPEs";
+  }
+}
+
 TEST(FusedPlanner, CalibrationPinned) {
   // Re-measures the planner's cost table in-process on the calibration
   // shape (352x240) and fails if the committed constants drift by more

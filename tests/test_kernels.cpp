@@ -455,6 +455,99 @@ void cc_produce_row(const CcState& st, int y, int w, int h) {
   }
 }
 
+/// The pair-symmetric sequence the fused kernel charges: the centre
+/// row's right partners and the visited window rows (later own rows, halo
+/// rows above and below) count into three byte counters, which widen once
+/// per block; the own-row count is doubled. A sentinel centre's band
+/// correction is host arithmetic, as in the kernel: only test rings have
+/// one inside the image.
+void cc_produce_row_pairs(const CcState& st, int y, int w, int h) {
+  const int y0 = std::max(0, y - kCcRadius);
+  const int y1 = std::min(h - 1, y + kCcRadius);
+  const int before_end = std::max(y0, st.own_begin);
+  const int later_end = std::min(y1 + 1, st.own_end);
+  const std::uint8_t* center_row = st.ring[y % kCcRingRows] + kRingOrigin;
+  static const vec_uchar16 pat_lo = [] {
+    vec_uchar16 p;
+    for (unsigned k = 0; k < 8; ++k) {
+      p.v[2 * k] = static_cast<std::uint8_t>(k);
+      p.v[2 * k + 1] = 16;
+    }
+    return p;
+  }();
+  static const vec_uchar16 pat_hi = [] {
+    vec_uchar16 p;
+    for (unsigned k = 0; k < 8; ++k) {
+      p.v[2 * k] = static_cast<std::uint8_t>(8 + k);
+      p.v[2 * k + 1] = 16;
+    }
+    return p;
+  }();
+
+  for (int x0 = 0; x0 < w; x0 += 16) {
+    const vec_uchar16 centers = vld<vec_uchar16>(center_row + x0);
+    const vec_uchar16 right = vld<vec_uchar16>(center_row + x0 + 16);
+    vec_uchar16 twice = spu_splats<vec_uchar16>(0);
+    vec_uchar16 above = spu_splats<vec_uchar16>(0);
+    vec_uchar16 below = spu_splats<vec_uchar16>(0);
+    for (int dx = 1; dx <= kCcRadius; ++dx) {
+      twice = spu_sub(
+          twice,
+          spu_cmpeq(spu_shuffle(centers, right, shift_pattern(dx)), centers));
+    }
+    const auto visit = [&](vec_uchar16& acc, int yy) {
+      const std::uint8_t* nrow = st.ring[yy % kCcRingRows] + kRingOrigin;
+      vec_uchar16 qm1 = vld<vec_uchar16>(nrow + x0 - 16);
+      vec_uchar16 q0 = vld<vec_uchar16>(nrow + x0);
+      vec_uchar16 q1 = vld<vec_uchar16>(nrow + x0 + 16);
+      for (int dx = -kCcRadius; dx <= kCcRadius; ++dx) {
+        vec_uchar16 neigh =
+            dx < 0 ? spu_shuffle(qm1, q0, shift_pattern(dx))
+                   : spu_shuffle(q0, q1, shift_pattern(dx));
+        acc = spu_sub(acc, spu_cmpeq(neigh, centers));
+      }
+      spu_loop(1);
+    };
+    for (int yy = y + 1; yy < later_end; ++yy) visit(twice, yy);
+    for (int yy = y0; yy < before_end; ++yy) visit(above, yy);
+    for (int yy = later_end; yy <= y1; ++yy) visit(below, yy);
+
+    const vec_uchar16 zero = spu_splats<vec_uchar16>(0);
+    auto lo = vec_cast<vec_ushort8>(spu_shuffle(twice, zero, pat_lo));
+    auto hi = vec_cast<vec_ushort8>(spu_shuffle(twice, zero, pat_hi));
+    lo = spu_add(lo, lo);
+    hi = spu_add(hi, hi);
+    for (const vec_uchar16* halo : {&above, &below}) {
+      lo = spu_add(lo, vec_cast<vec_ushort8>(spu_shuffle(*halo, zero, pat_lo)));
+      hi = spu_add(hi, vec_cast<vec_ushort8>(spu_shuffle(*halo, zero, pat_hi)));
+    }
+
+    const int own_before = y - before_end;
+    const int own_after = later_end - (y + 1);
+    const int rows_clamped = y1 - y0 + 1;
+    const int lanes = std::min(16, w - x0);
+    for (int lane = 0; lane < lanes; ++lane) {
+      const int x = x0 + lane;
+      std::uint32_t cnt =
+          lane < 8 ? spu_extract(lo, static_cast<std::size_t>(lane))
+                   : spu_extract(hi, static_cast<std::size_t>(lane - 8));
+      std::uint8_t bin = sload(&center_row[x]);
+      std::uint32_t area = static_cast<std::uint32_t>(rows_clamped) *
+                           sload(&st.cols_clamped[x]);
+      sop(2);
+      if (bin == kCcSentinel) {
+        const int nb = kCcOffsets - st.cols_clamped[x];
+        cnt += static_cast<std::uint32_t>(
+            (own_before - own_after) * nb + std::max(0, kCcRadius - x) -
+            std::max(0, x + kCcRadius - (w - 1)));
+      }
+      sstore(&st.same[bin], sload(&st.same[bin]) + cnt);
+      sstore(&st.possible[bin], sload(&st.possible[bin]) + area - 1);
+    }
+    spu_loop(1);
+  }
+}
+
 vec_short8 bytes_to_short8(const vec_uchar16& raw, unsigned shift) {
   vec_uchar16 p;
   for (unsigned lane = 0; lane < 8; ++lane) {
@@ -1147,6 +1240,57 @@ TEST(ChargeOnceRows, CorrelogramShardPartialsMatchIntrinsicReference) {
           EXPECT_EQ(sum_same, whole_same) << "shard rows " << shard_rows;
           EXPECT_EQ(sum_possible, whole_possible)
               << "shard rows " << shard_rows;
+        }
+      }
+    }
+  }
+}
+
+TEST(ChargeOnceRows, PairCorrelogramMatchesPairSequenceReference) {
+  // The fused kernel's charge against the per-instruction pair sequence,
+  // over whole images and 1-, 2- and 16-row ranges: pipes equal after
+  // the flush, counts equal to the pair reference's and, summed over the
+  // range's rows, to the full-window reference's.
+  for (int w : kWindowWidths) {
+    for (int h : {1, 5, 16, 17, 24}) {
+      for (CcFill fill : {CcFill::kRandom, CcFill::kFewBins,
+                          CcFill::kAllEqual, CcFill::kSentinelRows}) {
+        CcRing ring(w, h, fill, static_cast<std::uint32_t>(w * 13 + h));
+        for (int shard_rows : {1, 2, 16, h}) {
+          for (int begin = 0; begin < h; begin += shard_rows) {
+            const int end = std::min(h, begin + shard_rows);
+            SCOPED_TRACE(::testing::Message()
+                         << "w=" << w << " h=" << h
+                         << " fill=" << static_cast<int>(fill) << " rows=["
+                         << begin << "," << end << ")");
+            std::vector<std::uint32_t> same, possible, pair_same,
+                pair_possible, window_same, window_possible;
+            CcState st = ring.state(same, possible);
+            CcState pair_st = ring.state(pair_same, pair_possible);
+            for (CcState* s : {&st, &pair_st}) {
+              s->own_begin = begin;
+              s->own_end = end;
+            }
+            const CcState window_st = ring.state(window_same, window_possible);
+            const auto got = charged_run([&] {
+              for (int y = begin; y < end; ++y) {
+                cc_produce_row<CcCharge::kPairs>(st, y, w, h);
+              }
+            });
+            const auto want = charged_run([&] {
+              for (int y = begin; y < end; ++y) {
+                ref::cc_produce_row_pairs(pair_st, y, w, h);
+              }
+            });
+            for (int y = begin; y < end; ++y) {
+              ref::cc_produce_row(window_st, y, w, h);
+            }
+            expect_same_pipes(got, want);
+            EXPECT_EQ(same, pair_same);
+            EXPECT_EQ(possible, pair_possible);
+            EXPECT_EQ(same, window_same);
+            EXPECT_EQ(possible, window_possible);
+          }
         }
       }
     }

@@ -246,6 +246,12 @@ TEST(BenchDiff, DirectionInference) {
             Direction::kInformational);
   EXPECT_EQ(metric_direction("sharded.images.count"),
             Direction::kInformational);
+  // A lane group's rows (Eq. 3's group term and the group's work).
+  EXPECT_EQ(metric_direction("fused_ring16.fused_lanes.max_busy_ns"),
+            Direction::kLowerIsBetter);
+  EXPECT_EQ(metric_direction("Sharded.fused_feed_ring16.fused_lanes."
+                             "sum_busy_ns"),
+            Direction::kLowerIsBetter);
 }
 
 // ---- engine integration ----
